@@ -15,8 +15,7 @@ the secular drift; it is annihilated by c_p because beta.T theta_1 beta = 0.
 These expressions are exact for any symmetric positive definite r_o (the
 middle factor inv(r_o) theta_2 inv(r_o) does not commute into a single
 inv(r_o)^2 unless r_o commutes with theta_2) and serve as the oracle for the
-numerical propagation.  A quadrature evaluation of the underlying
-integral representation is provided as an independent cross-check.
+numerical propagation.
 """
 
 from __future__ import annotations
@@ -26,10 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import expm, is_positive_definite
-from .synthesis import AugmentedSystem
-
-SYMPLECTIC_TOL = 1e-9
-GAIN_TOL = 1e-10
+from .synthesis import GAIN_TOL, AugmentedSystem, gain_residual
 
 
 @dataclass(frozen=True)
@@ -98,9 +94,7 @@ def output_maps(t: float, aug: AugmentedSystem) -> tuple[np.ndarray, np.ndarray]
     gain condition to hold.
     """
     obs = aug.observer
-    residual = float(
-        np.max(np.abs(obs.c_o @ np.linalg.solve(obs.r_o, obs.alpha) + np.eye(aug.plant.m_p)))
-    )
+    residual = gain_residual(obs)
     if residual > GAIN_TOL:
         raise ValueError(f"observer gain condition violated: residual {residual:.3e}")
     return aug.plant_output, obs.c_o @ observer_block(t, aug)
@@ -116,35 +110,3 @@ def exp_norm_bound(r_o) -> float:
     if not report.positive_definite:
         raise ValueError(f"r_o is not positive definite (lambda_min = {report.lambda_min:.3e})")
     return float(np.sqrt(report.lambda_max / report.lambda_min))
-
-
-def plant_block_quadrature(t: float, aug: AugmentedSystem, nodes: int = 12) -> np.ndarray:
-    """Plant rows evaluated from the integral representation.
-
-        x_p(t) = x_p(0) + 4 p [int_0^t e^{b(t-tau)} tau dtau] theta_2 k x_p(0)
-                        + 2 p [int_0^t e^{b(t-tau)} dtau] x_o(0)
-
-    Integrals are done by panelled Gauss-Legendre quadrature with panel
-    length tied to ||b||; independent of the expanded form, for use as a test
-    oracle.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    n_p, n_o, theta_2, p, k, _, b = _pieces(aug)
-    moment_0 = np.zeros((n_o, n_o))
-    moment_1 = np.zeros((n_o, n_o))
-    if t > 0:
-        panels = max(1, int(np.ceil(t * max(1.0, float(np.linalg.norm(b, 2))) / 1.5)))
-        x, w = np.polynomial.legendre.leggauss(nodes)
-        edges = np.linspace(0.0, t, panels + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid = 0.5 * (lo + hi)
-            half = 0.5 * (hi - lo)
-            for xi, wi in zip(x, w):
-                tau = mid + half * xi
-                kernel = wi * half * expm(b * (t - tau))
-                moment_0 += kernel
-                moment_1 += tau * kernel
-    on_xp = np.eye(n_p) + 4.0 * (p @ moment_1 @ theta_2 @ k)
-    on_xo = 2.0 * (p @ moment_0)
-    return np.hstack([on_xp, on_xo])

@@ -5,8 +5,10 @@ plant to a single-mode observer and records the transition-matrix entries and
 their running time averages.  ``measurement_sequence`` runs a piecewise
 schedule: observer attached, detached, then a second observer estimating the
 other quadrature attached, which destroys the previously conserved one.
-``custom`` runs the full synthesize/verify/propagate pipeline on user
-matrices.
+``custom`` does what ``one_mode`` does on user matrices.  Each runner only
+resolves its config into a schedule of coupled and disconnected segments and
+a figure plan; one pipeline verifies, propagates, averages, checks, diagnoses
+and writes.
 
 All numeric output is CSV (header row, 12 significant digits); every figure
 file gets a companion gnuplot script.  A run "passes" only if all residual
@@ -16,26 +18,29 @@ checks stay below the configured tolerances.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .ccr import PlantSpec, make_plant
+from .ccr import make_plant
+from .linalg import is_positive_definite
 from .simulation import (
+    PropagatorSeries,
     Segment,
+    average_convergence,
     invariant_monitor,
-    propagate,
     propagate_schedule,
     schedule_grid,
     time_average,
-    uniform_grid,
-    convergence_diagnostics,
 )
 from .synthesis import (
+    GAIN_TOL,
     AugmentedSystem,
     ObserverSpec,
     assemble_augmented,
+    gain_residual,
     synthesize_observer,
     verify_observer_conditions,
 )
@@ -48,13 +53,7 @@ EXIT_IO = 3
 SCENARIOS = ("one_mode", "measurement_sequence", "custom")
 
 _DEFAULT_BETA = [[1.0], [0.0]]
-_DEFAULT_R_O = [[1.0, 0.0], [0.0, 1.0]]
 _DEFAULT_C_O = [[1.0, 0.0]]
-_DEFAULT_SEGMENTS = (
-    {"duration": 20.0, "beta": [[1.0], [0.0]], "r_o": _DEFAULT_R_O, "c_o": [[1.0, 0.0]]},
-    {"duration": 5.0, "disconnect": True},
-    {"beta": [[0.0], [1.0]], "r_o": _DEFAULT_R_O, "c_o": [[0.0, 1.0]]},
-)
 
 
 class ConfigError(ValueError):
@@ -83,7 +82,14 @@ def _positive(value, path: str) -> float:
     return x
 
 
-@dataclass
+def _check_fields(cls, raw: dict, prefix: str, what: str) -> None:
+    known = {f.name for f in fields(cls)}
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"{prefix}{key}: unknown {what}")
+
+
+@dataclass(frozen=True)
 class SegmentConfig:
     """One phase of a piecewise schedule; ``disconnect`` means zero dynamics."""
 
@@ -95,28 +101,29 @@ class SegmentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, path: str) -> "SegmentConfig":
-        known = {"duration", "disconnect", "beta", "r_o", "c_o"}
-        for key in raw:
-            if key not in known:
-                raise ConfigError(f"{path}.{key}: unknown field")
+        _check_fields(cls, raw, f"{path}.", "field")
         duration = None
         if raw.get("duration") is not None:
             duration = _positive(raw["duration"], f"{path}.duration")
-        disconnect = bool(raw.get("disconnect", False))
-        if disconnect:
+        if raw.get("disconnect", False):
             return cls(duration=duration, disconnect=True)
+        matrices = {}
         for key in ("beta", "r_o", "c_o"):
             if raw.get(key) is None:
                 raise ConfigError(f"{path}.{key}: required for a coupled segment")
-        return cls(
-            duration=duration,
-            beta=_matrix(raw["beta"], f"{path}.beta"),
-            r_o=_matrix(raw["r_o"], f"{path}.r_o"),
-            c_o=_matrix(raw["c_o"], f"{path}.c_o"),
-        )
+            matrices[key] = _matrix(raw[key], f"{path}.{key}")
+        return cls(duration=duration, **matrices)
 
 
-@dataclass
+# observer attached, detached, then its conjugate attached until t_end
+_DEFAULT_SEGMENTS = (
+    SegmentConfig(20.0, beta=np.array(_DEFAULT_BETA), r_o=np.eye(2), c_o=np.array(_DEFAULT_C_O)),
+    SegmentConfig(5.0, disconnect=True),
+    SegmentConfig(beta=np.array([[0.0], [1.0]]), r_o=np.eye(2), c_o=np.array([[0.0, 1.0]])),
+)
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Scenario payload: matrices, schedule, grid and tolerances."""
 
@@ -125,7 +132,7 @@ class ScenarioConfig:
     r_o: np.ndarray | None = None
     c_o: np.ndarray | None = None
     alpha: np.ndarray | None = None
-    segments: list[SegmentConfig] = field(default_factory=list)
+    segments: tuple[SegmentConfig, ...] = ()
     t_end: float | None = None
     dt: float = 0.01
     average_t_end: float | None = None
@@ -135,50 +142,27 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        known = {
-            "scenario",
-            "beta",
-            "r_o",
-            "c_o",
-            "alpha",
-            "segments",
-            "t_end",
-            "dt",
-            "average_t_end",
-            "out_dir",
-            "tol",
-            "constant_tol",
-        }
-        for key in raw:
-            if key not in known:
-                raise ConfigError(f"{key}: unknown config field")
+        _check_fields(cls, raw, "", "config field")
         scenario = raw.get("scenario", "one_mode")
         if scenario not in SCENARIOS:
             raise ConfigError(f"scenario: must be one of {SCENARIOS}, got {scenario!r}")
-        cfg = cls(scenario=scenario)
+        values: dict = {"scenario": scenario}
         for key in ("beta", "r_o", "c_o", "alpha"):
             if raw.get(key) is not None:
-                setattr(cfg, key, _matrix(raw[key], key))
+                values[key] = _matrix(raw[key], key)
         if raw.get("segments") is not None:
             if not isinstance(raw["segments"], list) or not raw["segments"]:
                 raise ConfigError("segments: expected a non-empty list")
-            cfg.segments = [
+            values["segments"] = tuple(
                 SegmentConfig.from_dict(seg, f"segments[{i}]")
                 for i, seg in enumerate(raw["segments"])
-            ]
-        if raw.get("t_end") is not None:
-            cfg.t_end = _positive(raw["t_end"], "t_end")
-        if raw.get("dt") is not None:
-            cfg.dt = _positive(raw["dt"], "dt")
-        if raw.get("average_t_end") is not None:
-            cfg.average_t_end = _positive(raw["average_t_end"], "average_t_end")
+            )
+        for key in ("t_end", "dt", "average_t_end", "tol", "constant_tol"):
+            if raw.get(key) is not None:
+                values[key] = _positive(raw[key], key)
         if raw.get("out_dir") is not None:
-            cfg.out_dir = Path(raw["out_dir"])
-        if raw.get("tol") is not None:
-            cfg.tol = _positive(raw["tol"], "tol")
-        if raw.get("constant_tol") is not None:
-            cfg.constant_tol = _positive(raw["constant_tol"], "constant_tol")
-        return cfg
+            values["out_dir"] = Path(raw["out_dir"])
+        return cls(**values)
 
     def resolved_t_end(self) -> float:
         if self.t_end is not None:
@@ -205,196 +189,180 @@ class ArtifactBundle:
     passed: bool
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+@dataclass(frozen=True)
+class _Figure:
+    """A CSV of whole transition-matrix rows (None: all); a gnuplot script if titled."""
+
+    tag: str
+    rows: tuple[int, ...] | None
+    title: str | None
+    avg: bool = False
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> Path:
-    rows = np.column_stack(columns)
+@dataclass(frozen=True)
+class _Plan:
+    """A scenario resolved for the pipeline.
+
+    ``phases`` are (duration, system) pairs, system None while disconnected.
+    Maps are written for t <= map_end, running averages for T <= average_end.
+    A ``schedule`` plan reports each segment; otherwise the one coupled system
+    is reported whole, with its averages diagnosed up to average_end.
+    """
+
+    name: str
+    phases: tuple[tuple[float, AugmentedSystem | None], ...]
+    figures: tuple[_Figure, ...]
+    prefix: str = "phi"
+    map_end: float = math.inf
+    average_end: float = math.inf
+    schedule: bool = False
+
+
+def _write_figure(
+    out: Path, fig: _Figure, prefix: str, times: np.ndarray, data: np.ndarray
+) -> tuple[Path, Path | None]:
+    """Write ``fig`` from the matrices ``data`` at ``times``; return (csv, script or None)."""
+    rows = range(data.shape[1]) if fig.rows is None else fig.rows
+    cells = [(i, j) for i in rows for j in range(data.shape[2])]
+    suffix = "_ave" if fig.avg else ""
+    names = [f"{prefix}_{i + 1}{j + 1}{suffix}" for i, j in cells]
+    header = ["T" if fig.avg else "t"] + names
+    table = np.column_stack([times] + [data[:, i, j] for i, j in cells])
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-def _write_plot_script(path: Path, csv_name: str, title: str, n_curves: int) -> Path:
-    plots = ", ".join(f"'{csv_name}' using 1:{i + 2} with lines" for i in range(n_curves))
+    lines.extend(",".join(format(float(v), ".12g") for v in row) for row in table)
+    csv_path = out / f"{fig.tag}.csv"
+    csv_path.write_text("\n".join(lines) + "\n")
+    if fig.title is None:
+        return csv_path, None
+    plots = ", ".join(f"'{csv_path.name}' using 1:{k + 2} with lines" for k in range(len(cells)))
     lines = [
         "set datafile separator ','",
-        f"set title '{title}'",
+        f"set title '{fig.title}'",
         "set xlabel 'time'",
         "set key autotitle columnhead",
         "set grid",
         f"plot {plots}",
     ]
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-def _report_dict(report) -> dict:
-    return {
-        "r_o_lambda_min": float(report.r_o_lambda_min),
-        "gain_residual": float(report.gain_residual),
-        "beta_block_valid": bool(report.beta_block_valid),
-        "beta_skew_residual": float(report.beta_skew_residual),
-        "output_annihilation_residual": float(report.output_annihilation_residual),
-        "realizability_residual": float(report.realizability_residual),
-        "spectrum_max_abs_real": float(report.spectrum_max_abs_real),
-        "spectrum": [[float(z.real), float(z.imag)] for z in report.spectrum],
-    }
-
-
-def _convergence_dict(report) -> dict:
-    return {
-        "t_values": [float(t) for t in report.t_values],
-        "d_values": [float(d) for d in report.d_values],
-        "bound_constant": float(report.bound_constant),
-        "max_t_times_d": float(report.max_t_times_d),
-        "decay_rate": float(report.decay_rate),
-        "converged": bool(report.converged),
-    }
-
-
-def _write_summary(path: Path, summary: dict) -> Path:
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _figure_rows(
-    out: Path,
-    tag: str,
-    prefix: str,
-    times: np.ndarray,
-    rows: np.ndarray,
-    row_index: int,
-    title: str,
-) -> tuple[Path, Path]:
-    n = rows.shape[2]
-    header = ["t"] + [f"{prefix}_{row_index + 1}{j + 1}" for j in range(n)]
-    columns = [times] + [rows[:, row_index, j] for j in range(n)]
-    csv_path = _write_csv(out / f"{tag}.csv", header, columns)
-    gp_path = _write_plot_script(out / f"{tag}.gp", f"{tag}.csv", title, n)
+    gp_path = out / f"{fig.tag}.gp"
+    gp_path.write_text("\n".join(lines) + "\n")
     return csv_path, gp_path
 
 
-def _figure_average_rows(
-    out: Path,
-    tag: str,
-    prefix: str,
-    times: np.ndarray,
-    averages: np.ndarray,
-    row_index: int,
-    title: str,
-) -> tuple[Path, Path]:
-    n = averages.shape[2]
-    header = ["T"] + [f"{prefix}_{row_index + 1}{j + 1}_ave" for j in range(n)]
-    columns = [times] + [averages[:, row_index, j] for j in range(n)]
-    csv_path = _write_csv(out / f"{tag}.csv", header, columns)
-    gp_path = _write_plot_script(out / f"{tag}.gp", f"{tag}.csv", title, n)
-    return csv_path, gp_path
+def _as_json(report) -> dict:
+    """A report dataclass as JSON values; complex numbers become [re, im] pairs."""
+
+    def value(x):
+        if isinstance(x, np.ndarray):
+            return [value(v) for v in x]
+        if isinstance(x, (bool, np.bool_)):
+            return bool(x)
+        if np.iscomplexobj(x):
+            return [float(x.real), float(x.imag)]
+        return float(x)
+
+    return {f.name: value(getattr(report, f.name)) for f in fields(report)}
 
 
-def _build_observer(plant: PlantSpec, config: ScenarioConfig) -> ObserverSpec:
-    r_o = config.r_o if config.r_o is not None else np.array(_DEFAULT_R_O)
-    if config.alpha is not None:
-        alpha = config.alpha
-        r_o = np.asarray(r_o, dtype=float)
-        if config.c_o is not None:
-            c_o = config.c_o
-        else:
-            # least-norm output matrix solving c_o inv(r_o) alpha = -I
-            c_o = -np.linalg.pinv(np.linalg.solve(r_o, alpha))
-        spec = ObserverSpec(
-            n_o=r_o.shape[0],
-            r_o=0.5 * (r_o + r_o.T),
-            alpha=alpha,
-            c_o=c_o,
-            r_c=plant.beta @ alpha.T,
-        )
-        residual = float(
-            np.max(np.abs(spec.c_o @ np.linalg.solve(spec.r_o, spec.alpha) + np.eye(plant.m_p)))
-        )
-        if residual > 1e-10:
-            raise ConfigError(
-                f"alpha/c_o: gain condition residual {residual:.3e} exceeds 1e-10"
-            )
-        return spec
-    c_o = config.c_o if config.c_o is not None else np.array(_DEFAULT_C_O)
-    return synthesize_observer(plant, r_o, c_o)
-
-
-def run_one_mode(config: ScenarioConfig) -> ArtifactBundle:
-    """Single-mode plant permanently coupled to one observer (figure data 3-6b)."""
-    beta = config.beta if config.beta is not None else np.array(_DEFAULT_BETA)
-    plant = make_plant(beta)
-    observer = _build_observer(plant, config)
-    aug = assemble_augmented(plant, observer)
-    report = verify_observer_conditions(aug)
-
-    t_end = config.resolved_t_end()
-    avg_t_end = config.resolved_average_t_end()
-    t_total = max(t_end, avg_t_end)
-    grid = uniform_grid(t_total, config.dt)
-    series = propagate(aug.a_a, grid)
-    averages = time_average(series)
-    conservation = invariant_monitor(series, aug.ccr, aug.r_a)
-    convergence = convergence_diagnostics(aug, horizon=avg_t_end, dt=config.dt)
-
-    coeff_mask = series.times <= t_end + 1e-12
-    avg_mask = averages.times <= avg_t_end + 1e-12
-    t_coeff = series.times[coeff_mask]
-    maps = series.maps[coeff_mask]
-    t_avg = averages.times[avg_mask]
-    avg_maps = averages.averages[avg_mask]
-
-    out = config.out_dir / "one_mode"
-    out.mkdir(parents=True, exist_ok=True)
-    csv_files: list[Path] = []
-    scripts: list[Path] = []
-    figure_plan = [
-        ("fig03", 0, "coefficients of the first plant quadrature"),
-        ("fig04", 1, "coefficients of the second plant quadrature"),
-        ("fig05", 2, "coefficients of the observer output quadrature"),
-        ("fig06a", 3, "coefficients of the second observer quadrature"),
+def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
+    """The one pipeline: verify, propagate, average, check, diagnose, write, summarize."""
+    coupled = [aug for _, aug in plan.phases if aug is not None]
+    if not coupled:
+        raise ConfigError("segments: at least one coupled segment is required")
+    n = coupled[0].n
+    for i, (_, aug) in enumerate(plan.phases):
+        if aug is not None and aug.n != n:
+            raise ConfigError(f"segments[{i}]: augmented dimension {aug.n} != {n}")
+    if not plan.schedule and config.dt > plan.average_end:
+        raise ConfigError(f"dt: {config.dt} exceeds the averaging horizon {plan.average_end}")
+    reports = [
+        None if aug is None else verify_observer_conditions(aug) for _, aug in plan.phases
     ]
-    for tag, row, title in figure_plan:
-        csv_path, gp_path = _figure_rows(out, tag, "phi", t_coeff, maps, row, title)
-        csv_files.append(csv_path)
-        scripts.append(gp_path)
-    for tag, row, title in [
-        ("fig06", 2, "running time averages of the observer output row"),
-        ("fig06b", 3, "running time averages of the second observer row"),
-    ]:
-        csv_path, gp_path = _figure_average_rows(out, tag, "phi", t_avg, avg_maps, row, title)
-        csv_files.append(csv_path)
-        scripts.append(gp_path)
 
-    estimated_rows = aug.plant_output
-    estimated_row_dev = float(np.max(np.abs(estimated_rows @ maps - estimated_rows)))
+    segments = [Segment(np.zeros((n, n)) if aug is None else aug.a_a, d) for d, aug in plan.phases]
+    series = propagate_schedule(segments, schedule_grid(segments, config.dt))
+    averages = time_average(series)
+    times, maps = series.times, series.maps
+
+    # conservation per segment: CCR against theta, energy against the
+    # segment's own Hamiltonian from its first map
+    boundaries = np.concatenate([[0.0], np.cumsum([s.duration for s in segments])])
+    edges = [int(np.argmin(np.abs(times - b))) for b in boundaries]
+    entries = []
+    ccr_residual = energy_residual = 0.0
+    for (duration, aug), report, lo, hi in zip(plan.phases, reports, edges[:-1], edges[1:]):
+        chunk = maps[lo : hi + 1]
+        r_seg = np.zeros((n, n)) if aug is None else aug.r_a
+        piece = PropagatorSeries(times=times[lo : hi + 1], maps=chunk)
+        invariants = invariant_monitor(piece, coupled[0].ccr, r_seg)
+        ccr_residual = max(ccr_residual, invariants.max_ccr_residual)
+        energy_residual = max(energy_residual, invariants.max_energy_residual)
+        entry = {
+            "kind": "disconnected" if aug is None else "coupled",
+            "duration": duration,
+            "t_start": float(times[lo]),
+            "t_stop": float(times[hi]),
+            "energy_residual": invariants.max_energy_residual,
+        }
+        if aug is None:
+            entry["plateau_max_deviation"] = float(np.max(np.abs(chunk - chunk[0])))
+        else:
+            rows = aug.plant_output
+            row_dev = float(np.max(np.abs(rows @ chunk - rows @ chunk[0])))
+            entry["protected_row_max_deviation"] = row_dev
+            entry["observer_conditions"] = _as_json(report)
+        entries.append(entry)
+
+    out = config.out_dir / plan.name
+    out.mkdir(parents=True, exist_ok=True)
+    map_stop = int(np.searchsorted(times, plan.map_end + 1e-12, side="right"))
+    avg_stop = int(np.searchsorted(averages.times, plan.average_end + 1e-12, side="right"))
+    sampled = {
+        False: (times[:map_stop], maps[:map_stop]),
+        True: (averages.times[:avg_stop], averages.averages[:avg_stop]),
+    }
+    written = [_write_figure(out, fig, plan.prefix, *sampled[fig.avg]) for fig in plan.figures]
+    csv_files = [csv for csv, _ in written]
+    scripts = [gp for _, gp in written if gp is not None]
 
     checks = {
-        "observer_conditions": report.passes(config.tol),
-        "estimated_row_constant": estimated_row_dev <= config.constant_tol,
-        "ccr_conservation": conservation.max_ccr_residual <= config.tol,
-        "energy_conservation": conservation.max_energy_residual <= config.tol,
-        "time_average_convergence": bool(convergence.converged),
+        "observer_conditions": all(r.passes(config.tol) for r in reports if r is not None),
+        "ccr_conservation": ccr_residual <= config.tol,
+        "energy_conservation": energy_residual <= config.tol,
     }
     summary = {
-        "scenario": "one_mode",
-        "grid": {"t_end": t_end, "dt": config.dt, "average_t_end": avg_t_end},
+        "scenario": plan.name,
+        "grid": {"t_end": config.resolved_t_end(), "dt": config.dt},
         "tolerances": {"residual": config.tol, "constant_row": config.constant_tol},
-        "observer_conditions": _report_dict(report),
-        "conservation": {
-            "ccr_residual": conservation.max_ccr_residual,
-            "energy_residual": conservation.max_energy_residual,
-        },
-        "estimated_row_max_deviation": estimated_row_dev,
-        "convergence": _convergence_dict(convergence),
-        "checks": checks,
-        "passed": all(checks.values()),
-        "files": sorted(p.name for p in csv_files + scripts),
+        "conservation": {"ccr_residual": ccr_residual, "energy_residual": energy_residual},
     }
-    summary_file = _write_summary(out / "summary.json", summary)
+    if plan.schedule:
+        coupled_at = [i for i, (_, aug) in enumerate(plan.phases) if aug is not None]
+        lo, hi = edges[coupled_at[-1]], edges[coupled_at[-1] + 1]
+        # disturbance of the first observer's protected row under the last observer
+        rows = coupled[0].plant_output
+        swap_disturbance = float(np.max(np.abs(rows @ maps[lo : hi + 1] - rows @ maps[lo])))
+        plateau = [e["plateau_max_deviation"] for e in entries if e["kind"] == "disconnected"]
+        protected = [e["protected_row_max_deviation"] for e in entries if e["kind"] == "coupled"]
+        summary["segments"] = entries
+        summary["swap_disturbance"] = swap_disturbance
+        checks["protected_rows_constant"] = all(dev <= config.constant_tol for dev in protected)
+        checks["plateau_constant"] = max(plateau, default=0.0) <= 1e-12
+        checks["swap_disturbs_previous_row"] = len(coupled_at) == 1 or swap_disturbance > 0.1
+    else:
+        convergence = average_convergence(coupled[0], averages, plan.average_end, config.dt)
+        summary["observer_conditions"] = entries[0]["observer_conditions"]
+        summary["convergence"] = _as_json(convergence)
+        checks["time_average_convergence"] = bool(convergence.converged)
+        if plan.name == "one_mode":
+            row_dev = entries[0]["protected_row_max_deviation"]
+            summary["grid"]["average_t_end"] = plan.average_end
+            summary["estimated_row_max_deviation"] = row_dev
+            checks["estimated_row_constant"] = row_dev <= config.constant_tol
+    summary["checks"] = checks
+    summary["passed"] = all(checks.values())
+    summary["files"] = sorted(p.name for p in csv_files + scripts)
+    summary_file = out / "summary.json"
+    summary_file.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return ArtifactBundle(
         out_dir=out,
         csv_files=csv_files,
@@ -405,17 +373,80 @@ def run_one_mode(config: ScenarioConfig) -> ArtifactBundle:
     )
 
 
-def _resolve_segments(config: ScenarioConfig) -> list[SegmentConfig]:
-    if config.segments:
-        segment_configs = list(config.segments)
-    else:
-        segment_configs = [
-            SegmentConfig.from_dict(dict(raw), f"segments[{i}]")
-            for i, raw in enumerate(_DEFAULT_SEGMENTS)
-        ]
+def _system(beta, r_o, c_o, alpha=None) -> AugmentedSystem:
+    """Augmented system of one coupled segment; a given gain ``alpha`` is checked, not solved."""
+    plant = make_plant(beta)
+    if alpha is None:
+        return assemble_augmented(plant, synthesize_observer(plant, r_o, c_o))
+    # a given gain gets the checks synthesize_observer makes, before any work
+    try:
+        report = is_positive_definite(r_o)
+    except ValueError as exc:  # not square or not symmetric
+        raise ConfigError(f"r_o: {exc}") from None
+    if not report.positive_definite:
+        raise ConfigError(f"r_o: not positive definite (lambda_min = {report.lambda_min:.3e})")
+    shape = (r_o.shape[0], plant.m_p)
+    if alpha.shape != shape:
+        raise ConfigError(f"alpha: must be n_o x m_p = {shape}, got {alpha.shape}")
+    if c_o is None:
+        # least-norm output matrix solving c_o inv(r_o) alpha = -I
+        c_o = -np.linalg.pinv(np.linalg.solve(r_o, alpha))
+    r_o = 0.5 * (r_o + r_o.T)
+    spec = ObserverSpec(n_o=r_o.shape[0], r_o=r_o, alpha=alpha, c_o=c_o, r_c=plant.beta @ alpha.T)
+    residual = gain_residual(spec)
+    if residual > GAIN_TOL:
+        raise ConfigError(f"alpha/c_o: gain condition residual {residual:.3e} exceeds {GAIN_TOL:g}")
+    return assemble_augmented(plant, spec)
+
+
+def _single(config: ScenarioConfig, name: str, figures: tuple[_Figure, ...]) -> _Plan:
+    """One coupled segment over max(t_end, average_t_end); unset matrices get one-mode defaults."""
+    beta = config.beta if config.beta is not None else np.array(_DEFAULT_BETA)
+    r_o = config.r_o if config.r_o is not None else np.eye(2)
+    c_o = config.c_o
+    if c_o is None and config.alpha is None:
+        c_o = np.array(_DEFAULT_C_O)
+    aug = _system(beta, r_o, c_o, config.alpha)
+    t_end, average_end = config.resolved_t_end(), config.resolved_average_t_end()
+    phases = ((max(t_end, average_end), aug),)
+    return _Plan(name, phases, figures, map_end=t_end, average_end=average_end)
+
+
+_ONE_MODE_FIGURES = (
+    _Figure("fig03", (0,), "coefficients of the first plant quadrature"),
+    _Figure("fig04", (1,), "coefficients of the second plant quadrature"),
+    _Figure("fig05", (2,), "coefficients of the observer output quadrature"),
+    _Figure("fig06a", (3,), "coefficients of the second observer quadrature"),
+    _Figure("fig06", (2,), "running time averages of the observer output row", avg=True),
+    _Figure("fig06b", (3,), "running time averages of the second observer row", avg=True),
+)
+
+_SEQUENCE_FIGURES = (
+    _Figure("fig07", (0,), "coefficients of the first plant quadrature (schedule)"),
+    _Figure("fig08", (1,), "coefficients of the second plant quadrature (schedule)"),
+    _Figure("fig09", (2,), "coefficients of the first observer quadrature (schedule)"),
+    _Figure("fig11", (3,), "coefficients of the second observer quadrature (schedule)"),
+    _Figure("fig10", (2,), "running time averages of the first observer row (schedule)", avg=True),
+    _Figure("fig12", (3,), "running time averages of the second observer row (schedule)", avg=True),
+)
+
+_CUSTOM_FIGURES = (
+    _Figure("coefficients", None, "transition-matrix entries"),
+    _Figure("averages", None, None, avg=True),
+)
+
+
+def run_one_mode(config: ScenarioConfig) -> ArtifactBundle:
+    """Single-mode plant permanently coupled to one observer (figure data 3-6b)."""
+    return _run(config, _single(config, "one_mode", _ONE_MODE_FIGURES))
+
+
+def _resolve_segments(config: ScenarioConfig) -> tuple[SegmentConfig, ...]:
+    """The schedule with the open duration filled in; the config is left as it is."""
+    segments = config.segments or _DEFAULT_SEGMENTS
     t_end = config.resolved_t_end()
-    fixed = sum(s.duration for s in segment_configs if s.duration is not None)
-    open_count = sum(1 for s in segment_configs if s.duration is None)
+    fixed = sum(s.duration for s in segments if s.duration is not None)
+    open_count = sum(1 for s in segments if s.duration is None)
     if open_count > 1:
         raise ConfigError("segments: at most one segment may omit its duration")
     if open_count == 1:
@@ -424,13 +455,13 @@ def _resolve_segments(config: ScenarioConfig) -> list[SegmentConfig]:
             raise ConfigError(
                 f"segments: fixed durations ({fixed}) leave no room before t_end ({t_end})"
             )
-        for seg in segment_configs:
-            if seg.duration is None:
-                seg.duration = remainder
-    total = sum(s.duration for s in segment_configs)
+        segments = tuple(
+            replace(s, duration=remainder) if s.duration is None else s for s in segments
+        )
+    total = sum(s.duration for s in segments)
     if abs(total - t_end) > 1e-9:
         raise ConfigError(f"segments: durations sum to {total}, but t_end is {t_end}")
-    return segment_configs
+    return segments
 
 
 def run_measurement_sequence(config: ScenarioConfig) -> ArtifactBundle:
@@ -439,217 +470,22 @@ def run_measurement_sequence(config: ScenarioConfig) -> ArtifactBundle:
     The default schedule runs the one-mode observer for 20 time units,
     disconnects for 5, then attaches an observer of the conjugate quadrature.
     """
-    segment_configs = _resolve_segments(config)
-
-    built: list[dict] = []
-    n = None
-    for i, seg in enumerate(segment_configs):
-        if seg.disconnect:
-            built.append({"kind": "disconnected", "duration": seg.duration})
-            continue
-        plant = make_plant(seg.beta)
-        observer = synthesize_observer(plant, seg.r_o, seg.c_o)
-        aug = assemble_augmented(plant, observer)
-        if n is None:
-            n = aug.n
-        elif aug.n != n:
-            raise ConfigError(f"segments[{i}]: augmented dimension {aug.n} != {n}")
-        built.append(
-            {
-                "kind": "coupled",
-                "duration": seg.duration,
-                "aug": aug,
-                "report": verify_observer_conditions(aug),
-            }
-        )
-    if n is None:
-        raise ConfigError("segments: at least one coupled segment is required")
-    for item in built:
-        if item["kind"] == "disconnected":
-            item["a"] = np.zeros((n, n))
-            item["r_a"] = np.zeros((n, n))
-        else:
-            item["a"] = item["aug"].a_a
-            item["r_a"] = item["aug"].r_a
-
-    segments = [Segment(a=item["a"], duration=item["duration"]) for item in built]
-    grid = schedule_grid(segments, config.dt)
-    series = propagate_schedule(segments, grid)
-    averages = time_average(series)
-
-    ccr = next(item["aug"].ccr for item in built if item["kind"] == "coupled")
-    maps = series.maps
-    maps_t = maps.transpose(0, 2, 1)
-    ccr_residual = float(np.max(np.abs(maps @ ccr.theta @ maps_t - ccr.theta)))
-
-    boundaries = np.concatenate([[0.0], np.cumsum([s.duration for s in segments])])
-    seg_slices = []
-    for i in range(len(segments)):
-        lo = int(np.argmin(np.abs(series.times - boundaries[i])))
-        hi = int(np.argmin(np.abs(series.times - boundaries[i + 1])))
-        seg_slices.append((lo, hi))
-
-    energy_residual = 0.0
-    segment_summaries = []
-    protected_ok = True
-    for item, (lo, hi) in zip(built, seg_slices):
-        chunk = maps[lo : hi + 1]
-        chunk_t = chunk.transpose(0, 2, 1)
-        r_seg = item["r_a"]
-        ref = chunk_t[0] @ r_seg @ chunk[0]
-        seg_energy = float(np.max(np.abs(chunk_t @ r_seg @ chunk - ref)))
-        energy_residual = max(energy_residual, seg_energy)
-        entry = {
-            "kind": item["kind"],
-            "duration": item["duration"],
-            "t_start": float(series.times[lo]),
-            "t_stop": float(series.times[hi]),
-            "energy_residual": seg_energy,
-        }
-        if item["kind"] == "coupled":
-            rows = item["aug"].plant_output
-            ref_rows = rows @ chunk[0]
-            row_dev = float(np.max(np.abs(rows @ chunk - ref_rows)))
-            entry["protected_row_max_deviation"] = row_dev
-            entry["observer_conditions"] = _report_dict(item["report"])
-            protected_ok = protected_ok and row_dev <= config.constant_tol
-        else:
-            plateau = float(np.max(np.abs(chunk - chunk[0])))
-            entry["plateau_max_deviation"] = plateau
-        segment_summaries.append(entry)
-
-    # disturbance of the first segment's protected row after the observer swap
-    first_coupled_index = next(i for i, item in enumerate(built) if item["kind"] == "coupled")
-    last_coupled_index = max(i for i, item in enumerate(built) if item["kind"] == "coupled")
-    lo, hi = seg_slices[last_coupled_index]
-    rows = built[first_coupled_index]["aug"].plant_output
-    swap_disturbance = float(
-        np.max(np.abs(rows @ maps[lo : hi + 1] - rows @ maps[lo]))
+    phases = tuple(
+        (seg.duration, None if seg.disconnect else _system(seg.beta, seg.r_o, seg.c_o))
+        for seg in _resolve_segments(config)
     )
-
-    plateau_dev = max(
-        (e["plateau_max_deviation"] for e in segment_summaries if e["kind"] == "disconnected"),
-        default=0.0,
-    )
-
-    out = config.out_dir / "measurement_sequence"
-    out.mkdir(parents=True, exist_ok=True)
-    csv_files: list[Path] = []
-    scripts: list[Path] = []
-    for tag, row, title in [
-        ("fig07", 0, "coefficients of the first plant quadrature (schedule)"),
-        ("fig08", 1, "coefficients of the second plant quadrature (schedule)"),
-        ("fig09", 2, "coefficients of the first observer quadrature (schedule)"),
-        ("fig11", 3, "coefficients of the second observer quadrature (schedule)"),
-    ]:
-        csv_path, gp_path = _figure_rows(out, tag, "phit", series.times, maps, row, title)
-        csv_files.append(csv_path)
-        scripts.append(gp_path)
-    for tag, row, title in [
-        ("fig10", 2, "running time averages of the first observer row (schedule)"),
-        ("fig12", 3, "running time averages of the second observer row (schedule)"),
-    ]:
-        csv_path, gp_path = _figure_average_rows(
-            out, tag, "phit", averages.times, averages.averages, row, title
-        )
-        csv_files.append(csv_path)
-        scripts.append(gp_path)
-
-    multiple_observers = last_coupled_index != first_coupled_index
-    checks = {
-        "observer_conditions": all(
-            item["report"].passes(config.tol) for item in built if item["kind"] == "coupled"
-        ),
-        "protected_rows_constant": protected_ok,
-        "plateau_constant": plateau_dev <= 1e-12,
-        "ccr_conservation": ccr_residual <= config.tol,
-        "energy_conservation": energy_residual <= config.tol,
-        "swap_disturbs_previous_row": (swap_disturbance > 0.1) if multiple_observers else True,
-    }
-    summary = {
-        "scenario": "measurement_sequence",
-        "grid": {"t_end": config.resolved_t_end(), "dt": config.dt},
-        "tolerances": {"residual": config.tol, "constant_row": config.constant_tol},
-        "segments": segment_summaries,
-        "conservation": {"ccr_residual": ccr_residual, "energy_residual": energy_residual},
-        "swap_disturbance": swap_disturbance,
-        "checks": checks,
-        "passed": all(checks.values()),
-        "files": sorted(p.name for p in csv_files + scripts),
-    }
-    summary_file = _write_summary(out / "summary.json", summary)
-    return ArtifactBundle(
-        out_dir=out,
-        csv_files=csv_files,
-        plot_scripts=scripts,
-        summary_file=summary_file,
-        summary=summary,
-        passed=summary["passed"],
-    )
+    plan = _Plan("measurement_sequence", phases, _SEQUENCE_FIGURES, prefix="phit", schedule=True)
+    return _run(config, plan)
 
 
 def run_custom(config: ScenarioConfig) -> ArtifactBundle:
     """Full pipeline on user matrices: validate, synthesize, verify, propagate."""
-    if config.beta is None:
-        raise ConfigError("beta: required for the custom scenario")
-    if config.r_o is None:
-        raise ConfigError("r_o: required for the custom scenario")
+    for key in ("beta", "r_o"):
+        if getattr(config, key) is None:
+            raise ConfigError(f"{key}: required for the custom scenario")
     if config.c_o is None and config.alpha is None:
         raise ConfigError("c_o: either c_o or alpha is required for the custom scenario")
-    plant = make_plant(config.beta)
-    observer = _build_observer(plant, config)
-    aug = assemble_augmented(plant, observer)
-    report = verify_observer_conditions(aug)
-
-    t_end = config.resolved_t_end()
-    grid = uniform_grid(t_end, config.dt)
-    series = propagate(aug.a_a, grid)
-    averages = time_average(series)
-    conservation = invariant_monitor(series, aug.ccr, aug.r_a)
-    convergence = convergence_diagnostics(aug, horizon=config.resolved_average_t_end(), dt=config.dt)
-
-    out = config.out_dir / "custom"
-    out.mkdir(parents=True, exist_ok=True)
-    n = aug.n
-    header = ["t"] + [f"phi_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    columns = [series.times] + [series.maps[:, i, j] for i in range(n) for j in range(n)]
-    coeff_csv = _write_csv(out / "coefficients.csv", header, columns)
-    header_avg = ["T"] + [f"phi_{i + 1}{j + 1}_ave" for i in range(n) for j in range(n)]
-    columns_avg = [averages.times] + [
-        averages.averages[:, i, j] for i in range(n) for j in range(n)
-    ]
-    avg_csv = _write_csv(out / "averages.csv", header_avg, columns_avg)
-    gp = _write_plot_script(out / "coefficients.gp", "coefficients.csv", "transition-matrix entries", n * n)
-
-    checks = {
-        "observer_conditions": report.passes(config.tol),
-        "ccr_conservation": conservation.max_ccr_residual <= config.tol,
-        "energy_conservation": conservation.max_energy_residual <= config.tol,
-        "time_average_convergence": bool(convergence.converged),
-    }
-    summary = {
-        "scenario": "custom",
-        "grid": {"t_end": t_end, "dt": config.dt},
-        "tolerances": {"residual": config.tol, "constant_row": config.constant_tol},
-        "observer_conditions": _report_dict(report),
-        "conservation": {
-            "ccr_residual": conservation.max_ccr_residual,
-            "energy_residual": conservation.max_energy_residual,
-        },
-        "convergence": _convergence_dict(convergence),
-        "checks": checks,
-        "passed": all(checks.values()),
-        "files": sorted(p.name for p in [coeff_csv, avg_csv, gp]),
-    }
-    summary_file = _write_summary(out / "summary.json", summary)
-    return ArtifactBundle(
-        out_dir=out,
-        csv_files=[coeff_csv, avg_csv],
-        plot_scripts=[gp],
-        summary_file=summary_file,
-        summary=summary,
-        passed=summary["passed"],
-    )
+    return _run(config, _single(config, "custom", _CUSTOM_FIGURES))
 
 
 def run_scenario(config: ScenarioConfig) -> ArtifactBundle:

@@ -90,35 +90,19 @@ def _check_grid(times: np.ndarray) -> None:
 
 
 def propagate(a, grid) -> PropagatorSeries:
-    """Transition matrices expm(a t_k) by stepwise composition.
-
-    One matrix exponential is computed per distinct step size; successive
-    maps are obtained as expm(a dt) @ previous.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"a must be square, got shape {a.shape}")
+    """Transition matrices expm(a t_k): the one-segment case of propagate_schedule."""
     times = np.asarray(grid, dtype=float)
     _check_grid(times)
-    n = a.shape[0]
-    maps = np.empty((times.size, n, n))
-    maps[0] = np.eye(n)
-    step_cache: dict[float, np.ndarray] = {}
-    for k in range(1, times.size):
-        dt = float(times[k] - times[k - 1])
-        step = step_cache.get(dt)
-        if step is None:
-            step = expm(a * dt)
-            step_cache[dt] = step
-        maps[k] = step @ maps[k - 1]
-    return PropagatorSeries(times=times, maps=maps)
+    return propagate_schedule([Segment(a=a, duration=float(times[-1]))], times)
 
 
 def propagate_schedule(segments: Sequence[Segment], grid) -> PropagatorSeries:
     """Left-composed piecewise propagator over a schedule of Segments.
 
-    The grid must span exactly [0, sum of durations] and contain every
-    segment boundary; within each step only one segment may be active.
+    Stepwise composition: one matrix exponential per segment and distinct
+    step size, successive maps as expm(a dt) @ previous.  The grid must span
+    exactly [0, sum of durations] and contain every segment boundary; within
+    each step only one segment may be active.
     """
     if not segments:
         raise ValueError("empty schedule")
@@ -172,23 +156,6 @@ def time_average(series: PropagatorSeries) -> AverageSeries:
     return AverageSeries(times=times[1:].copy(), averages=averages)
 
 
-def exact_propagator_average(a, t_end: float) -> np.ndarray:
-    """(1/T) int_0^T expm(a t) dt = inv(a) (expm(a T) - I) / T for nonsingular a.
-
-    Closed-form cross-check for single-segment averages; the augmented
-    dynamics themselves are singular, but the observer block 2 theta_2 r_o
-    is not.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"a must be square, got shape {a.shape}")
-    if t_end <= 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    if np.linalg.cond(a) > 1e12:
-        raise ValueError("dynamics matrix is (numerically) singular; no closed-form average")
-    return np.linalg.solve(a, expm(a * t_end) - np.eye(a.shape[0])) / t_end
-
-
 @dataclass(frozen=True)
 class InvariantReport:
     """Worst-case conservation residuals over a propagator series."""
@@ -198,7 +165,12 @@ class InvariantReport:
 
 
 def invariant_monitor(series: PropagatorSeries, ccr: CommutationStructure, r_a) -> InvariantReport:
-    """Max over the grid of |Phi theta Phi.T - theta| and |Phi.T r_a Phi - r_a|."""
+    """Max over the grid of |Phi theta Phi.T - theta| and |Phi.T r_a Phi - Phi_0.T r_a Phi_0|.
+
+    Energy is measured against the series' first map, so a slice of a
+    schedule is checked against its own Hamiltonian from its start; for a
+    series from t = 0 (Phi_0 = I) the reference is r_a itself.
+    """
     r_a = np.asarray(r_a, dtype=float)
     theta = ccr.theta
     if series.dim != ccr.n or r_a.shape != (ccr.n, ccr.n):
@@ -206,7 +178,8 @@ def invariant_monitor(series: PropagatorSeries, ccr: CommutationStructure, r_a) 
     maps = series.maps
     maps_t = maps.transpose(0, 2, 1)
     ccr_res = float(np.max(np.abs(maps @ theta @ maps_t - theta)))
-    energy_res = float(np.max(np.abs(maps_t @ r_a @ maps - r_a)))
+    energy_ref = maps_t[0] @ r_a @ maps[0]
+    energy_res = float(np.max(np.abs(maps_t @ r_a @ maps - energy_ref)))
     return InvariantReport(max_ccr_residual=ccr_res, max_energy_residual=energy_res)
 
 
@@ -230,18 +203,26 @@ def _row_norms(stack: np.ndarray) -> np.ndarray:
 def convergence_diagnostics(
     aug: AugmentedSystem, horizon: float, dt: float, tol: float = 1e-6
 ) -> ConvergenceReport:
+    """Propagate ``aug`` on uniform_grid(horizon, dt) and run average_convergence."""
+    averages = time_average(propagate(aug.a_a, uniform_grid(horizon, dt)))
+    return average_convergence(aug, averages, horizon, dt, tol)
+
+
+def average_convergence(
+    aug: AugmentedSystem, averages: AverageSeries, horizon: float, dt: float, tol: float = 1e-6
+) -> ConvergenceReport:
     """Check the time-average convergence of the observer output rows.
 
-    d(T) is evaluated on a geometric ladder of T values up to ``horizon`` and
-    compared against bound_constant / T, the constant coming from the
-    exponential norm bound of the observer block.  ``converged`` fails for
-    couplings that transfer no information (for example alpha = 0).
+    d(T) is evaluated on the running averages of ``aug`` up to ``horizon``,
+    on a geometric ladder of T values halving from ``horizon`` down to
+    20 dt, and compared against bound_constant / T, the constant coming from
+    the exponential norm bound of the observer block.  ``converged`` fails
+    for couplings that transfer no information (for example alpha = 0).
     """
-    grid = uniform_grid(horizon, dt)
-    series = propagate(aug.a_a, grid)
-    averages = time_average(series)
+    stop = int(np.searchsorted(averages.times, horizon + 1e-12, side="right"))
+    times = averages.times[:stop]
     diff_rows = aug.plant_output - aug.observer_output
-    d_all = _row_norms(diff_rows @ averages.averages)
+    d_all = _row_norms(diff_rows @ averages.averages[:stop])
 
     t_ladder = []
     value = horizon
@@ -250,8 +231,8 @@ def convergence_diagnostics(
         value /= 2.0
     if not t_ladder:
         t_ladder = [horizon]
-    indices = [int(np.argmin(np.abs(averages.times - t))) for t in sorted(t_ladder)]
-    t_sel = averages.times[indices]
+    indices = [int(np.argmin(np.abs(times - t))) for t in sorted(t_ladder)]
+    t_sel = times[indices]
     d_sel = d_all[indices]
 
     obs = aug.observer
@@ -273,7 +254,7 @@ def convergence_diagnostics(
         t_values=t_sel,
         d_values=d_sel,
         bound_constant=float(bound_constant),
-        max_t_times_d=float(np.max(averages.times * d_all)),
+        max_t_times_d=float(np.max(times * d_all)),
         decay_rate=slope,
         converged=converged,
     )

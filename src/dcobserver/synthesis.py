@@ -152,11 +152,16 @@ def synthesize_observer(plant: PlantSpec, r_o, c_o) -> ObserverSpec:
     r_o = 0.5 * (r_o + r_o.T)
     gain_map = c_o @ np.linalg.inv(r_o)
     alpha = -np.linalg.pinv(gain_map)
-    residual = float(np.max(np.abs(c_o @ np.linalg.solve(r_o, alpha) + np.eye(m_p))))
+    spec = ObserverSpec(n_o=n_o, r_o=r_o, alpha=alpha, c_o=c_o, r_c=plant.beta @ alpha.T)
+    residual = gain_residual(spec)
     if residual > GAIN_TOL:
         raise ValueError(f"gain condition residual {residual:.3e} exceeds {GAIN_TOL:.1e}")
-    r_c = plant.beta @ alpha.T
-    return ObserverSpec(n_o=n_o, r_o=r_o, alpha=alpha, c_o=c_o, r_c=r_c)
+    return spec
+
+
+def gain_residual(obs: ObserverSpec) -> float:
+    """max |c_o inv(r_o) alpha + I|: how far ``obs`` misses the gain condition."""
+    return float(np.max(np.abs(obs.c_o @ np.linalg.solve(obs.r_o, obs.alpha) + np.eye(obs.m_p))))
 
 
 def assemble_augmented(plant: PlantSpec, obs: ObserverSpec) -> AugmentedSystem:
@@ -211,9 +216,6 @@ def verify_observer_conditions(aug: AugmentedSystem) -> ObserverConditionsReport
     """
     plant, obs = aug.plant, aug.observer
     definiteness = is_positive_definite(obs.r_o)
-    gain_residual = float(
-        np.max(np.abs(obs.c_o @ np.linalg.solve(obs.r_o, obs.alpha) + np.eye(plant.m_p)))
-    )
     try:
         beta_report = validate_beta(plant.beta, plant.ccr)
         beta_valid = True
@@ -227,7 +229,7 @@ def verify_observer_conditions(aug: AugmentedSystem) -> ObserverConditionsReport
     precise = eigenvalues_mp(aug.a_a)
     return ObserverConditionsReport(
         r_o_lambda_min=definiteness.lambda_min,
-        gain_residual=gain_residual,
+        gain_residual=gain_residual(obs),
         beta_block_valid=beta_valid,
         beta_skew_residual=beta_skew,
         output_annihilation_residual=annihilation,

@@ -1,4 +1,4 @@
-"""Shared random-instance generators for the test suite.
+"""Shared random-instance generators and independent oracles for the test suite.
 
 Instances are scale-normalized: unit beta blocks, r_o spectrum inside
 [0.5, 3], and output matrices resampled until the gain map is well
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dcobserver import assemble_augmented, make_plant, make_theta, synthesize_observer
+from dcobserver import assemble_augmented, expm, make_plant, make_theta, synthesize_observer
 
 # canonical one-mode example: position-estimating observer, its Hamiltonian
 # block, and the conjugate (momentum-estimating) observer used after the swap
@@ -107,3 +107,56 @@ def random_realizable(rng: np.random.Generator, n_modes: int, scale: float = 1.0
     a = 2.0 * (ccr.theta @ r)
     factor = scale / max(1e-12, float(np.linalg.norm(a, 2)))
     return a * factor, ccr, r * factor
+
+
+def exact_propagator_average(a, t_end: float) -> np.ndarray:
+    """(1/T) int_0^T expm(a t) dt = inv(a) (expm(a T) - I) / T for nonsingular a.
+
+    Closed-form cross-check for single-segment averages; the augmented
+    dynamics themselves are singular, but the observer block 2 theta_2 r_o
+    is not.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"a must be square, got shape {a.shape}")
+    if t_end <= 0:
+        raise ValueError(f"t_end must be positive, got {t_end}")
+    if np.linalg.cond(a) > 1e12:
+        raise ValueError("dynamics matrix is (numerically) singular; no closed-form average")
+    return np.linalg.solve(a, expm(a * t_end) - np.eye(a.shape[0])) / t_end
+
+
+def plant_block_quadrature(t: float, aug, nodes: int = 12) -> np.ndarray:
+    """Plant rows of expm(a_a t) evaluated from the integral representation.
+
+        x_p(t) = x_p(0) + 4 p [int_0^t e^{b(t-tau)} tau dtau] theta_2 k x_p(0)
+                        + 2 p [int_0^t e^{b(t-tau)} dtau] x_o(0)
+
+    with p = theta_1 beta alpha.T, k = alpha beta.T and b = 2 theta_2 r_o.
+    Integrals are done by panelled Gauss-Legendre quadrature with panel
+    length tied to ||b||; independent of the expanded closed form.
+    """
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    plant, obs = aug.plant, aug.observer
+    theta_2 = aug.theta_2
+    p = aug.theta_1 @ plant.beta @ obs.alpha.T
+    k = obs.alpha @ plant.beta.T
+    b = 2.0 * (theta_2 @ obs.r_o)
+    moment_0 = np.zeros((obs.n_o, obs.n_o))
+    moment_1 = np.zeros((obs.n_o, obs.n_o))
+    if t > 0:
+        panels = max(1, int(np.ceil(t * max(1.0, float(np.linalg.norm(b, 2))) / 1.5)))
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        edges = np.linspace(0.0, t, panels + 1)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            mid = 0.5 * (lo + hi)
+            half = 0.5 * (hi - lo)
+            for xi, wi in zip(x, w):
+                tau = mid + half * xi
+                kernel = wi * half * expm(b * (t - tau))
+                moment_0 += kernel
+                moment_1 += tau * kernel
+    on_xp = np.eye(plant.n_p) + 4.0 * (p @ moment_1 @ theta_2 @ k)
+    on_xo = 2.0 * (p @ moment_0)
+    return np.hstack([on_xp, on_xo])

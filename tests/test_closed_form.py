@@ -15,10 +15,9 @@ from dcobserver import (
     observer_block,
     output_maps,
     plant_block,
-    plant_block_quadrature,
     plant_secular_matrix,
 )
-from helpers import one_mode_augmented, random_augmented
+from helpers import one_mode_augmented, plant_block_quadrature, random_augmented
 
 
 def test_observer_block_at_zero_time():

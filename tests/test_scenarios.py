@@ -1,11 +1,13 @@
 """End-to-end tests for the scenario runner and the command-line interface."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from dcobserver import ConfigError, ScenarioConfig, run_custom, run_measurement_sequence, run_one_mode
+from dcobserver import scenarios
 from dcobserver.cli import main
 
 
@@ -204,6 +206,58 @@ def test_custom_rejects_odd_plant_dimension(tmp_path):
         )
 
 
+@pytest.mark.parametrize(
+    "field, overrides",
+    [
+        ("alpha", {"alpha": [[-1, 0], [0, 0]]}),
+        ("r_o", {"r_o": [[1, 0], [0, -1]]}),
+    ],
+)
+def test_custom_validates_given_gain_before_any_work(tmp_path, capsys, field, overrides):
+    raw = {
+        "scenario": "custom",
+        "beta": [[1], [0]],
+        "r_o": [[1, 0], [0, 1]],
+        "alpha": [[-1], [0]],
+        "out_dir": str(tmp_path),
+        **overrides,
+    }
+    with pytest.raises(ConfigError, match=f"^{field}:"):
+        run_custom(ScenarioConfig.from_dict(raw))
+    assert not (tmp_path / "custom").exists()
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(raw))
+    assert main(["--config", str(config_file)]) == 1
+    assert f"error: {field}:" in capsys.readouterr().err
+
+
+def test_single_segment_run_propagates_once(tmp_path, monkeypatch):
+    calls = []
+    original = scenarios.propagate_schedule
+
+    def counting(segments, grid):
+        calls.append(len(segments))
+        return original(segments, grid)
+
+    monkeypatch.setattr(scenarios, "propagate_schedule", counting)
+    bundle = run_one_mode(
+        ScenarioConfig.from_dict({"scenario": "one_mode", "out_dir": str(tmp_path), "t_end": 10.0})
+    )
+    assert bundle.passed
+    assert calls == [1]
+
+
+def test_dt_beyond_averaging_horizon_exits_1(tmp_path, capsys):
+    argv = ["--out-dir", str(tmp_path), "--t-end", "1", "--dt", "2"]
+    assert main(["--scenario", "one_mode", *argv]) == 0
+    config_file = tmp_path / "custom.json"
+    config_file.write_text(
+        json.dumps({"scenario": "custom", "beta": [[1], [0]], "r_o": [[1, 0], [0, 1]], "c_o": [[1, 0]]})
+    )
+    assert main(["--config", str(config_file), *argv]) == 1
+    assert "error: dt:" in capsys.readouterr().err
+
+
 def test_config_rejects_unknown_fields():
     with pytest.raises(ConfigError, match="unknown"):
         ScenarioConfig.from_dict({"scenario": "one_mode", "betta": [[1], [0]]})
@@ -243,6 +297,29 @@ def test_segment_durations_must_fill_t_end(tmp_path):
     )
     with pytest.raises(ConfigError, match="durations"):
         run_measurement_sequence(config)
+
+
+def test_run_leaves_its_config_unchanged(tmp_path):
+    # the last segment omits its duration; resolving it must not write it back
+    config = ScenarioConfig.from_dict(
+        {
+            "scenario": "measurement_sequence",
+            "out_dir": str(tmp_path),
+            "segments": [
+                {"duration": 20.0, "beta": [[1], [0]], "r_o": [[1, 0], [0, 1]], "c_o": [[1, 0]]},
+                {"duration": 5.0, "disconnect": True},
+                {"beta": [[0], [1]], "r_o": [[1, 0], [0, 1]], "c_o": [[0, 1]]},
+            ],
+        }
+    )
+    assert run_measurement_sequence(config).passed
+    shorter = run_measurement_sequence(dataclasses.replace(config, t_end=60.0))
+    assert shorter.passed
+    assert shorter.summary["segments"][-1]["duration"] == 35.0
+    assert config.t_end is None
+    assert [seg.duration for seg in config.segments] == [20.0, 5.0, None]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.t_end = 60.0
 
 
 def test_cli_one_mode_roundtrip(tmp_path, capsys):

@@ -8,7 +8,6 @@ from dcobserver import (
     Segment,
     assemble_augmented,
     convergence_diagnostics,
-    exact_propagator_average,
     expm,
     invariant_monitor,
     make_plant,
@@ -19,7 +18,8 @@ from dcobserver import (
     time_average,
     uniform_grid,
 )
-from helpers import one_mode_augmented, swapped_augmented
+from dcobserver.simulation import average_convergence
+from helpers import exact_propagator_average, one_mode_augmented, swapped_augmented
 
 
 def measurement_segments(t_end=100.0):
@@ -239,6 +239,17 @@ def test_convergence_diagnostics_on_canonical_observer():
     assert report.d_values[k] <= 0.02
     assert report.max_t_times_d <= report.bound_constant + 1e-6
     assert report.decay_rate < -0.5
+
+
+def test_convergence_on_held_averages_matches_convergence_diagnostics():
+    # averages of a longer run, truncated at the horizon, give the same report
+    aug = one_mode_augmented()
+    averages = time_average(propagate(aug.a_a, uniform_grid(100.0, 0.01)))
+    held = average_convergence(aug, averages, horizon=50.0, dt=0.01)
+    fresh = convergence_diagnostics(aug, horizon=50.0, dt=0.01)
+    assert held.t_values[-1] == 50.0
+    for name in ("t_values", "d_values", "bound_constant", "max_t_times_d", "decay_rate", "converged"):
+        assert np.array_equal(getattr(held, name), getattr(fresh, name)), name
 
 
 def test_scaled_average_error_stays_bounded_to_long_horizons():
