@@ -6,18 +6,16 @@ standard Higham scheme).  Spectra, extreme symmetric eigenvalues and singular
 values go through LAPACK via numpy; everything is deterministic for a fixed
 input on a fixed build.
 
-One extra kernel matters for this problem class: augmented plant-observer
-dynamics carry a defective zero eigenvalue (the source of the secular drift),
-and QR iteration in double precision resolves its real part only to about
-sqrt(machine eps) ~= 1e-8.  ``eigenvalues_mp`` repeats the QR iteration in
-extended precision so that imaginary-axis residuals near 1e-9 are meaningful.
+The spectral distance of the augmented dynamics from the imaginary axis is
+not computed here: those dynamics carry a defective zero eigenvalue that QR
+iteration in double precision resolves only to about sqrt(machine eps) ~= 1e-8,
+so ``synthesis.certified_spectrum`` reads it off their block structure instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 # Diagonal Pade coefficients and 1-norm switch points for the scaling-and-
@@ -163,20 +161,6 @@ def eigenvalues(m) -> SpectrumReport:
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"eigenvalue iteration did not converge: {exc}") from exc
     w = np.sort(w)
-    return SpectrumReport(eigenvalues=w, max_abs_real_part=float(np.max(np.abs(w.real))))
-
-
-def eigenvalues_mp(m, dps: int = 40) -> SpectrumReport:
-    """Spectrum computed by QR iteration in ``dps``-digit arithmetic.
-
-    Use where defective eigenvalues must be resolved: double-precision QR
-    perturbs a size-2 Jordan block by about sqrt(eps), extended precision by
-    about 10^(-dps/2).
-    """
-    a = _square(m, "m")
-    with mpmath.workdps(dps):
-        vals = mpmath.eig(mpmath.matrix(a.tolist()), left=False, right=False)
-        w = np.sort(np.array([complex(z) for z in vals]))
     return SpectrumReport(eigenvalues=w, max_abs_real_part=float(np.max(np.abs(w.real))))
 
 

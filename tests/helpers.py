@@ -10,9 +10,17 @@ carries ~1e-6 absolute error.
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 
-from dcobserver import assemble_augmented, expm, make_plant, make_theta, synthesize_observer
+from dcobserver import (
+    SpectrumReport,
+    assemble_augmented,
+    expm,
+    make_plant,
+    make_theta,
+    synthesize_observer,
+)
 
 # canonical one-mode example: position-estimating observer, its Hamiltonian
 # block, and the conjugate (momentum-estimating) observer used after the swap
@@ -160,3 +168,16 @@ def plant_block_quadrature(t: float, aug, nodes: int = 12) -> np.ndarray:
     on_xp = np.eye(plant.n_p) + 4.0 * (p @ moment_1 @ theta_2 @ k)
     on_xo = 2.0 * (p @ moment_0)
     return np.hstack([on_xp, on_xo])
+
+
+def eigenvalues_mp(m, dps: int = 40) -> SpectrumReport:
+    """Spectrum computed by QR iteration in ``dps``-digit arithmetic.
+
+    Oracle for the certified spectrum: double-precision QR perturbs a size-2
+    Jordan block by about sqrt(eps), extended precision by about 10^(-dps/2).
+    """
+    a = np.asarray(m, dtype=float)
+    with mpmath.workdps(dps):
+        vals = mpmath.eig(mpmath.matrix(a.tolist()), left=False, right=False)
+        w = np.sort(np.array([complex(z) for z in vals]))
+    return SpectrumReport(eigenvalues=w, max_abs_real_part=float(np.max(np.abs(w.real))))

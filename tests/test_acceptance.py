@@ -14,7 +14,6 @@ from dcobserver import (
     coefficient_map,
     dynamics_from_hamiltonian,
     eigenvalues,
-    eigenvalues_mp,
     exp_norm_bound,
     expm,
     hamiltonian_from_dynamics,
@@ -33,6 +32,7 @@ from dcobserver import (
 from helpers import (
     A_ONE_MODE,
     A_SWAPPED,
+    eigenvalues_mp,
     one_mode_augmented,
     random_augmented,
     random_spd,

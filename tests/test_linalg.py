@@ -1,14 +1,19 @@
 """Tests for the dense numerical kernels."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dcobserver
 from dcobserver import (
     eigenvalues,
-    eigenvalues_mp,
     exp_norm_bound,
     expm,
     is_positive_definite,
@@ -17,7 +22,7 @@ from dcobserver import (
     spectral_norm,
     uniform_grid,
 )
-from helpers import A_ONE_MODE, A_SWAPPED, one_mode_augmented, random_spd
+from helpers import A_ONE_MODE, A_SWAPPED, eigenvalues_mp, one_mode_augmented, random_spd
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -223,3 +228,15 @@ def test_exponential_norm_bound_holds_on_samples():
         bound = exp_norm_bound(r_o)
         series = propagate(2.0 * theta_2 @ r_o, uniform_grid(50.0, 0.5))
         assert max(spectral_norm(m) for m in series.maps) <= bound + 1e-8
+
+
+def test_import_leaves_mpmath_unloaded():
+    # extended precision is a test oracle only; the library never imports it
+    src = str(Path(dcobserver.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, dcobserver; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -2,14 +2,15 @@
 
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 
 from dcobserver import (
     ObserverSpec,
     assemble_augmented,
+    certified_spectrum,
     eigenvalues,
-    eigenvalues_mp,
     expm,
     make_plant,
     make_theta,
@@ -20,8 +21,10 @@ from helpers import (
     A_ONE_MODE,
     A_SWAPPED,
     R_ONE_MODE,
+    eigenvalues_mp,
     one_mode_augmented,
     random_augmented,
+    random_orthogonal,
     swapped_augmented,
 )
 
@@ -200,3 +203,99 @@ def test_random_valid_observers_verify_cleanly(n_p, n_o):
         assert report.output_annihilation_residual <= 1e-8
         assert report.realizability_residual <= 1e-8
         assert report.spectrum_max_abs_real <= 1e-8
+
+
+def test_verify_reports_asymmetric_observer_hamiltonian():
+    # an asymmetric r_o is a broken hypothesis to report, not an exception
+    plant = make_plant([[1.0], [0.0]])
+    r_o = np.array([[1.0, 0.2], [0.0, 1.0]])
+    alpha = np.array([[-1.0], [0.0]])
+    spec = ObserverSpec(
+        n_o=2, r_o=r_o, alpha=alpha, c_o=np.array([[1.0, 0.0]]), r_c=plant.beta @ alpha.T
+    )
+    report = verify_observer_conditions(assemble_augmented(plant, spec))
+    assert report.r_o_lambda_min == pytest.approx(0.9)
+    assert report.realizability_residual > 1e-3
+    assert report.spectrum_max_abs_real >= 0.2
+    assert not report.passes(1e-8)
+
+
+def _with_blocks(aug, b=None, c=None, d=None):
+    """``aug`` with blocks of a_a replaced: couplings B (plant rows), C (observer rows), block D."""
+    n_p = aug.plant.n_p
+    a = aug.a_a.copy()
+    if b is not None:
+        a[:n_p, n_p:] = b
+    if c is not None:
+        a[n_p:, :n_p] = c
+    if d is not None:
+        a[n_p:, n_p:] = d
+    return dataclasses.replace(aug, a_a=a)
+
+
+@pytest.mark.parametrize("n_p,n_o", [(2, 4), (4, 2), (4, 8), (8, 4), (6, 6), (2, 10)])
+def test_certified_spectrum_matches_extended_precision_qr(n_p, n_o):
+    rng = np.random.default_rng(10 * n_p + n_o)
+    for _ in range(2):
+        aug = random_augmented(rng, n_p, n_o)
+        fast, slow = certified_spectrum(aug), eigenvalues_mp(aug.a_a)
+        scale = max(1.0, float(np.max(np.abs(slow.eigenvalues))))
+        assert fast.eigenvalues.shape == slow.eigenvalues.shape
+        gap = np.max(np.abs(np.sort(fast.eigenvalues.imag) - np.sort(slow.eigenvalues.imag)))
+        assert gap <= 1e-12 * scale
+        assert np.count_nonzero(fast.eigenvalues == 0.0) >= n_p
+        assert fast.max_abs_real_part <= 1e-12
+        assert slow.max_abs_real_part <= 1e-12
+
+
+def test_certificate_flags_non_nilpotent_coupling():
+    # a realizable coupling block that is not beta alpha.T: P stays 0, C B does not
+    rng = np.random.default_rng(31)
+    aug = random_augmented(rng, 4, 4)
+    r_c = rng.normal(size=(4, 4))
+    b, c = 2.0 * (aug.theta_1 @ r_c), 2.0 * (aug.theta_2 @ r_c.T)
+    broken = _with_blocks(aug, b=b, c=c)
+    assert np.max(np.abs(c @ b)) > 1e-3
+    assert certified_spectrum(broken).max_abs_real_part > 1e-8
+    assert not verify_observer_conditions(broken).passes(1e-8)
+
+
+def test_certificate_flags_asymmetric_observer_block():
+    rng = np.random.default_rng(32)
+    aug = random_augmented(rng, 4, 4)
+    skew = 1e-3 * rng.normal(size=(4, 4))
+    skew -= skew.T
+    broken = _with_blocks(aug, d=aug.a_a[4:, 4:] + 2.0 * (aug.theta_2 @ skew))
+    certified = certified_spectrum(broken).max_abs_real_part
+    assert certified > 1e-8
+    assert certified == pytest.approx(np.max(np.abs(2.0 * skew)), rel=1e-6)
+    assert not verify_observer_conditions(broken).passes(1e-8)
+
+
+def test_certificate_flags_indefinite_observer_block():
+    rng = np.random.default_rng(33)
+    for n_p, n_o in [(2, 4), (4, 6), (6, 4)]:
+        aug = random_augmented(rng, n_p, n_o)
+        q = random_orthogonal(rng, n_o)
+        r = q @ np.diag(np.concatenate([[-1.0], rng.uniform(0.5, 3.0, size=n_o - 1)])) @ q.T
+        broken = _with_blocks(aug, d=2.0 * (aug.theta_2 @ (0.5 * (r + r.T))))
+        fast, slow = certified_spectrum(broken), eigenvalues_mp(broken.a_a)
+        assert fast.max_abs_real_part > 1e-8
+        assert fast.max_abs_real_part == pytest.approx(slow.max_abs_real_part, abs=1e-10)
+        assert not verify_observer_conditions(broken).passes(1e-8)
+
+
+def test_large_system_verifies_without_extended_precision(monkeypatch):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("extended-precision QR called")
+
+    monkeypatch.setattr(mpmath, "eig", no_oracle)
+    aug = random_augmented(np.random.default_rng(80), 40, 40)
+    report = verify_observer_conditions(aug)
+    assert report.passes(1e-12)
+    # the observer block alone is not defective, so LAPACK resolves it
+    fast = certified_spectrum(aug).eigenvalues
+    block = eigenvalues(aug.a_a[40:, 40:]).eigenvalues
+    reference = np.sort(np.concatenate([np.zeros(40), block.imag]))
+    assert np.max(np.abs(np.sort(fast.imag) - reference)) <= 1e-10 * np.max(np.abs(block))
+
