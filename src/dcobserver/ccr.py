@@ -36,27 +36,26 @@ class CommutationStructure:
     """Skew form of the commutation relations for n/2 oscillator modes."""
 
     n: int
-    theta: np.ndarray
 
     def __post_init__(self):
         if self.n < 2 or self.n % 2:
             raise ValueError(f"n must be a positive even integer, got {self.n}")
-        theta = _as_matrix(self.theta, "theta", (self.n, self.n))
-        expected = np.kron(np.eye(self.n // 2), J2)
-        if not np.array_equal(theta, expected):
-            raise ValueError("theta must equal diag(J, ..., J) exactly")
-        object.__setattr__(self, "theta", theta)
 
     @property
     def n_modes(self) -> int:
         return self.n // 2
+
+    @property
+    def theta(self) -> np.ndarray:
+        """The commutation matrix diag(J, ..., J)."""
+        return np.kron(np.eye(self.n_modes), J2)
 
 
 def make_theta(n_modes: int) -> CommutationStructure:
     """Commutation structure for ``n_modes`` modes (two variables per mode)."""
     if n_modes < 1:
         raise ValueError(f"n_modes must be a positive integer, got {n_modes}")
-    return CommutationStructure(n=2 * n_modes, theta=np.kron(np.eye(n_modes), J2))
+    return CommutationStructure(n=2 * n_modes)
 
 
 @dataclass(frozen=True)
@@ -172,43 +171,40 @@ def validate_beta(beta, ccr_plant: CommutationStructure) -> BetaReport:
 
 @dataclass(frozen=True)
 class PlantSpec:
-    """Quantum plant whose estimated output selects one quadrature per mode."""
+    """Static quantum plant whose output c_p = beta.T selects one quadrature per mode.
 
-    n_p: int
-    a_p: np.ndarray
+    ``beta`` is the only input: its shape fixes n_p and m_p = n_p / 2, and it
+    is validated by :func:`validate_beta` on construction.  The plant
+    dynamics are zero, so the type cannot express a moving plant.
+    """
+
     beta: np.ndarray
-    c_p: np.ndarray
 
     def __post_init__(self):
-        if self.n_p < 2 or self.n_p % 2:
-            raise ValueError(f"n_p must be a positive even integer, got {self.n_p}")
-        a_p = _as_matrix(self.a_p, "a_p", (self.n_p, self.n_p))
-        beta = _as_matrix(self.beta, "beta", (self.n_p, self.n_p // 2))
-        c_p = _as_matrix(self.c_p, "c_p", (self.n_p // 2, self.n_p))
-        if not np.array_equal(c_p, beta.T):
-            raise ValueError("c_p must equal beta.T")
-        object.__setattr__(self, "a_p", a_p)
+        beta = _as_matrix(self.beta, "beta")
+        n_p = beta.shape[0]
+        if n_p < 2 or n_p % 2 or beta.shape[1] != n_p // 2:
+            raise ValueError(f"beta must be n_p x (n_p/2) with n_p even, got {beta.shape}")
+        validate_beta(beta, make_theta(n_p // 2))
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "c_p", c_p)
+
+    @property
+    def n_p(self) -> int:
+        return self.beta.shape[0]
 
     @property
     def m_p(self) -> int:
-        return self.n_p // 2
+        return self.beta.shape[1]
+
+    @property
+    def c_p(self) -> np.ndarray:
+        return self.beta.T
 
     @property
     def ccr(self) -> CommutationStructure:
-        return make_theta(self.n_p // 2)
+        return make_theta(self.m_p)
 
 
-def make_plant(beta, a_p=None) -> PlantSpec:
-    """Plant with output c_p = beta.T; dynamics default to zero."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.ndim != 2:
-        raise ValueError("beta must be a 2-D matrix")
-    n_p = beta.shape[0]
-    if n_p < 2 or n_p % 2 or beta.shape[1] != n_p // 2:
-        raise ValueError(f"beta must be n_p x (n_p/2) with n_p even, got {beta.shape}")
-    validate_beta(beta, make_theta(n_p // 2))
-    if a_p is None:
-        a_p = np.zeros((n_p, n_p))
-    return PlantSpec(n_p=n_p, a_p=a_p, beta=beta, c_p=beta.T.copy())
+def make_plant(beta) -> PlantSpec:
+    """Static plant with output c_p = beta.T (see :class:`PlantSpec`)."""
+    return PlantSpec(beta)

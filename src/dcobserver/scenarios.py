@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .ccr import make_plant
-from .linalg import is_positive_definite
 from .simulation import (
     PropagatorSeries,
     Segment,
@@ -36,11 +35,8 @@ from .simulation import (
     time_average,
 )
 from .synthesis import (
-    GAIN_TOL,
     AugmentedSystem,
-    ObserverSpec,
     assemble_augmented,
-    gain_residual,
     synthesize_observer,
     verify_observer_conditions,
 )
@@ -373,30 +369,13 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
     )
 
 
-def _system(beta, r_o, c_o, alpha=None) -> AugmentedSystem:
-    """Augmented system of one coupled segment; a given gain ``alpha`` is checked, not solved."""
-    plant = make_plant(beta)
-    if alpha is None:
-        return assemble_augmented(plant, synthesize_observer(plant, r_o, c_o))
-    # a given gain gets the checks synthesize_observer makes, before any work
+def _system(beta, r_o, c_o, alpha=None, where: str = "") -> AugmentedSystem:
+    """Augmented system of one coupled segment; errors name the field at fault after ``where``."""
     try:
-        report = is_positive_definite(r_o)
-    except ValueError as exc:  # not square or not symmetric
-        raise ConfigError(f"r_o: {exc}") from None
-    if not report.positive_definite:
-        raise ConfigError(f"r_o: not positive definite (lambda_min = {report.lambda_min:.3e})")
-    shape = (r_o.shape[0], plant.m_p)
-    if alpha.shape != shape:
-        raise ConfigError(f"alpha: must be n_o x m_p = {shape}, got {alpha.shape}")
-    if c_o is None:
-        # least-norm output matrix solving c_o inv(r_o) alpha = -I
-        c_o = -np.linalg.pinv(np.linalg.solve(r_o, alpha))
-    r_o = 0.5 * (r_o + r_o.T)
-    spec = ObserverSpec(n_o=r_o.shape[0], r_o=r_o, alpha=alpha, c_o=c_o, r_c=plant.beta @ alpha.T)
-    residual = gain_residual(spec)
-    if residual > GAIN_TOL:
-        raise ConfigError(f"alpha/c_o: gain condition residual {residual:.3e} exceeds {GAIN_TOL:g}")
-    return assemble_augmented(plant, spec)
+        plant = make_plant(beta)
+        return assemble_augmented(plant, synthesize_observer(plant, r_o, c_o, alpha))
+    except ValueError as exc:
+        raise ConfigError(f"{where}{exc}") from None
 
 
 def _single(config: ScenarioConfig, name: str, figures: tuple[_Figure, ...]) -> _Plan:
@@ -471,8 +450,11 @@ def run_measurement_sequence(config: ScenarioConfig) -> ArtifactBundle:
     disconnects for 5, then attaches an observer of the conjugate quadrature.
     """
     phases = tuple(
-        (seg.duration, None if seg.disconnect else _system(seg.beta, seg.r_o, seg.c_o))
-        for seg in _resolve_segments(config)
+        (
+            seg.duration,
+            None if seg.disconnect else _system(seg.beta, seg.r_o, seg.c_o, where=f"segments[{i}]."),
+        )
+        for i, seg in enumerate(_resolve_segments(config))
     )
     plan = _Plan("measurement_sequence", phases, _SEQUENCE_FIGURES, prefix="phit", schedule=True)
     return _run(config, plan)

@@ -1,15 +1,16 @@
 """Construction of direct-coupled observers and the augmented plant-observer system.
 
-For a static plant (a_p = 0) whose output selects one quadrature per mode
-(c_p = beta.T), an observer is fixed by a positive definite Hamiltonian block
-r_o, an output matrix c_o and a gain alpha satisfying
+Three inputs fix the construction: the plant's quadrature selector beta
+(a static plant, c_p = beta.T), a positive definite observer Hamiltonian
+block r_o, and either the output matrix c_o or the gain alpha, tied by
 
     c_o @ inv(r_o) @ alpha == -I.
 
-The coupling Hamiltonian block is r_c = beta @ alpha.T, and the joint system
-evolves under a_a = 2 theta r_a with r_a = [[0, r_c], [r_c.T, r_o]].  The
-plant output rows then annihilate a_a, so the estimated quadratures stay
-frozen while the observer output converges to them in time average.
+Everything else is derived from them: the coupling Hamiltonian block
+r_c = beta @ alpha.T, the joint dynamics a_a = 2 theta r_a with
+r_a = [[0, r_c], [r_c.T, r_o]], and the dimensions.  The plant output rows
+then annihilate a_a, so the estimated quadratures stay frozen while the
+observer output converges to them in time average.
 """
 
 from __future__ import annotations
@@ -30,42 +31,44 @@ from .linalg import SpectrumReport, eigenvalues, is_positive_definite
 GAIN_TOL = 1e-10
 
 
+def _observer_dimension(r_o: np.ndarray) -> int:
+    """n_o of an observer block, which must be square with positive even size."""
+    n_o = r_o.shape[0] if r_o.ndim == 2 else 0
+    if r_o.shape != (n_o, n_o) or n_o < 2 or n_o % 2:
+        raise ValueError(f"r_o: must be square with positive even dimension, got shape {r_o.shape}")
+    return n_o
+
+
 @dataclass(frozen=True)
 class ObserverSpec:
     """Observer Hamiltonian block, coupling gain and output matrix.
 
-    ``r_c = beta @ alpha.T`` is stored as built by the synthesis; the gain
-    condition c_o @ inv(r_o) @ alpha == -I is checked by
-    :func:`verify_observer_conditions`, not here, so that deliberately broken
-    specs can be constructed in tests.
+    n_o and m_p are read from the shapes of r_o and alpha.  The gain condition
+    c_o @ inv(r_o) @ alpha == -I is enforced by :func:`synthesize_observer`
+    and reported by :func:`verify_observer_conditions`, not checked here, so
+    that deliberately broken specs can be constructed in tests.
     """
 
-    n_o: int
     r_o: np.ndarray
     alpha: np.ndarray
     c_o: np.ndarray
-    r_c: np.ndarray
 
     def __post_init__(self):
-        if self.n_o < 2 or self.n_o % 2:
-            raise ValueError(f"n_o must be a positive even integer, got {self.n_o}")
         r_o = np.asarray(self.r_o, dtype=float)
         alpha = np.asarray(self.alpha, dtype=float)
         c_o = np.asarray(self.c_o, dtype=float)
-        r_c = np.asarray(self.r_c, dtype=float)
-        if r_o.shape != (self.n_o, self.n_o):
-            raise ValueError(f"r_o must be {self.n_o}x{self.n_o}, got {r_o.shape}")
-        m_p = alpha.shape[1] if alpha.ndim == 2 else -1
-        if alpha.ndim != 2 or alpha.shape[0] != self.n_o:
-            raise ValueError(f"alpha must be {self.n_o} x m_p, got {alpha.shape}")
-        if c_o.shape != (m_p, self.n_o):
-            raise ValueError(f"c_o must be {m_p}x{self.n_o}, got {c_o.shape}")
-        if r_c.shape != (2 * m_p, self.n_o):
-            raise ValueError(f"r_c must be {2 * m_p}x{self.n_o}, got {r_c.shape}")
+        n_o = _observer_dimension(r_o)
+        if alpha.ndim != 2 or alpha.shape[0] != n_o:
+            raise ValueError(f"alpha: must be {n_o} x m_p, got {alpha.shape}")
+        if c_o.shape != (alpha.shape[1], n_o):
+            raise ValueError(f"c_o: must be {alpha.shape[1]}x{n_o}, got {c_o.shape}")
         object.__setattr__(self, "r_o", r_o)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "c_o", c_o)
-        object.__setattr__(self, "r_c", r_c)
+
+    @property
+    def n_o(self) -> int:
+        return self.r_o.shape[0]
 
     @property
     def m_p(self) -> int:
@@ -74,17 +77,29 @@ class ObserverSpec:
 
 @dataclass(frozen=True)
 class AugmentedSystem:
-    """Joint plant-observer system: block Hamiltonian r_a and dynamics a_a = 2 theta r_a."""
+    """Joint plant-observer system with dynamics a_a = 2 theta r_a.
+
+    ``a_a`` is the one stored matrix: it is what
+    :func:`verify_observer_conditions` certifies.  The commutation structure
+    and the block Hamiltonian r_a = -theta a_a / 2 are derived from it.
+    """
 
     plant: PlantSpec
     observer: ObserverSpec
-    r_a: np.ndarray
     a_a: np.ndarray
-    ccr: CommutationStructure
 
     @property
     def n(self) -> int:
         return self.plant.n_p + self.observer.n_o
+
+    @property
+    def ccr(self) -> CommutationStructure:
+        return make_theta(self.n // 2)
+
+    @property
+    def r_a(self) -> np.ndarray:
+        """Block Hamiltonian of a_a (theta squares to -I, so this inverts a_a = 2 theta r_a)."""
+        return -0.5 * (self.ccr.theta @ self.a_a)
 
     @property
     def theta_1(self) -> np.ndarray:
@@ -109,53 +124,60 @@ class AugmentedSystem:
         return sel
 
 
-def synthesize_observer(plant: PlantSpec, r_o, c_o) -> ObserverSpec:
-    """Solve the gain condition for alpha and assemble the coupling block.
+def synthesize_observer(plant: PlantSpec, r_o, c_o=None, alpha=None) -> ObserverSpec:
+    """The observer of ``plant`` with block ``r_o`` and output ``c_o`` or gain ``alpha``.
 
-    alpha is the minimum-Frobenius-norm solution of
-    c_o @ inv(r_o) @ alpha == -I (unique when n_o == n_p, least-norm through
-    the pseudoinverse otherwise).
+    Given ``c_o``, alpha is the minimum-Frobenius-norm solution of
+    c_o @ inv(r_o) @ alpha == -I (unique when n_o == m_p, least-norm through
+    the pseudoinverse otherwise).  Given ``alpha`` alone, c_o is the
+    least-norm solution of the same condition; given both, they are checked
+    against each other.  r_o is stored with its symmetric part.
 
     Raises
     ------
     ValueError
-        If the plant has nonzero dynamics, r_o is not symmetric positive
-        definite, c_o has the wrong shape or deficient row rank, or the
-        solved gain misses the condition beyond 1e-10.
+        Whose message starts with the field at fault (``r_o:``, ``c_o:`` or
+        ``alpha:``): r_o is not square of positive even dimension, not
+        symmetric or not positive definite; c_o or alpha has the wrong shape,
+        neither is given, or c_o has deficient row rank; or the gain misses
+        the condition beyond 1e-10.
     """
     r_o = np.asarray(r_o, dtype=float)
-    c_o = np.asarray(c_o, dtype=float)
-    if np.any(plant.a_p != 0.0):
-        raise ValueError(
-            "plant dynamics matrix must be zero: the direct-coupling construction "
-            "assumes a static plant"
-        )
-    m_p = plant.m_p
-    if r_o.ndim != 2 or r_o.shape[0] != r_o.shape[1]:
-        raise ValueError(f"r_o must be square, got shape {r_o.shape}")
-    n_o = r_o.shape[0]
-    if n_o < 2 or n_o % 2:
-        raise ValueError(f"observer dimension must be a positive even integer, got {n_o}")
-    if c_o.shape != (m_p, n_o):
-        raise ValueError(
-            f"c_o must be {m_p}x{n_o} (one output row per estimated quadrature), "
-            f"got {c_o.shape}"
-        )
-    definiteness = is_positive_definite(r_o)
+    n_o, m_p = _observer_dimension(r_o), plant.m_p
+    try:
+        definiteness = is_positive_definite(r_o)
+    except ValueError as exc:  # not symmetric, or non-finite
+        raise ValueError(f"r_o: {exc}") from None
     if not definiteness.positive_definite:
-        raise ValueError(
-            f"r_o is not positive definite (lambda_min = {definiteness.lambda_min:.3e})"
-        )
-    if np.linalg.matrix_rank(c_o) < m_p:
-        raise ValueError("c_o is rank deficient: the gain condition has no solution")
+        raise ValueError(f"r_o: not positive definite (lambda_min = {definiteness.lambda_min:.3e})")
     # bitwise-symmetric copy so the block Hamiltonian is exactly symmetric
     r_o = 0.5 * (r_o + r_o.T)
-    gain_map = c_o @ np.linalg.inv(r_o)
-    alpha = -np.linalg.pinv(gain_map)
-    spec = ObserverSpec(n_o=n_o, r_o=r_o, alpha=alpha, c_o=c_o, r_c=plant.beta @ alpha.T)
+    if alpha is None:
+        if c_o is None:
+            raise ValueError("c_o: either c_o or alpha is required")
+        c_o = np.asarray(c_o, dtype=float)
+        if c_o.shape != (m_p, n_o):
+            raise ValueError(
+                f"c_o: must be {m_p}x{n_o} (one output row per estimated quadrature), "
+                f"got {c_o.shape}"
+            )
+        if np.linalg.matrix_rank(c_o) < m_p:
+            raise ValueError("c_o: rank deficient, so the gain condition has no solution")
+        alpha = -np.linalg.pinv(c_o @ np.linalg.inv(r_o))
+        at_fault = "c_o"
+    else:
+        alpha = np.asarray(alpha, dtype=float)
+        if alpha.shape != (n_o, m_p):
+            raise ValueError(f"alpha: must be n_o x m_p = {(n_o, m_p)}, got {alpha.shape}")
+        if c_o is None:
+            c_o = -np.linalg.pinv(np.linalg.solve(r_o, alpha))
+        at_fault = "alpha"
+    spec = ObserverSpec(r_o=r_o, alpha=alpha, c_o=c_o)  # checks a given c_o against alpha
     residual = gain_residual(spec)
     if residual > GAIN_TOL:
-        raise ValueError(f"gain condition residual {residual:.3e} exceeds {GAIN_TOL:.1e}")
+        raise ValueError(
+            f"{at_fault}: gain condition residual {residual:.3e} exceeds {GAIN_TOL:.1e}"
+        )
     return spec
 
 
@@ -165,21 +187,19 @@ def gain_residual(obs: ObserverSpec) -> float:
 
 
 def assemble_augmented(plant: PlantSpec, obs: ObserverSpec) -> AugmentedSystem:
-    """Stack r_a = [[0, r_c], [r_c.T, r_o]] and form a_a = 2 theta r_a."""
+    """Stack r_a = [[0, r_c], [r_c.T, r_o]] with r_c = beta @ alpha.T; form a_a = 2 theta r_a."""
     if obs.m_p != plant.m_p:
         raise ValueError(
             f"observer gain is sized for {obs.m_p} outputs, plant has {plant.m_p}"
         )
-    if obs.r_c.shape != (plant.n_p, obs.n_o):
-        raise ValueError(f"r_c must be {plant.n_p}x{obs.n_o}, got {obs.r_c.shape}")
+    r_c = plant.beta @ obs.alpha.T
     n = plant.n_p + obs.n_o
     r_a = np.zeros((n, n))
-    r_a[: plant.n_p, plant.n_p :] = obs.r_c
-    r_a[plant.n_p :, : plant.n_p] = obs.r_c.T
+    r_a[: plant.n_p, plant.n_p :] = r_c
+    r_a[plant.n_p :, : plant.n_p] = r_c.T
     r_a[plant.n_p :, plant.n_p :] = obs.r_o
-    ccr = make_theta(n // 2)
-    a_a = 2.0 * (ccr.theta @ r_a)
-    return AugmentedSystem(plant=plant, observer=obs, r_a=r_a, a_a=a_a, ccr=ccr)
+    a_a = 2.0 * (make_theta(n // 2).theta @ r_a)
+    return AugmentedSystem(plant=plant, observer=obs, a_a=a_a)
 
 
 def certified_spectrum(aug: AugmentedSystem) -> SpectrumReport:
@@ -200,26 +220,31 @@ def certified_spectrum(aug: AugmentedSystem) -> SpectrumReport:
 
     ``max_abs_real_part`` is the largest of the structure residual
     max(|P|, |C B|), the asymmetry of R' and the largest |real part| of the
-    spectrum of D, so a broken structure is never certified.
+    spectrum of D, so a broken structure is never certified.  A non-finite
+    a_a certifies as inf, with NaN eigenvalues, and reaches no eigensolver.
     """
-    n_p = aug.plant.n_p
+    n_p, n = aug.plant.n_p, aug.n
     a = aug.a_a
+    if not np.all(np.isfinite(a)):
+        return SpectrumReport(eigenvalues=np.full(n, np.nan, dtype=complex), max_abs_real_part=np.inf)
     b, c, d = a[:n_p, n_p:], a[n_p:, :n_p], a[n_p:, n_p:]
-    structure = max(float(np.max(np.abs(a[:n_p, :n_p]))), float(np.max(np.abs(c @ b))))
+    structure = [np.max(np.abs(a[:n_p, :n_p])), np.max(np.abs(c @ b))]
     r = -0.5 * (aug.theta_2 @ d)
     asymmetry = float(np.max(np.abs(r - r.T)))
     w, v = np.linalg.eigh(0.5 * (r + r.T))
     if w[0] > 0.0:
         half = (v * np.sqrt(w)) @ v.T
         x = half @ aug.theta_2 @ half
-        reduced = 1j * np.linalg.eigvalsh(1j * (x - x.T))
+        # purely imaginary by construction: no -0.0 real parts from 1j * w
+        reduced = np.zeros(n - n_p, dtype=complex)
+        reduced.imag = np.linalg.eigvalsh(1j * (x - x.T))
         real_part = 0.0
     else:
         report = eigenvalues(d)
         reduced, real_part = report.eigenvalues, report.max_abs_real_part
     return SpectrumReport(
         eigenvalues=np.sort(np.concatenate([np.zeros(n_p, dtype=complex), reduced])),
-        max_abs_real_part=max(structure, asymmetry, real_part),
+        max_abs_real_part=float(np.max([*structure, asymmetry, real_part])),
     )
 
 
@@ -227,10 +252,12 @@ def certified_spectrum(aug: AugmentedSystem) -> SpectrumReport:
 class ObserverConditionsReport:
     """Residuals of every hypothesis behind the time-average convergence result.
 
-    ``spectrum_max_abs_real`` is the ``max_abs_real_part`` of
-    :func:`certified_spectrum`: the distance of spec(a_a) from the imaginary
-    axis, or the residual of the block structure that certifies it, whichever
-    is larger.  ``spectrum`` is the LAPACK spectrum of a_a.
+    ``spectrum`` and ``spectrum_max_abs_real`` are the ``eigenvalues`` and
+    ``max_abs_real_part`` of :func:`certified_spectrum`: the spectrum of a_a
+    from its block structure, and its distance from the imaginary axis or the
+    residual of the block structure that certifies it, whichever is larger.
+    ``beta_block_valid`` is always true for a constructed :class:`PlantSpec`,
+    which validates beta; it stays as a reported hypothesis.
     """
 
     r_o_lambda_min: float
@@ -265,23 +292,16 @@ def verify_observer_conditions(aug: AugmentedSystem) -> ObserverConditionsReport
     """
     plant, obs = aug.plant, aug.observer
     definiteness = is_positive_definite(0.5 * (obs.r_o + obs.r_o.T))
-    try:
-        beta_report = validate_beta(plant.beta, plant.ccr)
-        beta_valid = True
-        beta_skew = beta_report.skew_residual
-    except ValueError:
-        beta_valid = False
-        beta_skew = float(np.max(np.abs(plant.beta.T @ plant.ccr.theta @ plant.beta)))
     annihilation = float(np.max(np.abs(aug.plant_output @ aug.a_a)))
     realizability = realizability_residual(aug.a_a, aug.ccr.theta)
-    spectrum = eigenvalues(aug.a_a)
+    spectrum = certified_spectrum(aug)
     return ObserverConditionsReport(
         r_o_lambda_min=definiteness.lambda_min,
         gain_residual=gain_residual(obs),
-        beta_block_valid=beta_valid,
-        beta_skew_residual=beta_skew,
+        beta_block_valid=True,
+        beta_skew_residual=validate_beta(plant.beta, plant.ccr).skew_residual,
         output_annihilation_residual=annihilation,
         realizability_residual=realizability,
-        spectrum_max_abs_real=certified_spectrum(aug).max_abs_real_part,
+        spectrum_max_abs_real=spectrum.max_abs_real_part,
         spectrum=spectrum.eigenvalues,
     )

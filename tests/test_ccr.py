@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcobserver import (
+    PlantSpec,
     QuantumLinearSystem,
     check_realizability,
     dynamics_from_hamiltonian,
@@ -163,6 +164,26 @@ def test_validate_beta_rejects_zero_block():
 def test_validate_beta_rejects_wrong_shape():
     with pytest.raises(ValueError):
         validate_beta(np.ones((4, 1)), make_theta(2))
+
+
+@pytest.mark.parametrize(
+    "beta, message",
+    [
+        ([[1.0, 0.0], [0.0, 0.0], [0.5, 1.0], [0.0, 0.0]], "outside its mode block"),
+        ([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "zero"),
+        ([[1.0], [0.0], [0.0]], "n_p x \\(n_p/2\\)"),
+    ],
+)
+def test_plant_spec_validates_beta_on_construction(beta, message):
+    with pytest.raises(ValueError, match=message):
+        PlantSpec(np.array(beta))
+
+
+def test_plant_spec_derives_everything_from_beta():
+    beta = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.6], [0.0, 0.8]])
+    plant = PlantSpec(beta)
+    assert (plant.n_p, plant.m_p, plant.ccr.n) == (4, 2, 4)
+    assert np.array_equal(plant.c_p, beta.T)
 
 
 def test_quantum_linear_system_consistency_checks():

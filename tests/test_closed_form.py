@@ -128,13 +128,7 @@ def test_output_maps_examples():
 
 def test_output_maps_reject_broken_gain():
     plant = make_plant([[1.0], [0.0]])
-    spec = ObserverSpec(
-        n_o=2,
-        r_o=np.eye(2),
-        alpha=np.zeros((2, 1)),
-        c_o=np.array([[1.0, 0.0]]),
-        r_c=np.zeros((2, 2)),
-    )
+    spec = ObserverSpec(r_o=np.eye(2), alpha=np.zeros((2, 1)), c_o=np.array([[1.0, 0.0]]))
     aug = assemble_augmented(plant, spec)
     with pytest.raises(ValueError, match="gain condition"):
         output_maps(1.0, aug)

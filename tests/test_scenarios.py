@@ -211,9 +211,18 @@ def test_custom_rejects_odd_plant_dimension(tmp_path):
     [
         ("alpha", {"alpha": [[-1, 0], [0, 0]]}),
         ("r_o", {"r_o": [[1, 0], [0, -1]]}),
+        ("r_o", {"r_o": [[1, 0.5], [0, 1]]}),
+        ("r_o", {"r_o": [[1, 0, 0], [0, 1, 0]]}),
+        ("r_o", {"r_o": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+        ("c_o", {"c_o": [[1, 0, 0]]}),
+        ("c_o", {"alpha": None, "c_o": [[1, 0, 0]]}),
+        ("c_o", {"alpha": None, "c_o": [[0, 0]]}),
+        ("alpha", {"alpha": [[0], [0]]}),
+        ("alpha", {"c_o": [[0, 1]]}),
     ],
 )
 def test_custom_validates_given_gain_before_any_work(tmp_path, capsys, field, overrides):
+    # every error of the one observer constructor, solved or given gain, names its field
     raw = {
         "scenario": "custom",
         "beta": [[1], [0]],
@@ -256,6 +265,24 @@ def test_dt_beyond_averaging_horizon_exits_1(tmp_path, capsys):
     )
     assert main(["--config", str(config_file), *argv]) == 1
     assert "error: dt:" in capsys.readouterr().err
+
+
+def test_schedule_errors_name_their_segment(tmp_path, capsys):
+    config_file = tmp_path / "sequence.json"
+    config_file.write_text(
+        json.dumps(
+            {
+                "scenario": "measurement_sequence",
+                "out_dir": str(tmp_path),
+                "segments": [
+                    {"duration": 20.0, "beta": [[1], [0]], "r_o": [[1, 0], [0, 1]], "c_o": [[1, 0]]},
+                    {"beta": [[0], [1]], "r_o": [[1, 0], [0, -1]], "c_o": [[0, 1]]},
+                ],
+            }
+        )
+    )
+    assert main(["--config", str(config_file)]) == 1
+    assert "error: segments[1].r_o:" in capsys.readouterr().err
 
 
 def test_config_rejects_unknown_fields():

@@ -263,13 +263,7 @@ def test_scaled_average_error_stays_bounded_to_long_horizons():
 
 def test_convergence_diagnostics_flags_decoupled_observer():
     plant = make_plant([[1.0], [0.0]])
-    spec = ObserverSpec(
-        n_o=2,
-        r_o=np.eye(2),
-        alpha=np.zeros((2, 1)),
-        c_o=np.array([[1.0, 0.0]]),
-        r_c=np.zeros((2, 2)),
-    )
+    spec = ObserverSpec(r_o=np.eye(2), alpha=np.zeros((2, 1)), c_o=np.array([[1.0, 0.0]]))
     aug = assemble_augmented(plant, spec)
     report = convergence_diagnostics(aug, horizon=100.0, dt=0.01)
     assert not report.converged

@@ -17,6 +17,7 @@ from dcobserver import (
     synthesize_observer,
     verify_observer_conditions,
 )
+from dcobserver.synthesis import gain_residual
 from helpers import (
     A_ONE_MODE,
     A_SWAPPED,
@@ -54,7 +55,8 @@ def test_scaling_invariance_of_gain_condition():
     for c in (0.5, 3.0, 10.0):
         scaled = synthesize_observer(plant, c * np.eye(2), [[1.0, 0.0]])
         assert np.allclose(scaled.alpha, c * base.alpha, atol=1e-12 * c)
-        assert np.allclose(scaled.r_c, c * base.r_c, atol=1e-12 * c)
+        r_c, base_r_c = (assemble_augmented(plant, o).r_a[:2, 2:] for o in (scaled, base))
+        assert np.allclose(r_c, c * base_r_c, atol=1e-12 * c)
 
 
 def test_minimum_norm_gain_when_underdetermined():
@@ -83,12 +85,6 @@ def test_rejects_rank_deficient_output_matrix():
         synthesize_observer(plant, np.eye(4), c_o)
 
 
-def test_rejects_moving_plant():
-    plant = make_plant([[1.0], [0.0]], a_p=2.0 * np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    with pytest.raises(ValueError, match="static"):
-        synthesize_observer(plant, np.eye(2), [[1.0, 0.0]])
-
-
 def test_rejects_wrong_output_shape():
     plant = make_plant([[1.0], [0.0]])
     with pytest.raises(ValueError, match="c_o"):
@@ -99,6 +95,25 @@ def test_rejects_odd_observer_dimension():
     plant = make_plant([[1.0], [0.0]])
     with pytest.raises(ValueError, match="even"):
         synthesize_observer(plant, np.eye(3), [[1.0, 0.0, 0.0]])
+
+
+def test_requires_output_matrix_or_gain():
+    with pytest.raises(ValueError, match="^c_o: either"):
+        synthesize_observer(make_plant([[1.0], [0.0]]), np.eye(2))
+
+
+@pytest.mark.parametrize("n_p,n_o", [(2, 2), (4, 2), (8, 4), (2, 4), (4, 6), (6, 6)])
+def test_given_gain_round_trips_through_synthesis(n_p, n_o):
+    rng = np.random.default_rng(1000 + 10 * n_p + n_o)
+    for _ in range(3):
+        aug = random_augmented(rng, n_p, n_o)
+        obs = aug.observer
+        again = synthesize_observer(aug.plant, obs.r_o, alpha=obs.alpha)
+        assert gain_residual(again) <= 1e-10
+        assert verify_observer_conditions(assemble_augmented(aug.plant, again)).passes(1e-8)
+        if n_o == aug.plant.m_p:
+            # a square gain fixes the output matrix
+            assert np.max(np.abs(again.c_o - obs.c_o)) <= 1e-12
 
 
 def test_assemble_reproduces_one_mode_matrices_exactly():
@@ -117,13 +132,7 @@ def test_assemble_reproduces_swapped_observer_exactly():
 def test_assemble_decoupled_observer_is_block_diagonal():
     plant = make_plant([[1.0], [0.0]])
     r_o = np.array([[2.0, 0.5], [0.5, 1.0]])
-    spec = ObserverSpec(
-        n_o=2,
-        r_o=r_o,
-        alpha=np.zeros((2, 1)),
-        c_o=np.array([[1.0, 0.0]]),
-        r_c=np.zeros((2, 2)),
-    )
+    spec = ObserverSpec(r_o=r_o, alpha=np.zeros((2, 1)), c_o=np.array([[1.0, 0.0]]))
     aug = assemble_augmented(plant, spec)
     theta_2 = make_theta(1).theta
     expected = np.zeros((4, 4))
@@ -140,10 +149,12 @@ def test_assemble_rejects_dimension_mismatch():
 
 
 def test_observer_spec_shape_validation():
-    with pytest.raises(ValueError):
-        ObserverSpec(n_o=2, r_o=np.eye(3), alpha=np.zeros((2, 1)), c_o=np.zeros((1, 2)), r_c=np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        ObserverSpec(n_o=3, r_o=np.eye(3), alpha=np.zeros((3, 1)), c_o=np.zeros((1, 3)), r_c=np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="^r_o:"):
+        ObserverSpec(r_o=np.eye(3), alpha=np.zeros((3, 1)), c_o=np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="^alpha:"):
+        ObserverSpec(r_o=np.eye(2), alpha=np.zeros((4, 1)), c_o=np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="^c_o:"):
+        ObserverSpec(r_o=np.eye(2), alpha=np.zeros((2, 1)), c_o=np.zeros((2, 2)))
 
 
 def test_verify_conditions_on_canonical_system():
@@ -210,9 +221,7 @@ def test_verify_reports_asymmetric_observer_hamiltonian():
     plant = make_plant([[1.0], [0.0]])
     r_o = np.array([[1.0, 0.2], [0.0, 1.0]])
     alpha = np.array([[-1.0], [0.0]])
-    spec = ObserverSpec(
-        n_o=2, r_o=r_o, alpha=alpha, c_o=np.array([[1.0, 0.0]]), r_c=plant.beta @ alpha.T
-    )
+    spec = ObserverSpec(r_o=r_o, alpha=alpha, c_o=np.array([[1.0, 0.0]]))
     report = verify_observer_conditions(assemble_augmented(plant, spec))
     assert report.r_o_lambda_min == pytest.approx(0.9)
     assert report.realizability_residual > 1e-3
@@ -299,3 +308,21 @@ def test_large_system_verifies_without_extended_precision(monkeypatch):
     reference = np.sort(np.concatenate([np.zeros(40), block.imag]))
     assert np.max(np.abs(np.sort(fast.imag) - reference)) <= 1e-10 * np.max(np.abs(block))
 
+
+@pytest.mark.parametrize("block, entry", [("P", (0, 1)), ("B", (0, 2)), ("C", (2, 0)), ("D", (2, 3))])
+def test_non_finite_dynamics_certify_as_infinite(monkeypatch, block, entry):
+    aug = one_mode_augmented()
+    a = aug.a_a.copy()
+    a[entry] = np.nan
+    broken = dataclasses.replace(aug, a_a=a)
+    report = verify_observer_conditions(broken)
+    assert report.spectrum_max_abs_real == np.inf
+    assert np.all(np.isnan(report.spectrum))
+    assert not report.passes(1e-8)
+
+    def no_eigensolver(*args, **kwargs):
+        raise AssertionError("eigensolver called on non-finite dynamics")
+
+    for name in ("eigh", "eigvalsh", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, no_eigensolver)
+    assert certified_spectrum(broken).max_abs_real_part == np.inf
