@@ -65,12 +65,13 @@ _PADE_THETA = (
 _DEFINITE_THRESHOLD = 1e-12
 
 
-def _square(value, name: str) -> np.ndarray:
+def _square(value) -> np.ndarray:
+    # messages name no parameter: callers prefix the field at fault
     m = np.asarray(value, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+        raise ValueError(f"matrix is not square, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError("matrix contains non-finite entries")
     return m
 
 
@@ -127,7 +128,7 @@ def expm(m) -> np.ndarray:
     numpy.ndarray
         e^m to near machine precision for the moderate norms used here.
     """
-    a = _square(m, "m")
+    a = _square(m)
     norm1 = float(np.linalg.norm(a, 1)) if a.size else 0.0
     squarings = 0
     order = 13
@@ -155,7 +156,7 @@ class SpectrumReport:
 
 def eigenvalues(m) -> SpectrumReport:
     """Spectrum via QR iteration on the real matrix (LAPACK dgeev)."""
-    a = _square(m, "m")
+    a = _square(m)
     try:
         w = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
@@ -179,7 +180,7 @@ def is_positive_definite(s, tol: float = 1e-9) -> DefinitenessReport:
     that pivot threshold: every pivot is at least lambda_min);
     lambda_min/lambda_max also feed the exponential norm bound.
     """
-    a = _square(s, "s")
+    a = _square(s)
     scale = max(1.0, float(np.max(np.abs(a), initial=0.0)))
     if float(np.max(np.abs(a - a.T), initial=0.0)) > tol * scale:
         raise ValueError("matrix is not symmetric to tolerance")
@@ -195,9 +196,9 @@ def spectral_norm(m) -> float:
     """Largest singular value."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
-        raise ValueError(f"m must be a 2-D matrix, got ndim={a.ndim}")
+        raise ValueError(f"matrix must be 2-D, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("m contains non-finite entries")
+        raise ValueError("matrix contains non-finite entries")
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))

@@ -221,13 +221,18 @@ def _write_figure(
     rows = range(data.shape[1]) if fig.rows is None else fig.rows
     cells = [(i, j) for i in rows for j in range(data.shape[2])]
     suffix = "_ave" if fig.avg else ""
-    names = [f"{prefix}_{i + 1}{j + 1}{suffix}" for i, j in cells]
+    # from n = 10 on, phi_111 could be (1, 11) or (11, 1): separate the indices
+    sep = "_" if data.shape[1] >= 10 else ""
+    names = [f"{prefix}_{i + 1}{sep}{j + 1}{suffix}" for i, j in cells]
     header = ["T" if fig.avg else "t"] + names
     table = np.column_stack([times] + [data[:, i, j] for i, j in cells])
-    lines = [",".join(header)]
-    lines.extend(",".join(format(float(v), ".12g") for v in row) for row in table)
+    # "%.12g" % x is format(x, ".12g") for every float; one row at a time
+    # keeps the Python floats of the whole table out of memory
+    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
     csv_path = out / f"{fig.tag}.csv"
-    csv_path.write_text("\n".join(lines) + "\n")
+    with csv_path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(row % tuple(values.tolist()) for values in table)
     if fig.title is None:
         return csv_path, None
     plots = ", ".join(f"'{csv_path.name}' using 1:{k + 2} with lines" for k in range(len(cells)))

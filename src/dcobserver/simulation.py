@@ -117,26 +117,27 @@ def propagate_schedule(segments: Sequence[Segment], grid) -> PropagatorSeries:
         raise ValueError(
             f"grid ends at {times[-1]} but the schedule spans [0, {boundaries[-1]}]"
         )
+    # step k runs the segment its start time has entered (boundaries match
+    # within BOUNDARY_TOL) and must end within that segment
+    seg = np.minimum(
+        np.searchsorted(boundaries - BOUNDARY_TOL, times[:-1], side="right"), len(segments) - 1
+    )
+    straddles = np.flatnonzero(times[1:] > boundaries[seg] + BOUNDARY_TOL)
+    if straddles.size:
+        k = straddles[0]
+        raise ValueError(
+            f"segment boundary t={boundaries[seg[k]]} is not a grid point "
+            f"(step [{times[k]}, {times[k + 1]}] straddles it)"
+        )
     maps = np.empty((times.size, n, n))
     maps[0] = np.eye(n)
-    seg_i = 0
     step_cache: dict[tuple[int, float], np.ndarray] = {}
-    for k in range(1, times.size):
-        t_prev, t_cur = times[k - 1], times[k]
-        while seg_i + 1 < len(segments) and t_prev >= boundaries[seg_i] - BOUNDARY_TOL:
-            seg_i += 1
-        if t_cur > boundaries[seg_i] + BOUNDARY_TOL:
-            raise ValueError(
-                f"segment boundary t={boundaries[seg_i]} is not a grid point "
-                f"(step [{t_prev}, {t_cur}] straddles it)"
-            )
-        dt = float(t_cur - t_prev)
-        key = (seg_i, dt)
+    for k, key in enumerate(zip(seg.tolist(), np.diff(times).tolist()), start=1):
         step = step_cache.get(key)
         if step is None:
-            step = expm(segments[seg_i].a * dt)
-            step_cache[key] = step
-        maps[k] = step @ maps[k - 1]
+            seg_i, dt = key
+            step = step_cache[key] = expm(segments[seg_i].a * dt)
+        np.matmul(step, maps[k - 1], out=maps[k])
     return PropagatorSeries(times=times, maps=maps)
 
 
@@ -149,10 +150,11 @@ def time_average(series: PropagatorSeries) -> AverageSeries:
     times, maps = series.times, series.maps
     if times.size < 2:
         raise ValueError("series must contain at least one step beyond t=0")
-    dt = np.diff(times)
-    increments = 0.5 * dt[:, None, None] * (maps[1:] + maps[:-1])
-    integrals = np.cumsum(increments, axis=0)
-    averages = integrals / times[1:, None, None]
+    # one buffer: trapezoid increments, then their running sums, then averages
+    averages = maps[1:] + maps[:-1]
+    averages *= (0.5 * np.diff(times))[:, None, None]
+    np.cumsum(averages, axis=0, out=averages)
+    averages /= times[1:, None, None]
     return AverageSeries(times=times[1:].copy(), averages=averages)
 
 

@@ -288,15 +288,18 @@ def verify_observer_conditions(aug: AugmentedSystem) -> ObserverConditionsReport
     because the assembled dynamics carry a defective zero eigenvalue that
     double-precision QR only locates to about 1e-8.  An asymmetric r_o is
     reported, not raised: lambda_min is taken from its symmetric part, and the
-    asymmetry shows in the realizability and spectrum residuals.
+    asymmetry shows in the realizability and spectrum residuals.  A non-finite
+    r_o reports lambda_min as NaN, and a non-finite gain a NaN or infinite
+    gain residual, so the report fails.
     """
     plant, obs = aug.plant, aug.observer
-    definiteness = is_positive_definite(0.5 * (obs.r_o + obs.r_o.T))
+    r_sym = 0.5 * (obs.r_o + obs.r_o.T)
+    lambda_min = is_positive_definite(r_sym).lambda_min if np.all(np.isfinite(r_sym)) else np.nan
     annihilation = float(np.max(np.abs(aug.plant_output @ aug.a_a)))
     realizability = realizability_residual(aug.a_a, aug.ccr.theta)
     spectrum = certified_spectrum(aug)
     return ObserverConditionsReport(
-        r_o_lambda_min=definiteness.lambda_min,
+        r_o_lambda_min=lambda_min,
         gain_residual=gain_residual(obs),
         beta_block_valid=True,
         beta_skew_residual=validate_beta(plant.beta, plant.ccr).skew_residual,

@@ -21,6 +21,7 @@ from dcobserver import (
     make_theta,
     synthesize_observer,
 )
+from dcobserver.simulation import BOUNDARY_TOL
 
 # canonical one-mode example: position-estimating observer, its Hamiltonian
 # block, and the conjugate (momentum-estimating) observer used after the swap
@@ -181,3 +182,57 @@ def eigenvalues_mp(m, dps: int = 40) -> SpectrumReport:
         vals = mpmath.eig(mpmath.matrix(a.tolist()), left=False, right=False)
         w = np.sort(np.array([complex(z) for z in vals]))
     return SpectrumReport(eigenvalues=w, max_abs_real_part=float(np.max(np.abs(w.real))))
+
+
+def stepwise_propagate_schedule(segments, grid) -> np.ndarray:
+    """Maps of ``segments`` on ``grid``, composed one step at a time.
+
+    Oracle for ``simulation.propagate_schedule``: the active segment is found
+    by walking the boundaries as time advances, a step that crosses a boundary
+    raises the library's error, and each (segment, step size) exponential is
+    computed once.
+    """
+    times = np.asarray(grid, dtype=float)
+    n = segments[0].a.shape[0]
+    boundaries = np.cumsum([seg.duration for seg in segments])
+    maps = np.empty((times.size, n, n))
+    maps[0] = np.eye(n)
+    seg_i = 0
+    step_cache = {}
+    for k in range(1, times.size):
+        t_prev, t_cur = times[k - 1], times[k]
+        while seg_i + 1 < len(segments) and t_prev >= boundaries[seg_i] - BOUNDARY_TOL:
+            seg_i += 1
+        if t_cur > boundaries[seg_i] + BOUNDARY_TOL:
+            raise ValueError(
+                f"segment boundary t={boundaries[seg_i]} is not a grid point "
+                f"(step [{t_prev}, {t_cur}] straddles it)"
+            )
+        dt = float(t_cur - t_prev)
+        key = (seg_i, dt)
+        step = step_cache.get(key)
+        if step is None:
+            step = expm(segments[seg_i].a * dt)
+            step_cache[key] = step
+        maps[k] = step @ maps[k - 1]
+    return maps
+
+
+def trapezoid_average(times, maps) -> np.ndarray:
+    """Running trapezoid averages at times[1:], one full-size array per stage.
+
+    Oracle for ``simulation.time_average``.
+    """
+    dt = np.diff(times)
+    increments = 0.5 * dt[:, None, None] * (maps[1:] + maps[:-1])
+    return np.cumsum(increments, axis=0) / times[1:, None, None]
+
+
+def csv_text(header, table) -> str:
+    """CSV text of ``table`` with each value formatted on its own to 12 digits.
+
+    Oracle for the figure writer in ``scenarios``.
+    """
+    lines = [",".join(header)]
+    lines.extend(",".join(format(float(v), ".12g") for v in row) for row in table)
+    return "\n".join(lines) + "\n"

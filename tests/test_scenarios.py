@@ -9,6 +9,7 @@ import pytest
 from dcobserver import ConfigError, ScenarioConfig, run_custom, run_measurement_sequence, run_one_mode
 from dcobserver import scenarios
 from dcobserver.cli import main
+from helpers import csv_text, random_augmented
 
 
 def read_csv(path):
@@ -90,6 +91,47 @@ def test_csv_numbers_use_twelve_significant_digits(one_mode_bundle):
     for raw in lines[1:50]:
         for field in raw.split(","):
             assert field == format(float(field), ".12g")
+
+
+def test_csv_writer_matches_formatting_each_value(tmp_path):
+    # signed zero, the smallest subnormal, exponents of both signs and a
+    # 13-digit tie, as the time column and the entries of 2x2 maps
+    values = [
+        -0.0, 5e-324, 1e16, 123456789012.5, 1.5e-7,
+        2.5e21, -1e-300, 0.1 + 0.2, -1.7976931348623157e308, 1.0,
+        np.pi, -2.0 / 3.0, 0.0, 999999999999.5, 1e-5,
+        np.nan, np.inf, -np.inf, 12345.678901234567, -5e-324,
+    ]
+    table = np.array(values).reshape(4, 5)
+    figure = scenarios._Figure("edge", None, None)
+    csv_path, script = scenarios._write_figure(
+        tmp_path, figure, "phi", table[:, 0], table[:, 1:].reshape(4, 2, 2)
+    )
+    header = ["t", "phi_11", "phi_12", "phi_21", "phi_22"]
+    assert script is None
+    assert csv_path.read_bytes() == csv_text(header, table).encode()
+
+
+def test_column_names_are_unique_beyond_nine_dimensions(tmp_path):
+    aug = random_augmented(np.random.default_rng(12), 6, 6)
+    config = ScenarioConfig.from_dict(
+        {
+            "scenario": "custom",
+            "beta": aug.plant.beta.tolist(),
+            "r_o": aug.observer.r_o.tolist(),
+            "c_o": aug.observer.c_o.tolist(),
+            "t_end": 1.0,
+            "dt": 0.25,
+            "out_dir": str(tmp_path),
+        }
+    )
+    bundle = run_custom(config)
+    for path in bundle.csv_files:
+        header = path.read_text().splitlines()[0].split(",")
+        assert len(header) == 1 + 12 * 12
+        assert len(set(header)) == len(header), path.name
+    header = (bundle.out_dir / "coefficients.csv").read_text().splitlines()[0].split(",")
+    assert header[1] == "phi_1_1" and {"phi_1_11", "phi_11_1"} <= set(header)
 
 
 def test_plot_scripts_reference_their_csv(one_mode_bundle):

@@ -19,7 +19,14 @@ from dcobserver import (
     uniform_grid,
 )
 from dcobserver.simulation import average_convergence
-from helpers import exact_propagator_average, one_mode_augmented, swapped_augmented
+from helpers import (
+    exact_propagator_average,
+    one_mode_augmented,
+    random_augmented,
+    stepwise_propagate_schedule,
+    swapped_augmented,
+    trapezoid_average,
+)
 
 
 def measurement_segments(t_end=100.0):
@@ -143,6 +150,50 @@ def test_schedule_rejects_empty_and_misspanned():
         propagate_schedule([], np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match="spans"):
         propagate_schedule([Segment(np.eye(2), 1.0)], np.array([0.0, 1.0, 2.0]))
+
+
+def random_schedule(seed, n_p, n_o):
+    """Coupled, disconnected, coupled: two random observers of one plant size."""
+    rng = np.random.default_rng(seed)
+    first, second = random_augmented(rng, n_p, n_o), random_augmented(rng, n_p, n_o)
+    n = n_p + n_o
+    return [Segment(first.a_a, 1.0), Segment(np.zeros((n, n)), 0.5), Segment(second.a_a, 1.5)]
+
+
+@pytest.mark.parametrize("n_p, n_o, seed", [(2, 4, 0), (4, 2, 1), (2, 6, 2), (6, 4, 3)])
+def test_schedule_and_averages_equal_the_stepwise_oracles(n_p, n_o, seed):
+    # the grids hit the boundaries 1.0 and 1.5 exactly or within rounding,
+    # summed 0.1 steps reach 1.0 from below; linspace and uniform_grid steps
+    # differ in their last bits, so the step cache holds many keys per segment
+    segments = random_schedule(seed, n_p, n_o)
+    grids = {
+        "schedule": schedule_grid(segments, 0.013),
+        "uniform": uniform_grid(3.0, 0.01),
+        "linspace": np.linspace(0.0, 3.0, 301),
+        "summed": np.concatenate([[0.0], np.cumsum(np.full(30, 0.1))]),
+    }
+    for name, grid in grids.items():
+        series = propagate_schedule(segments, grid)
+        assert np.array_equal(series.maps, stepwise_propagate_schedule(segments, grid)), name
+        averages = time_average(series)
+        assert np.array_equal(averages.times, grid[1:]), name
+        assert np.array_equal(averages.averages, trapezoid_average(grid, series.maps)), name
+    unit = grids["linspace"] / 3.0
+    single = propagate(segments[0].a, unit)
+    assert np.array_equal(single.maps, stepwise_propagate_schedule(segments[:1], unit))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [np.linspace(0.0, 3.0, 8), np.array([0.0, 0.5, 1.0, 1.2, 1.6, 3.0]), np.array([0.0, 2.0, 3.0])],
+)
+def test_straddle_error_names_the_first_offending_step(grid):
+    segments = random_schedule(4, 2, 2)
+    with pytest.raises(ValueError, match="not a grid point") as err:
+        stepwise_propagate_schedule(segments, grid)
+    with pytest.raises(ValueError) as fast:
+        propagate_schedule(segments, grid)
+    assert str(fast.value) == str(err.value)
 
 
 def test_time_average_of_identity_series():

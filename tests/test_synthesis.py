@@ -229,6 +229,28 @@ def test_verify_reports_asymmetric_observer_hamiltonian():
     assert not report.passes(1e-8)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["r_o", "alpha", "c_o"])
+def test_verify_reports_non_finite_observer_entries(field, value):
+    aug = one_mode_augmented()
+    entries = getattr(aug.observer, field).copy()
+    entries[0, 0] = value
+    observer = dataclasses.replace(aug.observer, **{field: entries})
+    broken = dataclasses.replace(aug, observer=observer)
+    report = verify_observer_conditions(broken)
+    assert not report.passes(1e-8)
+    if field == "r_o":
+        assert np.isnan(report.r_o_lambda_min)
+
+
+def test_synthesis_names_non_finite_observer_block_by_its_field():
+    r_o = np.eye(2)
+    r_o[0, 0] = np.nan
+    with pytest.raises(ValueError) as err:
+        synthesize_observer(make_plant([[1.0], [0.0]]), r_o, [[1.0, 0.0]])
+    assert str(err.value) == "r_o: matrix contains non-finite entries"
+
+
 def _with_blocks(aug, b=None, c=None, d=None):
     """``aug`` with blocks of a_a replaced: couplings B (plant rows), C (observer rows), block D."""
     n_p = aug.plant.n_p
