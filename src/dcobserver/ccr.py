@@ -1,4 +1,4 @@
-"""Commutation structure and the realizability algebra of closed linear quantum systems.
+"""Commutation structure, the realizability residual and the static plant.
 
 Variables are ordered mode by mode as (q_1, p_1, q_2, p_2, ...), so the
 commutation matrix is the block diagonal diag(J, ..., J) with
@@ -6,7 +6,9 @@ J = [[0, 1], [-1, 0]].  The convention [q, p] = 2i is fixed throughout
 (hbar absorbed); that factor of two is where a = 2 theta r comes from.
 A dynamics matrix ``a`` preserves the commutation relations iff
 a @ theta + theta @ a.T == 0, in which case it derives from a quadratic
-Hamiltonian with symmetric matrix r via a = 2 theta r.
+Hamiltonian with symmetric matrix r via a = 2 theta r.  The package forms
+that map once, in ``synthesis.assemble_augmented``, and inverts it once, in
+``synthesis.AugmentedSystem.r_a``.
 """
 
 from __future__ import annotations
@@ -15,20 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
-
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-def _as_matrix(value, name: str, shape: tuple[int, int] | None = None) -> np.ndarray:
-    m = np.asarray(value, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
-    if shape is not None and m.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {m.shape}")
-    return m
 
 
 @dataclass(frozen=True)
@@ -53,47 +42,7 @@ class CommutationStructure:
 
 def make_theta(n_modes: int) -> CommutationStructure:
     """Commutation structure for ``n_modes`` modes (two variables per mode)."""
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be a positive integer, got {n_modes}")
     return CommutationStructure(n=2 * n_modes)
-
-
-@dataclass(frozen=True)
-class QuantumLinearSystem:
-    """Linear dynamics x' = a x with its commutation structure.
-
-    ``r`` is the symmetric Hamiltonian matrix when known; if present,
-    a = 2 theta r must hold to tolerance.  ``realizable=True`` asserts that
-    the dynamics preserve the commutation relations.
-    """
-
-    a: np.ndarray
-    ccr: CommutationStructure
-    r: np.ndarray | None = None
-    realizable: bool = False
-
-    def __post_init__(self):
-        a = _as_matrix(self.a, "a", (self.ccr.n, self.ccr.n))
-        object.__setattr__(self, "a", a)
-        if self.r is not None:
-            r = _as_matrix(self.r, "r", (self.ccr.n, self.ccr.n))
-            if np.max(np.abs(r - r.T), initial=0.0) > DEFAULT_TOL:
-                raise ValueError("r must be symmetric")
-            if np.max(np.abs(a - 2.0 * self.ccr.theta @ r)) > DEFAULT_TOL:
-                raise ValueError("a and r are inconsistent: a != 2 theta r")
-            object.__setattr__(self, "r", r)
-        if self.realizable:
-            res = realizability_residual(a, self.ccr.theta)
-            if res > DEFAULT_TOL:
-                raise ValueError(
-                    f"system marked realizable but residual is {res:.3e}"
-                )
-
-
-@dataclass(frozen=True)
-class RealizabilityReport:
-    realizable: bool
-    residual: float
 
 
 def realizability_residual(a, theta) -> float:
@@ -105,68 +54,30 @@ def realizability_residual(a, theta) -> float:
     return float(np.max(np.abs(a @ theta + theta @ a.T)))
 
 
-def check_realizability(sys: QuantumLinearSystem, tol: float = DEFAULT_TOL) -> RealizabilityReport:
-    """Test whether the system preserves the commutation relations."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    res = realizability_residual(sys.a, sys.ccr.theta)
-    return RealizabilityReport(realizable=res <= tol, residual=res)
+def validate_beta(beta) -> float:
+    """Check the one-quadrature-per-mode structure of ``beta``; return its skew residual.
 
-
-def hamiltonian_from_dynamics(a, ccr: CommutationStructure, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Symmetric Hamiltonian matrix r = (1/4)(-theta a + a.T theta).
-
-    The input must preserve the commutation relations; the round trip
-    2 theta r == a then holds.
+    ``beta`` must be n_p x (n_p/2) with n_p even and a single 2x1 block per
+    column placed on the mode diagonal; all off-block entries must be exactly
+    zero and no block may vanish.  Skew symmetry of J then forces
+    beta.T @ theta_1 @ beta == 0, whose max-norm is returned.
     """
-    a = _as_matrix(a, "a", (ccr.n, ccr.n))
-    res = realizability_residual(a, ccr.theta)
-    if res > tol:
-        raise ValueError(f"dynamics are not physically realizable: residual {res:.3e} > {tol:.1e}")
-    theta = ccr.theta
-    return 0.25 * (-theta @ a + a.T @ theta)
-
-
-def dynamics_from_hamiltonian(r, ccr: CommutationStructure, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Dynamics matrix a = 2 theta r generated by a symmetric Hamiltonian."""
-    r = _as_matrix(r, "r", (ccr.n, ccr.n))
-    asym = float(np.max(np.abs(r - r.T), initial=0.0))
-    if asym > tol:
-        raise ValueError(f"r is not symmetric: max asymmetry {asym:.3e} > {tol:.1e}")
-    return 2.0 * (ccr.theta @ r)
-
-
-@dataclass(frozen=True)
-class BetaReport:
-    """Outcome of the block-structure check on a quadrature-selection matrix."""
-
-    n_modes: int
-    block_norms: np.ndarray
-    skew_residual: float
-
-
-def validate_beta(beta, ccr_plant: CommutationStructure) -> BetaReport:
-    """Check the one-quadrature-per-mode structure of ``beta``.
-
-    ``beta`` must be n_p x (n_p/2) with a single 2x1 block per column placed
-    on the mode diagonal; all off-block entries must be exactly zero and no
-    block may vanish.  Skew symmetry of J then forces
-    beta.T @ theta_1 @ beta == 0, whose max-norm is reported.
-    """
-    n_p = ccr_plant.n
-    beta = _as_matrix(beta, "beta", (n_p, n_p // 2))
-    norms = np.zeros(n_p // 2)
+    beta = np.asarray(beta, dtype=float)
+    if beta.ndim != 2:
+        raise ValueError(f"beta must be a 2-D matrix, got ndim={beta.ndim}")
+    if not np.all(np.isfinite(beta)):
+        raise ValueError("beta contains non-finite entries")
+    n_p = beta.shape[0]
+    if n_p < 2 or n_p % 2 or beta.shape[1] != n_p // 2:
+        raise ValueError(f"beta must be n_p x (n_p/2) with n_p even, got {beta.shape}")
     for i in range(n_p // 2):
-        block = beta[2 * i : 2 * i + 2, i]
         off = beta[:, i].copy()
         off[2 * i : 2 * i + 2] = 0.0
         if np.any(off != 0.0):
             raise ValueError(f"beta column {i} has nonzero entries outside its mode block")
-        norms[i] = np.linalg.norm(block)
-        if norms[i] == 0.0:
+        if np.linalg.norm(beta[2 * i : 2 * i + 2, i]) == 0.0:
             raise ValueError(f"beta block {i} is zero: that quadrature would be unobservable")
-    skew = float(np.max(np.abs(beta.T @ ccr_plant.theta @ beta)))
-    return BetaReport(n_modes=n_p // 2, block_norms=norms, skew_residual=skew)
+    return float(np.max(np.abs(beta.T @ make_theta(n_p // 2).theta @ beta)))
 
 
 @dataclass(frozen=True)
@@ -181,11 +92,8 @@ class PlantSpec:
     beta: np.ndarray
 
     def __post_init__(self):
-        beta = _as_matrix(self.beta, "beta")
-        n_p = beta.shape[0]
-        if n_p < 2 or n_p % 2 or beta.shape[1] != n_p // 2:
-            raise ValueError(f"beta must be n_p x (n_p/2) with n_p even, got {beta.shape}")
-        validate_beta(beta, make_theta(n_p // 2))
+        beta = np.asarray(self.beta, dtype=float)
+        validate_beta(beta)
         object.__setattr__(self, "beta", beta)
 
     @property

@@ -63,6 +63,7 @@ _PADE_THETA = (
 )
 
 _DEFINITE_THRESHOLD = 1e-12
+_SYMMETRY_TOL = 1e-9
 
 
 def _square(value) -> np.ndarray:
@@ -172,17 +173,18 @@ class DefinitenessReport:
     lambda_max: float
 
 
-def is_positive_definite(s, tol: float = 1e-9) -> DefinitenessReport:
+def is_positive_definite(s) -> DefinitenessReport:
     """Definiteness test plus extreme eigenvalues of ``s``.
 
-    The symmetrized input counts as positive definite when its smallest
-    eigenvalue exceeds 1e-12 (never looser than a Cholesky factorization with
-    that pivot threshold: every pivot is at least lambda_min);
-    lambda_min/lambda_max also feed the exponential norm bound.
+    The input must be symmetric to 1e-9 max(1, max |s_ij|).  The symmetrized
+    input counts as positive definite when its smallest eigenvalue exceeds
+    1e-12 (never looser than a Cholesky factorization with that pivot
+    threshold: every pivot is at least lambda_min); lambda_min/lambda_max
+    also feed the exponential norm bound.
     """
     a = _square(s)
     scale = max(1.0, float(np.max(np.abs(a), initial=0.0)))
-    if float(np.max(np.abs(a - a.T), initial=0.0)) > tol * scale:
+    if float(np.max(np.abs(a - a.T), initial=0.0)) > _SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric to tolerance")
     w = np.linalg.eigvalsh(0.5 * (a + a.T))
     return DefinitenessReport(

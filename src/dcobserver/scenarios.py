@@ -385,6 +385,8 @@ def _system(beta, r_o, c_o, alpha=None, where: str = "") -> AugmentedSystem:
 
 def _single(config: ScenarioConfig, name: str, figures: tuple[_Figure, ...]) -> _Plan:
     """One coupled segment over max(t_end, average_t_end); unset matrices get one-mode defaults."""
+    if config.segments:
+        raise ConfigError(f"segments: not read by the {name} scenario")
     beta = config.beta if config.beta is not None else np.array(_DEFAULT_BETA)
     r_o = config.r_o if config.r_o is not None else np.eye(2)
     c_o = config.c_o
@@ -454,6 +456,9 @@ def run_measurement_sequence(config: ScenarioConfig) -> ArtifactBundle:
     The default schedule runs the one-mode observer for 20 time units,
     disconnects for 5, then attaches an observer of the conjugate quadrature.
     """
+    for key in ("beta", "r_o", "c_o", "alpha", "average_t_end"):
+        if getattr(config, key) is not None:
+            raise ConfigError(f"{key}: not read by the measurement_sequence scenario")
     phases = tuple(
         (
             seg.duration,

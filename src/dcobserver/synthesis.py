@@ -302,7 +302,7 @@ def verify_observer_conditions(aug: AugmentedSystem) -> ObserverConditionsReport
         r_o_lambda_min=lambda_min,
         gain_residual=gain_residual(obs),
         beta_block_valid=True,
-        beta_skew_residual=validate_beta(plant.beta, plant.ccr).skew_residual,
+        beta_skew_residual=validate_beta(plant.beta),
         output_annihilation_residual=annihilation,
         realizability_residual=realizability,
         spectrum_max_abs_real=spectrum.max_abs_real_part,

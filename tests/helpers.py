@@ -135,6 +135,73 @@ def exact_propagator_average(a, t_end: float) -> np.ndarray:
     return np.linalg.solve(a, expm(a * t_end) - np.eye(a.shape[0])) / t_end
 
 
+def hamiltonian_of(a, theta) -> np.ndarray:
+    """Symmetric Hamiltonian matrix r = (1/4)(-theta a + a.T theta) of realizable dynamics.
+
+    Oracle for ``AugmentedSystem.r_a``: it inverts a = 2 theta r through the
+    symmetric part, where the library uses -theta a / 2 alone.
+    """
+    a, theta = np.asarray(a, dtype=float), np.asarray(theta, dtype=float)
+    return 0.25 * (-theta @ a + a.T @ theta)
+
+
+# Closed-form oracle.  With b = 2 theta_2 r_o and e(t) = expm(b t), the rows
+# of expm(a_a t) split into a plant block and an observer block:
+#
+#     x_o(t) = e(t) x_o(0) + (e(t) - I) inv(r_o) alpha beta.T x_p(0)
+#
+#     x_p(t) = x_p(0)
+#              - 2 t p inv(r_o) k x_p(0)
+#              - p (e(t) - I) inv(r_o) theta_2 inv(r_o) k x_p(0)
+#              - p (e(t) - I) inv(r_o) theta_2 x_o(0)
+#
+# with p = theta_1 beta alpha.T and k = alpha beta.T.  The linear-in-t term is
+# the secular drift; it is annihilated by c_p because beta.T theta_1 beta = 0.
+# These expressions are exact for any symmetric positive definite r_o (the
+# middle factor inv(r_o) theta_2 inv(r_o) does not commute into a single
+# inv(r_o)^2 unless r_o commutes with theta_2).
+
+
+def closed_form_pieces(aug):
+    """(n_p, n_o, theta_2, p, k, inv(r_o), b) of the closed form of ``aug``."""
+    plant, obs = aug.plant, aug.observer
+    theta_2 = aug.theta_2
+    p = aug.theta_1 @ plant.beta @ obs.alpha.T
+    k = obs.alpha @ plant.beta.T
+    r_inv = np.linalg.inv(obs.r_o)
+    b = 2.0 * (theta_2 @ obs.r_o)
+    return plant.n_p, obs.n_o, theta_2, p, k, r_inv, b
+
+
+def observer_block(t: float, aug) -> np.ndarray:
+    """Rows of expm(a_a t) that propagate the observer variables."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    n_p, n_o, _, _, k, r_inv, b = closed_form_pieces(aug)
+    e = expm(b * t)
+    return np.hstack([(e - np.eye(n_o)) @ r_inv @ k, e])
+
+
+def plant_block(t: float, aug) -> np.ndarray:
+    """Rows of expm(a_a t) that propagate the plant variables, secular term included."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    n_p, n_o, theta_2, p, k, r_inv, b = closed_form_pieces(aug)
+    e_minus_i = expm(b * t) - np.eye(n_o)
+    on_xp = (
+        np.eye(n_p)
+        - 2.0 * t * (p @ r_inv @ k)
+        - p @ e_minus_i @ r_inv @ theta_2 @ r_inv @ k
+    )
+    on_xo = -(p @ e_minus_i @ r_inv @ theta_2)
+    return np.hstack([on_xp, on_xo])
+
+
+def closed_form_map(t: float, aug) -> np.ndarray:
+    """expm(a_a t) in closed form: plant rows stacked over observer rows."""
+    return np.vstack([plant_block(t, aug), observer_block(t, aug)])
+
+
 def plant_block_quadrature(t: float, aug, nodes: int = 12) -> np.ndarray:
     """Plant rows of expm(a_a t) evaluated from the integral representation.
 
@@ -226,6 +293,18 @@ def trapezoid_average(times, maps) -> np.ndarray:
     dt = np.diff(times)
     increments = 0.5 * dt[:, None, None] * (maps[1:] + maps[:-1])
     return np.cumsum(increments, axis=0) / times[1:, None, None]
+
+
+def invariant_residuals(maps, theta, r_a) -> tuple[float, float]:
+    """CCR and energy residuals of a whole series, in one expression each.
+
+    Oracle for ``simulation.invariant_monitor``, which works slice by slice.
+    """
+    maps_t = maps.transpose(0, 2, 1)
+    ccr_res = float(np.max(np.abs(maps @ theta @ maps_t - theta)))
+    energy_ref = maps_t[0] @ r_a @ maps[0]
+    energy_res = float(np.max(np.abs(maps_t @ r_a @ maps - energy_ref)))
+    return ccr_res, energy_res
 
 
 def csv_text(header, table) -> str:

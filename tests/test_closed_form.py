@@ -1,23 +1,19 @@
-"""Tests for the analytic coefficient maps against independent oracles."""
+"""Tests for the closed-form oracle of expm(a_a t) and the exponential norm bound."""
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from dcobserver import (
-    ObserverSpec,
-    assemble_augmented,
-    coefficient_map,
-    exp_norm_bound,
-    expm,
-    make_plant,
-    make_theta,
+from dcobserver import exp_norm_bound, expm, make_theta
+from helpers import (
+    closed_form_map,
+    closed_form_pieces,
     observer_block,
-    output_maps,
+    one_mode_augmented,
     plant_block,
-    plant_secular_matrix,
+    plant_block_quadrature,
+    random_augmented,
 )
-from helpers import one_mode_augmented, plant_block_quadrature, random_augmented
 
 
 def test_observer_block_at_zero_time():
@@ -68,7 +64,7 @@ def test_coefficient_map_against_ode_oracle():
 
     sol = solve_ivp(rhs, (0.0, t_end), np.eye(4).ravel(), method="DOP853", rtol=1e-12, atol=1e-12)
     phi_ode = sol.y[:, -1].reshape(4, 4)
-    assert np.max(np.abs(coefficient_map(t_end, aug).matrix - phi_ode)) <= 1e-9
+    assert np.max(np.abs(closed_form_map(t_end, aug) - phi_ode)) <= 1e-9
 
 
 def test_closed_form_equals_matrix_exponential_on_random_instances():
@@ -76,7 +72,7 @@ def test_closed_form_equals_matrix_exponential_on_random_instances():
     for _ in range(12):
         aug = random_augmented(rng, int(rng.choice([2, 4])), int(rng.choice([2, 4])))
         for t in rng.uniform(0.0, 20.0, size=25):
-            err = np.max(np.abs(coefficient_map(t, aug).matrix - expm(aug.a_a * t)))
+            err = np.max(np.abs(closed_form_map(t, aug) - expm(aug.a_a * t)))
             assert err <= 1e-8
 
 
@@ -94,16 +90,16 @@ def test_coefficient_map_is_symplectic():
     aug = random_augmented(rng, 2, 4)
     theta = aug.ccr.theta
     for t in rng.uniform(0.0, 15.0, size=10):
-        m = coefficient_map(t, aug).matrix
+        m = closed_form_map(t, aug)
         assert np.max(np.abs(m @ theta @ m.T - theta)) <= 1e-9
 
 
 def test_estimated_rows_of_closed_form_are_time_invariant():
     rng = np.random.default_rng(47)
     aug = random_augmented(rng, 4, 4)
-    rows0 = aug.plant_output @ coefficient_map(0.0, aug).matrix
+    rows0 = aug.plant_output @ closed_form_map(0.0, aug)
     for t in rng.uniform(0.0, 25.0, size=12):
-        rows = aug.plant_output @ coefficient_map(t, aug).matrix
+        rows = aug.plant_output @ closed_form_map(t, aug)
         assert np.max(np.abs(rows - rows0)) <= 1e-10
 
 
@@ -111,27 +107,22 @@ def test_secular_term_is_invisible_to_the_estimated_output():
     rng = np.random.default_rng(53)
     for _ in range(8):
         aug = random_augmented(rng, int(rng.choice([2, 4])), int(rng.choice([2, 4])))
-        secular = plant_secular_matrix(aug)
+        _, _, _, p, k, r_inv, _ = closed_form_pieces(aug)
+        secular = -2.0 * (p @ r_inv @ k)
         assert np.max(np.abs(aug.plant.c_p @ secular)) <= 1e-12
         # but the drift itself is generically present
         assert np.max(np.abs(secular)) > 1e-6
 
 
 def test_output_maps_examples():
+    # z_p rows are [c_p 0]; z_o rows are c_o applied to the observer block
     aug = one_mode_augmented()
-    z_p, z_o = output_maps(0.0, aug)
-    assert np.array_equal(z_p, [[1.0, 0.0, 0.0, 0.0]])
+    assert np.array_equal(aug.plant_output, [[1.0, 0.0, 0.0, 0.0]])
+    z_o = aug.observer.c_o @ observer_block(0.0, aug)
     assert np.allclose(z_o, [[0.0, 0.0, 1.0, 0.0]], atol=1e-14)
-    _, z_o = output_maps(np.pi / 2, aug)
+    z_o = aug.observer.c_o @ observer_block(np.pi / 2, aug)
     assert np.allclose(z_o, [[2.0, 0.0, -1.0, 0.0]], atol=1e-12)
-
-
-def test_output_maps_reject_broken_gain():
-    plant = make_plant([[1.0], [0.0]])
-    spec = ObserverSpec(r_o=np.eye(2), alpha=np.zeros((2, 1)), c_o=np.array([[1.0, 0.0]]))
-    aug = assemble_augmented(plant, spec)
-    with pytest.raises(ValueError, match="gain condition"):
-        output_maps(1.0, aug)
+    assert np.allclose(aug.observer_output @ closed_form_map(np.pi / 2, aug), z_o, atol=1e-12)
 
 
 def test_exp_norm_bound_examples():

@@ -282,6 +282,29 @@ def test_custom_validates_given_gain_before_any_work(tmp_path, capsys, field, ov
     assert f"error: {field}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scenario, field, value",
+    [
+        ("one_mode", "segments", [{"duration": 5, "disconnect": True}]),
+        ("custom", "segments", [{"duration": 5, "disconnect": True}]),
+        ("measurement_sequence", "beta", [[0], [1]]),
+        ("measurement_sequence", "r_o", [[2, 0], [0, 2]]),
+        ("measurement_sequence", "c_o", [[0, 1]]),
+        ("measurement_sequence", "alpha", [[0], [-1]]),
+        ("measurement_sequence", "average_t_end", 50.0),
+    ],
+)
+def test_cli_rejects_fields_the_scenario_never_reads(tmp_path, capsys, scenario, field, value):
+    raw = {"scenario": scenario, "t_end": 30.0, "out_dir": str(tmp_path), field: value}
+    if scenario == "custom":
+        raw.update({"beta": [[1], [0]], "r_o": [[1, 0], [0, 1]], "c_o": [[1, 0]]})
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(raw))
+    assert main(["--config", str(config_file)]) == 1
+    assert f"error: {field}: not read by the {scenario} scenario" in capsys.readouterr().err
+    assert not (tmp_path / scenario).exists()
+
+
 def test_single_segment_run_propagates_once(tmp_path, monkeypatch):
     calls = []
     original = scenarios.propagate_schedule

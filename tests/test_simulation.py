@@ -5,6 +5,7 @@ import pytest
 
 from dcobserver import (
     ObserverSpec,
+    PropagatorSeries,
     Segment,
     assemble_augmented,
     convergence_diagnostics,
@@ -18,9 +19,10 @@ from dcobserver import (
     time_average,
     uniform_grid,
 )
-from dcobserver.simulation import average_convergence
+from dcobserver.simulation import MONITOR_SLICE, average_convergence
 from helpers import (
     exact_propagator_average,
+    invariant_residuals,
     one_mode_augmented,
     random_augmented,
     stepwise_propagate_schedule,
@@ -47,6 +49,14 @@ def test_uniform_grid_hits_endpoint():
         uniform_grid(1.0, 2.0)
     with pytest.raises(ValueError):
         uniform_grid(-1.0, 0.1)
+    # the one-segment schedule grid, and the closed formula it replaced
+    for t_end, dt in [(50.0, 0.01), (1e4, 0.1), (3.0, 0.013), (0.7, 0.7), (100.0, 0.03)]:
+        grid = uniform_grid(t_end, dt)
+        assert np.array_equal(grid, schedule_grid([Segment(np.zeros((2, 2)), t_end)], dt))
+        steps = max(1, int(round(t_end / dt)))
+        formula = (t_end / steps) * np.arange(steps + 1)
+        formula[-1] = t_end
+        assert np.array_equal(grid, formula)
 
 
 def test_schedule_grid_contains_boundaries():
@@ -271,6 +281,21 @@ def test_invariant_monitor_flags_non_realizable_flow():
     series = propagate(np.eye(2), np.array([0.0, 0.5, 1.0]))
     report = invariant_monitor(series, ccr, np.zeros((2, 2)))
     assert report.max_ccr_residual == pytest.approx(np.exp(2.0) - 1.0, rel=1e-6)
+
+
+def test_invariant_monitor_slices_match_whole_series():
+    # the last segment of the measurement schedule: longer than one slice, and
+    # its first map is not the identity
+    segments, _, aug3 = measurement_segments()
+    series = propagate_schedule(segments, schedule_grid(segments, 0.01))
+    lo = int(np.argmin(np.abs(series.times - 25.0)))
+    piece = PropagatorSeries(times=series.times[lo:], maps=series.maps[lo:])
+    assert piece.maps.shape[0] > MONITOR_SLICE
+    assert not np.array_equal(piece.maps[0], np.eye(4))
+    report = invariant_monitor(piece, aug3.ccr, aug3.r_a)
+    expected = invariant_residuals(piece.maps, aug3.ccr.theta, aug3.r_a)
+    assert (report.max_ccr_residual, report.max_energy_residual) == expected
+    assert min(expected) > 0.0
 
 
 def test_invariant_monitor_zero_dynamics_is_exact():
