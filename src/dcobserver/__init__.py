@@ -36,7 +36,6 @@ from .simulation import (
     invariant_monitor,
     propagate,
     propagate_schedule,
-    schedule_grid,
     time_average,
     uniform_grid,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "run_measurement_sequence",
     "run_one_mode",
     "run_scenario",
-    "schedule_grid",
     "spectral_norm",
     "synthesize_observer",
     "time_average",

@@ -108,10 +108,6 @@ class PlantSpec:
     def c_p(self) -> np.ndarray:
         return self.beta.T
 
-    @property
-    def ccr(self) -> CommutationStructure:
-        return make_theta(self.m_p)
-
 
 def make_plant(beta) -> PlantSpec:
     """Static plant with output c_p = beta.T (see :class:`PlantSpec`)."""

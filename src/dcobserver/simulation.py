@@ -12,7 +12,6 @@ from .closed_form import exp_norm_bound
 from .linalg import expm, spectral_norm
 from .synthesis import AugmentedSystem
 
-BOUNDARY_TOL = 1e-9
 # maps per slice of the invariant monitor: its temporaries stay at two slices
 MONITOR_SLICE = 4096
 # slack of the time-average convergence check d(T) <= bound_constant / T
@@ -39,10 +38,14 @@ class Segment:
 
 @dataclass(frozen=True)
 class PropagatorSeries:
-    """Transition matrices sampled on a grid; maps[0] is the identity."""
+    """Transition matrices sampled on a grid; maps[0] is the identity.
+
+    Segment i of the schedule runs from times[edges[i]] to times[edges[i + 1]].
+    """
 
     times: np.ndarray
     maps: np.ndarray
+    edges: tuple[int, ...]
 
     @property
     def dim(self) -> int:
@@ -57,94 +60,83 @@ class AverageSeries:
     averages: np.ndarray
 
 
-def _grid(durations, dt: float) -> np.ndarray:
-    """Grids of step ~dt over consecutive durations from 0, each ending exactly on its boundary."""
-    pieces = [np.array([0.0])]
-    t0 = 0.0
-    for duration in durations:
-        steps = max(1, int(round(duration / dt)))
+def _step_counts(durations, dt: float) -> list[float]:
+    """Steps per duration, max(1, round(duration / dt)), as whole floats.
+
+    round(x, 0) stays a float: a ratio that overflows gives inf, not an error.
+    """
+    return [max(1.0, round(duration / dt, 0)) for duration in durations]
+
+
+def _grid(durations, dt: float) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Grid of step ~dt over consecutive durations from 0, and the index of every boundary.
+
+    Each duration gets its _step_counts equal steps, the last one pinned to
+    its boundary.
+    """
+    pieces, edges, t0 = [np.array([0.0])], [0], 0.0
+    for duration, steps in zip(durations, map(int, _step_counts(durations, dt))):
         local = t0 + (duration / steps) * np.arange(1, steps + 1)
         local[-1] = t0 + duration
         pieces.append(local)
+        edges.append(edges[-1] + steps)
         t0 += duration
-    return np.concatenate(pieces)
+    return np.concatenate(pieces), tuple(edges)
 
 
 def uniform_grid(t_end: float, dt: float) -> np.ndarray:
-    """Uniform grid over [0, t_end], the step adjusted to hit t_end: one segment of schedule_grid."""
+    """Uniform grid over [0, t_end], the step adjusted to hit t_end: a one-segment schedule's grid."""
     if t_end <= 0 or dt <= 0 or dt > t_end:
         raise ValueError(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
-    return _grid([t_end], dt)
+    return _grid([t_end], dt)[0]
 
 
-def schedule_grid(segments: Sequence[Segment], dt: float) -> np.ndarray:
-    """Union of per-segment uniform grids; every segment boundary is a grid point."""
-    if not segments:
-        raise ValueError("empty schedule")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    return _grid([seg.duration for seg in segments], dt)
+def _compose(segments: Sequence[Segment], times: np.ndarray, edges) -> PropagatorSeries:
+    """Left-composed maps on ``times``, segment i stepping from edges[i] to edges[i + 1].
+
+    One matrix exponential per segment and distinct step size; each map is
+    expm(a dt) @ the previous one.
+    """
+    steps = np.diff(times)
+    if np.any(steps <= 0):
+        raise ValueError("grid must be strictly increasing")
+    n = segments[0].a.shape[0]
+    maps = np.empty((times.size, n, n))
+    maps[0] = np.eye(n)
+    for seg, lo, hi in zip(segments, edges[:-1], edges[1:]):
+        cache: dict[float, np.ndarray] = {}
+        for k, dt in enumerate(steps[lo:hi].tolist(), start=lo + 1):
+            step = cache.get(dt)
+            if step is None:
+                step = cache[dt] = expm(seg.a * dt)
+            np.matmul(step, maps[k - 1], out=maps[k])
+    return PropagatorSeries(times=times, maps=maps, edges=edges)
 
 
-def _check_grid(times: np.ndarray) -> None:
+def propagate(a, grid) -> PropagatorSeries:
+    """Transition matrices expm(a t_k) on ``grid``: a schedule of one segment."""
+    times = np.asarray(grid, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("grid must be a 1-D sequence with at least two points")
     if times[0] != 0.0:
         raise ValueError(f"grid must start at 0, got {times[0]}")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("grid must be strictly increasing")
+    return _compose([Segment(a=a, duration=float(times[-1]))], times, (0, times.size - 1))
 
 
-def propagate(a, grid) -> PropagatorSeries:
-    """Transition matrices expm(a t_k): the one-segment case of propagate_schedule."""
-    times = np.asarray(grid, dtype=float)
-    _check_grid(times)
-    return propagate_schedule([Segment(a=a, duration=float(times[-1]))], times)
+def propagate_schedule(segments: Sequence[Segment], dt: float) -> PropagatorSeries:
+    """Left-composed piecewise propagator over a schedule of Segments, on its own grid.
 
-
-def propagate_schedule(segments: Sequence[Segment], grid) -> PropagatorSeries:
-    """Left-composed piecewise propagator over a schedule of Segments.
-
-    Stepwise composition: one matrix exponential per segment and distinct
-    step size, successive maps as expm(a dt) @ previous.  The grid must span
-    exactly [0, sum of durations] and contain every segment boundary; within
-    each step only one segment may be active.
+    Each segment takes max(1, round(duration / dt)) equal steps and ends
+    exactly on its boundary; ``edges`` of the series indexes the boundaries.
     """
     if not segments:
         raise ValueError("empty schedule")
-    times = np.asarray(grid, dtype=float)
-    _check_grid(times)
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     n = segments[0].a.shape[0]
-    for seg in segments:
-        if seg.a.shape != (n, n):
-            raise ValueError("all segments must share the same dimension")
-    boundaries = np.cumsum([seg.duration for seg in segments])
-    if abs(times[-1] - boundaries[-1]) > BOUNDARY_TOL:
-        raise ValueError(
-            f"grid ends at {times[-1]} but the schedule spans [0, {boundaries[-1]}]"
-        )
-    # step k runs the segment its start time has entered (boundaries match
-    # within BOUNDARY_TOL) and must end within that segment
-    seg = np.minimum(
-        np.searchsorted(boundaries - BOUNDARY_TOL, times[:-1], side="right"), len(segments) - 1
-    )
-    straddles = np.flatnonzero(times[1:] > boundaries[seg] + BOUNDARY_TOL)
-    if straddles.size:
-        k = straddles[0]
-        raise ValueError(
-            f"segment boundary t={boundaries[seg[k]]} is not a grid point "
-            f"(step [{times[k]}, {times[k + 1]}] straddles it)"
-        )
-    maps = np.empty((times.size, n, n))
-    maps[0] = np.eye(n)
-    step_cache: dict[tuple[int, float], np.ndarray] = {}
-    for k, key in enumerate(zip(seg.tolist(), np.diff(times).tolist()), start=1):
-        step = step_cache.get(key)
-        if step is None:
-            seg_i, dt = key
-            step = step_cache[key] = expm(segments[seg_i].a * dt)
-        np.matmul(step, maps[k - 1], out=maps[k])
-    return PropagatorSeries(times=times, maps=maps)
+    if any(seg.a.shape != (n, n) for seg in segments):
+        raise ValueError("all segments must share the same dimension")
+    return _compose(segments, *_grid([seg.duration for seg in segments], dt))
 
 
 def time_average(series: PropagatorSeries) -> AverageSeries:

@@ -102,10 +102,6 @@ class AugmentedSystem:
         return -0.5 * (self.ccr.theta @ self.a_a)
 
     @property
-    def theta_1(self) -> np.ndarray:
-        return self.ccr.theta[: self.plant.n_p, : self.plant.n_p]
-
-    @property
     def theta_2(self) -> np.ndarray:
         return self.ccr.theta[self.plant.n_p :, self.plant.n_p :]
 

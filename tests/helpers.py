@@ -21,7 +21,6 @@ from dcobserver import (
     make_theta,
     synthesize_observer,
 )
-from dcobserver.simulation import BOUNDARY_TOL
 
 # canonical one-mode example: position-estimating observer, its Hamiltonian
 # block, and the conjugate (momentum-estimating) observer used after the swap
@@ -162,11 +161,16 @@ def hamiltonian_of(a, theta) -> np.ndarray:
 # inv(r_o)^2 unless r_o commutes with theta_2).
 
 
+def theta_1(aug) -> np.ndarray:
+    """Plant block of the commutation matrix of ``aug``."""
+    return aug.ccr.theta[: aug.plant.n_p, : aug.plant.n_p]
+
+
 def closed_form_pieces(aug):
     """(n_p, n_o, theta_2, p, k, inv(r_o), b) of the closed form of ``aug``."""
     plant, obs = aug.plant, aug.observer
     theta_2 = aug.theta_2
-    p = aug.theta_1 @ plant.beta @ obs.alpha.T
+    p = theta_1(aug) @ plant.beta @ obs.alpha.T
     k = obs.alpha @ plant.beta.T
     r_inv = np.linalg.inv(obs.r_o)
     b = 2.0 * (theta_2 @ obs.r_o)
@@ -216,7 +220,7 @@ def plant_block_quadrature(t: float, aug, nodes: int = 12) -> np.ndarray:
         raise ValueError("t must be nonnegative")
     plant, obs = aug.plant, aug.observer
     theta_2 = aug.theta_2
-    p = aug.theta_1 @ plant.beta @ obs.alpha.T
+    p = theta_1(aug) @ plant.beta @ obs.alpha.T
     k = obs.alpha @ plant.beta.T
     b = 2.0 * (theta_2 @ obs.r_o)
     moment_0 = np.zeros((obs.n_o, obs.n_o))
@@ -251,12 +255,16 @@ def eigenvalues_mp(m, dps: int = 40) -> SpectrumReport:
     return SpectrumReport(eigenvalues=w, max_abs_real_part=float(np.max(np.abs(w.real))))
 
 
-def stepwise_propagate_schedule(segments, grid) -> np.ndarray:
-    """Maps of ``segments`` on ``grid``, composed one step at a time.
+# boundaries of stepwise_propagate_schedule match grid points within this
+BOUNDARY_TOL = 1e-9
 
-    Oracle for ``simulation.propagate_schedule``: the active segment is found
-    by walking the boundaries as time advances, a step that crosses a boundary
-    raises the library's error, and each (segment, step size) exponential is
+
+def stepwise_propagate_schedule(segments, grid) -> np.ndarray:
+    """Maps of ``segments`` on any ``grid`` that holds their boundaries, one step at a time.
+
+    Oracle for ``simulation.propagate_schedule`` and ``propagate``: the active
+    segment is found by walking the boundaries as time advances, a step that
+    crosses a boundary raises, and each (segment, step size) exponential is
     computed once.
     """
     times = np.asarray(grid, dtype=float)

@@ -20,7 +20,6 @@ from dcobserver import (
     realizability_residual,
     run_measurement_sequence,
     run_one_mode,
-    schedule_grid,
     spectral_norm,
     time_average,
     uniform_grid,
@@ -159,7 +158,7 @@ def test_criterion_6_conservation_laws():
 
     aug1, aug3 = one_mode_augmented(), swapped_augmented()
     segments = [Segment(aug1.a_a, 20.0), Segment(np.zeros((4, 4)), 5.0), Segment(aug3.a_a, 75.0)]
-    sched = propagate_schedule(segments, schedule_grid(segments, 0.01))
+    sched = propagate_schedule(segments, 0.01)
     maps, times = sched.maps, sched.times
     maps_t = maps.transpose(0, 2, 1)
     ccr_res = float(np.max(np.abs(maps @ aug1.ccr.theta @ maps_t - aug1.ccr.theta)))
@@ -209,7 +208,7 @@ def test_criterion_7_exponential_norm_bound():
 def test_criterion_8_measurement_sequence():
     aug1, aug3 = one_mode_augmented(), swapped_augmented()
     segments = [Segment(aug1.a_a, 20.0), Segment(np.zeros((4, 4)), 5.0), Segment(aug3.a_a, 75.0)]
-    series = propagate_schedule(segments, schedule_grid(segments, 0.01))
+    series = propagate_schedule(segments, 0.01)
     times, maps = series.times, series.maps
     i20 = int(np.argmin(np.abs(times - 20.0)))
     i25 = int(np.argmin(np.abs(times - 25.0)))

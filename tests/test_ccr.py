@@ -151,7 +151,7 @@ def test_plant_spec_validates_beta_on_construction(beta, message):
 def test_plant_spec_derives_everything_from_beta():
     beta = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.6], [0.0, 0.8]])
     plant = PlantSpec(beta)
-    assert (plant.n_p, plant.m_p, plant.ccr.n) == (4, 2, 4)
+    assert (plant.n_p, plant.m_p) == (4, 2)
     assert np.array_equal(plant.c_p, beta.T)
 
 

@@ -6,10 +6,25 @@ import json
 import numpy as np
 import pytest
 
-from dcobserver import ConfigError, ScenarioConfig, run_custom, run_measurement_sequence, run_one_mode
+from dcobserver import (
+    ConfigError,
+    ScenarioConfig,
+    Segment,
+    run_custom,
+    run_measurement_sequence,
+    run_one_mode,
+    uniform_grid,
+)
 from dcobserver import scenarios
 from dcobserver.cli import main
-from helpers import csv_text, random_augmented
+from helpers import (
+    csv_text,
+    one_mode_augmented,
+    random_augmented,
+    stepwise_propagate_schedule,
+    swapped_augmented,
+    trapezoid_average,
+)
 
 
 def read_csv(path):
@@ -309,9 +324,9 @@ def test_single_segment_run_propagates_once(tmp_path, monkeypatch):
     calls = []
     original = scenarios.propagate_schedule
 
-    def counting(segments, grid):
+    def counting(segments, dt):
         calls.append(len(segments))
-        return original(segments, grid)
+        return original(segments, dt)
 
     monkeypatch.setattr(scenarios, "propagate_schedule", counting)
     bundle = run_one_mode(
@@ -353,6 +368,8 @@ def test_schedule_errors_name_their_segment(tmp_path, capsys):
 def test_config_rejects_unknown_fields():
     with pytest.raises(ConfigError, match="unknown"):
         ScenarioConfig.from_dict({"scenario": "one_mode", "betta": [[1], [0]]})
+    with pytest.raises(ConfigError, match="^constant_tol: unknown"):
+        ScenarioConfig.from_dict({"scenario": "one_mode", "constant_tol": 1e-10})
 
 
 def test_config_rejects_bad_scenario():
@@ -504,3 +521,64 @@ def test_runs_are_byte_identical(tmp_path):
         )
     for name in ("fig03.csv", "fig05.csv", "fig06.csv"):
         assert (out_a / "one_mode" / name).read_bytes() == (out_b / "one_mode" / name).read_bytes()
+
+
+@pytest.mark.parametrize("dt, points", [("1e-13", "1e+15"), ("5e-324", "inf")])
+def test_grid_beyond_the_memory_bound_is_a_dt_error(tmp_path, capsys, dt, points):
+    # 1e15 points are past the address space, so the run fails at once with
+    # or without the bound; 100 / 5e-324 overflows to inf
+    assert main(["--scenario", "one_mode", "--dt", dt, "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: dt: {float(dt)} needs {points} grid points")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "one_mode").exists()
+
+
+# the stock runs at dt = 0.01: column prefix, (duration, dynamics) per
+# segment, last map time, last average time, and the (file, row) of each figure
+_STOCK = {
+    "one_mode": (
+        "phi",
+        [(100.0, one_mode_augmented().a_a)],
+        50.0,
+        100.0,
+        [("fig03", 0), ("fig04", 1), ("fig05", 2), ("fig06a", 3)],
+        [("fig06", 2), ("fig06b", 3)],
+    ),
+    "measurement_sequence": (
+        "phit",
+        [
+            (20.0, one_mode_augmented().a_a),
+            (5.0, np.zeros((4, 4))),
+            (75.0, swapped_augmented().a_a),
+        ],
+        100.0,
+        100.0,
+        [("fig07", 0), ("fig08", 1), ("fig09", 2), ("fig11", 3)],
+        [("fig10", 2), ("fig12", 3)],
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(_STOCK))
+def test_stock_csvs_equal_the_stepwise_oracle_text(tmp_path, scenario):
+    # both sides run the same float operations, so this holds on any BLAS
+    prefix, phases, map_end, average_end, map_figures, average_figures = _STOCK[scenario]
+    assert main(["--scenario", scenario, "--out-dir", str(tmp_path)]) == 0
+    pieces, t0 = [np.array([0.0])], 0.0
+    for duration, _ in phases:
+        pieces.append(t0 + uniform_grid(duration, 0.01)[1:])
+        t0 += duration
+    times = np.concatenate(pieces)
+    maps = stepwise_propagate_schedule([Segment(a, d) for d, a in phases], times)
+    averages = trapezoid_average(times, maps)
+    for figures, col, t, data, end, suffix in [
+        (map_figures, "t", times, maps, map_end, ""),
+        (average_figures, "T", times[1:], averages, average_end, "_ave"),
+    ]:
+        keep = t <= end
+        for tag, row in figures:
+            header = [col] + [f"{prefix}_{row + 1}{j + 1}{suffix}" for j in range(4)]
+            table = np.column_stack([t[keep], data[keep, row, :]])
+            written = (tmp_path / scenario / f"{tag}.csv").read_bytes()
+            assert written == csv_text(header, table).encode(), tag

@@ -15,7 +15,6 @@ from dcobserver import (
     make_theta,
     propagate,
     propagate_schedule,
-    schedule_grid,
     time_average,
     uniform_grid,
 )
@@ -49,10 +48,11 @@ def test_uniform_grid_hits_endpoint():
         uniform_grid(1.0, 2.0)
     with pytest.raises(ValueError):
         uniform_grid(-1.0, 0.1)
-    # the one-segment schedule grid, and the closed formula it replaced
+    # the grid of a one-segment schedule, and the closed formula it replaced
     for t_end, dt in [(50.0, 0.01), (1e4, 0.1), (3.0, 0.013), (0.7, 0.7), (100.0, 0.03)]:
         grid = uniform_grid(t_end, dt)
-        assert np.array_equal(grid, schedule_grid([Segment(np.zeros((2, 2)), t_end)], dt))
+        schedule = propagate_schedule([Segment(np.zeros((1, 1)), t_end)], dt)
+        assert np.array_equal(grid, schedule.times) and schedule.edges == (0, grid.size - 1)
         steps = max(1, int(round(t_end / dt)))
         formula = (t_end / steps) * np.arange(steps + 1)
         formula[-1] = t_end
@@ -61,10 +61,9 @@ def test_uniform_grid_hits_endpoint():
 
 def test_schedule_grid_contains_boundaries():
     segments, _, _ = measurement_segments()
-    grid = schedule_grid(segments, 0.01)
-    for boundary in (0.0, 20.0, 25.0, 100.0):
-        assert np.min(np.abs(grid - boundary)) == 0.0
-    assert np.all(np.diff(grid) > 0)
+    series = propagate_schedule(segments, 0.01)
+    assert series.times[list(series.edges)].tolist() == [0.0, 20.0, 25.0, 100.0]
+    assert np.all(np.diff(series.times) > 0)
 
 
 def test_segment_validation():
@@ -105,16 +104,16 @@ def test_propagate_rejects_bad_grids():
 
 def test_single_segment_schedule_equals_plain_propagation():
     aug = one_mode_augmented()
-    grid = uniform_grid(8.0, 0.05)
-    plain = propagate(aug.a_a, grid)
-    piecewise = propagate_schedule([Segment(aug.a_a, 8.0)], grid)
+    plain = propagate(aug.a_a, uniform_grid(8.0, 0.05))
+    piecewise = propagate_schedule([Segment(aug.a_a, 8.0)], 0.05)
+    assert np.array_equal(plain.times, piecewise.times)
     assert np.array_equal(plain.maps, piecewise.maps)
 
 
 def test_schedule_is_exactly_constant_while_disconnected():
     segments, _, _ = measurement_segments()
-    grid = schedule_grid(segments, 0.01)
-    series = propagate_schedule(segments, grid)
+    series = propagate_schedule(segments, 0.01)
+    grid = series.times
     i20 = int(np.argmin(np.abs(grid - 20.0)))
     i25 = int(np.argmin(np.abs(grid - 25.0)))
     plateau = series.maps[i20 : i25 + 1]
@@ -123,8 +122,8 @@ def test_schedule_is_exactly_constant_while_disconnected():
 
 def test_schedule_matches_segment_exponentials_at_boundaries():
     segments, aug1, aug3 = measurement_segments()
-    grid = schedule_grid(segments, 0.02)
-    series = propagate_schedule(segments, grid)
+    series = propagate_schedule(segments, 0.02)
+    grid = series.times
     i20 = int(np.argmin(np.abs(grid - 20.0)))
     i25 = int(np.argmin(np.abs(grid - 25.0)))
     phi20 = expm(aug1.a_a * 20.0)
@@ -137,9 +136,8 @@ def test_schedule_matches_segment_exponentials_at_boundaries():
 
 def test_first_plant_row_is_frozen_until_the_swap():
     segments, _, _ = measurement_segments()
-    grid = schedule_grid(segments, 0.01)
-    series = propagate_schedule(segments, grid)
-    i25 = int(np.argmin(np.abs(grid - 25.0)))
+    series = propagate_schedule(segments, 0.01)
+    i25 = int(np.argmin(np.abs(series.times - 25.0)))
     assert np.max(np.abs(series.maps[: i25 + 1, 0, :] - np.array([1.0, 0, 0, 0]))) == 0.0
     # the second observer freezes the conjugate row instead
     ref = series.maps[i25, 1, :]
@@ -148,18 +146,9 @@ def test_first_plant_row_is_frozen_until_the_swap():
     assert np.max(np.abs(series.maps[i25:, 0, :] - series.maps[i25, 0, :])) > 0.1
 
 
-def test_schedule_rejects_misaligned_grid():
-    segments = [Segment(np.zeros((2, 2)), 0.5), Segment(np.eye(2), 0.5)]
-    bad_grid = np.array([0.0, 0.3, 0.6, 1.0])
-    with pytest.raises(ValueError, match="not a grid point"):
-        propagate_schedule(segments, bad_grid)
-
-
 def test_schedule_rejects_empty_and_misspanned():
     with pytest.raises(ValueError, match="empty"):
-        propagate_schedule([], np.array([0.0, 1.0]))
-    with pytest.raises(ValueError, match="spans"):
-        propagate_schedule([Segment(np.eye(2), 1.0)], np.array([0.0, 1.0, 2.0]))
+        propagate_schedule([], 0.1)
 
 
 def random_schedule(seed, n_p, n_o):
@@ -172,38 +161,28 @@ def random_schedule(seed, n_p, n_o):
 
 @pytest.mark.parametrize("n_p, n_o, seed", [(2, 4, 0), (4, 2, 1), (2, 6, 2), (6, 4, 3)])
 def test_schedule_and_averages_equal_the_stepwise_oracles(n_p, n_o, seed):
-    # the grids hit the boundaries 1.0 and 1.5 exactly or within rounding,
-    # summed 0.1 steps reach 1.0 from below; linspace and uniform_grid steps
-    # differ in their last bits, so the step cache holds many keys per segment
+    # at dt = 0.013 the steps of the three segments differ in their last bits;
+    # at dt = 0.7 the 0.5 disconnected segment takes a single step
     segments = random_schedule(seed, n_p, n_o)
+    for dt in (0.01, 0.013, 0.7):
+        series = propagate_schedule(segments, dt)
+        grid = series.times
+        assert np.array_equal(series.maps, stepwise_propagate_schedule(segments, grid)), dt
+        averages = time_average(series)
+        assert np.array_equal(averages.times, grid[1:]), dt
+        assert np.array_equal(averages.averages, trapezoid_average(grid, series.maps)), dt
+    # any grid for one segment: linspace steps differ in their last bits, so
+    # the step cache holds many keys; summed 0.1 steps miss 3.0 by rounding
     grids = {
-        "schedule": schedule_grid(segments, 0.013),
-        "uniform": uniform_grid(3.0, 0.01),
         "linspace": np.linspace(0.0, 3.0, 301),
         "summed": np.concatenate([[0.0], np.cumsum(np.full(30, 0.1))]),
     }
+    a = segments[0].a
     for name, grid in grids.items():
-        series = propagate_schedule(segments, grid)
-        assert np.array_equal(series.maps, stepwise_propagate_schedule(segments, grid)), name
-        averages = time_average(series)
-        assert np.array_equal(averages.times, grid[1:]), name
-        assert np.array_equal(averages.averages, trapezoid_average(grid, series.maps)), name
-    unit = grids["linspace"] / 3.0
-    single = propagate(segments[0].a, unit)
-    assert np.array_equal(single.maps, stepwise_propagate_schedule(segments[:1], unit))
-
-
-@pytest.mark.parametrize(
-    "grid",
-    [np.linspace(0.0, 3.0, 8), np.array([0.0, 0.5, 1.0, 1.2, 1.6, 3.0]), np.array([0.0, 2.0, 3.0])],
-)
-def test_straddle_error_names_the_first_offending_step(grid):
-    segments = random_schedule(4, 2, 2)
-    with pytest.raises(ValueError, match="not a grid point") as err:
-        stepwise_propagate_schedule(segments, grid)
-    with pytest.raises(ValueError) as fast:
-        propagate_schedule(segments, grid)
-    assert str(fast.value) == str(err.value)
+        single = propagate(a, grid)
+        oracle = stepwise_propagate_schedule([Segment(a, float(grid[-1]))], grid)
+        assert np.array_equal(single.maps, oracle), name
+        assert np.array_equal(time_average(single).averages, trapezoid_average(grid, oracle)), name
 
 
 def test_time_average_of_identity_series():
@@ -287,9 +266,9 @@ def test_invariant_monitor_slices_match_whole_series():
     # the last segment of the measurement schedule: longer than one slice, and
     # its first map is not the identity
     segments, _, aug3 = measurement_segments()
-    series = propagate_schedule(segments, schedule_grid(segments, 0.01))
-    lo = int(np.argmin(np.abs(series.times - 25.0)))
-    piece = PropagatorSeries(times=series.times[lo:], maps=series.maps[lo:])
+    series = propagate_schedule(segments, 0.01)
+    lo, hi = series.edges[2:]
+    piece = PropagatorSeries(times=series.times[lo:], maps=series.maps[lo:], edges=(0, hi - lo))
     assert piece.maps.shape[0] > MONITOR_SLICE
     assert not np.array_equal(piece.maps[0], np.eye(4))
     report = invariant_monitor(piece, aug3.ccr, aug3.r_a)

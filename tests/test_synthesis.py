@@ -27,6 +27,7 @@ from helpers import (
     random_augmented,
     random_orthogonal,
     swapped_augmented,
+    theta_1,
 )
 
 
@@ -284,7 +285,7 @@ def test_certificate_flags_non_nilpotent_coupling():
     rng = np.random.default_rng(31)
     aug = random_augmented(rng, 4, 4)
     r_c = rng.normal(size=(4, 4))
-    b, c = 2.0 * (aug.theta_1 @ r_c), 2.0 * (aug.theta_2 @ r_c.T)
+    b, c = 2.0 * (theta_1(aug) @ r_c), 2.0 * (aug.theta_2 @ r_c.T)
     broken = _with_blocks(aug, b=b, c=c)
     assert np.max(np.abs(c @ b)) > 1e-3
     assert certified_spectrum(broken).max_abs_real_part > 1e-8
