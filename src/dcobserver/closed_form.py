@@ -1,10 +1,31 @@
-"""Exponential norm bound of the observer flow expm(2 theta_2 r_o t)."""
+"""The observer structure of a dynamics matrix, and the flow it gives in closed form.
+
+A dynamics matrix a = [[P, B], [C, D]] split at a plant size n_p has the
+observer structure when P = 0, C B = 0 and D = 2 theta_2 R' with R' symmetric
+positive definite.  Then C x_p is constant and, exactly,
+
+    expm(a t) = I - L R + t F_1 + L expm(D t) R,
+
+with L = [B inv(D); I], R = [inv(D) C, I] and F_1 zero except for
+-B inv(D) C in its plant block.  D is similar to the skew matrix
+S = 2 R'^(1/2) theta_2 R'^(1/2) (Williamson), and i S is Hermitian with
+eigenvalues +-w_j, so expm(a t) is a fixed real combination of the basis
+{1, t, cos w_j t, sin w_j t}: one matrix product evaluates it at every t,
+and the same coefficients on the integrated basis give int_0^t expm(a u) du.
+"""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from .ccr import make_theta
 from .linalg import is_positive_definite
+
+# relative bound on the structure residual of a dynamics matrix whose flow is
+# taken in closed form: |P|, |R' - R'.T| <= tol max|a| and |C B| <= tol max|a|^2
+STRUCTURE_TOL = 1e-12
 
 
 def exp_norm_bound(r_o) -> float:
@@ -17,3 +38,122 @@ def exp_norm_bound(r_o) -> float:
     if not report.positive_definite:
         raise ValueError(f"r_o is not positive definite (lambda_min = {report.lambda_min:.3e})")
     return float(np.sqrt(report.lambda_max / report.lambda_min))
+
+
+@dataclass(frozen=True)
+class ObserverSplit:
+    """How far ``a`` split at a plant size misses the observer structure, and its Williamson form.
+
+    ``plant``, ``coupling`` and ``asymmetry`` are max|P|, max|C B| and
+    max|R' - R'.T| with R' = -theta_2 D / 2; ``scale`` is max|a|.  When R'
+    (symmetrized) is positive definite, ``half`` is R'^(1/2) and
+    ``frequencies``, ``vectors`` are ``eigh`` of i S, the frequencies
+    ascending in +- pairs; otherwise all three are None.
+    """
+
+    plant: float
+    coupling: float
+    asymmetry: float
+    scale: float
+    half: np.ndarray | None
+    frequencies: np.ndarray | None
+    vectors: np.ndarray | None
+
+    @property
+    def residual(self) -> float:
+        """max(|P|, |C B|, |R' - R'.T|): zero for the exact observer structure."""
+        return max(self.plant, self.coupling, self.asymmetry)
+
+    @property
+    def certified(self) -> bool:
+        """Whether expm(a t) may be taken in closed form."""
+        return (
+            self.half is not None
+            and max(self.plant, self.asymmetry) <= STRUCTURE_TOL * self.scale
+            and self.coupling <= STRUCTURE_TOL * self.scale**2
+        )
+
+
+def observer_split(a: np.ndarray, n_p: int) -> ObserverSplit:
+    """Read P, B, C, D and R'^(1/2) off a finite ``a`` whose observer block has even size."""
+    b, c, d = a[:n_p, n_p:], a[n_p:, :n_p], a[n_p:, n_p:]
+    theta_2 = make_theta(d.shape[0] // 2).theta
+    r = -0.5 * (theta_2 @ d)
+    residuals = (
+        float(np.max(np.abs(a[:n_p, :n_p]), initial=0.0)),
+        float(np.max(np.abs(c @ b))),
+        float(np.max(np.abs(r - r.T))),
+        float(np.max(np.abs(a))),
+    )
+    w, v = np.linalg.eigh(0.5 * (r + r.T))
+    if not w[0] > 0.0:
+        return ObserverSplit(*residuals, None, None, None)
+    half = (v * np.sqrt(w)) @ v.T
+    x = half @ theta_2 @ half
+    return ObserverSplit(*residuals, half, *np.linalg.eigh(1j * (x - x.T)))
+
+
+@dataclass(frozen=True)
+class Flow:
+    """A flow Phi(t) = sum_k basis_k(t) coef[k] on the basis {1, t, cos w_j t, sin w_j t}.
+
+    ``coef`` stacks one matrix per basis function, in the order 1, t, the
+    cosines, the sines; ``omega`` holds the frequencies w_j.
+    """
+
+    omega: np.ndarray
+    coef: np.ndarray
+
+    def _evaluate(self, columns, out):
+        rows, m = len(columns[0]), self.coef.shape[0]
+        target = np.empty((rows,) + self.coef.shape[1:]) if out is None else out
+        np.matmul(np.column_stack(columns), self.coef.reshape(m, -1), out=target.reshape(rows, -1))
+        return target
+
+    def maps(self, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The flow at every time of ``t``, one matrix per time (written into ``out``)."""
+        wt = np.multiply.outer(t, self.omega)
+        return self._evaluate([np.ones_like(t), t, *np.cos(wt).T, *np.sin(wt).T], out)
+
+    def integrals(self, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """int_0^t of the flow at every t >= 0, from the integrated basis.
+
+        1 - cos(w t) is evaluated as 2 sin^2(w t / 2), which does not cancel.
+        """
+        wt = np.multiply.outer(t, self.omega)
+        half = np.sin(0.5 * wt)
+        of_cos, of_sin = np.sin(wt) / self.omega, 2.0 * half * half / self.omega
+        return self._evaluate([t, 0.5 * t * t, *of_cos.T, *of_sin.T], out)
+
+
+def observer_flow(a: np.ndarray) -> Flow | None:
+    """expm(a t) in closed form, or None when ``a`` lacks the observer structure.
+
+    The plant size n_p is the largest even k with a[:k, :k] == 0 exactly; an
+    all-zero ``a`` is the identity flow.  For an assembled a_a, n_p is the
+    plant: the leading 2 x 2 block of D is 2 J R'[:2, :2], which is non-zero.
+    """
+    n = a.shape[0]
+    if not a.any():
+        return Flow(omega=np.zeros(0), coef=np.stack([np.eye(n), np.zeros((n, n))]))
+    n_p = max(k for k in range(0, n + 1, 2) if not a[:k, :k].any())
+    if (n - n_p) % 2:
+        return None
+    split = observer_split(a, n_p)
+    if not split.certified:
+        return None
+    b, c, d = a[:n_p, n_p:], a[n_p:, :n_p], a[n_p:, n_p:]
+    n_o = n - n_p
+    eye_o = np.eye(n_o)
+    left = np.vstack([np.linalg.solve(d.T, b.T).T, eye_o])  # L = [B inv(D); I]
+    right = np.hstack([np.linalg.solve(d, c), eye_o])  # R = [inv(D) C, I]
+    secular = np.zeros((n, n))
+    secular[:n_p, :n_p] = -(left[:n_p] @ c)
+    # expm(S t) = sum over w_j > 0 of 2 Re(u_j u_j^* e^{-i w_j t}), u_j of eigh(i S)
+    pos = split.vectors[:, n_o // 2 :]
+    half_inv = np.linalg.inv(split.half)
+    p = left @ (half_inv @ pos)
+    q = (pos.conj().T @ split.half) @ right
+    outer = 2.0 * (p.T[:, :, None] * q[:, None, :])
+    coef = np.concatenate([[np.eye(n) - left @ right, secular], outer.real, outer.imag])
+    return Flow(omega=split.frequencies[n_o // 2 :], coef=coef)

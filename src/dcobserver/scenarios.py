@@ -28,6 +28,7 @@ from .ccr import make_plant
 from .simulation import (
     PropagatorSeries,
     Segment,
+    _grid,
     _step_counts,
     average_convergence,
     invariant_monitor,
@@ -285,6 +286,13 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
             f"dt: {config.dt} needs {points:.4g} grid points, whose maps and averages "
             f"({16 * points * n * n / 1e9:.3g} GB) exceed {MAX_SERIES_BYTES / 1e9:g} GB"
         )
+    times, edges = _grid([d for d, _ in plan.phases], config.dt)
+    for i, (duration, _) in enumerate(plan.phases):
+        if np.any(np.diff(times[edges[i] : edges[i + 1] + 1]) <= 0):
+            raise ConfigError(
+                f"segments[{i}].duration: {duration} gives grid steps below the "
+                f"float spacing at its start t = {times[edges[i]]}"
+            )
     reports = [
         None if aug is None else verify_observer_conditions(aug) for _, aug in plan.phases
     ]

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .ccr import CommutationStructure
-from .closed_form import exp_norm_bound
+from .closed_form import Flow, exp_norm_bound, observer_flow
 from .linalg import expm, spectral_norm
 from .synthesis import AugmentedSystem
 
@@ -41,11 +41,15 @@ class PropagatorSeries:
     """Transition matrices sampled on a grid; maps[0] is the identity.
 
     Segment i of the schedule runs from times[edges[i]] to times[edges[i + 1]].
+    ``flows[i]`` gives its maps as a function of the time since that start
+    (the closed form right-multiplied by the map there), or is None where the
+    segment was stepped; an empty ``flows`` means every segment was stepped.
     """
 
     times: np.ndarray
     maps: np.ndarray
     edges: tuple[int, ...]
+    flows: tuple[Flow | None, ...] = ()
 
     @property
     def dim(self) -> int:
@@ -92,10 +96,13 @@ def uniform_grid(t_end: float, dt: float) -> np.ndarray:
 
 
 def _compose(segments: Sequence[Segment], times: np.ndarray, edges) -> PropagatorSeries:
-    """Left-composed maps on ``times``, segment i stepping from edges[i] to edges[i + 1].
+    """Left-composed maps on ``times``, segment i running from edges[i] to edges[i + 1].
 
-    One matrix exponential per segment and distinct step size; each map is
-    expm(a dt) @ the previous one.
+    A segment with the observer structure (closed_form.observer_flow) is
+    evaluated in closed form: its coefficients are right-multiplied by the
+    map at its start, then one matrix product gives all its maps.  A zero
+    segment holds that map.  Any other segment steps: one matrix exponential
+    per distinct step size, each map expm(a dt) @ the previous one.
     """
     steps = np.diff(times)
     if np.any(steps <= 0):
@@ -103,14 +110,24 @@ def _compose(segments: Sequence[Segment], times: np.ndarray, edges) -> Propagato
     n = segments[0].a.shape[0]
     maps = np.empty((times.size, n, n))
     maps[0] = np.eye(n)
+    flows = []
     for seg, lo, hi in zip(segments, edges[:-1], edges[1:]):
-        cache: dict[float, np.ndarray] = {}
-        for k, dt in enumerate(steps[lo:hi].tolist(), start=lo + 1):
-            step = cache.get(dt)
-            if step is None:
-                step = cache[dt] = expm(seg.a * dt)
-            np.matmul(step, maps[k - 1], out=maps[k])
-    return PropagatorSeries(times=times, maps=maps, edges=edges)
+        flow = observer_flow(seg.a)
+        if flow is None:
+            cache: dict[float, np.ndarray] = {}
+            for k, dt in enumerate(steps[lo:hi].tolist(), start=lo + 1):
+                step = cache.get(dt)
+                if step is None:
+                    step = cache[dt] = expm(seg.a * dt)
+                np.matmul(step, maps[k - 1], out=maps[k])
+        else:
+            flow = replace(flow, coef=flow.coef @ maps[lo])
+            if seg.a.any():
+                flow.maps(times[lo + 1 : hi + 1] - times[lo], out=maps[lo + 1 : hi + 1])
+            else:
+                maps[lo + 1 : hi + 1] = maps[lo]
+        flows.append(flow)
+    return PropagatorSeries(times=times, maps=maps, edges=edges, flows=tuple(flows))
 
 
 def propagate(a, grid) -> PropagatorSeries:
@@ -140,18 +157,31 @@ def propagate_schedule(segments: Sequence[Segment], dt: float) -> PropagatorSeri
 
 
 def time_average(series: PropagatorSeries) -> AverageSeries:
-    """Running averages by the composite trapezoid rule on the stored grid.
+    """Running averages (1/T) int_0^T Phi, T = times[1:], segment by segment.
 
-    The average at T -> 0 tends to the identity by continuity; T = 0 itself
-    is excluded from the output.
+    A segment with a flow integrates it exactly; a stepped segment by the
+    composite trapezoid rule on the stored grid.  Each adds the integral up
+    to its start.  The average at T -> 0 tends to the identity by
+    continuity; T = 0 itself is excluded from the output.
     """
     times, maps = series.times, series.maps
     if times.size < 2:
         raise ValueError("series must contain at least one step beyond t=0")
-    # one buffer: trapezoid increments, then their running sums, then averages
-    averages = maps[1:] + maps[:-1]
-    averages *= (0.5 * np.diff(times))[:, None, None]
-    np.cumsum(averages, axis=0, out=averages)
+    flows = series.flows or (None,) * (len(series.edges) - 1)
+    # one buffer: integrals up to every T, then averages
+    averages = np.empty_like(maps[1:])
+    for flow, lo, hi in zip(flows, series.edges[:-1], series.edges[1:]):
+        part = averages[lo:hi]
+        if flow is None:
+            np.add(maps[lo + 1 : hi + 1], maps[lo:hi], out=part)
+            part *= (0.5 * np.diff(times[lo : hi + 1]))[:, None, None]
+            if lo:
+                part[0] += averages[lo - 1]
+            np.cumsum(part, axis=0, out=part)
+        else:
+            flow.integrals(times[lo + 1 : hi + 1] - times[lo], out=part)
+            if lo:
+                part += averages[lo - 1]
     averages /= times[1:, None, None]
     return AverageSeries(times=times[1:].copy(), averages=averages)
 
@@ -199,14 +229,24 @@ class ConvergenceReport:
 
 
 def _row_norms(stack: np.ndarray) -> np.ndarray:
-    # largest singular value per stacked row block
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+    """Largest singular value of each stacked row block, from the top eigenvalue of its Gram matrix."""
+    gram = stack @ stack.transpose(0, 2, 1)
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
 
 def convergence_diagnostics(aug: AugmentedSystem, horizon: float, dt: float) -> ConvergenceReport:
-    """Propagate ``aug`` on uniform_grid(horizon, dt) and run average_convergence."""
-    averages = time_average(propagate(aug.a_a, uniform_grid(horizon, dt)))
-    return average_convergence(aug, averages, horizon, dt)
+    """average_convergence of ``aug`` on uniform_grid(horizon, dt).
+
+    With the observer structure the averages come straight from the closed
+    form, with no maps; otherwise from time_average of propagate.
+    """
+    times = uniform_grid(horizon, dt)
+    flow = observer_flow(aug.a_a)
+    if flow is None:
+        return average_convergence(aug, time_average(propagate(aug.a_a, times)), horizon, dt)
+    averages = flow.integrals(times[1:])
+    averages /= times[1:, None, None]
+    return average_convergence(aug, AverageSeries(times=times[1:], averages=averages), horizon, dt)
 
 
 def average_convergence(

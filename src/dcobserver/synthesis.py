@@ -26,6 +26,7 @@ from .ccr import (
     realizability_residual,
     validate_beta,
 )
+from .closed_form import observer_split
 from .linalg import SpectrumReport, eigenvalues, is_positive_definite
 
 GAIN_TOL = 1e-10
@@ -201,9 +202,10 @@ def assemble_augmented(plant: PlantSpec, obs: ObserverSpec) -> AugmentedSystem:
 def certified_spectrum(aug: AugmentedSystem) -> SpectrumReport:
     """Spectrum of a_a certified from its block structure, without QR on a_a.
 
-    Every block is read from ``aug.a_a`` itself: the plant block P, the
-    couplings B (plant rows) and C (observer rows) and the observer block D.
-    By the Schur complement,
+    Every block is read from ``aug.a_a`` itself by
+    :func:`closed_form.observer_split`: the plant block P, the couplings B
+    (plant rows) and C (observer rows) and the observer block D.  By the
+    Schur complement,
 
         det(l I - a_a) = det(l I - P) det(l I - D - C (l I - P)^-1 B),
 
@@ -211,7 +213,7 @@ def certified_spectrum(aug: AugmentedSystem) -> SpectrumReport:
     defective zero never meets an eigenvalue solver.  D = 2 theta_2 R' with
     R' = -theta_2 D / 2, and for positive definite R' the matrix D is similar
     to the skew matrix 2 R'^(1/2) theta_2 R'^(1/2) (Williamson), whose
-    eigenvalues i * eigvalsh(i S) lie on the imaginary axis.  Otherwise the
+    eigenvalues i * eigh(i S) lie on the imaginary axis.  Otherwise the
     spectrum of D comes from LAPACK on the n_o block.
 
     ``max_abs_real_part`` is the largest of the structure residual
@@ -223,24 +225,18 @@ def certified_spectrum(aug: AugmentedSystem) -> SpectrumReport:
     a = aug.a_a
     if not np.all(np.isfinite(a)):
         return SpectrumReport(eigenvalues=np.full(n, np.nan, dtype=complex), max_abs_real_part=np.inf)
-    b, c, d = a[:n_p, n_p:], a[n_p:, :n_p], a[n_p:, n_p:]
-    structure = [np.max(np.abs(a[:n_p, :n_p])), np.max(np.abs(c @ b))]
-    r = -0.5 * (aug.theta_2 @ d)
-    asymmetry = float(np.max(np.abs(r - r.T)))
-    w, v = np.linalg.eigh(0.5 * (r + r.T))
-    if w[0] > 0.0:
-        half = (v * np.sqrt(w)) @ v.T
-        x = half @ aug.theta_2 @ half
+    split = observer_split(a, n_p)
+    if split.frequencies is not None:
         # purely imaginary by construction: no -0.0 real parts from 1j * w
         reduced = np.zeros(n - n_p, dtype=complex)
-        reduced.imag = np.linalg.eigvalsh(1j * (x - x.T))
+        reduced.imag = split.frequencies
         real_part = 0.0
     else:
-        report = eigenvalues(d)
+        report = eigenvalues(a[n_p:, n_p:])
         reduced, real_part = report.eigenvalues, report.max_abs_real_part
     return SpectrumReport(
         eigenvalues=np.sort(np.concatenate([np.zeros(n_p, dtype=complex), reduced])),
-        max_abs_real_part=float(np.max([*structure, asymmetry, real_part])),
+        max_abs_real_part=float(max(split.residual, real_part)),
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import mpmath
 import numpy as np
+import scipy.linalg
 
 from dcobserver import (
     SpectrumReport,
@@ -242,6 +243,43 @@ def plant_block_quadrature(t: float, aug, nodes: int = 12) -> np.ndarray:
     return np.hstack([on_xp, on_xo])
 
 
+def van_loan_integral(a, t: float) -> np.ndarray:
+    """int_0^t expm(a u) du as the top-right block of expm([[a, I], [0, 0]] t) (Van Loan, 1978).
+
+    Exact for singular ``a`` too; scipy's expm keeps it independent of the library.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = a
+    block[:n, n:] = np.eye(n)
+    return scipy.linalg.expm(block * t)[:n, n:]
+
+
+def exact_schedule(phases, times, edges, picks):
+    """Phi and int_0^t Phi at times[k] for each k >= 1 in ``picks``, composed segment by segment.
+
+    ``phases`` are (duration, aug or None for a disconnected segment) on the
+    grid ``times`` with segment i from edges[i] to edges[i + 1].  Each map is
+    closed_form_map of the segment's local time times the map at its start,
+    each integral Van Loan's block integral times that map plus the integral
+    up to the start.  Oracle for ``propagate_schedule`` and ``time_average``.
+    """
+    n = next(aug.n for _, aug in phases if aug is not None)
+    phi, integral = np.eye(n), np.zeros((n, n))
+    maps, integrals = {}, {}
+    for (_, aug), lo, hi in zip(phases, edges[:-1], edges[1:]):
+        for k in sorted({k for k in picks if lo < k <= hi} | {hi}):
+            tau = times[k] - times[lo]
+            if aug is None:
+                maps[k], integrals[k] = phi, integral + tau * phi
+            else:
+                maps[k] = closed_form_map(tau, aug) @ phi
+                integrals[k] = integral + van_loan_integral(aug.a_a, tau) @ phi
+        phi, integral = maps[hi], integrals[hi]
+    return np.array([maps[k] for k in picks]), np.array([integrals[k] for k in picks])
+
+
 def eigenvalues_mp(m, dps: int = 40) -> SpectrumReport:
     """Spectrum computed by QR iteration in ``dps``-digit arithmetic.
 
@@ -262,7 +300,8 @@ BOUNDARY_TOL = 1e-9
 def stepwise_propagate_schedule(segments, grid) -> np.ndarray:
     """Maps of ``segments`` on any ``grid`` that holds their boundaries, one step at a time.
 
-    Oracle for ``simulation.propagate_schedule`` and ``propagate``: the active
+    Oracle for the stepped segments of ``simulation.propagate_schedule`` and
+    ``propagate`` (dynamics without the observer structure): the active
     segment is found by walking the boundaries as time advances, a step that
     crosses a boundary raises, and each (segment, step size) exponential is
     computed once.
@@ -296,7 +335,7 @@ def stepwise_propagate_schedule(segments, grid) -> np.ndarray:
 def trapezoid_average(times, maps) -> np.ndarray:
     """Running trapezoid averages at times[1:], one full-size array per stage.
 
-    Oracle for ``simulation.time_average``.
+    Oracle for ``simulation.time_average`` on stepped segments.
     """
     dt = np.diff(times)
     increments = 0.5 * dt[:, None, None] * (maps[1:] + maps[:-1])

@@ -1,10 +1,12 @@
-"""Tests for the closed-form oracle of expm(a_a t) and the exponential norm bound."""
+"""Tests for the closed-form oracle of expm(a_a t), the library's closed form and the norm bound."""
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from dcobserver import exp_norm_bound, expm, make_theta
+from dcobserver import assemble_augmented, exp_norm_bound, expm, make_plant, make_theta
+from dcobserver import synthesize_observer
+from dcobserver.closed_form import observer_flow
 from helpers import (
     closed_form_map,
     closed_form_pieces,
@@ -13,6 +15,9 @@ from helpers import (
     plant_block,
     plant_block_quadrature,
     random_augmented,
+    random_beta,
+    random_output_matrix,
+    van_loan_integral,
 )
 
 
@@ -142,3 +147,33 @@ def test_exp_norm_bound_is_sharp_for_diagonal_block():
     bound = exp_norm_bound(r_o)
     assert sampled <= bound + 1e-8
     assert sampled >= bound - 1e-3
+
+
+@pytest.mark.parametrize("n_p, n_o", [(2, 2), (2, 6), (4, 2), (4, 6), (8, 4)])
+def test_observer_flow_equals_the_closed_form_oracle(n_p, n_o):
+    rng = np.random.default_rng(n_p * 10 + n_o)
+    plant = make_plant(random_beta(rng, n_p))
+    # r_o = I: every frequency equal
+    c_o = random_output_matrix(rng, n_p // 2, n_o, np.eye(n_o))
+    identity = synthesize_observer(plant, np.eye(n_o), c_o)
+    for aug in (random_augmented(rng, n_p, n_o), assemble_augmented(plant, identity)):
+        flow = observer_flow(aug.a_a)
+        assert flow.coef.shape == (n_o + 2, n_p + n_o, n_p + n_o) and flow.omega.shape == (n_o // 2,)
+        t = np.concatenate([[0.0], rng.uniform(0.0, 20.0, size=8)])
+        maps, integrals = flow.maps(t), flow.integrals(t)
+        for k, tk in enumerate(t):
+            # the bounds are the oracles' own rounding: scipy's expm of the
+            # Van Loan block loses up to 4e-13 of max|ref| at t = 20
+            for got, ref, tol in [
+                (maps[k], closed_form_map(tk, aug), 1e-13),
+                (integrals[k], van_loan_integral(aug.a_a, tk), 2e-12),
+            ]:
+                assert np.max(np.abs(got - ref)) <= tol * max(1.0, np.max(np.abs(ref)))
+
+
+def test_all_zero_dynamics_are_the_identity_flow():
+    for n in (1, 3, 4):
+        flow = observer_flow(np.zeros((n, n)))
+        t = np.array([0.0, 0.5, 7.0])
+        assert np.array_equal(flow.maps(t), np.broadcast_to(np.eye(n), (3, n, n)))
+        assert np.array_equal(flow.integrals(t), t[:, None, None] * np.eye(n))

@@ -231,12 +231,24 @@ def test_exponential_norm_bound_holds_on_samples():
 
 
 def test_import_leaves_mpmath_unloaded():
-    # extended precision is a test oracle only; the library never imports it
+    # extended precision and scipy are test oracles only; the library never
+    # imports them, and a pipeline run loads neither
     src = str(Path(dcobserver.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    script = """
+import sys, dcobserver
+loaded = lambda: " ".join(str(name in sys.modules) for name in ("mpmath", "scipy"))
+print(loaded())
+plant = dcobserver.make_plant([[1.0], [0.0]])
+observer = dcobserver.synthesize_observer(plant, [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0]])
+aug = dcobserver.assemble_augmented(plant, observer)
+dcobserver.verify_observer_conditions(aug)
+dcobserver.time_average(dcobserver.propagate(aug.a_a, dcobserver.uniform_grid(1.0, 0.1)))
+dcobserver.convergence_diagnostics(aug, horizon=1.0, dt=0.1)
+print(loaded())
+"""
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, dcobserver; print('mpmath' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["False False", "False False"]

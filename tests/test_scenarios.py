@@ -10,15 +10,18 @@ from dcobserver import (
     ConfigError,
     ScenarioConfig,
     Segment,
+    propagate_schedule,
     run_custom,
     run_measurement_sequence,
     run_one_mode,
+    time_average,
     uniform_grid,
 )
 from dcobserver import scenarios
 from dcobserver.cli import main
 from helpers import (
     csv_text,
+    exact_schedule,
     one_mode_augmented,
     random_augmented,
     stepwise_propagate_schedule,
@@ -365,6 +368,29 @@ def test_schedule_errors_name_their_segment(tmp_path, capsys):
     assert "error: segments[1].r_o:" in capsys.readouterr().err
 
 
+def test_segment_below_the_float_spacing_names_its_duration(tmp_path, capsys):
+    # 20 + 1e-20 == 20: the segment would take a step of zero length
+    config_file = tmp_path / "sequence.json"
+    config_file.write_text(
+        json.dumps(
+            {
+                "scenario": "measurement_sequence",
+                "out_dir": str(tmp_path),
+                "segments": [
+                    {"duration": 20.0, "beta": [[1], [0]], "r_o": [[1, 0], [0, 1]], "c_o": [[1, 0]]},
+                    {"duration": 1e-20, "disconnect": True},
+                    {"beta": [[0], [1]], "r_o": [[1, 0], [0, 1]], "c_o": [[0, 1]]},
+                ],
+            }
+        )
+    )
+    assert main(["--config", str(config_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: segments[1].duration: 1e-20 ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "measurement_sequence").exists()
+
+
 def test_config_rejects_unknown_fields():
     with pytest.raises(ConfigError, match="unknown"):
         ScenarioConfig.from_dict({"scenario": "one_mode", "betta": [[1], [0]]})
@@ -534,12 +560,13 @@ def test_grid_beyond_the_memory_bound_is_a_dt_error(tmp_path, capsys, dt, points
     assert not (tmp_path / "one_mode").exists()
 
 
-# the stock runs at dt = 0.01: column prefix, (duration, dynamics) per
-# segment, last map time, last average time, and the (file, row) of each figure
+# the stock runs at dt = 0.01: column prefix, (duration, system or None
+# while disconnected) per segment, last map time, last average time, and the
+# (file, row) of each figure
 _STOCK = {
     "one_mode": (
         "phi",
-        [(100.0, one_mode_augmented().a_a)],
+        [(100.0, one_mode_augmented())],
         50.0,
         100.0,
         [("fig03", 0), ("fig04", 1), ("fig05", 2), ("fig06a", 3)],
@@ -547,11 +574,7 @@ _STOCK = {
     ),
     "measurement_sequence": (
         "phit",
-        [
-            (20.0, one_mode_augmented().a_a),
-            (5.0, np.zeros((4, 4))),
-            (75.0, swapped_augmented().a_a),
-        ],
+        [(20.0, one_mode_augmented()), (5.0, None), (75.0, swapped_augmented())],
         100.0,
         100.0,
         [("fig07", 0), ("fig08", 1), ("fig09", 2), ("fig11", 3)],
@@ -561,24 +584,51 @@ _STOCK = {
 
 
 @pytest.mark.parametrize("scenario", sorted(_STOCK))
-def test_stock_csvs_equal_the_stepwise_oracle_text(tmp_path, scenario):
-    # both sides run the same float operations, so this holds on any BLAS
+def test_stock_csvs_match_the_exact_and_stepwise_oracles(tmp_path, scenario):
     prefix, phases, map_end, average_end, map_figures, average_figures = _STOCK[scenario]
     assert main(["--scenario", scenario, "--out-dir", str(tmp_path)]) == 0
-    pieces, t0 = [np.array([0.0])], 0.0
+    pieces, edges, t0 = [np.array([0.0])], [0], 0.0
     for duration, _ in phases:
         pieces.append(t0 + uniform_grid(duration, 0.01)[1:])
+        edges.append(edges[-1] + pieces[-1].size)
         t0 += duration
     times = np.concatenate(pieces)
-    maps = stepwise_propagate_schedule([Segment(a, d) for d, a in phases], times)
-    averages = trapezoid_average(times, maps)
-    for figures, col, t, data, end, suffix in [
-        (map_figures, "t", times, maps, map_end, ""),
-        (average_figures, "T", times[1:], averages, average_end, "_ave"),
+    segments = [Segment(np.zeros((4, 4)) if aug is None else aug.a_a, d) for d, aug in phases]
+    # the text is the library's series, cut to each file's rows and times
+    series = propagate_schedule(segments, 0.01)
+    assert np.array_equal(series.times, times) and series.edges == tuple(edges)
+    averages = time_average(series).averages
+    # sampled values: closed_form_map and Van Loan's integral, composed at the
+    # boundaries, within the 12-digit rounding (5e-12 of the value) plus 1e-13
+    # of max|Phi| for float64 rounding on either side
+    picks = sorted(set(range(1, times.size, 97)) | set(edges[1:]))
+    exact_maps, exact_integrals = exact_schedule(phases, times, edges, picks)
+    exact_averages = exact_integrals / times[picks][:, None, None]
+    # every value: maps within 1e-12 of max|Phi| of the stepwise oracle (its
+    # drift), averages within the trapezoid bias (dt^2 / 12) max ||a||^2 max ||Phi||
+    stepped = stepwise_propagate_schedule(segments, times)
+    trapezoid = trapezoid_average(times, stepped)
+    a_norm = max(np.linalg.norm(seg.a, 2) for seg in segments)
+    bias = 0.01**2 / 12.0 * a_norm**2 * max(np.linalg.norm(m, 2) for m in stepped)
+    for figures, col, t, data, end, suffix, exact, lag, oracle in [
+        (map_figures, "t", times, series.maps, map_end, "", exact_maps, 0, stepped),
+        (average_figures, "T", times[1:], averages, average_end, "_ave", exact_averages, 1, trapezoid),
     ]:
         keep = t <= end
+        rows = [i for i, k in enumerate(picks) if keep[k - lag]]
+        scale = np.max(np.abs(exact[rows]), axis=(1, 2))[:, None]
+        drift = 1e-12 * np.max(np.abs(oracle[keep]), axis=(1, 2))[:, None]
         for tag, row in figures:
             header = [col] + [f"{prefix}_{row + 1}{j + 1}{suffix}" for j in range(4)]
             table = np.column_stack([t[keep], data[keep, row, :]])
             written = (tmp_path / scenario / f"{tag}.csv").read_bytes()
             assert written == csv_text(header, table).encode(), tag
+            lines = written.decode().splitlines()[1:]
+            values = np.array([line.split(",") for line in lines], dtype=float)[:, 1:]
+            got, ref = values[[picks[i] - lag for i in rows]], exact[rows, row, :]
+            assert np.all(np.abs(got - ref) <= 5e-12 * np.abs(ref) + 1e-13 * scale), tag
+            reference = oracle[keep, row, :]
+            if lag:
+                assert np.max(np.abs(values - reference)) <= bias, tag
+            else:
+                assert np.all(np.abs(values - reference) <= 5e-12 * np.abs(reference) + drift), tag

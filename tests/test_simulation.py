@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
 from dcobserver import (
     ObserverSpec,
@@ -15,15 +16,23 @@ from dcobserver import (
     make_theta,
     propagate,
     propagate_schedule,
+    synthesize_observer,
     time_average,
     uniform_grid,
 )
-from dcobserver.simulation import MONITOR_SLICE, average_convergence
+from dcobserver.closed_form import observer_flow
+from dcobserver.simulation import MONITOR_SLICE, _row_norms, average_convergence
 from helpers import (
     exact_propagator_average,
+    exact_schedule,
     invariant_residuals,
     one_mode_augmented,
+    plant_block_quadrature,
     random_augmented,
+    random_beta,
+    random_output_matrix,
+    random_realizable,
+    random_spd,
     stepwise_propagate_schedule,
     swapped_augmented,
     trapezoid_average,
@@ -151,22 +160,43 @@ def test_schedule_rejects_empty_and_misspanned():
         propagate_schedule([], 0.1)
 
 
-def random_schedule(seed, n_p, n_o):
-    """Coupled, disconnected, coupled: two random observers of one plant size."""
+def broken_dynamics(kind, rng, n_p=2, n_o=4):
+    """Observer-sized dynamics that fail the certificate, and certified dynamics of the same size."""
+    aug = random_augmented(rng, n_p, n_o)
+    a = aug.a_a.copy()
+    if kind == "coupling":  # C B != 0
+        a[n_p:, :n_p] += 0.1 * rng.normal(size=(n_o, n_p))
+    elif kind == "indefinite":  # R' = diag(1, -1, ...)
+        a[n_p:, n_p:] = 2.0 * make_theta(n_o // 2).theta @ np.diag([1.0, -1.0] * (n_o // 2))
+    elif kind == "asymmetric":  # R' != R'.T
+        a[n_p, n_p + 2] += 1e-3
+    elif kind == "generic":  # realizable, with a non-zero leading 2 x 2 block
+        a = random_realizable(rng, (n_p + n_o) // 2)[0]
+    elif kind == "odd":  # a one-dimensional observer block
+        return np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 2.0, 0.0]]), np.zeros((3, 3))
+    elif kind == "identity":
+        return np.eye(2), 2.0 * make_theta(1).theta
+    return a, aug.a_a
+
+
+def broken_schedule(seed, n_p, n_o):
+    """Three segments of observer-sized dynamics that each fail the certificate."""
     rng = np.random.default_rng(seed)
-    first, second = random_augmented(rng, n_p, n_o), random_augmented(rng, n_p, n_o)
-    n = n_p + n_o
-    return [Segment(first.a_a, 1.0), Segment(np.zeros((n, n)), 0.5), Segment(second.a_a, 1.5)]
+    kinds = [("indefinite", 1.0), ("generic", 0.5), ("coupling", 1.5)]
+    return [Segment(broken_dynamics(kind, rng, n_p, n_o)[0], d) for kind, d in kinds]
 
 
 @pytest.mark.parametrize("n_p, n_o, seed", [(2, 4, 0), (4, 2, 1), (2, 6, 2), (6, 4, 3)])
 def test_schedule_and_averages_equal_the_stepwise_oracles(n_p, n_o, seed):
-    # at dt = 0.013 the steps of the three segments differ in their last bits;
-    # at dt = 0.7 the 0.5 disconnected segment takes a single step
-    segments = random_schedule(seed, n_p, n_o)
+    # dynamics without the observer structure step as they always did: at
+    # dt = 0.013 the steps of the three segments differ in their last bits;
+    # at dt = 0.7 the 0.5 middle segment takes a single step
+    segments = broken_schedule(seed, n_p, n_o)
+    assert all(observer_flow(seg.a) is None for seg in segments)
     for dt in (0.01, 0.013, 0.7):
         series = propagate_schedule(segments, dt)
         grid = series.times
+        assert series.flows == (None, None, None)
         assert np.array_equal(series.maps, stepwise_propagate_schedule(segments, grid)), dt
         averages = time_average(series)
         assert np.array_equal(averages.times, grid[1:]), dt
@@ -183,6 +213,100 @@ def test_schedule_and_averages_equal_the_stepwise_oracles(n_p, n_o, seed):
         oracle = stepwise_propagate_schedule([Segment(a, float(grid[-1]))], grid)
         assert np.array_equal(single.maps, oracle), name
         assert np.array_equal(time_average(single).averages, trapezoid_average(grid, oracle)), name
+
+
+@pytest.mark.parametrize("n_p, n_o, seed", [(2, 4, 0), (4, 2, 1), (2, 6, 2), (6, 4, 3), (4, 4, 4)])
+def test_certified_schedule_matches_the_exact_oracles(n_p, n_o, seed):
+    # coupled, disconnected, then an observer with r_o = I, whose frequencies
+    # are all equal
+    rng = np.random.default_rng(seed)
+    first = random_augmented(rng, n_p, n_o)
+    plant = make_plant(random_beta(rng, n_p))
+    c_o = random_output_matrix(rng, n_p // 2, n_o, np.eye(n_o))
+    degenerate = assemble_augmented(plant, synthesize_observer(plant, np.eye(n_o), c_o))
+    phases = [(1.0, first), (0.5, None), (1.5, degenerate)]
+    n = n_p + n_o
+    segments = [Segment(np.zeros((n, n)) if aug is None else aug.a_a, d) for d, aug in phases]
+    dt = 0.01
+    series = propagate_schedule(segments, dt)
+    averages = time_average(series)
+    times, maps, edges = series.times, series.maps, series.edges
+    assert all(flow is not None for flow in series.flows)
+
+    picks = list(range(1, times.size))
+    exact_maps, exact_integrals = exact_schedule(phases, times, edges, picks)
+    assert np.max(np.abs(maps[1:] - exact_maps)) <= 1e-12
+    assert np.max(np.abs(averages.averages - exact_integrals / times[1:, None, None])) <= 1e-12
+
+    # the stepwise oracle drifts, and the trapezoid rule is off by at most
+    # (dt^2 / 12) max ||a||^2 max ||Phi||
+    stepped = stepwise_propagate_schedule(segments, times)
+    assert np.max(np.abs(maps - stepped)) <= 1e-10
+    a_norm = max(np.linalg.norm(seg.a, 2) for seg in segments)
+    bias = dt**2 / 12.0 * a_norm**2 * max(np.linalg.norm(m, 2) for m in maps)
+    assert np.max(np.abs(averages.averages - trapezoid_average(times, maps))) <= bias
+
+    # the disconnected segment holds the map at its start, bit for bit
+    lo, hi = edges[1], edges[2]
+    held = maps[lo : hi + 1].view(np.uint64)
+    assert np.array_equal(held, np.broadcast_to(held[0], held.shape))
+    # each observer freezes its plant output rows
+    for (_, aug), lo, hi in zip(phases, edges[:-1], edges[1:]):
+        if aug is not None:
+            rows = aug.plant_output @ maps[lo : hi + 1]
+            assert np.max(np.abs(rows - rows[0])) <= 1e-12
+    # plant rows against the Gauss-Legendre integral representation, and the
+    # observer block of the averages against inv(b) (expm(b T) - I) / T
+    b = 2.0 * first.theta_2 @ first.observer.r_o
+    for k in (37, 100):
+        quadrature = plant_block_quadrature(times[k], first)
+        assert np.max(np.abs(maps[k, :n_p] - quadrature)) <= 1e-10
+        observer = averages.averages[k - 1, n_p:, n_p:]
+        assert np.max(np.abs(observer - exact_propagator_average(b, times[k]))) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["coupling", "indefinite", "asymmetric", "generic", "odd", "identity"])
+def test_broken_certificate_steps_with_the_same_errors(kind):
+    a, certified = broken_dynamics(kind, np.random.default_rng(71))
+    assert observer_flow(a) is None and observer_flow(certified) is not None
+    grid = uniform_grid(2.0, 0.01)
+    series = propagate(a, grid)
+    assert series.flows == (None,)
+    assert np.array_equal(series.maps, stepwise_propagate_schedule([Segment(a, 2.0)], grid))
+    assert np.array_equal(time_average(series).averages, trapezoid_average(grid, series.maps))
+    for bad in (np.array([0.0, 1.0, 1.0]), np.array([0.5, 1.0]), np.array([0.0])):
+        messages = []
+        for dynamics in (a, certified):
+            with pytest.raises(ValueError) as excinfo:
+                propagate(dynamics, bad)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("identity", [False, True])
+def test_observer_block_alone_is_taken_in_closed_form(identity):
+    # n_p = 0: the dynamics 2 theta_2 r_o of the observer on its own
+    rng = np.random.default_rng(61)
+    r_o = np.eye(4) if identity else random_spd(rng, 4)
+    b = 2.0 * make_theta(2).theta @ r_o
+    series = propagate(b, uniform_grid(10.0, 0.01))
+    assert series.flows[0] is not None
+    for k in (0, 1, 457, 1000):
+        assert np.max(np.abs(series.maps[k] - scipy_expm(b * series.times[k]))) <= 1e-12
+    averages = time_average(series)
+    assert np.max(np.abs(averages.averages[-1] - exact_propagator_average(b, 10.0))) <= 1e-12
+
+
+@pytest.mark.parametrize("m_p", [1, 2, 3])
+def test_row_norms_equal_the_largest_singular_value(m_p):
+    rng = np.random.default_rng(m_p)
+    stack = rng.normal(size=(500, m_p, 8))
+    stack[::5, -1] = stack[::5, 0]  # repeated rows: rank deficient
+    stack[1::5] *= 1e-3
+    stack[2::5, :] = 0.0
+    expected = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    got = _row_norms(stack)
+    assert np.all(np.abs(got - expected) <= 1e-14 * expected)
 
 
 def test_time_average_of_identity_series():
@@ -226,9 +350,10 @@ def test_trapezoid_averages_converge_at_second_order():
     exact = 1 - np.sin(20.0) / 20.0
     errors = []
     for dt in (0.02, 0.01):
-        averages = time_average(propagate(aug.a_a, uniform_grid(10.0, dt)))
-        k = int(np.argmin(np.abs(averages.times - 10.0)))
-        errors.append(abs(averages.averages[k, 2, 0] - exact))
+        series = propagate(aug.a_a, uniform_grid(10.0, dt))
+        averages = trapezoid_average(series.times, series.maps)
+        k = int(np.argmin(np.abs(series.times[1:] - 10.0)))
+        errors.append(abs(averages[k, 2, 0] - exact))
     assert 3.5 <= errors[0] / errors[1] <= 4.5
 
 
