@@ -13,7 +13,6 @@ from .linalg import (
     DefinitenessReport,
     SpectrumReport,
     eigenvalues,
-    expm,
     is_positive_definite,
     spectral_norm,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "convergence_diagnostics",
     "eigenvalues",
     "exp_norm_bound",
-    "expm",
     "invariant_monitor",
     "is_positive_definite",
     "make_plant",

@@ -4,14 +4,14 @@ A dynamics matrix a = [[P, B], [C, D]] split at a plant size n_p has the
 observer structure when P = 0, C B = 0 and D = 2 theta_2 R' with R' symmetric
 positive definite.  Then C x_p is constant and, exactly,
 
-    expm(a t) = I - L R + t F_1 + L expm(D t) R,
+    exp(a t) = I - L R + t F_1 + L exp(D t) R,
 
 with L = [B inv(D); I], R = [inv(D) C, I] and F_1 zero except for
 -B inv(D) C in its plant block.  D is similar to the skew matrix
 S = 2 R'^(1/2) theta_2 R'^(1/2) (Williamson), and i S is Hermitian with
-eigenvalues +-w_j, so expm(a t) is a fixed real combination of the basis
+eigenvalues +-w_j, so exp(a t) is a fixed real combination of the basis
 {1, t, cos w_j t, sin w_j t}: one matrix product evaluates it at every t,
-and the same coefficients on the integrated basis give int_0^t expm(a u) du.
+and the same coefficients on the integrated basis give int_0^t exp(a u) du.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def exp_norm_bound(r_o) -> float:
     """sqrt(lambda_max / lambda_min) of a positive definite r_o.
 
     Conservation of (1/2) x.T r_o x along x' = 2 theta_2 r_o x makes this an
-    upper bound for ||expm(2 theta_2 r_o t)|| at every t.
+    upper bound for ||exp(2 theta_2 r_o t)|| at every t.
     """
     report = is_positive_definite(np.asarray(r_o, dtype=float))
     if not report.positive_definite:
@@ -45,16 +45,17 @@ class ObserverSplit:
     """How far ``a`` split at a plant size misses the observer structure, and its Williamson form.
 
     ``plant``, ``coupling`` and ``asymmetry`` are max|P|, max|C B| and
-    max|R' - R'.T| with R' = -theta_2 D / 2; ``scale`` is max|a|.  When R'
-    (symmetrized) is positive definite, ``half`` is R'^(1/2) and
-    ``frequencies``, ``vectors`` are ``eigh`` of i S, the frequencies
-    ascending in +- pairs; otherwise all three are None.
+    max|R' - R'.T| with R' = -theta_2 D / 2; ``scale`` is max|a| and
+    ``lambda_min`` the smallest eigenvalue of R' (symmetrized).  When that is
+    positive, ``half`` is R'^(1/2) and ``frequencies``, ``vectors`` are ``eigh``
+    of i S, the frequencies ascending in +- pairs; otherwise all are None.
     """
 
     plant: float
     coupling: float
     asymmetry: float
     scale: float
+    lambda_min: float
     half: np.ndarray | None
     frequencies: np.ndarray | None
     vectors: np.ndarray | None
@@ -63,15 +64,6 @@ class ObserverSplit:
     def residual(self) -> float:
         """max(|P|, |C B|, |R' - R'.T|): zero for the exact observer structure."""
         return max(self.plant, self.coupling, self.asymmetry)
-
-    @property
-    def certified(self) -> bool:
-        """Whether expm(a t) may be taken in closed form."""
-        return (
-            self.half is not None
-            and max(self.plant, self.asymmetry) <= STRUCTURE_TOL * self.scale
-            and self.coupling <= STRUCTURE_TOL * self.scale**2
-        )
 
 
 def observer_split(a: np.ndarray, n_p: int) -> ObserverSplit:
@@ -87,10 +79,10 @@ def observer_split(a: np.ndarray, n_p: int) -> ObserverSplit:
     )
     w, v = np.linalg.eigh(0.5 * (r + r.T))
     if not w[0] > 0.0:
-        return ObserverSplit(*residuals, None, None, None)
+        return ObserverSplit(*residuals, float(w[0]), None, None, None)
     half = (v * np.sqrt(w)) @ v.T
     x = half @ theta_2 @ half
-    return ObserverSplit(*residuals, half, *np.linalg.eigh(1j * (x - x.T)))
+    return ObserverSplit(*residuals, float(w[0]), half, *np.linalg.eigh(1j * (x - x.T)))
 
 
 @dataclass(frozen=True)
@@ -126,22 +118,32 @@ class Flow:
         return self._evaluate([t, 0.5 * t * t, *of_cos.T, *of_sin.T], out)
 
 
-def observer_flow(a: np.ndarray) -> Flow | None:
-    """expm(a t) in closed form, or None when ``a`` lacks the observer structure.
+def observer_flow(a: np.ndarray) -> Flow:
+    """exp(a t) in closed form.
 
     The plant size n_p is the largest even k with a[:k, :k] == 0 exactly; an
     all-zero ``a`` is the identity flow.  For an assembled a_a, n_p is the
     plant: the leading 2 x 2 block of D is 2 J R'[:2, :2], which is non-zero.
+    So P = 0 exactly; any other fault raises a ValueError naming its block:
+    an odd observer block, R' not positive definite (with lambda_min), or
+    max|R' - R'.T| or max|C B| with its value and bound.
     """
     n = a.shape[0]
     if not a.any():
         return Flow(omega=np.zeros(0), coef=np.stack([np.eye(n), np.zeros((n, n))]))
     n_p = max(k for k in range(0, n + 1, 2) if not a[:k, :k].any())
     if (n - n_p) % 2:
-        return None
+        raise ValueError(f"observer block a[{n_p}:, {n_p}:] has odd size {n - n_p}")
     split = observer_split(a, n_p)
-    if not split.certified:
-        return None
+    if split.half is None:
+        raise ValueError(f"R' is not positive definite (lambda_min = {split.lambda_min:.3e})")
+    tol = STRUCTURE_TOL * split.scale
+    for name, value, bound in (
+        ("max|R' - R'.T|", split.asymmetry, tol),
+        ("max|C B|", split.coupling, tol * split.scale),
+    ):
+        if not value <= bound:
+            raise ValueError(f"{name} = {value:.3e} exceeds {bound:.3e}")
     b, c, d = a[:n_p, n_p:], a[n_p:, :n_p], a[n_p:, n_p:]
     n_o = n - n_p
     eye_o = np.eye(n_o)
@@ -149,7 +151,7 @@ def observer_flow(a: np.ndarray) -> Flow | None:
     right = np.hstack([np.linalg.solve(d, c), eye_o])  # R = [inv(D) C, I]
     secular = np.zeros((n, n))
     secular[:n_p, :n_p] = -(left[:n_p] @ c)
-    # expm(S t) = sum over w_j > 0 of 2 Re(u_j u_j^* e^{-i w_j t}), u_j of eigh(i S)
+    # exp(S t) = sum over w_j > 0 of 2 Re(u_j u_j^* e^{-i w_j t}), u_j of eigh(i S)
     pos = split.vectors[:, n_o // 2 :]
     half_inv = np.linalg.inv(split.half)
     p = left @ (half_inv @ pos)

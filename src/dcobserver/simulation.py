@@ -9,7 +9,7 @@ import numpy as np
 
 from .ccr import CommutationStructure
 from .closed_form import Flow, exp_norm_bound, observer_flow
-from .linalg import expm, spectral_norm
+from .linalg import spectral_norm
 from .synthesis import AugmentedSystem
 
 # maps per slice of the invariant monitor: its temporaries stay at two slices
@@ -31,8 +31,8 @@ class Segment:
             raise ValueError(f"segment dynamics must be square, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("segment dynamics contain non-finite entries")
-        if not self.duration > 0:
-            raise ValueError(f"segment duration must be positive, got {self.duration}")
+        if not 0 < self.duration < np.inf:
+            raise ValueError(f"segment duration must be positive and finite, got {self.duration}")
         object.__setattr__(self, "a", a)
 
 
@@ -42,14 +42,14 @@ class PropagatorSeries:
 
     Segment i of the schedule runs from times[edges[i]] to times[edges[i + 1]].
     ``flows[i]`` gives its maps as a function of the time since that start
-    (the closed form right-multiplied by the map there), or is None where the
-    segment was stepped; an empty ``flows`` means every segment was stepped.
+    (the closed form right-multiplied by the map there).  A series built by
+    hand, such as a slice of another, may carry no flows.
     """
 
     times: np.ndarray
     maps: np.ndarray
     edges: tuple[int, ...]
-    flows: tuple[Flow | None, ...] = ()
+    flows: tuple[Flow, ...] = ()
 
     @property
     def dim(self) -> int:
@@ -90,54 +90,50 @@ def _grid(durations, dt: float) -> tuple[np.ndarray, tuple[int, ...]]:
 
 def uniform_grid(t_end: float, dt: float) -> np.ndarray:
     """Uniform grid over [0, t_end], the step adjusted to hit t_end: a one-segment schedule's grid."""
-    if t_end <= 0 or dt <= 0 or dt > t_end:
-        raise ValueError(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
+    if not 0 < t_end < np.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    if not 0 < dt <= t_end:
+        raise ValueError(f"dt must be positive and at most t_end, got dt={dt}, t_end={t_end}")
     return _grid([t_end], dt)[0]
 
 
-def _compose(segments: Sequence[Segment], times: np.ndarray, edges) -> PropagatorSeries:
-    """Left-composed maps on ``times``, segment i running from edges[i] to edges[i + 1].
+def _compose(flows: Sequence[Flow], times: np.ndarray, edges) -> PropagatorSeries:
+    """Left-composed maps on ``times``, flow i running from edges[i] to edges[i + 1].
 
-    A segment with the observer structure (closed_form.observer_flow) is
-    evaluated in closed form: its coefficients are right-multiplied by the
-    map at its start, then one matrix product gives all its maps.  A zero
-    segment holds that map.  Any other segment steps: one matrix exponential
-    per distinct step size, each map expm(a dt) @ the previous one.
+    Each flow's coefficients are right-multiplied by the map at its start,
+    then one matrix product gives all its maps; a constant flow (zero
+    dynamics) holds that map.
     """
-    steps = np.diff(times)
-    if np.any(steps <= 0):
+    if not np.all(np.diff(times) > 0):
         raise ValueError("grid must be strictly increasing")
-    n = segments[0].a.shape[0]
+    n = flows[0].coef.shape[1]
     maps = np.empty((times.size, n, n))
     maps[0] = np.eye(n)
-    flows = []
-    for seg, lo, hi in zip(segments, edges[:-1], edges[1:]):
-        flow = observer_flow(seg.a)
-        if flow is None:
-            cache: dict[float, np.ndarray] = {}
-            for k, dt in enumerate(steps[lo:hi].tolist(), start=lo + 1):
-                step = cache.get(dt)
-                if step is None:
-                    step = cache[dt] = expm(seg.a * dt)
-                np.matmul(step, maps[k - 1], out=maps[k])
+    composed = []
+    for flow, lo, hi in zip(flows, edges[:-1], edges[1:]):
+        moving = flow.coef[1:].any()
+        flow = replace(flow, coef=flow.coef @ maps[lo])
+        if moving:
+            flow.maps(times[lo + 1 : hi + 1] - times[lo], out=maps[lo + 1 : hi + 1])
         else:
-            flow = replace(flow, coef=flow.coef @ maps[lo])
-            if seg.a.any():
-                flow.maps(times[lo + 1 : hi + 1] - times[lo], out=maps[lo + 1 : hi + 1])
-            else:
-                maps[lo + 1 : hi + 1] = maps[lo]
-        flows.append(flow)
-    return PropagatorSeries(times=times, maps=maps, edges=edges, flows=tuple(flows))
+            maps[lo + 1 : hi + 1] = maps[lo]
+        composed.append(flow)
+    return PropagatorSeries(times=times, maps=maps, edges=edges, flows=tuple(composed))
 
 
 def propagate(a, grid) -> PropagatorSeries:
-    """Transition matrices expm(a t_k) on ``grid``: a schedule of one segment."""
+    """Transition matrices exp(a t_k) on ``grid``: a schedule of one segment."""
     times = np.asarray(grid, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("grid must be a 1-D sequence with at least two points")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("grid contains non-finite times")
     if times[0] != 0.0:
         raise ValueError(f"grid must start at 0, got {times[0]}")
-    return _compose([Segment(a=a, duration=float(times[-1]))], times, (0, times.size - 1))
+    if not np.all(np.diff(times) > 0):
+        raise ValueError("grid must be strictly increasing")
+    flow = observer_flow(Segment(a=a, duration=float(times[-1])).a)
+    return _compose([flow], times, (0, times.size - 1))
 
 
 def propagate_schedule(segments: Sequence[Segment], dt: float) -> PropagatorSeries:
@@ -145,43 +141,45 @@ def propagate_schedule(segments: Sequence[Segment], dt: float) -> PropagatorSeri
 
     Each segment takes max(1, round(duration / dt)) equal steps and ends
     exactly on its boundary; ``edges`` of the series indexes the boundaries.
+    Every segment must have the observer structure; the error of one that
+    lacks it starts with ``segments[i]: ``.
     """
     if not segments:
         raise ValueError("empty schedule")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     n = segments[0].a.shape[0]
     if any(seg.a.shape != (n, n) for seg in segments):
         raise ValueError("all segments must share the same dimension")
-    return _compose(segments, *_grid([seg.duration for seg in segments], dt))
+    flows = []
+    for i, seg in enumerate(segments):
+        try:
+            flows.append(observer_flow(seg.a))
+        except ValueError as exc:
+            raise ValueError(f"segments[{i}]: {exc}") from None
+    return _compose(flows, *_grid([seg.duration for seg in segments], dt))
 
 
 def time_average(series: PropagatorSeries) -> AverageSeries:
     """Running averages (1/T) int_0^T Phi, T = times[1:], segment by segment.
 
-    A segment with a flow integrates it exactly; a stepped segment by the
-    composite trapezoid rule on the stored grid.  Each adds the integral up
-    to its start.  The average at T -> 0 tends to the identity by
-    continuity; T = 0 itself is excluded from the output.
+    Each segment integrates its flow exactly and adds the integral up to its
+    start.  The average at T -> 0 tends to the identity by continuity; T = 0
+    itself is excluded from the output.  The series needs one flow per
+    segment, as propagate and propagate_schedule return it.
     """
-    times, maps = series.times, series.maps
+    times, maps, flows = series.times, series.maps, series.flows
     if times.size < 2:
         raise ValueError("series must contain at least one step beyond t=0")
-    flows = series.flows or (None,) * (len(series.edges) - 1)
+    if len(flows) != len(series.edges) - 1:
+        raise ValueError(f"series has {len(flows)} flows for {len(series.edges) - 1} segments")
     # one buffer: integrals up to every T, then averages
     averages = np.empty_like(maps[1:])
     for flow, lo, hi in zip(flows, series.edges[:-1], series.edges[1:]):
         part = averages[lo:hi]
-        if flow is None:
-            np.add(maps[lo + 1 : hi + 1], maps[lo:hi], out=part)
-            part *= (0.5 * np.diff(times[lo : hi + 1]))[:, None, None]
-            if lo:
-                part[0] += averages[lo - 1]
-            np.cumsum(part, axis=0, out=part)
-        else:
-            flow.integrals(times[lo + 1 : hi + 1] - times[lo], out=part)
-            if lo:
-                part += averages[lo - 1]
+        flow.integrals(times[lo + 1 : hi + 1] - times[lo], out=part)
+        if lo:
+            part += averages[lo - 1]
     averages /= times[1:, None, None]
     return AverageSeries(times=times[1:].copy(), averages=averages)
 
@@ -237,14 +235,10 @@ def _row_norms(stack: np.ndarray) -> np.ndarray:
 def convergence_diagnostics(aug: AugmentedSystem, horizon: float, dt: float) -> ConvergenceReport:
     """average_convergence of ``aug`` on uniform_grid(horizon, dt).
 
-    With the observer structure the averages come straight from the closed
-    form, with no maps; otherwise from time_average of propagate.
+    The averages come straight from the closed form, with no maps.
     """
     times = uniform_grid(horizon, dt)
-    flow = observer_flow(aug.a_a)
-    if flow is None:
-        return average_convergence(aug, time_average(propagate(aug.a_a, times)), horizon, dt)
-    averages = flow.integrals(times[1:])
+    averages = observer_flow(aug.a_a).integrals(times[1:])
     averages /= times[1:, None, None]
     return average_convergence(aug, AverageSeries(times=times[1:], averages=averages), horizon, dt)
 

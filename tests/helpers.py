@@ -13,11 +13,11 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 import scipy.linalg
+from scipy.linalg import expm
 
 from dcobserver import (
     SpectrumReport,
     assemble_augmented,
-    expm,
     make_plant,
     make_theta,
     synthesize_observer,
@@ -300,11 +300,10 @@ BOUNDARY_TOL = 1e-9
 def stepwise_propagate_schedule(segments, grid) -> np.ndarray:
     """Maps of ``segments`` on any ``grid`` that holds their boundaries, one step at a time.
 
-    Oracle for the stepped segments of ``simulation.propagate_schedule`` and
-    ``propagate`` (dynamics without the observer structure): the active
-    segment is found by walking the boundaries as time advances, a step that
-    crosses a boundary raises, and each (segment, step size) exponential is
-    computed once.
+    A propagator independent of the closed form, with scipy's expm: the
+    active segment is found by walking the boundaries as time advances, a
+    step that crosses a boundary raises, and each (segment, step size)
+    exponential is computed once.  Its maps drift by rounding, step by step.
     """
     times = np.asarray(grid, dtype=float)
     n = segments[0].a.shape[0]
@@ -335,7 +334,7 @@ def stepwise_propagate_schedule(segments, grid) -> np.ndarray:
 def trapezoid_average(times, maps) -> np.ndarray:
     """Running trapezoid averages at times[1:], one full-size array per stage.
 
-    Oracle for ``simulation.time_average`` on stepped segments.
+    A second-order check on ``simulation.time_average``, whose averages are exact.
     """
     dt = np.diff(times)
     increments = 0.5 * dt[:, None, None] * (maps[1:] + maps[:-1])

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from dcobserver import PlantSpec, expm, make_theta, realizability_residual, validate_beta
+from dcobserver import PlantSpec, make_theta, realizability_residual, validate_beta
 from helpers import (
     A_ONE_MODE,
     R_ONE_MODE,

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
-from dcobserver import assemble_augmented, exp_norm_bound, expm, make_plant, make_theta
+from dcobserver import assemble_augmented, exp_norm_bound, make_plant, make_theta
 from dcobserver import synthesize_observer
 from dcobserver.closed_form import observer_flow
 from helpers import (

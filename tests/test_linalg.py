@@ -7,122 +7,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import dcobserver
 from dcobserver import (
     eigenvalues,
     exp_norm_bound,
-    expm,
     is_positive_definite,
     make_theta,
     propagate,
     spectral_norm,
     uniform_grid,
 )
-from helpers import A_ONE_MODE, A_SWAPPED, eigenvalues_mp, one_mode_augmented, random_spd
+from helpers import A_ONE_MODE, eigenvalues_mp, one_mode_augmented, random_spd
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def rotation(t):
+    # exp(2 J t)
     return np.array(
         [[np.cos(2 * t), np.sin(2 * t)], [-np.sin(2 * t), np.cos(2 * t)]]
     )
-
-
-def expm_series(m, terms=60):
-    # brute-force Taylor sum, usable as an oracle for small norms
-    out = np.eye(m.shape[0])
-    term = np.eye(m.shape[0])
-    for k in range(1, terms):
-        term = term @ m / k
-        out = out + term
-    return out
-
-
-def test_expm_zero_is_identity():
-    assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
-
-
-def test_expm_zero_time_swapped_dynamics():
-    assert np.array_equal(expm(A_SWAPPED * 0.0), np.eye(4))
-
-
-@pytest.mark.parametrize("t", [0.0, 0.25, 1.0, 3.9, 12.9])
-def test_expm_matches_rotation_closed_form(t):
-    assert np.max(np.abs(expm(2 * J * t) - rotation(t))) <= 1e-13
-
-
-def test_expm_matches_taylor_series_oracle():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        n = int(rng.integers(1, 7))
-        m = rng.normal(size=(n, n))
-        m *= 0.8 / max(1.0, np.linalg.norm(m, 1))
-        assert np.max(np.abs(expm(m) - expm_series(m))) <= 1e-13
-
-
-def test_expm_matches_scipy_on_generic_matrices():
-    rng = np.random.default_rng(11)
-    for _ in range(40):
-        n = int(rng.integers(1, 9))
-        m = rng.normal(size=(n, n)) * rng.uniform(0.1, 5.0)
-        ours, ref = expm(m), sla.expm(m)
-        assert np.max(np.abs(ours - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
-
-
-def test_expm_precision_on_bounded_flows():
-    # realizable dynamics with positive definite Hamiltonian have uniformly
-    # bounded exponentials, the regime the 1e-12 accuracy claim refers to
-    import mpmath as mp
-
-    rng = np.random.default_rng(17)
-    for _ in range(8):
-        n_modes = int(rng.integers(1, 4))
-        theta = make_theta(n_modes).theta
-        a = 2.0 * theta @ random_spd(rng, 2 * n_modes)
-        a *= rng.uniform(1.0, 100.0) / np.linalg.norm(a, 2)
-        ours = expm(a)
-        with mp.workdps(40):
-            ref = mp.expm(mp.matrix(a.tolist()))
-            truth = np.array(
-                [[float(ref[i, j]) for j in range(a.shape[0])] for i in range(a.shape[0])]
-            )
-        assert np.max(np.abs(ours - truth)) <= 1e-12 * np.max(np.abs(truth))
-
-
-@given(seed=st.integers(0, 10_000))
-@settings(max_examples=40, deadline=None)
-def test_expm_inverse_property(seed):
-    rng = np.random.default_rng(seed)
-    n_modes = int(rng.integers(1, 5))
-    theta = make_theta(n_modes).theta
-    a = 2.0 * theta @ random_spd(rng, 2 * n_modes)
-    a *= rng.uniform(0.1, 10.0) / np.linalg.norm(a, 2)
-    assert np.max(np.abs(expm(a) @ expm(-a) - np.eye(a.shape[0]))) <= 1e-10
-
-
-@given(
-    seed=st.integers(0, 10_000),
-    s=st.floats(0.0, 5.0, allow_nan=False),
-    t=st.floats(0.0, 5.0, allow_nan=False),
-)
-@settings(max_examples=40, deadline=None)
-def test_expm_semigroup_property(seed, s, t):
-    rng = np.random.default_rng(seed)
-    n_modes = int(rng.integers(1, 5))
-    theta = make_theta(n_modes).theta
-    a = 2.0 * theta @ random_spd(rng, 2 * n_modes)
-    assert np.max(np.abs(expm(a * (s + t)) - expm(a * s) @ expm(a * t))) <= 1e-10
-
-
-@pytest.mark.parametrize("bad", [np.ones((2, 3)), np.array([[1.0, np.nan], [0.0, 1.0]])])
-def test_expm_rejects_invalid_input(bad):
-    with pytest.raises(ValueError):
-        expm(bad)
 
 
 def leverrier_char_poly(m):
@@ -208,7 +113,7 @@ def test_spectral_norm_examples():
     assert spectral_norm(np.eye(4)) == pytest.approx(1.0)
     assert spectral_norm(2 * J) == pytest.approx(2.0)
     for t in (0.1, 1.0, 7.0):
-        assert spectral_norm(expm(2 * J * t)) == pytest.approx(1.0, abs=1e-12)
+        assert spectral_norm(rotation(t)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spectral_norm_against_gram_eigenvalue_oracle():

@@ -1,8 +1,10 @@
 """Tests for grid propagation, running averages and diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
-from scipy.linalg import expm as scipy_expm
+from scipy.linalg import expm
 
 from dcobserver import (
     ObserverSpec,
@@ -10,7 +12,6 @@ from dcobserver import (
     Segment,
     assemble_augmented,
     convergence_diagnostics,
-    expm,
     invariant_monitor,
     make_plant,
     make_theta,
@@ -109,6 +110,35 @@ def test_propagate_rejects_bad_grids():
         propagate(a, np.array([0.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         propagate(a, np.array([0.5, 1.0]))
+    # a NaN step fails no comparison, and a step to inf is positive
+    for grid in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [0.0, -np.inf, 1.0], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="non-finite"):
+            propagate(one_mode_augmented().a_a, np.array(grid))
+
+
+ZERO_SEGMENT = [Segment(np.zeros((2, 2)), 1.0)]
+
+
+@pytest.mark.parametrize(
+    "build, args, field",
+    [
+        pytest.param(uniform_grid, (10.0, np.nan), "dt", id="uniform_grid-dt-nan"),
+        pytest.param(uniform_grid, (10.0, np.inf), "dt", id="uniform_grid-dt-inf"),
+        pytest.param(uniform_grid, (np.nan, 0.1), "t_end", id="uniform_grid-t_end-nan"),
+        pytest.param(uniform_grid, (np.inf, 0.1), "t_end", id="uniform_grid-t_end-inf"),
+        pytest.param(Segment, (np.zeros((2, 2)), np.nan), "duration", id="Segment-duration-nan"),
+        pytest.param(Segment, (np.zeros((2, 2)), np.inf), "duration", id="Segment-duration-inf"),
+        pytest.param(propagate_schedule, (ZERO_SEGMENT, np.nan), "dt", id="propagate_schedule-dt-nan"),
+        pytest.param(propagate_schedule, (ZERO_SEGMENT, np.inf), "dt", id="propagate_schedule-dt-inf"),
+        pytest.param(
+            convergence_diagnostics, (one_mode_augmented(), 10.0, np.nan), "dt",
+            id="convergence_diagnostics-dt-nan",
+        ),
+    ],
+)
+def test_non_finite_times_name_their_field(build, args, field):
+    with pytest.raises(ValueError, match=rf"\b{field} must be positive"):
+        build(*args)
 
 
 def test_single_segment_schedule_equals_plain_propagation():
@@ -179,42 +209,6 @@ def broken_dynamics(kind, rng, n_p=2, n_o=4):
     return a, aug.a_a
 
 
-def broken_schedule(seed, n_p, n_o):
-    """Three segments of observer-sized dynamics that each fail the certificate."""
-    rng = np.random.default_rng(seed)
-    kinds = [("indefinite", 1.0), ("generic", 0.5), ("coupling", 1.5)]
-    return [Segment(broken_dynamics(kind, rng, n_p, n_o)[0], d) for kind, d in kinds]
-
-
-@pytest.mark.parametrize("n_p, n_o, seed", [(2, 4, 0), (4, 2, 1), (2, 6, 2), (6, 4, 3)])
-def test_schedule_and_averages_equal_the_stepwise_oracles(n_p, n_o, seed):
-    # dynamics without the observer structure step as they always did: at
-    # dt = 0.013 the steps of the three segments differ in their last bits;
-    # at dt = 0.7 the 0.5 middle segment takes a single step
-    segments = broken_schedule(seed, n_p, n_o)
-    assert all(observer_flow(seg.a) is None for seg in segments)
-    for dt in (0.01, 0.013, 0.7):
-        series = propagate_schedule(segments, dt)
-        grid = series.times
-        assert series.flows == (None, None, None)
-        assert np.array_equal(series.maps, stepwise_propagate_schedule(segments, grid)), dt
-        averages = time_average(series)
-        assert np.array_equal(averages.times, grid[1:]), dt
-        assert np.array_equal(averages.averages, trapezoid_average(grid, series.maps)), dt
-    # any grid for one segment: linspace steps differ in their last bits, so
-    # the step cache holds many keys; summed 0.1 steps miss 3.0 by rounding
-    grids = {
-        "linspace": np.linspace(0.0, 3.0, 301),
-        "summed": np.concatenate([[0.0], np.cumsum(np.full(30, 0.1))]),
-    }
-    a = segments[0].a
-    for name, grid in grids.items():
-        single = propagate(a, grid)
-        oracle = stepwise_propagate_schedule([Segment(a, float(grid[-1]))], grid)
-        assert np.array_equal(single.maps, oracle), name
-        assert np.array_equal(time_average(single).averages, trapezoid_average(grid, oracle)), name
-
-
 @pytest.mark.parametrize("n_p, n_o, seed", [(2, 4, 0), (4, 2, 1), (2, 6, 2), (6, 4, 3), (4, 4, 4)])
 def test_certified_schedule_matches_the_exact_oracles(n_p, n_o, seed):
     # coupled, disconnected, then an observer with r_o = I, whose frequencies
@@ -231,7 +225,6 @@ def test_certified_schedule_matches_the_exact_oracles(n_p, n_o, seed):
     series = propagate_schedule(segments, dt)
     averages = time_average(series)
     times, maps, edges = series.times, series.maps, series.edges
-    assert all(flow is not None for flow in series.flows)
 
     picks = list(range(1, times.size))
     exact_maps, exact_integrals = exact_schedule(phases, times, edges, picks)
@@ -265,20 +258,38 @@ def test_certified_schedule_matches_the_exact_oracles(n_p, n_o, seed):
         assert np.max(np.abs(observer - exact_propagator_average(b, times[k]))) <= 1e-12
 
 
-@pytest.mark.parametrize("kind", ["coupling", "indefinite", "asymmetric", "generic", "odd", "identity"])
-def test_broken_certificate_steps_with_the_same_errors(kind):
+# the block each kind of broken_dynamics fails first
+BROKEN_BLOCKS = {
+    "coupling": "max|C B| = ",
+    "indefinite": "R' is not positive definite",
+    "asymmetric": "max|R' - R'.T| = ",
+    "generic": "R' is not positive definite",
+    "odd": "has odd size 1",
+    "identity": "R' is not positive definite",
+}
+
+
+@pytest.mark.parametrize("kind", list(BROKEN_BLOCKS))
+def test_broken_certificate_is_rejected_naming_the_block(kind):
+    # dynamics without the observer structure have no closed form, and the
+    # library has no other way to propagate them
     a, certified = broken_dynamics(kind, np.random.default_rng(71))
-    assert observer_flow(a) is None and observer_flow(certified) is not None
-    grid = uniform_grid(2.0, 0.01)
-    series = propagate(a, grid)
-    assert series.flows == (None,)
-    assert np.array_equal(series.maps, stepwise_propagate_schedule([Segment(a, 2.0)], grid))
-    assert np.array_equal(time_average(series).averages, trapezoid_average(grid, series.maps))
-    for bad in (np.array([0.0, 1.0, 1.0]), np.array([0.5, 1.0]), np.array([0.0])):
+    observer_flow(certified)
+    with pytest.raises(ValueError) as excinfo:
+        observer_flow(a)
+    message = str(excinfo.value)
+    assert BROKEN_BLOCKS[kind] in message
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        propagate(a, uniform_grid(2.0, 0.01))
+    schedule = [Segment(certified, 1.0), Segment(a, 1.0)]
+    with pytest.raises(ValueError, match=f"^{re.escape('segments[1]: ' + message)}$"):
+        propagate_schedule(schedule, 0.01)
+    # a bad grid is reported before the dynamics, the same as for certified ones
+    for bad in ([0.0, 1.0, 1.0], [0.5, 1.0], [0.0], [0.0, np.nan, 1.0], [0.0, 1.0, np.inf]):
         messages = []
         for dynamics in (a, certified):
             with pytest.raises(ValueError) as excinfo:
-                propagate(dynamics, bad)
+                propagate(dynamics, np.array(bad))
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
 
@@ -290,9 +301,8 @@ def test_observer_block_alone_is_taken_in_closed_form(identity):
     r_o = np.eye(4) if identity else random_spd(rng, 4)
     b = 2.0 * make_theta(2).theta @ r_o
     series = propagate(b, uniform_grid(10.0, 0.01))
-    assert series.flows[0] is not None
     for k in (0, 1, 457, 1000):
-        assert np.max(np.abs(series.maps[k] - scipy_expm(b * series.times[k]))) <= 1e-12
+        assert np.max(np.abs(series.maps[k] - expm(b * series.times[k]))) <= 1e-12
     averages = time_average(series)
     assert np.max(np.abs(averages.averages[-1] - exact_propagator_average(b, 10.0))) <= 1e-12
 
@@ -314,6 +324,14 @@ def test_time_average_of_identity_series():
     averages = time_average(series)
     assert np.allclose(averages.averages, np.eye(2), atol=1e-14)
     assert averages.times[0] > 0.0
+
+
+def test_time_average_rejects_a_series_without_flows():
+    # a series built by hand, such as a slice of another, has no flows to integrate
+    series = propagate(one_mode_augmented().a_a, uniform_grid(5.0, 0.5))
+    piece = PropagatorSeries(times=series.times, maps=series.maps, edges=series.edges)
+    with pytest.raises(ValueError, match="0 flows for 1 segments"):
+        time_average(piece)
 
 
 def test_running_averages_match_analytic_integrals():
@@ -382,7 +400,9 @@ def test_invariant_monitor_on_canonical_run():
 def test_invariant_monitor_flags_non_realizable_flow():
     # Phi = e^t I gives Phi theta Phi.T - theta = (e^{2t} - 1) theta
     ccr = make_theta(1)
-    series = propagate(np.eye(2), np.array([0.0, 0.5, 1.0]))
+    times = np.array([0.0, 0.5, 1.0])
+    maps = np.exp(times)[:, None, None] * np.eye(2)
+    series = PropagatorSeries(times=times, maps=maps, edges=(0, 2))
     report = invariant_monitor(series, ccr, np.zeros((2, 2)))
     assert report.max_ccr_residual == pytest.approx(np.exp(2.0) - 1.0, rel=1e-6)
 

@@ -5,13 +5,13 @@ import dataclasses
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from dcobserver import (
     ObserverSpec,
     assemble_augmented,
     certified_spectrum,
     eigenvalues,
-    expm,
     make_plant,
     make_theta,
     synthesize_observer,
