@@ -78,8 +78,13 @@ def _grid(durations, dt: float) -> tuple[np.ndarray, tuple[int, ...]]:
     Each duration gets its _step_counts equal steps, the last one pinned to
     its boundary.
     """
+    counts = _step_counts(durations, dt)
+    if not max(counts) < np.inf:
+        raise ValueError(
+            f"dt must be positive and give a finite number of steps, got dt={dt} for duration {max(durations)}"
+        )
     pieces, edges, t0 = [np.array([0.0])], [0], 0.0
-    for duration, steps in zip(durations, map(int, _step_counts(durations, dt))):
+    for duration, steps in zip(durations, map(int, counts)):
         local = t0 + (duration / steps) * np.arange(1, steps + 1)
         local[-1] = t0 + duration
         pieces.append(local)
@@ -227,20 +232,34 @@ class ConvergenceReport:
 
 
 def _row_norms(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of each stacked row block, from the top eigenvalue of its Gram matrix."""
-    gram = stack @ stack.transpose(0, 2, 1)
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+    """Largest singular value of each stacked row block, from the top eigenvalue of its Gram matrix.
+
+    One or two rows take the eigenvalue in closed form; more take a batched eigvalsh.
+    """
+    if stack.shape[1] == 2:
+        # top eigenvalue of [[a, b], [b, c]]: both terms are non-negative, so nothing cancels
+        first, second = stack[:, 0], stack[:, 1]
+        a = np.einsum("kn,kn->k", first, first)
+        b = np.einsum("kn,kn->k", first, second)
+        c = np.einsum("kn,kn->k", second, second)
+        top = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+    else:
+        gram = stack @ stack.transpose(0, 2, 1)
+        top = gram[:, 0, 0] if stack.shape[1] == 1 else np.linalg.eigvalsh(gram)[:, -1]
+    return np.sqrt(np.maximum(top, 0.0))
 
 
 def convergence_diagnostics(aug: AugmentedSystem, horizon: float, dt: float) -> ConvergenceReport:
     """average_convergence of ``aug`` on uniform_grid(horizon, dt).
 
-    The averages come straight from the closed form, with no maps.
+    The closed-form coefficients are projected onto the output-difference
+    rows first, so only the m_p rows of the averages are ever formed.
     """
-    times = uniform_grid(horizon, dt)
-    averages = observer_flow(aug.a_a).integrals(times[1:])
-    averages /= times[1:, None, None]
-    return average_convergence(aug, AverageSeries(times=times[1:], averages=averages), horizon, dt)
+    times = uniform_grid(horizon, dt)[1:]
+    flow = observer_flow(aug.a_a)
+    rows = replace(flow, coef=(aug.plant_output - aug.observer_output) @ flow.coef).integrals(times)
+    rows /= times[:, None, None]
+    return _convergence(aug, times, rows, horizon, dt)
 
 
 def average_convergence(
@@ -255,9 +274,13 @@ def average_convergence(
     for couplings that transfer no information (for example alpha = 0).
     """
     stop = int(np.searchsorted(averages.times, horizon + 1e-12, side="right"))
-    times = averages.times[:stop]
     diff_rows = aug.plant_output - aug.observer_output
-    d_all = _row_norms(diff_rows @ averages.averages[:stop])
+    return _convergence(aug, averages.times[:stop], diff_rows @ averages.averages[:stop], horizon, dt)
+
+
+def _convergence(aug: AugmentedSystem, times, rows, horizon: float, dt: float) -> ConvergenceReport:
+    """The report of average_convergence from the averaged output-difference rows at ``times``."""
+    d_all = _row_norms(rows)
 
     t_ladder = []
     value = horizon

@@ -1,6 +1,7 @@
 """Tests for grid propagation, running averages and diagnostics."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,16 @@ ZERO_SEGMENT = [Segment(np.zeros((2, 2)), 1.0)]
         pytest.param(
             convergence_diagnostics, (one_mode_augmented(), 10.0, np.nan), "dt",
             id="convergence_diagnostics-dt-nan",
+        ),
+        # finite times whose step count overflows to inf
+        pytest.param(uniform_grid, (1e300, 1e-10), "dt", id="uniform_grid-steps-inf"),
+        pytest.param(
+            propagate_schedule, ([Segment(np.zeros((2, 2)), 1e300)], 1e-10), "dt",
+            id="propagate_schedule-steps-inf",
+        ),
+        pytest.param(
+            convergence_diagnostics, (one_mode_augmented(), 1e300, 1e-10), "dt",
+            id="convergence_diagnostics-steps-inf",
         ),
     ],
 )
@@ -314,9 +325,17 @@ def test_row_norms_equal_the_largest_singular_value(m_p):
     stack[::5, -1] = stack[::5, 0]  # repeated rows: rank deficient
     stack[1::5] *= 1e-3
     stack[2::5, :] = 0.0
+    if m_p > 1:
+        # orthogonal rows of equal norm: a double top eigenvalue
+        stack[3::5, :, :] = 0.0
+        stack[3::5, 0, 0] = stack[3::5, 1, 1] = 2.5
+        stack[4::5, 0] *= 1e8  # row norms 1e8 apart
     expected = np.linalg.svd(stack, compute_uv=False)[:, 0]
     got = _row_norms(stack)
     assert np.all(np.abs(got - expected) <= 1e-14 * expected)
+    if m_p == 1:
+        gram = stack @ stack.transpose(0, 2, 1)
+        assert np.array_equal(got, np.sqrt(np.linalg.eigvalsh(gram)[:, -1]))
 
 
 def test_time_average_of_identity_series():
@@ -448,8 +467,26 @@ def test_convergence_on_held_averages_matches_convergence_diagnostics():
     held = average_convergence(aug, averages, horizon=50.0, dt=0.01)
     fresh = convergence_diagnostics(aug, horizon=50.0, dt=0.01)
     assert held.t_values[-1] == 50.0
-    for name in ("t_values", "d_values", "bound_constant", "max_t_times_d", "decay_rate", "converged"):
+    for name in ("t_values", "bound_constant", "converged"):
         assert np.array_equal(getattr(held, name), getattr(fresh, name)), name
+    # the fresh path projects the coefficients before evaluating them: the
+    # same quantity, summed in another order
+    for name in ("d_values", "max_t_times_d", "decay_rate"):
+        np.testing.assert_allclose(getattr(fresh, name), getattr(held, name), rtol=1e-12, atol=0, err_msg=name)
+
+
+def test_convergence_diagnostics_forms_only_the_output_rows():
+    # n = 8, K = 10,001: the diagnostic never holds a K x n x n array
+    aug = random_augmented(np.random.default_rng(5), 4, 4)
+    convergence_diagnostics(aug, horizon=10.0, dt=0.1)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        report = convergence_diagnostics(aug, horizon=1e3, dt=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    assert peak < 10_001 * aug.n * aug.n * 8
 
 
 def test_scaled_average_error_stays_bounded_to_long_horizons():
