@@ -11,8 +11,6 @@ from .ccr import (
 from .closed_form import exp_norm_bound
 from .linalg import (
     DefinitenessReport,
-    SpectrumReport,
-    eigenvalues,
     is_positive_definite,
     spectral_norm,
 )
@@ -43,7 +41,6 @@ from .synthesis import (
     ObserverConditionsReport,
     ObserverSpec,
     assemble_augmented,
-    certified_spectrum,
     synthesize_observer,
     verify_observer_conditions,
 )
@@ -65,11 +62,8 @@ __all__ = [
     "PropagatorSeries",
     "ScenarioConfig",
     "Segment",
-    "SpectrumReport",
     "assemble_augmented",
-    "certified_spectrum",
     "convergence_diagnostics",
-    "eigenvalues",
     "exp_norm_bound",
     "invariant_monitor",
     "is_positive_definite",

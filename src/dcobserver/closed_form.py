@@ -12,6 +12,10 @@ S = 2 R'^(1/2) theta_2 R'^(1/2) (Williamson), and i S is Hermitian with
 eigenvalues +-w_j, so exp(a t) is a fixed real combination of the basis
 {1, t, cos w_j t, sin w_j t}: one matrix product evaluates it at every t,
 and the same coefficients on the integrated basis give int_0^t exp(a u) du.
+
+``certify`` is the one place that judges the structure: it returns the
+residuals, the frequencies and, when the structure holds, the flow.  The
+verifier reads the spectrum off it and propagation takes its flow.
 """
 
 from __future__ import annotations
@@ -38,51 +42,6 @@ def exp_norm_bound(r_o) -> float:
     if not report.positive_definite:
         raise ValueError(f"r_o is not positive definite (lambda_min = {report.lambda_min:.3e})")
     return float(np.sqrt(report.lambda_max / report.lambda_min))
-
-
-@dataclass(frozen=True)
-class ObserverSplit:
-    """How far ``a`` split at a plant size misses the observer structure, and its Williamson form.
-
-    ``plant``, ``coupling`` and ``asymmetry`` are max|P|, max|C B| and
-    max|R' - R'.T| with R' = -theta_2 D / 2; ``scale`` is max|a| and
-    ``lambda_min`` the smallest eigenvalue of R' (symmetrized).  When that is
-    positive, ``half`` is R'^(1/2) and ``frequencies``, ``vectors`` are ``eigh``
-    of i S, the frequencies ascending in +- pairs; otherwise all are None.
-    """
-
-    plant: float
-    coupling: float
-    asymmetry: float
-    scale: float
-    lambda_min: float
-    half: np.ndarray | None
-    frequencies: np.ndarray | None
-    vectors: np.ndarray | None
-
-    @property
-    def residual(self) -> float:
-        """max(|P|, |C B|, |R' - R'.T|): zero for the exact observer structure."""
-        return max(self.plant, self.coupling, self.asymmetry)
-
-
-def observer_split(a: np.ndarray, n_p: int) -> ObserverSplit:
-    """Read P, B, C, D and R'^(1/2) off a finite ``a`` whose observer block has even size."""
-    b, c, d = a[:n_p, n_p:], a[n_p:, :n_p], a[n_p:, n_p:]
-    theta_2 = make_theta(d.shape[0] // 2).theta
-    r = -0.5 * (theta_2 @ d)
-    residuals = (
-        float(np.max(np.abs(a[:n_p, :n_p]), initial=0.0)),
-        float(np.max(np.abs(c @ b))),
-        float(np.max(np.abs(r - r.T))),
-        float(np.max(np.abs(a))),
-    )
-    w, v = np.linalg.eigh(0.5 * (r + r.T))
-    if not w[0] > 0.0:
-        return ObserverSplit(*residuals, float(w[0]), None, None, None)
-    half = (v * np.sqrt(w)) @ v.T
-    x = half @ theta_2 @ half
-    return ObserverSplit(*residuals, float(w[0]), half, *np.linalg.eigh(1j * (x - x.T)))
 
 
 @dataclass(frozen=True)
@@ -118,15 +77,102 @@ class Flow:
         return self._evaluate([t, 0.5 * t * t, *of_cos.T, *of_sin.T], out)
 
 
+@dataclass(frozen=True)
+class Certificate:
+    """How far ``a`` split at a plant size misses the observer structure, and its flow.
+
+    ``plant``, ``coupling`` and ``asymmetry`` are max|P|, max|C B| and
+    max|R' - R'.T| with R' = -theta_2 D / 2; ``scale`` is max|a| and
+    ``lambda_min`` the smallest eigenvalue of R' (symmetrized), NaN for a
+    non-finite ``a``.  When that is positive, ``frequencies`` is ``eigh`` of
+    i S, ascending in +- pairs.  ``flow`` is exp(a t) in closed form when every
+    residual is within STRUCTURE_TOL; otherwise it is None and ``message``
+    names the first failed block.
+    """
+
+    plant: float
+    coupling: float
+    asymmetry: float
+    scale: float
+    lambda_min: float
+    frequencies: np.ndarray | None
+    flow: Flow | None
+    message: str | None
+
+    @property
+    def residual(self) -> float:
+        """max(|P|, |C B|, |R' - R'.T|): zero for the exact observer structure."""
+        return max(self.plant, self.coupling, self.asymmetry)
+
+    def checked_flow(self) -> Flow:
+        """``flow``, or a ValueError carrying ``message`` when the certificate fails."""
+        if self.flow is None:
+            raise ValueError(self.message)
+        return self.flow
+
+
+def certify(a: np.ndarray, n_p: int) -> Certificate:
+    """The certificate of ``a`` split at ``n_p``, whose observer block has even size; never raises.
+
+    A non-finite ``a`` fails before any eigensolver runs.  Otherwise the
+    checks run in order: R' positive definite (with lambda_min), then
+    max|P| and max|R' - R'.T| against STRUCTURE_TOL max|a| and max|C B|
+    against STRUCTURE_TOL max|a|^2, each failure with its value and bound.
+    """
+    n = a.shape[0]
+    b, c, d = a[:n_p, n_p:], a[n_p:, :n_p], a[n_p:, n_p:]
+    n_o = n - n_p
+    theta_2 = make_theta(n_o // 2).theta
+    r = -0.5 * (theta_2 @ d)
+    residuals = (
+        float(np.max(np.abs(a[:n_p, :n_p]), initial=0.0)),
+        float(np.max(np.abs(c @ b))),
+        float(np.max(np.abs(r - r.T))),
+        float(np.max(np.abs(a))),
+    )
+    if not np.all(np.isfinite(a)):
+        return Certificate(*residuals, np.nan, None, None, "dynamics contain non-finite entries")
+    w, v = np.linalg.eigh(0.5 * (r + r.T))
+    lambda_min = float(w[0])
+    if not lambda_min > 0.0:
+        message = f"R' is not positive definite (lambda_min = {lambda_min:.3e})"
+        return Certificate(*residuals, lambda_min, None, None, message)
+    half = (v * np.sqrt(w)) @ v.T
+    x = half @ theta_2 @ half
+    frequencies, vectors = np.linalg.eigh(1j * (x - x.T))
+    plant, coupling, asymmetry, scale = residuals
+    tol = STRUCTURE_TOL * scale
+    for name, value, bound in (
+        ("max|P|", plant, tol),
+        ("max|R' - R'.T|", asymmetry, tol),
+        ("max|C B|", coupling, tol * scale),
+    ):
+        if not value <= bound:
+            message = f"{name} = {value:.3e} exceeds {bound:.3e}"
+            return Certificate(*residuals, lambda_min, frequencies, None, message)
+    eye_o = np.eye(n_o)
+    left = np.vstack([np.linalg.solve(d.T, b.T).T, eye_o])  # L = [B inv(D); I]
+    right = np.hstack([np.linalg.solve(d, c), eye_o])  # R = [inv(D) C, I]
+    secular = np.zeros((n, n))
+    secular[:n_p, :n_p] = -(left[:n_p] @ c)
+    # exp(S t) = sum over w_j > 0 of 2 Re(u_j u_j^* e^{-i w_j t}), u_j of eigh(i S)
+    pos = vectors[:, n_o // 2 :]
+    p = left @ (np.linalg.inv(half) @ pos)
+    q = (pos.conj().T @ half) @ right
+    outer = 2.0 * (p.T[:, :, None] * q[:, None, :])
+    coef = np.concatenate([[np.eye(n) - left @ right, secular], outer.real, outer.imag])
+    flow = Flow(omega=frequencies[n_o // 2 :], coef=coef)
+    return Certificate(*residuals, lambda_min, frequencies, flow, None)
+
+
 def observer_flow(a: np.ndarray) -> Flow:
-    """exp(a t) in closed form.
+    """exp(a t) in closed form: the flow of :func:`certify`.
 
     The plant size n_p is the largest even k with a[:k, :k] == 0 exactly; an
     all-zero ``a`` is the identity flow.  For an assembled a_a, n_p is the
     plant: the leading 2 x 2 block of D is 2 J R'[:2, :2], which is non-zero.
-    So P = 0 exactly; any other fault raises a ValueError naming its block:
-    an odd observer block, R' not positive definite (with lambda_min), or
-    max|R' - R'.T| or max|C B| with its value and bound.
+    An odd observer block, or a failed certificate, raises a ValueError
+    naming the block at fault.
     """
     n = a.shape[0]
     if not a.any():
@@ -134,28 +180,4 @@ def observer_flow(a: np.ndarray) -> Flow:
     n_p = max(k for k in range(0, n + 1, 2) if not a[:k, :k].any())
     if (n - n_p) % 2:
         raise ValueError(f"observer block a[{n_p}:, {n_p}:] has odd size {n - n_p}")
-    split = observer_split(a, n_p)
-    if split.half is None:
-        raise ValueError(f"R' is not positive definite (lambda_min = {split.lambda_min:.3e})")
-    tol = STRUCTURE_TOL * split.scale
-    for name, value, bound in (
-        ("max|R' - R'.T|", split.asymmetry, tol),
-        ("max|C B|", split.coupling, tol * split.scale),
-    ):
-        if not value <= bound:
-            raise ValueError(f"{name} = {value:.3e} exceeds {bound:.3e}")
-    b, c, d = a[:n_p, n_p:], a[n_p:, :n_p], a[n_p:, n_p:]
-    n_o = n - n_p
-    eye_o = np.eye(n_o)
-    left = np.vstack([np.linalg.solve(d.T, b.T).T, eye_o])  # L = [B inv(D); I]
-    right = np.hstack([np.linalg.solve(d, c), eye_o])  # R = [inv(D) C, I]
-    secular = np.zeros((n, n))
-    secular[:n_p, :n_p] = -(left[:n_p] @ c)
-    # exp(S t) = sum over w_j > 0 of 2 Re(u_j u_j^* e^{-i w_j t}), u_j of eigh(i S)
-    pos = split.vectors[:, n_o // 2 :]
-    half_inv = np.linalg.inv(split.half)
-    p = left @ (half_inv @ pos)
-    q = (pos.conj().T @ split.half) @ right
-    outer = 2.0 * (p.T[:, :, None] * q[:, None, :])
-    coef = np.concatenate([[np.eye(n) - left @ right, secular], outer.real, outer.imag])
-    return Flow(omega=split.frequencies[n_o // 2 :], coef=coef)
+    return certify(a, n_p).checked_flow()

@@ -1,14 +1,14 @@
 """Dense numerical kernels shared by the whole package.
 
-Spectra, extreme symmetric eigenvalues and singular values go through
-LAPACK via numpy; everything is deterministic for a fixed input on a fixed
-build.  There is no matrix exponential: every flow the package propagates is
-taken in closed form (``closed_form.observer_flow``).
+Extreme symmetric eigenvalues and singular values go through LAPACK via
+numpy; everything is deterministic for a fixed input on a fixed build.
+There is no general eigensolver and no matrix exponential: the spectrum of
+the augmented dynamics and every flow the package propagates are read off
+their observer structure (``closed_form.certify``).
 
-The spectral distance of the augmented dynamics from the imaginary axis is
-not computed here: those dynamics carry a defective zero eigenvalue that QR
-iteration in double precision resolves only to about sqrt(machine eps) ~= 1e-8,
-so ``synthesis.certified_spectrum`` reads it off their block structure instead.
+Those dynamics carry a defective zero eigenvalue that QR iteration in double
+precision resolves only to about sqrt(machine eps) ~= 1e-8, which is why
+their spectrum is never computed here.
 """
 
 from __future__ import annotations
@@ -29,25 +29,6 @@ def _square(value) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
     return m
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Full spectrum (with multiplicity) and its distance from the imaginary axis."""
-
-    eigenvalues: np.ndarray
-    max_abs_real_part: float
-
-
-def eigenvalues(m) -> SpectrumReport:
-    """Spectrum via QR iteration on the real matrix (LAPACK dgeev)."""
-    a = _square(m)
-    try:
-        w = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(f"eigenvalue iteration did not converge: {exc}") from exc
-    w = np.sort(w)
-    return SpectrumReport(eigenvalues=w, max_abs_real_part=float(np.max(np.abs(w.real))))
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,15 @@ from pathlib import Path
 import numpy as np
 
 from .ccr import make_plant
+from .closed_form import observer_flow
 from .simulation import (
+    MAX_SERIES_BYTES,
     PropagatorSeries,
-    Segment,
+    _compose,
     _grid,
     _step_counts,
     average_convergence,
     invariant_monitor,
-    propagate_schedule,
     time_average,
 )
 from .synthesis import (
@@ -51,8 +52,6 @@ SCENARIOS = ("one_mode", "measurement_sequence", "custom")
 
 # bound on the deviation of a row that must stay constant
 CONSTANT_TOL = 1e-10
-# bound on the bytes of the maps plus their running averages, 2 K n^2 doubles
-MAX_SERIES_BYTES = 2e9
 
 _DEFAULT_BETA = [[1.0], [0.0]]
 _DEFAULT_C_O = [[1.0, 0.0]]
@@ -297,8 +296,15 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
         None if aug is None else verify_observer_conditions(aug) for _, aug in plan.phases
     ]
 
-    segments = [Segment(np.zeros((n, n)) if aug is None else aug.a_a, d) for d, aug in plan.phases]
-    series = propagate_schedule(segments, config.dt)
+    # each segment's flow is its certificate's, the identity while disconnected
+    identity = observer_flow(np.zeros((n, n)))
+    flows = []
+    for i, (_, aug) in enumerate(plan.phases):
+        try:
+            flows.append(identity if aug is None else aug.certificate.checked_flow())
+        except ValueError as exc:
+            raise ValueError(f"segments[{i}]: {exc}") from None
+    series = _compose(flows, times, edges)
     averages = time_average(series)
     times, maps, edges = series.times, series.maps, series.edges
 

@@ -16,6 +16,9 @@ from .synthesis import AugmentedSystem
 MONITOR_SLICE = 4096
 # slack of the time-average convergence check d(T) <= bound_constant / T
 CONVERGENCE_TOL = 1e-6
+# bound on the bytes of a grid (8 K), and in a scenario run on its maps plus
+# their running averages (16 K n^2)
+MAX_SERIES_BYTES = 2e9
 
 
 @dataclass(frozen=True)
@@ -76,12 +79,19 @@ def _grid(durations, dt: float) -> tuple[np.ndarray, tuple[int, ...]]:
     """Grid of step ~dt over consecutive durations from 0, and the index of every boundary.
 
     Each duration gets its _step_counts equal steps, the last one pinned to
-    its boundary.
+    its boundary.  A grid whose own array would pass MAX_SERIES_BYTES is
+    rejected before anything is allocated.
     """
     counts = _step_counts(durations, dt)
     if not max(counts) < np.inf:
         raise ValueError(
             f"dt must be positive and give a finite number of steps, got dt={dt} for duration {max(durations)}"
+        )
+    points = 1 + sum(counts)
+    if 8 * points > MAX_SERIES_BYTES:
+        raise ValueError(
+            f"dt={dt} gives {points:.4g} grid points, whose times alone "
+            f"({8 * points / 1e9:.3g} GB) exceed {MAX_SERIES_BYTES / 1e9:g} GB"
         )
     pieces, edges, t0 = [np.array([0.0])], [0], 0.0
     for duration, steps in zip(durations, map(int, counts)):
@@ -252,11 +262,12 @@ def _row_norms(stack: np.ndarray) -> np.ndarray:
 def convergence_diagnostics(aug: AugmentedSystem, horizon: float, dt: float) -> ConvergenceReport:
     """average_convergence of ``aug`` on uniform_grid(horizon, dt).
 
-    The closed-form coefficients are projected onto the output-difference
-    rows first, so only the m_p rows of the averages are ever formed.
+    The closed-form coefficients of ``aug.certificate`` are projected onto
+    the output-difference rows first, so only the m_p rows of the averages are
+    ever formed.
     """
     times = uniform_grid(horizon, dt)[1:]
-    flow = observer_flow(aug.a_a)
+    flow = aug.certificate.checked_flow()
     rows = replace(flow, coef=(aug.plant_output - aug.observer_output) @ flow.coef).integrals(times)
     rows /= times[:, None, None]
     return _convergence(aug, times, rows, horizon, dt)

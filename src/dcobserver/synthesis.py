@@ -16,6 +16,7 @@ observer output converges to them in time average.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,8 +27,8 @@ from .ccr import (
     realizability_residual,
     validate_beta,
 )
-from .closed_form import observer_split
-from .linalg import SpectrumReport, eigenvalues, is_positive_definite
+from .closed_form import Certificate, certify
+from .linalg import is_positive_definite
 
 GAIN_TOL = 1e-10
 
@@ -80,9 +81,10 @@ class ObserverSpec:
 class AugmentedSystem:
     """Joint plant-observer system with dynamics a_a = 2 theta r_a.
 
-    ``a_a`` is the one stored matrix: it is what
-    :func:`verify_observer_conditions` certifies.  The commutation structure
-    and the block Hamiltonian r_a = -theta a_a / 2 are derived from it.
+    ``a_a`` is the one stored matrix.  The commutation structure, the block
+    Hamiltonian r_a = -theta a_a / 2 and the certificate of the observer
+    structure, which :func:`verify_observer_conditions` reports and whose flow
+    propagation takes, are derived from it.
     """
 
     plant: PlantSpec
@@ -101,6 +103,11 @@ class AugmentedSystem:
     def r_a(self) -> np.ndarray:
         """Block Hamiltonian of a_a (theta squares to -I, so this inverts a_a = 2 theta r_a)."""
         return -0.5 * (self.ccr.theta @ self.a_a)
+
+    @cached_property
+    def certificate(self) -> Certificate:
+        """closed_form.certify of a_a split at the plant, computed once per system."""
+        return certify(self.a_a, self.plant.n_p)
 
     @property
     def theta_2(self) -> np.ndarray:
@@ -199,55 +206,15 @@ def assemble_augmented(plant: PlantSpec, obs: ObserverSpec) -> AugmentedSystem:
     return AugmentedSystem(plant=plant, observer=obs, a_a=a_a)
 
 
-def certified_spectrum(aug: AugmentedSystem) -> SpectrumReport:
-    """Spectrum of a_a certified from its block structure, without QR on a_a.
-
-    Every block is read from ``aug.a_a`` itself by
-    :func:`closed_form.observer_split`: the plant block P, the couplings B
-    (plant rows) and C (observer rows) and the observer block D.  By the
-    Schur complement,
-
-        det(l I - a_a) = det(l I - P) det(l I - D - C (l I - P)^-1 B),
-
-    so P = 0 and C B = 0 give spec(a_a) = {0}^n_p + spec(D) exactly; the
-    defective zero never meets an eigenvalue solver.  D = 2 theta_2 R' with
-    R' = -theta_2 D / 2, and for positive definite R' the matrix D is similar
-    to the skew matrix 2 R'^(1/2) theta_2 R'^(1/2) (Williamson), whose
-    eigenvalues i * eigh(i S) lie on the imaginary axis.  Otherwise the
-    spectrum of D comes from LAPACK on the n_o block.
-
-    ``max_abs_real_part`` is the largest of the structure residual
-    max(|P|, |C B|), the asymmetry of R' and the largest |real part| of the
-    spectrum of D, so a broken structure is never certified.  A non-finite
-    a_a certifies as inf, with NaN eigenvalues, and reaches no eigensolver.
-    """
-    n_p, n = aug.plant.n_p, aug.n
-    a = aug.a_a
-    if not np.all(np.isfinite(a)):
-        return SpectrumReport(eigenvalues=np.full(n, np.nan, dtype=complex), max_abs_real_part=np.inf)
-    split = observer_split(a, n_p)
-    if split.frequencies is not None:
-        # purely imaginary by construction: no -0.0 real parts from 1j * w
-        reduced = np.zeros(n - n_p, dtype=complex)
-        reduced.imag = split.frequencies
-        real_part = 0.0
-    else:
-        report = eigenvalues(a[n_p:, n_p:])
-        reduced, real_part = report.eigenvalues, report.max_abs_real_part
-    return SpectrumReport(
-        eigenvalues=np.sort(np.concatenate([np.zeros(n_p, dtype=complex), reduced])),
-        max_abs_real_part=float(max(split.residual, real_part)),
-    )
-
-
 @dataclass(frozen=True)
 class ObserverConditionsReport:
     """Residuals of every hypothesis behind the time-average convergence result.
 
-    ``spectrum`` and ``spectrum_max_abs_real`` are the ``eigenvalues`` and
-    ``max_abs_real_part`` of :func:`certified_spectrum`: the spectrum of a_a
-    from its block structure, and its distance from the imaginary axis or the
-    residual of the block structure that certifies it, whichever is larger.
+    ``spectrum`` is the spectrum of a_a read off its certificate, and
+    ``spectrum_max_abs_real`` the residual of the block structure that
+    certifies it (the spectrum itself lies on the imaginary axis).  A
+    certificate without a positive definite R' certifies nothing: the
+    residual is inf and the spectrum NaN.
     ``beta_block_valid`` is always true for a constructed :class:`PlantSpec`,
     which validates beta; it stays as a reported hypothesis.
     """
@@ -276,9 +243,15 @@ class ObserverConditionsReport:
 def verify_observer_conditions(aug: AugmentedSystem) -> ObserverConditionsReport:
     """Diagnostic sweep over all observer hypotheses; never raises.
 
-    The imaginary-axis residual of a_a comes from :func:`certified_spectrum`,
-    because the assembled dynamics carry a defective zero eigenvalue that
-    double-precision QR only locates to about 1e-8.  An asymmetric r_o is
+    The spectrum of a_a is read off ``aug.certificate``, never from QR on
+    a_a, whose defective zero eigenvalue double precision locates only to
+    about 1e-8.  By the Schur complement, P = 0 and C B = 0 give
+    spec(a_a) = {0}^n_p + spec(D) exactly, and D is similar to the skew
+    matrix S of the certificate, whose eigenvalues i * eigh(i S) lie on the
+    imaginary axis.  The imaginary-axis residual is the structure residual
+    max(|P|, |C B|, |R' - R'.T|), so a broken structure is never certified;
+    without a positive definite R', or for a non-finite a_a, it is inf and
+    the spectrum NaN.  An asymmetric r_o is
     reported, not raised: lambda_min is taken from its symmetric part, and the
     asymmetry shows in the realizability and spectrum residuals.  A non-finite
     r_o reports lambda_min as NaN, and a non-finite gain a NaN or infinite
@@ -289,7 +262,15 @@ def verify_observer_conditions(aug: AugmentedSystem) -> ObserverConditionsReport
     lambda_min = is_positive_definite(r_sym).lambda_min if np.all(np.isfinite(r_sym)) else np.nan
     annihilation = float(np.max(np.abs(aug.plant_output @ aug.a_a)))
     realizability = realizability_residual(aug.a_a, aug.ccr.theta)
-    spectrum = certified_spectrum(aug)
+    certificate = aug.certificate
+    if certificate.frequencies is None:
+        spectrum, real_part = np.full(aug.n, np.nan, dtype=complex), np.inf
+    else:
+        # purely imaginary by construction: no -0.0 real parts from 1j * w
+        reduced = np.zeros(aug.observer.n_o, dtype=complex)
+        reduced.imag = certificate.frequencies
+        spectrum = np.sort(np.concatenate([np.zeros(plant.n_p, dtype=complex), reduced]))
+        real_part = certificate.residual
     return ObserverConditionsReport(
         r_o_lambda_min=lambda_min,
         gain_residual=gain_residual(obs),
@@ -297,6 +278,6 @@ def verify_observer_conditions(aug: AugmentedSystem) -> ObserverConditionsReport
         beta_skew_residual=validate_beta(plant.beta),
         output_annihilation_residual=annihilation,
         realizability_residual=realizability,
-        spectrum_max_abs_real=spectrum.max_abs_real_part,
-        spectrum=spectrum.eigenvalues,
+        spectrum_max_abs_real=real_part,
+        spectrum=spectrum,
     )

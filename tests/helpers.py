@@ -16,7 +16,6 @@ import scipy.linalg
 from scipy.linalg import expm
 
 from dcobserver import (
-    SpectrumReport,
     assemble_augmented,
     make_plant,
     make_theta,
@@ -280,8 +279,8 @@ def exact_schedule(phases, times, edges, picks):
     return np.array([maps[k] for k in picks]), np.array([integrals[k] for k in picks])
 
 
-def eigenvalues_mp(m, dps: int = 40) -> SpectrumReport:
-    """Spectrum computed by QR iteration in ``dps``-digit arithmetic.
+def eigenvalues_mp(m, dps: int = 40) -> np.ndarray:
+    """Sorted spectrum computed by QR iteration in ``dps``-digit arithmetic.
 
     Oracle for the certified spectrum: double-precision QR perturbs a size-2
     Jordan block by about sqrt(eps), extended precision by about 10^(-dps/2).
@@ -289,8 +288,7 @@ def eigenvalues_mp(m, dps: int = 40) -> SpectrumReport:
     a = np.asarray(m, dtype=float)
     with mpmath.workdps(dps):
         vals = mpmath.eig(mpmath.matrix(a.tolist()), left=False, right=False)
-        w = np.sort(np.array([complex(z) for z in vals]))
-    return SpectrumReport(eigenvalues=w, max_abs_real_part=float(np.max(np.abs(w.real))))
+        return np.sort(np.array([complex(z) for z in vals]))
 
 
 # boundaries of stepwise_propagate_schedule match grid points within this

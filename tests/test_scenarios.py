@@ -17,7 +17,7 @@ from dcobserver import (
     time_average,
     uniform_grid,
 )
-from dcobserver import scenarios
+from dcobserver import closed_form, scenarios, synthesis
 from dcobserver.cli import main
 from helpers import (
     csv_text,
@@ -323,20 +323,50 @@ def test_cli_rejects_fields_the_scenario_never_reads(tmp_path, capsys, scenario,
     assert not (tmp_path / scenario).exists()
 
 
-def test_single_segment_run_propagates_once(tmp_path, monkeypatch):
+def count_certify(monkeypatch) -> list:
+    """The plant sizes of every closed_form.certify call from now on."""
     calls = []
-    original = scenarios.propagate_schedule
+    original = closed_form.certify
 
-    def counting(segments, dt):
-        calls.append(len(segments))
-        return original(segments, dt)
+    def counting(a, n_p):
+        calls.append(n_p)
+        return original(a, n_p)
 
-    monkeypatch.setattr(scenarios, "propagate_schedule", counting)
+    # synthesis holds its own reference to the function
+    for module in (closed_form, synthesis):
+        monkeypatch.setattr(module, "certify", counting)
+    return calls
+
+
+def test_single_segment_run_propagates_once(tmp_path, monkeypatch):
+    composed = []
+    original = scenarios._compose
+
+    def counting(flows, times, edges):
+        composed.append(len(flows))
+        return original(flows, times, edges)
+
+    monkeypatch.setattr(scenarios, "_compose", counting)
+    certified = count_certify(monkeypatch)
     bundle = run_one_mode(
         ScenarioConfig.from_dict({"scenario": "one_mode", "out_dir": str(tmp_path), "t_end": 10.0})
     )
     assert bundle.passed
-    assert calls == [1]
+    assert composed == [1]
+    assert certified == [2]
+
+
+def test_schedule_run_certifies_each_coupled_segment_once(tmp_path, monkeypatch):
+    # verify and propagate read one certificate per coupled segment; the
+    # disconnected segment needs none
+    certified = count_certify(monkeypatch)
+    bundle = run_measurement_sequence(
+        ScenarioConfig.from_dict(
+            {"scenario": "measurement_sequence", "out_dir": str(tmp_path), "t_end": 40.0}
+        )
+    )
+    assert bundle.passed
+    assert certified == [2, 2]
 
 
 def test_dt_beyond_averaging_horizon_exits_1(tmp_path, capsys):

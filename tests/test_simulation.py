@@ -489,6 +489,20 @@ def test_convergence_diagnostics_forms_only_the_output_rows():
     assert peak < 10_001 * aug.n * aug.n * 8
 
 
+def test_grid_beyond_the_memory_bound_is_a_dt_error():
+    # 1e15 grid points: the bound is checked by arithmetic, before any allocation
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^dt=0\.001 gives 1e\+15 grid points"):
+            uniform_grid(1e12, 1e-3)
+        with pytest.raises(ValueError, match=r"^dt=0\.001 gives 1e\+15 grid points"):
+            propagate_schedule([Segment(np.zeros((2, 2)), 1e12)], 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_scaled_average_error_stays_bounded_to_long_horizons():
     aug = one_mode_augmented()
     report = convergence_diagnostics(aug, horizon=1000.0, dt=0.02)

@@ -10,13 +10,12 @@ from scipy.linalg import expm
 from dcobserver import (
     ObserverSpec,
     assemble_augmented,
-    certified_spectrum,
-    eigenvalues,
     make_plant,
     make_theta,
     synthesize_observer,
     verify_observer_conditions,
 )
+from dcobserver.closed_form import observer_flow
 from dcobserver.synthesis import gain_residual
 from helpers import (
     A_ONE_MODE,
@@ -183,8 +182,8 @@ def test_verify_conditions_flags_perturbed_dynamics():
 
 
 def test_observer_block_spectrum_is_pure_rotation():
-    report = eigenvalues(2.0 * make_theta(1).theta @ np.eye(2))
-    assert np.allclose(np.sort(report.eigenvalues), np.sort(np.array([2j, -2j])), atol=1e-12)
+    spectrum = np.linalg.eigvals(2.0 * make_theta(1).theta @ np.eye(2))
+    assert np.allclose(np.sort(spectrum), np.sort(np.array([2j, -2j])), atol=1e-12)
 
 
 def test_estimated_rows_annihilate_the_flow():
@@ -200,7 +199,7 @@ def test_assembled_spectra_stay_on_imaginary_axis():
     rng = np.random.default_rng(13)
     for _ in range(10):
         aug = random_augmented(rng, int(rng.choice([2, 4])), int(rng.choice([2, 4])))
-        assert eigenvalues_mp(aug.a_a).max_abs_real_part <= 1e-9
+        assert np.max(np.abs(eigenvalues_mp(aug.a_a).real)) <= 1e-9
 
 
 @pytest.mark.parametrize("n_p,n_o", [(2, 2), (2, 4), (4, 2), (4, 4), (6, 4)])
@@ -270,14 +269,14 @@ def test_certified_spectrum_matches_extended_precision_qr(n_p, n_o):
     rng = np.random.default_rng(10 * n_p + n_o)
     for _ in range(2):
         aug = random_augmented(rng, n_p, n_o)
-        fast, slow = certified_spectrum(aug), eigenvalues_mp(aug.a_a)
-        scale = max(1.0, float(np.max(np.abs(slow.eigenvalues))))
-        assert fast.eigenvalues.shape == slow.eigenvalues.shape
-        gap = np.max(np.abs(np.sort(fast.eigenvalues.imag) - np.sort(slow.eigenvalues.imag)))
+        fast, slow = verify_observer_conditions(aug), eigenvalues_mp(aug.a_a)
+        scale = max(1.0, float(np.max(np.abs(slow))))
+        assert fast.spectrum.shape == slow.shape
+        gap = np.max(np.abs(np.sort(fast.spectrum.imag) - np.sort(slow.imag)))
         assert gap <= 1e-12 * scale
-        assert np.count_nonzero(fast.eigenvalues == 0.0) >= n_p
-        assert fast.max_abs_real_part <= 1e-12
-        assert slow.max_abs_real_part <= 1e-12
+        assert np.count_nonzero(fast.spectrum == 0.0) >= n_p
+        assert fast.spectrum_max_abs_real <= 1e-12
+        assert np.max(np.abs(slow.real)) <= 1e-12
 
 
 def test_certificate_flags_non_nilpotent_coupling():
@@ -288,8 +287,10 @@ def test_certificate_flags_non_nilpotent_coupling():
     b, c = 2.0 * (theta_1(aug) @ r_c), 2.0 * (aug.theta_2 @ r_c.T)
     broken = _with_blocks(aug, b=b, c=c)
     assert np.max(np.abs(c @ b)) > 1e-3
-    assert certified_spectrum(broken).max_abs_real_part > 1e-8
-    assert not verify_observer_conditions(broken).passes(1e-8)
+    report = verify_observer_conditions(broken)
+    assert report.spectrum_max_abs_real > 1e-8
+    assert not report.passes(1e-8)
+    assert broken.certificate.message.startswith("max|C B| = ")
 
 
 def test_certificate_flags_asymmetric_observer_block():
@@ -298,10 +299,11 @@ def test_certificate_flags_asymmetric_observer_block():
     skew = 1e-3 * rng.normal(size=(4, 4))
     skew -= skew.T
     broken = _with_blocks(aug, d=aug.a_a[4:, 4:] + 2.0 * (aug.theta_2 @ skew))
-    certified = certified_spectrum(broken).max_abs_real_part
-    assert certified > 1e-8
-    assert certified == pytest.approx(np.max(np.abs(2.0 * skew)), rel=1e-6)
-    assert not verify_observer_conditions(broken).passes(1e-8)
+    report = verify_observer_conditions(broken)
+    assert report.spectrum_max_abs_real > 1e-8
+    assert report.spectrum_max_abs_real == pytest.approx(np.max(np.abs(2.0 * skew)), rel=1e-6)
+    assert not report.passes(1e-8)
+    assert broken.certificate.message.startswith("max|R' - R'.T| = ")
 
 
 def test_certificate_flags_indefinite_observer_block():
@@ -311,10 +313,12 @@ def test_certificate_flags_indefinite_observer_block():
         q = random_orthogonal(rng, n_o)
         r = q @ np.diag(np.concatenate([[-1.0], rng.uniform(0.5, 3.0, size=n_o - 1)])) @ q.T
         broken = _with_blocks(aug, d=2.0 * (aug.theta_2 @ (0.5 * (r + r.T))))
-        fast, slow = certified_spectrum(broken), eigenvalues_mp(broken.a_a)
-        assert fast.max_abs_real_part > 1e-8
-        assert fast.max_abs_real_part == pytest.approx(slow.max_abs_real_part, abs=1e-10)
-        assert not verify_observer_conditions(broken).passes(1e-8)
+        report = verify_observer_conditions(broken)
+        assert report.spectrum_max_abs_real == np.inf
+        assert np.all(np.isnan(report.spectrum))
+        assert not report.passes()
+        assert broken.certificate.flow is None
+        assert broken.certificate.message.startswith("R' is not positive definite")
 
 
 def test_large_system_verifies_without_extended_precision(monkeypatch):
@@ -326,10 +330,10 @@ def test_large_system_verifies_without_extended_precision(monkeypatch):
     report = verify_observer_conditions(aug)
     assert report.passes(1e-12)
     # the observer block alone is not defective, so LAPACK resolves it
-    fast = certified_spectrum(aug).eigenvalues
-    block = eigenvalues(aug.a_a[40:, 40:]).eigenvalues
+    block = np.linalg.eigvals(aug.a_a[40:, 40:])
     reference = np.sort(np.concatenate([np.zeros(40), block.imag]))
-    assert np.max(np.abs(np.sort(fast.imag) - reference)) <= 1e-10 * np.max(np.abs(block))
+    gap = np.max(np.abs(np.sort(report.spectrum.imag) - reference))
+    assert gap <= 1e-10 * np.max(np.abs(block))
 
 
 @pytest.mark.parametrize("block, entry", [("P", (0, 1)), ("B", (0, 2)), ("C", (2, 0)), ("D", (2, 3))])
@@ -348,4 +352,29 @@ def test_non_finite_dynamics_certify_as_infinite(monkeypatch, block, entry):
 
     for name in ("eigh", "eigvalsh", "eigvals"):
         monkeypatch.setattr(np.linalg, name, no_eigensolver)
-    assert certified_spectrum(broken).max_abs_real_part == np.inf
+    fresh = dataclasses.replace(aug, a_a=a).certificate
+    assert fresh.flow is None and fresh.frequencies is None and np.isnan(fresh.lambda_min)
+    assert fresh.message == "dynamics contain non-finite entries"
+
+
+def test_certificate_is_computed_once_per_system():
+    aug = one_mode_augmented()
+    assert aug.certificate is aug.certificate
+    perturbed = aug.a_a.copy()
+    perturbed[0, 0] = 0.1
+    broken = dataclasses.replace(aug, a_a=perturbed)
+    assert broken.certificate is not aug.certificate
+    assert aug.certificate.flow is not None and aug.certificate.residual == 0.0
+    assert broken.certificate.flow is None and broken.certificate.plant == 0.1
+    assert broken.certificate.message.startswith("max|P| = 1.000e-01 exceeds ")
+
+
+@pytest.mark.parametrize("n_p,n_o", [(2, 4), (4, 8), (8, 4), (16, 16)])
+def test_certificate_flow_is_the_observer_flow(n_p, n_o):
+    rng = np.random.default_rng(7 * n_p + n_o)
+    for _ in range(2):
+        aug = random_augmented(rng, n_p, n_o)
+        flow, reference = aug.certificate.flow, observer_flow(aug.a_a)
+        assert np.array_equal(flow.omega, reference.omega)
+        assert np.array_equal(flow.coef, reference.coef)
+        assert aug.certificate.message is None
