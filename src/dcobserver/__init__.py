@@ -8,7 +8,6 @@ from .ccr import (
     realizability_residual,
     validate_beta,
 )
-from .closed_form import exp_norm_bound
 from .linalg import (
     DefinitenessReport,
     is_positive_definite,
@@ -64,7 +63,6 @@ __all__ = [
     "Segment",
     "assemble_augmented",
     "convergence_diagnostics",
-    "exp_norm_bound",
     "invariant_monitor",
     "is_positive_definite",
     "make_plant",

@@ -51,7 +51,9 @@ def realizability_residual(a, theta) -> float:
     theta = np.asarray(theta, dtype=float)
     if a.shape != theta.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"dimension mismatch: a is {a.shape}, theta is {theta.shape}")
-    return float(np.max(np.abs(a @ theta + theta @ a.T)))
+    # a non-finite ``a`` gives a NaN residual without a warning
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.abs(a @ theta + theta @ a.T)))
 
 
 def validate_beta(beta) -> float:

@@ -25,23 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ccr import make_theta
-from .linalg import is_positive_definite
 
 # relative bound on the structure residual of a dynamics matrix whose flow is
 # taken in closed form: |P|, |R' - R'.T| <= tol max|a| and |C B| <= tol max|a|^2
 STRUCTURE_TOL = 1e-12
-
-
-def exp_norm_bound(r_o) -> float:
-    """sqrt(lambda_max / lambda_min) of a positive definite r_o.
-
-    Conservation of (1/2) x.T r_o x along x' = 2 theta_2 r_o x makes this an
-    upper bound for ||exp(2 theta_2 r_o t)|| at every t.
-    """
-    report = is_positive_definite(np.asarray(r_o, dtype=float))
-    if not report.positive_definite:
-        raise ValueError(f"r_o is not positive definite (lambda_min = {report.lambda_min:.3e})")
-    return float(np.sqrt(report.lambda_max / report.lambda_min))
 
 
 @dataclass(frozen=True)
@@ -82,12 +69,12 @@ class Certificate:
     """How far ``a`` split at a plant size misses the observer structure, and its flow.
 
     ``plant``, ``coupling`` and ``asymmetry`` are max|P|, max|C B| and
-    max|R' - R'.T| with R' = -theta_2 D / 2; ``scale`` is max|a| and
-    ``lambda_min`` the smallest eigenvalue of R' (symmetrized), NaN for a
-    non-finite ``a``.  When that is positive, ``frequencies`` is ``eigh`` of
-    i S, ascending in +- pairs.  ``flow`` is exp(a t) in closed form when every
-    residual is within STRUCTURE_TOL; otherwise it is None and ``message``
-    names the first failed block.
+    max|R' - R'.T| with R' = -theta_2 D / 2; ``scale`` is max|a|, and
+    ``lambda_min`` and ``lambda_max`` are the extreme eigenvalues of R'
+    (symmetrized), NaN for a non-finite ``a``.  When lambda_min is positive,
+    ``frequencies`` is ``eigh`` of i S, ascending in +- pairs.  ``flow`` is
+    exp(a t) in closed form when every residual is within STRUCTURE_TOL;
+    otherwise it is None and ``message`` names the first failed block.
     """
 
     plant: float
@@ -95,6 +82,7 @@ class Certificate:
     asymmetry: float
     scale: float
     lambda_min: float
+    lambda_max: float
     frequencies: np.ndarray | None
     flow: Flow | None
     message: str | None
@@ -103,6 +91,17 @@ class Certificate:
     def residual(self) -> float:
         """max(|P|, |C B|, |R' - R'.T|): zero for the exact observer structure."""
         return max(self.plant, self.coupling, self.asymmetry)
+
+    @property
+    def norm_bound(self) -> float:
+        """sqrt(lambda_max / lambda_min), NaN unless R' is positive definite.
+
+        Conservation of (1/2) x.T R' x along x' = D x = 2 theta_2 R' x makes
+        this an upper bound for ||exp(D t)|| at every t.
+        """
+        if not self.lambda_min > 0.0:
+            return np.nan
+        return float(np.sqrt(self.lambda_max / self.lambda_min))
 
     def checked_flow(self) -> Flow:
         """``flow``, or a ValueError carrying ``message`` when the certificate fails."""
@@ -115,28 +114,31 @@ def certify(a: np.ndarray, n_p: int) -> Certificate:
     """The certificate of ``a`` split at ``n_p``, whose observer block has even size; never raises.
 
     A non-finite ``a`` fails before any eigensolver runs.  Otherwise the
-    checks run in order: R' positive definite (with lambda_min), then
-    max|P| and max|R' - R'.T| against STRUCTURE_TOL max|a| and max|C B|
-    against STRUCTURE_TOL max|a|^2, each failure with its value and bound.
+    checks run in order: R' positive definite (with its extreme
+    eigenvalues), then max|P| and max|R' - R'.T| against STRUCTURE_TOL max|a|
+    and max|C B| against STRUCTURE_TOL max|a|^2, each failure with its value
+    and bound.
     """
     n = a.shape[0]
     b, c, d = a[:n_p, n_p:], a[n_p:, :n_p], a[n_p:, n_p:]
     n_o = n - n_p
     theta_2 = make_theta(n_o // 2).theta
-    r = -0.5 * (theta_2 @ d)
-    residuals = (
-        float(np.max(np.abs(a[:n_p, :n_p]), initial=0.0)),
-        float(np.max(np.abs(c @ b))),
-        float(np.max(np.abs(r - r.T))),
-        float(np.max(np.abs(a))),
-    )
+    # a non-finite ``a`` gives NaN residuals (inf - inf, 0 * inf) without a warning
+    with np.errstate(invalid="ignore"):
+        r = -0.5 * (theta_2 @ d)
+        residuals = (
+            float(np.max(np.abs(a[:n_p, :n_p]), initial=0.0)),
+            float(np.max(np.abs(c @ b))),
+            float(np.max(np.abs(r - r.T))),
+            float(np.max(np.abs(a))),
+        )
     if not np.all(np.isfinite(a)):
-        return Certificate(*residuals, np.nan, None, None, "dynamics contain non-finite entries")
+        return Certificate(*residuals, np.nan, np.nan, None, None, "dynamics contain non-finite entries")
     w, v = np.linalg.eigh(0.5 * (r + r.T))
-    lambda_min = float(w[0])
+    lambda_min, lambda_max = float(w[0]), float(w[-1])
     if not lambda_min > 0.0:
         message = f"R' is not positive definite (lambda_min = {lambda_min:.3e})"
-        return Certificate(*residuals, lambda_min, None, None, message)
+        return Certificate(*residuals, lambda_min, lambda_max, None, None, message)
     half = (v * np.sqrt(w)) @ v.T
     x = half @ theta_2 @ half
     frequencies, vectors = np.linalg.eigh(1j * (x - x.T))
@@ -149,7 +151,7 @@ def certify(a: np.ndarray, n_p: int) -> Certificate:
     ):
         if not value <= bound:
             message = f"{name} = {value:.3e} exceeds {bound:.3e}"
-            return Certificate(*residuals, lambda_min, frequencies, None, message)
+            return Certificate(*residuals, lambda_min, lambda_max, frequencies, None, message)
     eye_o = np.eye(n_o)
     left = np.vstack([np.linalg.solve(d.T, b.T).T, eye_o])  # L = [B inv(D); I]
     right = np.hstack([np.linalg.solve(d, c), eye_o])  # R = [inv(D) C, I]
@@ -162,7 +164,7 @@ def certify(a: np.ndarray, n_p: int) -> Certificate:
     outer = 2.0 * (p.T[:, :, None] * q[:, None, :])
     coef = np.concatenate([[np.eye(n) - left @ right, secular], outer.real, outer.imag])
     flow = Flow(omega=frequencies[n_o // 2 :], coef=coef)
-    return Certificate(*residuals, lambda_min, frequencies, flow, None)
+    return Certificate(*residuals, lambda_min, lambda_max, frequencies, flow, None)
 
 
 def observer_flow(a: np.ndarray) -> Flow:

@@ -44,8 +44,8 @@ def is_positive_definite(s) -> DefinitenessReport:
     The input must be symmetric to 1e-9 max(1, max |s_ij|).  The symmetrized
     input counts as positive definite when its smallest eigenvalue exceeds
     1e-12 (never looser than a Cholesky factorization with that pivot
-    threshold: every pivot is at least lambda_min); lambda_min/lambda_max
-    also feed the exponential norm bound.
+    threshold: every pivot is at least lambda_min).  lambda_min and
+    lambda_max are the extreme eigenvalues of that symmetrized input.
     """
     a = _square(s)
     scale = max(1.0, float(np.max(np.abs(a), initial=0.0)))

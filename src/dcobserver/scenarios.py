@@ -32,7 +32,7 @@ from .simulation import (
     _compose,
     _grid,
     _step_counts,
-    average_convergence,
+    convergence_diagnostics,
     invariant_monitor,
     time_average,
 )
@@ -285,13 +285,10 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
             f"dt: {config.dt} needs {points:.4g} grid points, whose maps and averages "
             f"({16 * points * n * n / 1e9:.3g} GB) exceed {MAX_SERIES_BYTES / 1e9:g} GB"
         )
-    times, edges = _grid([d for d, _ in plan.phases], config.dt)
-    for i, (duration, _) in enumerate(plan.phases):
-        if np.any(np.diff(times[edges[i] : edges[i + 1] + 1]) <= 0):
-            raise ConfigError(
-                f"segments[{i}].duration: {duration} gives grid steps below the "
-                f"float spacing at its start t = {times[edges[i]]}"
-            )
+    try:
+        times, edges = _grid([d for d, _ in plan.phases], config.dt)
+    except ValueError as exc:  # a segment below the float spacing
+        raise ConfigError(str(exc)) from None
     reports = [
         None if aug is None else verify_observer_conditions(aug) for _, aug in plan.phases
     ]
@@ -372,7 +369,7 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
         checks["plateau_constant"] = max(plateau, default=0.0) <= 1e-12
         checks["swap_disturbs_previous_row"] = len(coupled_at) == 1 or swap_disturbance > 0.1
     else:
-        convergence = average_convergence(coupled[0], averages, plan.average_end, config.dt)
+        convergence = convergence_diagnostics(coupled[0], plan.average_end, config.dt)
         summary["observer_conditions"] = entries[0]["observer_conditions"]
         summary["convergence"] = _as_json(convergence)
         checks["time_average_convergence"] = bool(convergence.converged)

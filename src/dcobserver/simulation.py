@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .ccr import CommutationStructure
-from .closed_form import Flow, exp_norm_bound, observer_flow
+from .closed_form import Flow, observer_flow
 from .linalg import spectral_norm
 from .synthesis import AugmentedSystem
 
@@ -80,7 +80,8 @@ def _grid(durations, dt: float) -> tuple[np.ndarray, tuple[int, ...]]:
 
     Each duration gets its _step_counts equal steps, the last one pinned to
     its boundary.  A grid whose own array would pass MAX_SERIES_BYTES is
-    rejected before anything is allocated.
+    rejected before anything is allocated, and a duration whose steps vanish
+    below the float spacing at its start is rejected naming ``segments[i]``.
     """
     counts = _step_counts(durations, dt)
     if not max(counts) < np.inf:
@@ -94,9 +95,14 @@ def _grid(durations, dt: float) -> tuple[np.ndarray, tuple[int, ...]]:
             f"({8 * points / 1e9:.3g} GB) exceed {MAX_SERIES_BYTES / 1e9:g} GB"
         )
     pieces, edges, t0 = [np.array([0.0])], [0], 0.0
-    for duration, steps in zip(durations, map(int, counts)):
+    for i, (duration, steps) in enumerate(zip(durations, map(int, counts))):
         local = t0 + (duration / steps) * np.arange(1, steps + 1)
         local[-1] = t0 + duration
+        if not np.all(np.diff(local, prepend=t0) > 0):
+            raise ValueError(
+                f"segments[{i}].duration: {duration} gives grid steps below the "
+                f"float spacing at its start t = {t0}"
+            )
         pieces.append(local)
         edges.append(edges[-1] + steps)
         t0 += duration
@@ -117,10 +123,8 @@ def _compose(flows: Sequence[Flow], times: np.ndarray, edges) -> PropagatorSerie
 
     Each flow's coefficients are right-multiplied by the map at its start,
     then one matrix product gives all its maps; a constant flow (zero
-    dynamics) holds that map.
+    dynamics) holds that map.  ``times`` must be strictly increasing.
     """
-    if not np.all(np.diff(times) > 0):
-        raise ValueError("grid must be strictly increasing")
     n = flows[0].coef.shape[1]
     maps = np.empty((times.size, n, n))
     maps[0] = np.eye(n)
@@ -260,37 +264,22 @@ def _row_norms(stack: np.ndarray) -> np.ndarray:
 
 
 def convergence_diagnostics(aug: AugmentedSystem, horizon: float, dt: float) -> ConvergenceReport:
-    """average_convergence of ``aug`` on uniform_grid(horizon, dt).
+    """Check the time-average convergence of the observer output rows of ``aug``.
 
-    The closed-form coefficients of ``aug.certificate`` are projected onto
-    the output-difference rows first, so only the m_p rows of the averages are
-    ever formed.
+    d(T) is the norm of the output-difference rows of the running average at
+    T, on uniform_grid(horizon, dt).  The closed-form coefficients of
+    ``aug.certificate`` are projected onto those rows first, so only the m_p
+    rows of the averages are ever formed.  d is compared on a geometric
+    ladder of T values halving from ``horizon`` down to 20 dt against
+    bound_constant / T, the constant coming from the norm bound of the
+    observer flow (``Certificate.norm_bound``).  ``converged`` fails for
+    couplings that transfer no information (for example alpha = 0).
     """
     times = uniform_grid(horizon, dt)[1:]
-    flow = aug.certificate.checked_flow()
+    certificate = aug.certificate
+    flow = certificate.checked_flow()
     rows = replace(flow, coef=(aug.plant_output - aug.observer_output) @ flow.coef).integrals(times)
     rows /= times[:, None, None]
-    return _convergence(aug, times, rows, horizon, dt)
-
-
-def average_convergence(
-    aug: AugmentedSystem, averages: AverageSeries, horizon: float, dt: float
-) -> ConvergenceReport:
-    """Check the time-average convergence of the observer output rows.
-
-    d(T) is evaluated on the running averages of ``aug`` up to ``horizon``,
-    on a geometric ladder of T values halving from ``horizon`` down to
-    20 dt, and compared against bound_constant / T, the constant coming from
-    the exponential norm bound of the observer block.  ``converged`` fails
-    for couplings that transfer no information (for example alpha = 0).
-    """
-    stop = int(np.searchsorted(averages.times, horizon + 1e-12, side="right"))
-    diff_rows = aug.plant_output - aug.observer_output
-    return _convergence(aug, averages.times[:stop], diff_rows @ averages.averages[:stop], horizon, dt)
-
-
-def _convergence(aug: AugmentedSystem, times, rows, horizon: float, dt: float) -> ConvergenceReport:
-    """The report of average_convergence from the averaged output-difference rows at ``times``."""
     d_all = _row_norms(rows)
 
     t_ladder = []
@@ -306,11 +295,10 @@ def _convergence(aug: AugmentedSystem, times, rows, horizon: float, dt: float) -
 
     obs = aug.observer
     r_inv = np.linalg.inv(obs.r_o)
-    kappa = exp_norm_bound(obs.r_o)
     mixing = np.hstack([r_inv @ obs.alpha @ aug.plant.beta.T, np.eye(obs.n_o)])
     bound_constant = (
         0.5
-        * (kappa + 1.0)
+        * (certificate.norm_bound + 1.0)
         * spectral_norm(r_inv @ aug.theta_2)
         * spectral_norm(obs.c_o)
         * spectral_norm(mixing)

@@ -260,7 +260,8 @@ def verify_observer_conditions(aug: AugmentedSystem) -> ObserverConditionsReport
     plant, obs = aug.plant, aug.observer
     r_sym = 0.5 * (obs.r_o + obs.r_o.T)
     lambda_min = is_positive_definite(r_sym).lambda_min if np.all(np.isfinite(r_sym)) else np.nan
-    annihilation = float(np.max(np.abs(aug.plant_output @ aug.a_a)))
+    with np.errstate(invalid="ignore"):  # 0 * inf in a non-finite a_a reads NaN
+        annihilation = float(np.max(np.abs(aug.plant_output @ aug.a_a)))
     realizability = realizability_residual(aug.a_a, aug.ccr.theta)
     certificate = aug.certificate
     if certificate.frequencies is None:

@@ -17,6 +17,7 @@ from scipy.linalg import expm
 
 from dcobserver import (
     assemble_augmented,
+    is_positive_definite,
     make_plant,
     make_theta,
     synthesize_observer,
@@ -277,6 +278,18 @@ def exact_schedule(phases, times, edges, picks):
                 integrals[k] = integral + van_loan_integral(aug.a_a, tau) @ phi
         phi, integral = maps[hi], integrals[hi]
     return np.array([maps[k] for k in picks]), np.array([integrals[k] for k in picks])
+
+
+def exp_norm_bound(r_o) -> float:
+    """sqrt(lambda_max / lambda_min) of a positive definite r_o, from eigvalsh.
+
+    Conservation of (1/2) x.T r_o x along x' = 2 theta_2 r_o x makes this an
+    upper bound for ||exp(2 theta_2 r_o t)|| at every t.
+    """
+    report = is_positive_definite(np.asarray(r_o, dtype=float))
+    if not report.positive_definite:
+        raise ValueError(f"r_o is not positive definite (lambda_min = {report.lambda_min:.3e})")
+    return float(np.sqrt(report.lambda_max / report.lambda_min))
 
 
 def eigenvalues_mp(m, dps: int = 40) -> np.ndarray:

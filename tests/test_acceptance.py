@@ -10,7 +10,6 @@ import numpy as np
 from dcobserver import (
     ScenarioConfig,
     Segment,
-    exp_norm_bound,
     invariant_monitor,
     make_theta,
     propagate,
@@ -22,6 +21,7 @@ from dcobserver import (
     time_average,
     uniform_grid,
 )
+from dcobserver.closed_form import certify
 from helpers import (
     A_ONE_MODE,
     closed_form_map,
@@ -191,7 +191,7 @@ def test_criterion_7_exponential_norm_bound():
         n_o = int(rng.choice([2, 4, 6, 8]))
         r_o = random_spd(rng, n_o, 0.2, 5.0)
         theta_2 = make_theta(n_o // 2).theta
-        bound = exp_norm_bound(r_o)
+        bound = certify(2.0 * theta_2 @ r_o, 0).norm_bound
         series = propagate(2.0 * theta_2 @ r_o, uniform_grid(50.0, 0.25))
         sup = max(spectral_norm(m) for m in series.maps)
         worst_excess = max(worst_excess, sup - bound)

@@ -1,16 +1,17 @@
-"""Tests for the closed-form oracle of expm(a_a t), the library's closed form and the norm bound."""
+"""Tests for the closed-form oracle of expm(a_a t), the library's closed form and the certificate's norm bound."""
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from dcobserver import assemble_augmented, exp_norm_bound, make_plant, make_theta
+from dcobserver import assemble_augmented, make_plant, make_theta
 from dcobserver import synthesize_observer
-from dcobserver.closed_form import observer_flow
+from dcobserver.closed_form import certify, observer_flow
 from helpers import (
     closed_form_map,
     closed_form_pieces,
+    exp_norm_bound,
     observer_block,
     one_mode_augmented,
     plant_block,
@@ -18,6 +19,7 @@ from helpers import (
     random_augmented,
     random_beta,
     random_output_matrix,
+    random_spd,
     van_loan_integral,
 )
 
@@ -131,11 +133,19 @@ def test_output_maps_examples():
     assert np.allclose(aug.observer_output @ closed_form_map(np.pi / 2, aug), z_o, atol=1e-12)
 
 
+def observer_certificate(r_o):
+    """The certificate of the observer block 2 theta_2 r_o alone (n_p = 0)."""
+    r_o = np.asarray(r_o, dtype=float)
+    return certify(2.0 * make_theta(r_o.shape[0] // 2).theta @ r_o, 0)
+
+
 def test_exp_norm_bound_examples():
-    assert exp_norm_bound(np.eye(2)) == pytest.approx(1.0)
-    assert exp_norm_bound(np.diag([4.0, 1.0])) == pytest.approx(2.0)
-    with pytest.raises(ValueError, match="positive definite"):
-        exp_norm_bound(np.diag([1.0, -1.0]))
+    assert observer_certificate(np.eye(2)).norm_bound == pytest.approx(1.0)
+    assert observer_certificate(np.diag([4.0, 1.0])).norm_bound == pytest.approx(2.0)
+    indefinite = observer_certificate(np.diag([1.0, -1.0]))
+    assert indefinite.flow is None
+    assert indefinite.message.startswith("R' is not positive definite")
+    assert np.isnan(indefinite.norm_bound)
 
 
 def test_exp_norm_bound_is_sharp_for_diagonal_block():
@@ -145,9 +155,19 @@ def test_exp_norm_bound_is_sharp_for_diagonal_block():
     sampled = max(
         float(np.linalg.norm(expm(b * t), 2)) for t in np.linspace(0.0, 50.0, 5001)
     )
-    bound = exp_norm_bound(r_o)
+    bound = observer_certificate(r_o).norm_bound
     assert sampled <= bound + 1e-8
     assert sampled >= bound - 1e-3
+
+
+@pytest.mark.parametrize("n_o", [2, 4, 8, 16])
+def test_norm_bound_equals_the_definiteness_oracle(n_o):
+    # the eigenvalues of R' = r_o come from the certificate's own eigh
+    rng = np.random.default_rng(100 + n_o)
+    for _ in range(10):
+        r_o = random_spd(rng, n_o, 0.2, 5.0)
+        bound = observer_certificate(r_o).norm_bound
+        assert bound == pytest.approx(exp_norm_bound(r_o), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("n_p, n_o", [(2, 2), (2, 6), (4, 2), (4, 6), (8, 4)])

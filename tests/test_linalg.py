@@ -10,13 +10,13 @@ import pytest
 
 import dcobserver
 from dcobserver import (
-    exp_norm_bound,
     is_positive_definite,
     make_theta,
     propagate,
     spectral_norm,
     uniform_grid,
 )
+from dcobserver.closed_form import certify
 from helpers import eigenvalues_mp, one_mode_augmented, random_spd
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -96,7 +96,7 @@ def test_exponential_norm_bound_holds_on_samples():
         n_o = int(rng.choice([2, 4, 6]))
         r_o = random_spd(rng, n_o, 0.2, 5.0)
         theta_2 = make_theta(n_o // 2).theta
-        bound = exp_norm_bound(r_o)
+        bound = certify(2.0 * theta_2 @ r_o, 0).norm_bound
         series = propagate(2.0 * theta_2 @ r_o, uniform_grid(50.0, 0.5))
         assert max(spectral_norm(m) for m in series.maps) <= bound + 1e-8
 

@@ -10,10 +10,15 @@ from dcobserver import (
     ConfigError,
     ScenarioConfig,
     Segment,
+    assemble_augmented,
+    convergence_diagnostics,
+    make_plant,
     propagate_schedule,
     run_custom,
     run_measurement_sequence,
     run_one_mode,
+    run_scenario,
+    synthesize_observer,
     time_average,
     uniform_grid,
 )
@@ -220,6 +225,38 @@ def test_custom_two_mode_pipeline(tmp_path):
         assert dval <= conv["bound_constant"] / t + 1e-6
     header, data = read_csv(bundle.out_dir / "coefficients.csv")
     assert header[0] == "t" and header[1] == "phi_11" and len(header) == 65
+
+
+# the two-mode config of the numpy-only CI run
+_CI_TWO_MODE = {
+    "scenario": "custom",
+    "beta": [[1, 0], [0, 0], [0, 1], [0, 0]],
+    "r_o": np.eye(4).tolist(),
+    "c_o": [[1, 0, 0, 0], [0, 0, 1, 0]],
+    "t_end": 20.0,
+    "dt": 0.01,
+}
+
+
+@pytest.mark.parametrize(
+    "raw, system",
+    [
+        ({"scenario": "one_mode"}, ([[1.0], [0.0]], np.eye(2), [[1.0, 0.0]])),
+        (_CI_TWO_MODE, (_CI_TWO_MODE["beta"], _CI_TWO_MODE["r_o"], _CI_TWO_MODE["c_o"])),
+    ],
+    ids=["one_mode", "ci_two_mode"],
+)
+def test_summary_convergence_is_convergence_diagnostics(tmp_path, raw, system):
+    # the CLI and the API build the convergence report on one path, bit for bit
+    config = ScenarioConfig.from_dict({**raw, "out_dir": str(tmp_path)})
+    bundle = run_scenario(config)
+    beta, r_o, c_o = system
+    plant = make_plant(beta)
+    aug = assemble_augmented(plant, synthesize_observer(plant, r_o, c_o))
+    report = convergence_diagnostics(aug, config.resolved_average_t_end(), config.dt)
+    written = json.loads(bundle.summary_file.read_text())["convergence"]
+    assert written == scenarios._as_json(report)
+    assert bundle.summary["convergence"] == written
 
 
 def test_custom_accepts_alpha_instead_of_output_matrix(tmp_path):

@@ -23,7 +23,7 @@ from dcobserver import (
     uniform_grid,
 )
 from dcobserver.closed_form import observer_flow
-from dcobserver.simulation import MONITOR_SLICE, _row_norms, average_convergence
+from dcobserver.simulation import MONITOR_SLICE, _row_norms
 from helpers import (
     exact_propagator_average,
     exact_schedule,
@@ -460,21 +460,6 @@ def test_convergence_diagnostics_on_canonical_observer():
     assert report.decay_rate < -0.5
 
 
-def test_convergence_on_held_averages_matches_convergence_diagnostics():
-    # averages of a longer run, truncated at the horizon, give the same report
-    aug = one_mode_augmented()
-    averages = time_average(propagate(aug.a_a, uniform_grid(100.0, 0.01)))
-    held = average_convergence(aug, averages, horizon=50.0, dt=0.01)
-    fresh = convergence_diagnostics(aug, horizon=50.0, dt=0.01)
-    assert held.t_values[-1] == 50.0
-    for name in ("t_values", "bound_constant", "converged"):
-        assert np.array_equal(getattr(held, name), getattr(fresh, name)), name
-    # the fresh path projects the coefficients before evaluating them: the
-    # same quantity, summed in another order
-    for name in ("d_values", "max_t_times_d", "decay_rate"):
-        np.testing.assert_allclose(getattr(fresh, name), getattr(held, name), rtol=1e-12, atol=0, err_msg=name)
-
-
 def test_convergence_diagnostics_forms_only_the_output_rows():
     # n = 8, K = 10,001: the diagnostic never holds a K x n x n array
     aug = random_augmented(np.random.default_rng(5), 4, 4)
@@ -487,6 +472,15 @@ def test_convergence_diagnostics_forms_only_the_output_rows():
         tracemalloc.stop()
     assert report.converged
     assert peak < 10_001 * aug.n * aug.n * 8
+
+
+def test_segment_below_the_float_spacing_names_its_duration():
+    # 20 + 1e-20 == 20: the second segment would take a step of zero length
+    a_a = one_mode_augmented().a_a
+    segments = [Segment(a_a, 20.0), Segment(np.zeros((4, 4)), 1e-20), Segment(a_a, 5.0)]
+    message = "segments[1].duration: 1e-20 gives grid steps below the float spacing at its start t = 20.0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        propagate_schedule(segments, 0.01)
 
 
 def test_grid_beyond_the_memory_bound_is_a_dt_error():

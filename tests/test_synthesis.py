@@ -1,6 +1,7 @@
 """Tests for observer synthesis and assembly of the augmented system."""
 
 import dataclasses
+import warnings
 
 import mpmath
 import numpy as np
@@ -15,7 +16,7 @@ from dcobserver import (
     synthesize_observer,
     verify_observer_conditions,
 )
-from dcobserver.closed_form import observer_flow
+from dcobserver.closed_form import certify, observer_flow
 from dcobserver.synthesis import gain_residual
 from helpers import (
     A_ONE_MODE,
@@ -355,6 +356,29 @@ def test_non_finite_dynamics_certify_as_infinite(monkeypatch, block, entry):
     fresh = dataclasses.replace(aug, a_a=a).certificate
     assert fresh.flow is None and fresh.frequencies is None and np.isnan(fresh.lambda_min)
     assert fresh.message == "dynamics contain non-finite entries"
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_infinite_dynamics_verify_without_warnings(value):
+    # 0 * inf and inf - inf read NaN in the residual products; no
+    # RuntimeWarning escapes, so the report never raises under -W error
+    aug = one_mode_augmented()
+    for entry in np.ndindex(aug.a_a.shape):
+        a = aug.a_a.copy()
+        a[entry] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = verify_observer_conditions(dataclasses.replace(aug, a_a=a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_observer_conditions(dataclasses.replace(aug, a_a=a))
+            certificate = certify(a, aug.plant.n_p)
+        assert not report.passes(), entry
+        for field in dataclasses.fields(report):
+            np.testing.assert_array_equal(
+                getattr(report, field.name), getattr(expected, field.name), err_msg=f"{entry} {field.name}"
+            )
+        assert certificate.message == "dynamics contain non-finite entries"
 
 
 def test_certificate_is_computed_once_per_system():
