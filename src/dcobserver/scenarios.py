@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -27,14 +28,14 @@ import numpy as np
 from .ccr import make_plant
 from .closed_form import observer_flow
 from .simulation import (
+    CHUNK,
     MAX_SERIES_BYTES,
-    PropagatorSeries,
+    _average,
     _compose,
     _grid,
+    _residuals,
     _step_counts,
     convergence_diagnostics,
-    invariant_monitor,
-    time_average,
 )
 from .synthesis import (
     AugmentedSystem,
@@ -191,10 +192,10 @@ class ArtifactBundle:
 
 @dataclass(frozen=True)
 class _Figure:
-    """A CSV of whole transition-matrix rows (None: all); a gnuplot script if titled."""
+    """A CSV of one transition-matrix row (None: all rows); a gnuplot script if titled."""
 
     tag: str
-    rows: tuple[int, ...] | None
+    row: int | None
     title: str | None
     avg: bool = False
 
@@ -218,39 +219,41 @@ class _Plan:
     schedule: bool = False
 
 
-def _write_figure(
-    out: Path, fig: _Figure, prefix: str, times: np.ndarray, data: np.ndarray
-) -> tuple[Path, Path | None]:
-    """Write ``fig`` from the matrices ``data`` at ``times``; return (csv, script or None)."""
-    rows = range(data.shape[1]) if fig.rows is None else fig.rows
-    cells = [(i, j) for i in rows for j in range(data.shape[2])]
-    suffix = "_ave" if fig.avg else ""
-    # from n = 10 on, phi_111 could be (1, 11) or (11, 1): separate the indices
-    sep = "_" if data.shape[1] >= 10 else ""
-    names = [f"{prefix}_{i + 1}{sep}{j + 1}{suffix}" for i, j in cells]
-    header = ["T" if fig.avg else "t"] + names
-    table = np.column_stack([times] + [data[:, i, j] for i, j in cells])
-    # "%.12g" % x is format(x, ".12g") for every float; one row at a time
-    # keeps the Python floats of the whole table out of memory
-    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
-    csv_path = out / f"{fig.tag}.csv"
-    with csv_path.open("w") as f:
-        f.write(",".join(header) + "\n")
-        f.writelines(row % tuple(values.tolist()) for values in table)
-    if fig.title is None:
-        return csv_path, None
-    plots = ", ".join(f"'{csv_path.name}' using 1:{k + 2} with lines" for k in range(len(cells)))
-    lines = [
-        "set datafile separator ','",
-        f"set title '{fig.title}'",
-        "set xlabel 'time'",
-        "set key autotitle columnhead",
-        "set grid",
-        f"plot {plots}",
-    ]
-    gp_path = out / f"{fig.tag}.gp"
-    gp_path.write_text("\n".join(lines) + "\n")
-    return csv_path, gp_path
+class _FigureFile:
+    """A figure's CSV, open on ``stack`` and appended a run of grid rows at a time up to
+    row ``stop`` (maps from row 0, averages from row 1), and its gnuplot script if titled."""
+
+    def __init__(self, out: Path, fig: _Figure, prefix: str, n: int, stop: int, stack: ExitStack):
+        self.avg, self.stop, self.row = fig.avg, stop, fig.row
+        suffix = "_ave" if fig.avg else ""
+        # from n = 10 on, phi_111 could be (1, 11) or (11, 1): separate the indices
+        sep = "_" if n >= 10 else ""
+        rows = range(n) if fig.row is None else [fig.row]
+        names = [f"{prefix}_{i + 1}{sep}{j + 1}{suffix}" for i in rows for j in range(n)]
+        self.path, self.script = out / f"{fig.tag}.csv", None
+        if fig.title is not None:
+            plots = ", ".join(f"'{self.path.name}' using 1:{k + 2} with lines" for k in range(len(names)))
+            self.script = out / f"{fig.tag}.gp"
+            self.script.write_text(
+                f"set datafile separator ','\nset title '{fig.title}'\nset xlabel 'time'\n"
+                f"set key autotitle columnhead\nset grid\nplot {plots}\n"
+            )
+        self.file = stack.enter_context(self.path.open("w"))
+        self.file.write(",".join(["T" if fig.avg else "t"] + names) + "\n")
+        self.width, self.line = len(names), ",".join(["%.12g"] * (len(names) + 1)) + "\n"
+        if not fig.avg:
+            self.write(slice(0, 1), np.zeros(1), np.eye(n)[None], None)
+
+    def write(self, rows: slice, times: np.ndarray, maps: np.ndarray, averages) -> None:
+        """Append the figure's rows of the maps or averages at times[rows] (rows[0] first)."""
+        k = max(0, min(rows.stop, self.stop) - rows.start)
+        data = (averages if self.avg else maps)[:k]
+        if self.row is not None:
+            data = data[:, self.row]
+        # "%.12g" % x is format(x, ".12g") for every float; one row at a time
+        # keeps the Python floats of the table out of memory
+        table = np.column_stack([times[rows][:k], data.reshape(k, self.width)])
+        self.file.writelines(self.line % tuple(values.tolist()) for values in table)
 
 
 def _as_json(report) -> dict:
@@ -279,14 +282,18 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
             raise ConfigError(f"segments[{i}]: augmented dimension {aug.n} != {n}")
     if not plan.schedule and config.dt > plan.average_end:
         raise ConfigError(f"dt: {config.dt} exceeds the averaging horizon {plan.average_end}")
-    points = 1 + sum(_step_counts([d for d, _ in plan.phases], config.dt))
-    if 16 * points * n * n > MAX_SERIES_BYTES:
+    durations = [d for d, _ in plan.phases]
+    points = 1 + sum(_step_counts(durations, config.dt))
+    # held: the run's grid, the diagnosis grid and its d values (24 bytes a
+    # point), and per chunk row the maps, the averages and four temporaries
+    held = 24 * points + 48 * min(points, CHUNK) * n * n
+    if held > MAX_SERIES_BYTES:
         raise ConfigError(
-            f"dt: {config.dt} needs {points:.4g} grid points, whose maps and averages "
-            f"({16 * points * n * n / 1e9:.3g} GB) exceed {MAX_SERIES_BYTES / 1e9:g} GB"
+            f"dt: {config.dt} needs {points:.4g} grid points, whose grid, convergence vectors "
+            f"and chunk buffers ({held / 1e9:.3g} GB) exceed {MAX_SERIES_BYTES / 1e9:g} GB"
         )
     try:
-        times, edges = _grid([d for d, _ in plan.phases], config.dt)
+        times, edges = _grid(durations, config.dt)
     except ValueError as exc:  # a segment below the float spacing
         raise ConfigError(str(exc)) from None
     reports = [
@@ -301,48 +308,59 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
             flows.append(identity if aug is None else aug.certificate.checked_flow())
         except ValueError as exc:
             raise ValueError(f"segments[{i}]: {exc}") from None
-    series = _compose(flows, times, edges)
-    averages = time_average(series)
-    times, maps, edges = series.times, series.maps, series.edges
 
-    # conservation per segment: CCR against theta, energy against the
-    # segment's own Hamiltonian from its first map
+    out = config.out_dir / plan.name
+    out.mkdir(parents=True, exist_ok=True)
+    # maps are written on the grid rows before map_stop, averages on rows 1 .. avg_stop - 1
+    map_stop = int(np.searchsorted(times, plan.map_end + 1e-12, side="right"))
+    avg_stop = int(np.searchsorted(times, plan.average_end + 1e-12, side="right"))
+    # per segment: the worst CCR and energy residual, and the deviations from its
+    # start map of its protected row (of the whole map while disconnected: I @ x
+    # is x exactly) and of the first observer's
+    worst = np.zeros((len(plan.phases), 4))
+    theta, first_rows = coupled[0].ccr.theta, coupled[0].plant_output
+    averages, carry = np.empty((min(CHUNK, times.size - 1), n, n)), np.empty((2, n, n))
+    with ExitStack() as stack:
+        files = [
+            _FigureFile(out, fig, plan.prefix, n, avg_stop if fig.avg else map_stop, stack)
+            for fig in plan.figures
+        ]
+        for i, lo, rows, start, block, flow in _compose(flows, times, edges):
+            aug = plan.phases[i][1]
+            if rows.start == lo + 1:
+                if aug is None:
+                    r_seg, own = np.zeros((n, n)), np.eye(n)
+                else:
+                    r_seg, own = aug.r_a, aug.plant_output
+                energy_ref = start.T @ r_seg @ start
+            if rows.start < avg_stop:
+                _average(flow, times, lo, rows, carry, averages[: len(block)])
+            residuals = _residuals(block, theta, r_seg, energy_ref)
+            moved = [np.max(np.abs(m @ block - m @ start)) for m in (own, first_rows)]
+            worst[i] = np.maximum(worst[i], [*residuals, *moved])
+            for figure in files:
+                figure.write(rows, times, block, averages)
+    csv_files = [figure.path for figure in files]
+    scripts = [figure.script for figure in files if figure.script is not None]
+
     entries = []
-    ccr_residual = energy_residual = 0.0
-    for (duration, aug), report, lo, hi in zip(plan.phases, reports, edges[:-1], edges[1:]):
-        chunk = maps[lo : hi + 1]
-        r_seg = np.zeros((n, n)) if aug is None else aug.r_a
-        piece = PropagatorSeries(times=times[lo : hi + 1], maps=chunk, edges=(0, hi - lo))
-        invariants = invariant_monitor(piece, coupled[0].ccr, r_seg)
-        ccr_residual = max(ccr_residual, invariants.max_ccr_residual)
-        energy_residual = max(energy_residual, invariants.max_energy_residual)
+    for (duration, aug), report, lo, hi, (_, energy, moved, _) in zip(
+        plan.phases, reports, edges[:-1], edges[1:], worst.tolist()
+    ):
         entry = {
             "kind": "disconnected" if aug is None else "coupled",
             "duration": duration,
             "t_start": float(times[lo]),
             "t_stop": float(times[hi]),
-            "energy_residual": invariants.max_energy_residual,
+            "energy_residual": energy,
         }
         if aug is None:
-            entry["plateau_max_deviation"] = float(np.max(np.abs(chunk - chunk[0])))
+            entry["plateau_max_deviation"] = moved
         else:
-            rows = aug.plant_output
-            row_dev = float(np.max(np.abs(rows @ chunk - rows @ chunk[0])))
-            entry["protected_row_max_deviation"] = row_dev
+            entry["protected_row_max_deviation"] = moved
             entry["observer_conditions"] = _as_json(report)
         entries.append(entry)
-
-    out = config.out_dir / plan.name
-    out.mkdir(parents=True, exist_ok=True)
-    map_stop = int(np.searchsorted(times, plan.map_end + 1e-12, side="right"))
-    avg_stop = int(np.searchsorted(averages.times, plan.average_end + 1e-12, side="right"))
-    sampled = {
-        False: (times[:map_stop], maps[:map_stop]),
-        True: (averages.times[:avg_stop], averages.averages[:avg_stop]),
-    }
-    written = [_write_figure(out, fig, plan.prefix, *sampled[fig.avg]) for fig in plan.figures]
-    csv_files = [csv for csv, _ in written]
-    scripts = [gp for _, gp in written if gp is not None]
+    ccr_residual, energy_residual = np.max(worst[:, :2], axis=0).tolist()
 
     checks = {
         "observer_conditions": all(r.passes(config.tol) for r in reports if r is not None),
@@ -357,10 +375,8 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
     }
     if plan.schedule:
         coupled_at = [i for i, (_, aug) in enumerate(plan.phases) if aug is not None]
-        lo, hi = edges[coupled_at[-1]], edges[coupled_at[-1] + 1]
         # disturbance of the first observer's protected row under the last observer
-        rows = coupled[0].plant_output
-        swap_disturbance = float(np.max(np.abs(rows @ maps[lo : hi + 1] - rows @ maps[lo])))
+        swap_disturbance = float(worst[coupled_at[-1], 3])
         plateau = [e["plateau_max_deviation"] for e in entries if e["kind"] == "disconnected"]
         protected = [e["protected_row_max_deviation"] for e in entries if e["kind"] == "coupled"]
         summary["segments"] = entries
@@ -418,21 +434,21 @@ def _single(config: ScenarioConfig, name: str, figures: tuple[_Figure, ...]) -> 
 
 
 _ONE_MODE_FIGURES = (
-    _Figure("fig03", (0,), "coefficients of the first plant quadrature"),
-    _Figure("fig04", (1,), "coefficients of the second plant quadrature"),
-    _Figure("fig05", (2,), "coefficients of the observer output quadrature"),
-    _Figure("fig06a", (3,), "coefficients of the second observer quadrature"),
-    _Figure("fig06", (2,), "running time averages of the observer output row", avg=True),
-    _Figure("fig06b", (3,), "running time averages of the second observer row", avg=True),
+    _Figure("fig03", 0, "coefficients of the first plant quadrature"),
+    _Figure("fig04", 1, "coefficients of the second plant quadrature"),
+    _Figure("fig05", 2, "coefficients of the observer output quadrature"),
+    _Figure("fig06a", 3, "coefficients of the second observer quadrature"),
+    _Figure("fig06", 2, "running time averages of the observer output row", avg=True),
+    _Figure("fig06b", 3, "running time averages of the second observer row", avg=True),
 )
 
 _SEQUENCE_FIGURES = (
-    _Figure("fig07", (0,), "coefficients of the first plant quadrature (schedule)"),
-    _Figure("fig08", (1,), "coefficients of the second plant quadrature (schedule)"),
-    _Figure("fig09", (2,), "coefficients of the first observer quadrature (schedule)"),
-    _Figure("fig11", (3,), "coefficients of the second observer quadrature (schedule)"),
-    _Figure("fig10", (2,), "running time averages of the first observer row (schedule)", avg=True),
-    _Figure("fig12", (3,), "running time averages of the second observer row (schedule)", avg=True),
+    _Figure("fig07", 0, "coefficients of the first plant quadrature (schedule)"),
+    _Figure("fig08", 1, "coefficients of the second plant quadrature (schedule)"),
+    _Figure("fig09", 2, "coefficients of the first observer quadrature (schedule)"),
+    _Figure("fig11", 3, "coefficients of the second observer quadrature (schedule)"),
+    _Figure("fig10", 2, "running time averages of the first observer row (schedule)", avg=True),
+    _Figure("fig12", 3, "running time averages of the second observer row (schedule)", avg=True),
 )
 
 _CUSTOM_FIGURES = (

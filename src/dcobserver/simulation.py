@@ -12,12 +12,12 @@ from .closed_form import Flow, observer_flow
 from .linalg import spectral_norm
 from .synthesis import AugmentedSystem
 
-# maps per slice of the invariant monitor: its temporaries stay at two slices
-MONITOR_SLICE = 4096
+# rows of every chunk of a K-long evaluation: a multiple of 256, at which the
+# chunked matrix products give the bits of one whole-series product
+CHUNK = 4096
 # slack of the time-average convergence check d(T) <= bound_constant / T
 CONVERGENCE_TOL = 1e-6
-# bound on the bytes of a grid (8 K), and in a scenario run on its maps plus
-# their running averages (16 K n^2)
+# bound on the bytes of a grid (8 K), and in a scenario run on what it holds
 MAX_SERIES_BYTES = 2e9
 
 
@@ -118,26 +118,65 @@ def uniform_grid(t_end: float, dt: float) -> np.ndarray:
     return _grid([t_end], dt)[0]
 
 
-def _compose(flows: Sequence[Flow], times: np.ndarray, edges) -> PropagatorSeries:
-    """Left-composed maps on ``times``, flow i running from edges[i] to edges[i + 1].
+def _runs(edges):
+    """The one chunk iterator: (i, lo, rows) for each run of at most CHUNK rows.
 
-    Each flow's coefficients are right-multiplied by the map at its start,
-    then one matrix product gives all its maps; a constant flow (zero
-    dynamics) holds that map.  ``times`` must be strictly increasing.
+    Segment i starts at row lo = edges[i]; its rows lo + 1 .. edges[i + 1]
+    are walked from the first, so every run starts a multiple of CHUNK rows
+    after the first row of its segment.
+    """
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        for first in range(lo + 1, hi + 1, CHUNK):
+            yield i, lo, slice(first, min(first + CHUNK, hi + 1))
+
+
+def _compose(flows: Sequence[Flow], times: np.ndarray, edges, maps: np.ndarray | None = None):
+    """Left-composed maps on increasing ``times``, flow i running from edges[i] to edges[i + 1].
+
+    Yields (i, lo, rows, start, block, flow) for each run of _runs: ``block``
+    holds the maps at times[rows] (a view of ``maps`` when given, else of one
+    buffer that the next run overwrites), ``start`` the map at times[lo] (I
+    at t = 0, which is not yielded) and ``flow`` flow i right-multiplied by
+    ``start``, whose one matrix product gives the block; zero dynamics give
+    exactly ``start``.
     """
     n = flows[0].coef.shape[1]
-    maps = np.empty((times.size, n, n))
-    maps[0] = np.eye(n)
-    composed = []
-    for flow, lo, hi in zip(flows, edges[:-1], edges[1:]):
-        moving = flow.coef[1:].any()
-        flow = replace(flow, coef=flow.coef @ maps[lo])
-        if moving:
-            flow.maps(times[lo + 1 : hi + 1] - times[lo], out=maps[lo + 1 : hi + 1])
-        else:
-            maps[lo + 1 : hi + 1] = maps[lo]
-        composed.append(flow)
+    buffer = np.empty((min(CHUNK, times.size - 1), n, n)) if maps is None else None
+    start = end = np.eye(n)
+    for i, lo, rows in _runs(edges):
+        if rows.start == lo + 1:
+            start = end
+            flow = replace(flows[i], coef=flows[i].coef @ start)
+        block = maps[rows] if buffer is None else buffer[: rows.stop - rows.start]
+        flow.maps(times[rows] - times[lo], out=block)
+        yield i, lo, rows, start, block, flow
+        end = block[-1].copy()
+
+
+def _series(flows: Sequence[Flow], times: np.ndarray, edges) -> PropagatorSeries:
+    """The whole series of _compose, maps[0] pinned to I."""
+    maps = np.empty((times.size,) + flows[0].coef.shape[1:])
+    maps[0] = np.eye(maps.shape[1])
+    runs = _compose(flows, times, edges, maps)
+    composed = [flow for _, lo, rows, _, _, flow in runs if rows.start == lo + 1]
     return PropagatorSeries(times=times, maps=maps, edges=edges, flows=tuple(composed))
+
+
+def _average(flow: Flow, times: np.ndarray, lo: int, rows: slice, carry: np.ndarray, out: np.ndarray):
+    """Running averages at times[rows] of a segment from row lo, written into ``out``.
+
+    ``carry`` holds two raw integrals: up to the segment start, and up to the
+    last row averaged, which becomes the first when a segment starts.  Both
+    are taken before the division; dividing and re-multiplying would change
+    their last bits.
+    """
+    if rows.start == lo + 1:
+        carry[0] = carry[1]
+    flow.integrals(times[rows] - times[lo], out=out)
+    if lo:
+        out += carry[0]
+    carry[1] = out[-1]
+    out /= times[rows, None, None]
 
 
 def propagate(a, grid) -> PropagatorSeries:
@@ -152,7 +191,7 @@ def propagate(a, grid) -> PropagatorSeries:
     if not np.all(np.diff(times) > 0):
         raise ValueError("grid must be strictly increasing")
     flow = observer_flow(Segment(a=a, duration=float(times[-1])).a)
-    return _compose([flow], times, (0, times.size - 1))
+    return _series([flow], times, (0, times.size - 1))
 
 
 def propagate_schedule(segments: Sequence[Segment], dt: float) -> PropagatorSeries:
@@ -176,30 +215,26 @@ def propagate_schedule(segments: Sequence[Segment], dt: float) -> PropagatorSeri
             flows.append(observer_flow(seg.a))
         except ValueError as exc:
             raise ValueError(f"segments[{i}]: {exc}") from None
-    return _compose(flows, *_grid([seg.duration for seg in segments], dt))
+    return _series(flows, *_grid([seg.duration for seg in segments], dt))
 
 
 def time_average(series: PropagatorSeries) -> AverageSeries:
     """Running averages (1/T) int_0^T Phi, T = times[1:], segment by segment.
 
-    Each segment integrates its flow exactly and adds the integral up to its
-    start.  The average at T -> 0 tends to the identity by continuity; T = 0
-    itself is excluded from the output.  The series needs one flow per
-    segment, as propagate and propagate_schedule return it.
+    Each segment integrates its flow exactly, CHUNK rows at a time, and adds
+    the raw integral up to its start.  The average at T -> 0 tends to the
+    identity by continuity; T = 0 itself is excluded from the output.  The
+    series needs one flow per segment, as propagate and propagate_schedule
+    return it.
     """
     times, maps, flows = series.times, series.maps, series.flows
     if times.size < 2:
         raise ValueError("series must contain at least one step beyond t=0")
     if len(flows) != len(series.edges) - 1:
         raise ValueError(f"series has {len(flows)} flows for {len(series.edges) - 1} segments")
-    # one buffer: integrals up to every T, then averages
-    averages = np.empty_like(maps[1:])
-    for flow, lo, hi in zip(flows, series.edges[:-1], series.edges[1:]):
-        part = averages[lo:hi]
-        flow.integrals(times[lo + 1 : hi + 1] - times[lo], out=part)
-        if lo:
-            part += averages[lo - 1]
-    averages /= times[1:, None, None]
+    averages, carry = np.empty_like(maps[1:]), np.empty((2,) + maps.shape[1:])
+    for i, lo, rows in _runs(series.edges):
+        _average(flows[i], times, lo, rows, carry, averages[rows.start - 1 : rows.stop - 1])
     return AverageSeries(times=times[1:].copy(), averages=averages)
 
 
@@ -223,14 +258,29 @@ def invariant_monitor(series: PropagatorSeries, ccr: CommutationStructure, r_a) 
     if series.dim != ccr.n or r_a.shape != (ccr.n, ccr.n):
         raise ValueError("series, ccr and r_a dimensions disagree")
     energy_ref = series.maps[0].T @ r_a @ series.maps[0]
-    ccr_worst, energy_worst = [], []
-    for lo in range(0, len(series.maps), MONITOR_SLICE):
-        maps = series.maps[lo : lo + MONITOR_SLICE]
-        maps_t = maps.transpose(0, 2, 1)
-        ccr_worst.append(np.max(np.abs(maps @ theta @ maps_t - theta)))
-        energy_worst.append(np.max(np.abs(maps_t @ r_a @ maps - energy_ref)))
-    ccr_res, energy_res = float(np.max(ccr_worst)), float(np.max(energy_worst))
+    worst = [
+        _residuals(series.maps[lo : lo + CHUNK], theta, r_a, energy_ref)
+        for lo in range(0, len(series.maps), CHUNK)
+    ]
+    ccr_res, energy_res = np.max(worst, axis=0).tolist()
     return InvariantReport(max_ccr_residual=ccr_res, max_energy_residual=energy_res)
+
+
+def _residuals(maps: np.ndarray, theta, r_a, energy_ref) -> tuple[float, float]:
+    """Max of |Phi theta Phi.T - theta| and of |Phi.T r_a Phi - energy_ref| over a block of maps.
+
+    Every product goes into one buffer of two blocks, freed on return: four
+    separate block-sized temporaries would be mapped and faulted in anew on
+    every call.
+    """
+    maps_t = maps.transpose(0, 2, 1)
+    half, product = np.empty((2,) + maps.shape)
+    worst = []
+    for left, middle, right, ref in ((maps, theta, maps_t, theta), (maps_t, r_a, maps, energy_ref)):
+        np.matmul(np.matmul(left, middle, out=half), right, out=product)
+        product -= ref
+        worst.append(float(np.max(np.abs(product, out=product))))
+    return worst[0], worst[1]
 
 
 @dataclass(frozen=True)
@@ -269,27 +319,34 @@ def convergence_diagnostics(aug: AugmentedSystem, horizon: float, dt: float) -> 
     d(T) is the norm of the output-difference rows of the running average at
     T, on uniform_grid(horizon, dt).  The closed-form coefficients of
     ``aug.certificate`` are projected onto those rows first, so only the m_p
-    rows of the averages are ever formed.  d is compared on a geometric
-    ladder of T values halving from ``horizon`` down to 20 dt against
-    bound_constant / T, the constant coming from the norm bound of the
-    observer flow (``Certificate.norm_bound``).  ``converged`` fails for
+    rows of the averages are formed, one chunk at a time.  d is compared on
+    a geometric ladder of T values halving from ``horizon`` down to 20 dt
+    against bound_constant / T, the constant coming from the norm bound of
+    the observer flow (``Certificate.norm_bound``).  ``converged`` fails for
     couplings that transfer no information (for example alpha = 0).
     """
-    times = uniform_grid(horizon, dt)[1:]
+    grid = uniform_grid(horizon, dt)
+    times = grid[1:]
     certificate = aug.certificate
     flow = certificate.checked_flow()
-    rows = replace(flow, coef=(aug.plant_output - aug.observer_output) @ flow.coef).integrals(times)
-    rows /= times[:, None, None]
-    d_all = _row_norms(rows)
+    rows_flow = replace(flow, coef=(aug.plant_output - aug.observer_output) @ flow.coef)
+    # each chunk of averaged rows becomes its d values, and the max of t d
+    block = np.empty((min(CHUNK, times.size),) + rows_flow.coef.shape[1:])
+    d_all, t_times_d, carry = np.empty(times.size), [], np.empty((2,) + block.shape[1:])
+    for _, _, rows in _runs((0, times.size)):
+        part, d = block[: rows.stop - rows.start], d_all[rows.start - 1 : rows.stop - 1]
+        _average(rows_flow, grid, 0, rows, carry, part)
+        d[:] = _row_norms(part)
+        t_times_d.append(np.max(grid[rows] * d))
 
-    t_ladder = []
-    value = horizon
-    while value >= 20.0 * dt:
-        t_ladder.append(value)
-        value /= 2.0
-    if not t_ladder:
-        t_ladder = [horizon]
-    indices = [int(np.argmin(np.abs(times - t))) for t in sorted(t_ladder)]
+    ladder = [horizon]
+    while ladder[-1] / 2.0 >= 20.0 * dt:
+        ladder.append(ladder[-1] / 2.0)
+    # the nearer grid neighbour of each T, the earlier on a tie, as argmin |times - T| picks it
+    ladder = np.array(ladder[::-1])
+    right = np.searchsorted(times, ladder).clip(1, times.size - 1)
+    near_left = np.abs(times[right - 1] - ladder) <= np.abs(times[right] - ladder)
+    indices = np.where(near_left, right - 1, right)
     t_sel = times[indices]
     d_sel = d_all[indices]
 
@@ -311,7 +368,7 @@ def convergence_diagnostics(aug: AugmentedSystem, horizon: float, dt: float) -> 
         t_values=t_sel,
         d_values=d_sel,
         bound_constant=float(bound_constant),
-        max_t_times_d=float(np.max(times * d_all)),
+        max_t_times_d=float(np.max(t_times_d)),
         decay_rate=slope,
         converged=converged,
     )

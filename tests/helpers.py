@@ -10,6 +10,8 @@ carries ~1e-6 absolute error.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import scipy.linalg
@@ -21,7 +23,9 @@ from dcobserver import (
     make_plant,
     make_theta,
     synthesize_observer,
+    uniform_grid,
 )
+from dcobserver.simulation import _row_norms
 
 # canonical one-mode example: position-estimating observer, its Hamiltonian
 # block, and the conjugate (momentum-estimating) observer used after the swap
@@ -350,6 +354,56 @@ def trapezoid_average(times, maps) -> np.ndarray:
     dt = np.diff(times)
     increments = 0.5 * dt[:, None, None] * (maps[1:] + maps[:-1])
     return np.cumsum(increments, axis=0) / times[1:, None, None]
+
+
+def whole_series(flows, times, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Maps and running averages with one matrix product per segment.
+
+    Oracle for the chunked evaluation in ``simulation``: each flow,
+    right-multiplied by the map at its segment's start, is evaluated on all
+    the segment's rows at once (a zero flow holds the start map), and all
+    integrals are divided by their times at the end.
+    """
+    n = flows[0].coef.shape[1]
+    maps = np.empty((times.size, n, n))
+    maps[0] = np.eye(n)
+    integrals = np.empty_like(maps[1:])
+    for flow, lo, hi in zip(flows, edges[:-1], edges[1:]):
+        composed = replace(flow, coef=flow.coef @ maps[lo])
+        local = times[lo + 1 : hi + 1] - times[lo]
+        if flow.coef[1:].any():
+            composed.maps(local, out=maps[lo + 1 : hi + 1])
+        else:
+            maps[lo + 1 : hi + 1] = maps[lo]
+        composed.integrals(local, out=integrals[lo:hi])
+        if lo:
+            integrals[lo:hi] += integrals[lo - 1]
+    return maps, integrals / times[1:, None, None]
+
+
+def whole_d_values(aug, horizon: float, dt: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The ladder times, their d values and max t d(t) from one product over the whole grid.
+
+    Oracle for ``simulation.convergence_diagnostics``, which evaluates the
+    projected rows a chunk at a time and picks the ladder by searchsorted:
+    here every T takes argmin |times - T| over the whole grid.
+    """
+    times = uniform_grid(horizon, dt)[1:]
+    flow = aug.certificate.flow
+    rows = replace(flow, coef=(aug.plant_output - aug.observer_output) @ flow.coef).integrals(times)
+    rows /= times[:, None, None]
+    d_all = _row_norms(rows)
+    indices = [int(np.argmin(np.abs(times - t))) for t in sorted(ladder_times(horizon, dt))]
+    return times[indices], d_all[indices], float(np.max(times * d_all))
+
+
+def ladder_times(horizon: float, dt: float) -> list[float]:
+    """The T values of the convergence ladder: halving from ``horizon`` while at least 20 dt."""
+    ladder, value = [], horizon
+    while value >= 20.0 * dt:
+        ladder.append(value)
+        value /= 2.0
+    return ladder or [horizon]
 
 
 def invariant_residuals(maps, theta, r_a) -> tuple[float, float]:

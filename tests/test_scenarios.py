@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import tracemalloc
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
@@ -24,14 +26,17 @@ from dcobserver import (
 )
 from dcobserver import closed_form, scenarios, synthesis
 from dcobserver.cli import main
+from dcobserver.simulation import CHUNK
 from helpers import (
     csv_text,
     exact_schedule,
+    invariant_residuals,
     one_mode_augmented,
     random_augmented,
     stepwise_propagate_schedule,
     swapped_augmented,
     trapezoid_average,
+    whole_series,
 )
 
 
@@ -126,13 +131,17 @@ def test_csv_writer_matches_formatting_each_value(tmp_path):
         np.nan, np.inf, -np.inf, 12345.678901234567, -5e-324,
     ]
     table = np.array(values).reshape(4, 5)
-    figure = scenarios._Figure("edge", None, None)
-    csv_path, script = scenarios._write_figure(
-        tmp_path, figure, "phi", table[:, 0], table[:, 1:].reshape(4, 2, 2)
-    )
-    header = ["t", "phi_11", "phi_12", "phi_21", "phi_22"]
-    assert script is None
-    assert csv_path.read_bytes() == csv_text(header, table).encode()
+    figure = scenarios._Figure("edge", None, None, avg=True)
+    averages = table[:, 1:].reshape(4, 2, 2)
+    with ExitStack() as stack:
+        writer = scenarios._FigureFile(tmp_path, figure, "phi", 2, 4, stack)
+        # appended in runs, as the pipeline appends its chunks; an empty run
+        # and the rows from the stop on write nothing
+        for lo, hi in ((0, 1), (1, 1), (1, 3), (3, 5)):
+            writer.write(slice(lo, hi), table[:, 0], None, averages[lo:hi])
+    header = ["T", "phi_11_ave", "phi_12_ave", "phi_21_ave", "phi_22_ave"]
+    assert writer.script is None
+    assert writer.path.read_bytes() == csv_text(header, table).encode()
 
 
 def test_column_names_are_unique_beyond_nine_dimensions(tmp_path):
@@ -699,3 +708,97 @@ def test_stock_csvs_match_the_exact_and_stepwise_oracles(tmp_path, scenario):
                 assert np.max(np.abs(values - reference)) <= bias, tag
             else:
                 assert np.all(np.abs(values - reference) <= 5e-12 * np.abs(reference) + drift), tag
+
+
+def test_memory_guard_bounds_the_grid_and_the_chunk_buffers(tmp_path, capsys, monkeypatch):
+    # by arithmetic: one_mode at dt = 0.1 has 1001 grid points and n = 4; the
+    # guard counts 24 bytes a point and 48 n^2 bytes a chunk row
+    held = 24 * 1001 + 48 * 1001 * 4 * 4
+    argv = ["--scenario", "one_mode", "--dt", "0.1", "--out-dir", str(tmp_path)]
+    monkeypatch.setattr(scenarios, "MAX_SERIES_BYTES", held)
+    assert main(argv) == 0
+    monkeypatch.setattr(scenarios, "MAX_SERIES_BYTES", held - 1)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: dt: 0.1 needs 1001 grid points")
+
+    # 1e7 grid points: the whole series (16 K n^2 = 2.6 GB) would not pass
+    # 2 GB, the grid and the chunk buffers (0.24 GB) do; the grid is never built
+    def no_grid(durations, dt):
+        raise RuntimeError("the guard let the grid through")
+
+    monkeypatch.undo()
+    monkeypatch.setattr(scenarios, "_grid", no_grid)
+    config = ScenarioConfig.from_dict({"scenario": "one_mode", "dt": 1e-5, "out_dir": str(tmp_path)})
+    assert 16 * 10_000_001 * 4 * 4 > scenarios.MAX_SERIES_BYTES
+    with pytest.raises(RuntimeError, match="the guard let the grid through"):
+        run_one_mode(config)
+
+
+def test_run_memory_grows_by_at_most_48_bytes_a_grid_point(tmp_path):
+    # one_mode at dt = 0.1: 10,001 and 30,001 grid points, both past two
+    # chunks; a run holds its grid and its chunk buffers, never its series
+    def peak(t_end):
+        config = {"scenario": "one_mode", "out_dir": str(tmp_path), "t_end": t_end, "dt": 0.1}
+        tracemalloc.start()
+        try:
+            assert run_one_mode(ScenarioConfig.from_dict(config)).passed
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10.0)  # warm up imports and caches
+    assert peak(3e3) - peak(1e3) <= 48 * 20_000
+
+
+def test_schedule_run_writes_and_checks_the_whole_series(tmp_path):
+    # segment starts off the chunk seams, a zero segment and a last segment
+    # of more than two chunks: every CSV byte and every residual and
+    # deviation in summary.json are those of the whole series
+    observers = [([[1.0], [0.0]], [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0]])]
+    observers.append(([[0.0], [1.0]], [[2.0, 0.3], [0.3, 1.0]], [[0.0, 1.0]]))
+    raw = [dict(zip(("beta", "r_o", "c_o"), spec)) for spec in observers]
+    config = {
+        "scenario": "measurement_sequence",
+        "out_dir": str(tmp_path),
+        "t_end": 98.87,
+        "dt": 0.01,
+        "segments": [{"duration": 13.37, **raw[0]}, {"duration": 0.5, "disconnect": True}, raw[1]],
+    }
+    bundle = run_measurement_sequence(ScenarioConfig.from_dict(config))
+    assert bundle.passed
+    entries = bundle.summary["segments"]
+    first, last = (
+        assemble_augmented(make_plant(b), synthesize_observer(make_plant(b), r, c)) for b, r, c in observers
+    )
+    phases = [(entries[0]["duration"], first), (entries[1]["duration"], None), (entries[2]["duration"], last)]
+    segments = [Segment(np.zeros((4, 4)) if aug is None else aug.a_a, d) for d, aug in phases]
+    series = propagate_schedule(segments, 0.01)
+    lo, hi = series.edges[2:]
+    assert series.edges[1:3] == (1337, 1387) and hi - lo > 2 * CHUNK
+    flows = [closed_form.observer_flow(seg.a) for seg in segments]
+    maps, averages = whole_series(flows, series.times, series.edges)
+
+    theta = first.ccr.theta
+    ccr = invariant_residuals(maps, theta, np.zeros((4, 4)))[0]
+    assert bundle.summary["conservation"]["ccr_residual"] == ccr
+    for entry, (_, aug), lo, hi in zip(entries, phases, series.edges[:-1], series.edges[1:]):
+        piece = maps[lo : hi + 1]
+        r_seg = np.zeros((4, 4)) if aug is None else aug.r_a
+        assert entry["energy_residual"] == invariant_residuals(piece, theta, r_seg)[1]
+        if aug is None:
+            assert entry["plateau_max_deviation"] == float(np.max(np.abs(piece - piece[0])))
+        else:
+            rows = aug.plant_output
+            deviation = float(np.max(np.abs(rows @ piece - rows @ piece[0])))
+            assert entry["protected_row_max_deviation"] == deviation
+    rows = first.plant_output
+    swap = float(np.max(np.abs(rows @ maps[lo : hi + 1] - rows @ maps[lo])))
+    assert bundle.summary["swap_disturbance"] == swap
+
+    for tag, row, t, data, col, suffix in [
+        ("fig07", 0, series.times, maps, "t", ""),
+        ("fig12", 3, series.times[1:], averages, "T", "_ave"),
+    ]:
+        header = [col] + [f"phit_{row + 1}{j + 1}{suffix}" for j in range(4)]
+        expected = csv_text(header, np.column_stack([t, data[:, row, :]]))
+        assert (tmp_path / "measurement_sequence" / f"{tag}.csv").read_text() == expected

@@ -23,11 +23,12 @@ from dcobserver import (
     uniform_grid,
 )
 from dcobserver.closed_form import observer_flow
-from dcobserver.simulation import MONITOR_SLICE, _row_norms
+from dcobserver.simulation import CHUNK, _row_norms
 from helpers import (
     exact_propagator_average,
     exact_schedule,
     invariant_residuals,
+    ladder_times,
     one_mode_augmented,
     plant_block_quadrature,
     random_augmented,
@@ -38,6 +39,8 @@ from helpers import (
     stepwise_propagate_schedule,
     swapped_augmented,
     trapezoid_average,
+    whole_d_values,
+    whole_series,
 )
 
 
@@ -433,7 +436,7 @@ def test_invariant_monitor_slices_match_whole_series():
     series = propagate_schedule(segments, 0.01)
     lo, hi = series.edges[2:]
     piece = PropagatorSeries(times=series.times[lo:], maps=series.maps[lo:], edges=(0, hi - lo))
-    assert piece.maps.shape[0] > MONITOR_SLICE
+    assert piece.maps.shape[0] > CHUNK
     assert not np.array_equal(piece.maps[0], np.eye(4))
     report = invariant_monitor(piece, aug3.ccr, aug3.r_a)
     expected = invariant_residuals(piece.maps, aug3.ccr.theta, aug3.r_a)
@@ -521,3 +524,89 @@ def test_estimated_output_average_stays_at_initial_row():
     averages = time_average(series)
     rows = aug.plant_output
     assert np.max(np.abs(rows @ averages.averages - rows)) <= 1e-12
+
+
+def seam_schedule(n: int, first_rows: int, last_rows: int):
+    """Coupled, zero and coupled segments at dt = 0.01, the zero one 50 rows long.
+
+    Returns the segments and the last coupled system.
+    """
+    rng = np.random.default_rng(n)
+    first, last = (random_augmented(rng, n // 2, n // 2) for _ in range(2))
+    segments = [
+        Segment(first.a_a, first_rows / 100),
+        Segment(np.zeros((n, n)), 0.5),
+        Segment(last.a_a, last_rows / 100),
+    ]
+    return segments, last
+
+
+@pytest.mark.parametrize(
+    "n, first_rows, last_rows",
+    [(4, 1337, 2 * CHUNK + 308), (8, 1337, 2 * CHUNK + 308), (32, 137, CHUNK + 54)],
+)
+def test_chunked_series_equal_the_whole_series_bit_for_bit(n, first_rows, last_rows):
+    # segment starts off the multiples of CHUNK, a zero segment, and a last
+    # segment crossing one seam (n = 32) or two (n = 4, 8) of its own chunks
+    segments, last = seam_schedule(n, first_rows, last_rows)
+    series = propagate_schedule(segments, 0.01)
+    assert series.edges == (0, first_rows, first_rows + 50, first_rows + 50 + last_rows)
+    assert all(edge % CHUNK for edge in series.edges[1:])
+    maps, averages = whole_series([observer_flow(seg.a) for seg in segments], series.times, series.edges)
+    assert np.array_equal(series.maps[0], np.eye(n))
+    assert np.array_equal(series.maps, maps)
+    del maps
+    assert np.array_equal(time_average(series).averages, averages)
+    del averages
+    report = invariant_monitor(series, last.ccr, last.r_a)
+    expected = invariant_residuals(series.maps, last.ccr.theta, last.r_a)
+    assert (report.max_ccr_residual, report.max_energy_residual) == expected
+
+
+@pytest.mark.parametrize("n", [4, 8, 32])
+def test_chunked_d_values_equal_the_whole_grid_bit_for_bit(n):
+    # 10,000 rows: two seams
+    aug = random_augmented(np.random.default_rng(n), n // 2, n // 2)
+    report = convergence_diagnostics(aug, horizon=100.0, dt=0.01)
+    t_values, d_values, max_t_times_d = whole_d_values(aug, 100.0, 0.01)
+    assert np.array_equal(report.t_values, t_values)
+    assert np.array_equal(report.d_values, d_values)
+    assert report.max_t_times_d == max_t_times_d
+
+
+def test_ladder_takes_the_grid_points_argmin_takes():
+    # the nearer neighbour of each T, the earlier one on a tie: T = 41 / 2
+    # lies halfway between 20 and 21
+    aug = one_mode_augmented()
+    rng = np.random.default_rng(13)
+    cases = [(41.0, 1.0)] + [
+        (horizon, horizon / rng.uniform(20.0, 3000.0)) for horizon in rng.uniform(1.0, 500.0, 40)
+    ]
+    for horizon, dt in cases:
+        times = uniform_grid(horizon, dt)[1:]
+        indices = [int(np.argmin(np.abs(times - t))) for t in sorted(ladder_times(horizon, dt))]
+        report = convergence_diagnostics(aug, horizon=horizon, dt=dt)
+        assert np.array_equal(report.t_values, times[indices]), (horizon, dt)
+    assert 20.0 in convergence_diagnostics(aug, horizon=41.0, dt=1.0).t_values
+
+
+def test_api_pipeline_peak_stays_at_the_returned_arrays():
+    # n = 8, K = 100,001: beyond the returned maps, averages and their times
+    # (104 MB), the peak holds one monitor slice's two product blocks
+    # (4.2 MB); whole-grid temporaries of the basis or the output rows would
+    # pass 6 MB
+    allowance = 6e6
+    aug = random_augmented(np.random.default_rng(5), 4, 4)
+    convergence_diagnostics(aug, horizon=10.0, dt=0.1)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        series = propagate(aug.a_a, uniform_grid(1e4, 0.1))
+        averages = time_average(series)
+        invariant_monitor(series, aug.ccr, aug.r_a)
+        report = convergence_diagnostics(aug, horizon=1e4, dt=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.converged and series.maps.shape == (100_001, 8, 8)
+    returned = sum(a.nbytes for a in (series.times, series.maps, averages.times, averages.averages))
+    assert peak <= returned + allowance, (peak, returned)
