@@ -54,6 +54,10 @@ SCENARIOS = ("one_mode", "measurement_sequence", "custom")
 # bound on the deviation of a row that must stay constant
 CONSTANT_TOL = 1e-10
 
+# values formatted by one "%" call of a figure file (or one row, if wider): a
+# batch's Python floats and text stay well below a chunk's
+BATCH_VALUES = 8192
+
 _DEFAULT_BETA = [[1.0], [0.0]]
 _DEFAULT_C_O = [[1.0, 0.0]]
 
@@ -240,20 +244,35 @@ class _FigureFile:
             )
         self.file = stack.enter_context(self.path.open("w"))
         self.file.write(",".join(["T" if fig.avg else "t"] + names) + "\n")
-        self.width, self.line = len(names), ",".join(["%.12g"] * (len(names) + 1)) + "\n"
+        self.width = len(names)
+        # what follows a row's time: its value fields and the line end
+        self.tail = "," + ",".join(["%.12g"] * self.width) + "\n"
+        self.batch = max(1, BATCH_VALUES // (self.width + 1))
         if not fig.avg:
-            self.write(slice(0, 1), np.zeros(1), np.eye(n)[None], None)
+            self.write(slice(0, 1), _stamps(np.zeros(1)), np.eye(n)[None], None)
 
-    def write(self, rows: slice, times: np.ndarray, maps: np.ndarray, averages) -> None:
-        """Append the figure's rows of the maps or averages at times[rows] (rows[0] first)."""
+    def write(self, rows: slice, stamps: list[str], maps: np.ndarray, averages) -> None:
+        """Append the figure's rows of a run's maps or averages; stamps[j] is the
+        formatted time of row rows.start + j."""
         k = max(0, min(rows.stop, self.stop) - rows.start)
         data = (averages if self.avg else maps)[:k]
         if self.row is not None:
             data = data[:, self.row]
-        # "%.12g" % x is format(x, ".12g") for every float; one row at a time
-        # keeps the Python floats of the table out of memory
-        table = np.column_stack([times[rows][:k], data.reshape(k, self.width)])
-        self.file.writelines(self.line % tuple(values.tolist()) for values in table)
+        data, stamps = data.reshape(k, self.width), stamps[:k]
+        # one "%" call and one write a batch of rows; the times are literal text of
+        # the format string, which is safe as "%.12g" never prints a "%"
+        for lo in range(0, k, self.batch):
+            hi = lo + self.batch
+            text = self.tail.join(stamps[lo:hi]) + self.tail
+            self.file.write(text % tuple(data[lo:hi].ravel().tolist()))
+
+
+def _stamps(times: np.ndarray) -> list[str]:
+    """The CSV time column: each time to 12 significant digits, once for every open file.
+
+    "%.12g" % x is format(x, ".12g") for every float.
+    """
+    return ["%.12g" % t for t in times.tolist()]
 
 
 def _as_json(report) -> dict:
@@ -338,8 +357,9 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
             residuals = _residuals(block, theta, r_seg, energy_ref)
             moved = [np.max(np.abs(m @ block - m @ start)) for m in (own, first_rows)]
             worst[i] = np.maximum(worst[i], [*residuals, *moved])
+            stamps = _stamps(times[rows])
             for figure in files:
-                figure.write(rows, times, block, averages)
+                figure.write(rows, stamps, block, averages)
     csv_files = [figure.path for figure in files]
     scripts = [figure.script for figure in files if figure.script is not None]
 

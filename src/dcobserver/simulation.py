@@ -94,19 +94,26 @@ def _grid(durations, dt: float) -> tuple[np.ndarray, tuple[int, ...]]:
             f"dt={dt} gives {points:.4g} grid points, whose times alone "
             f"({8 * points / 1e9:.3g} GB) exceed {MAX_SERIES_BYTES / 1e9:g} GB"
         )
-    pieces, edges, t0 = [np.array([0.0])], [0], 0.0
+    times, edges, t0 = np.empty(int(points)), [0], 0.0
+    times[0] = 0.0
     for i, (duration, steps) in enumerate(zip(durations, map(int, counts))):
-        local = t0 + (duration / steps) * np.arange(1, steps + 1)
+        lo, hi = edges[-1], edges[-1] + steps
+        # t0 + (duration / steps) * k for k = 1 .. steps, in place: the sum of
+        # ones is exact below 2**53, far above any grid MAX_SERIES_BYTES admits
+        local = times[lo + 1 : hi + 1]
+        local.fill(1.0)
+        np.cumsum(local, out=local)
+        local *= duration / steps
+        local += t0
         local[-1] = t0 + duration
-        if not np.all(np.diff(local, prepend=t0) > 0):
+        if not np.all(local > times[lo:hi]):
             raise ValueError(
                 f"segments[{i}].duration: {duration} gives grid steps below the "
                 f"float spacing at its start t = {t0}"
             )
-        pieces.append(local)
-        edges.append(edges[-1] + steps)
+        edges.append(hi)
         t0 += duration
-    return np.concatenate(pieces), tuple(edges)
+    return times, tuple(edges)
 
 
 def uniform_grid(t_end: float, dt: float) -> np.ndarray:

@@ -25,7 +25,7 @@ from dcobserver import (
     synthesize_observer,
     uniform_grid,
 )
-from dcobserver.simulation import _row_norms
+from dcobserver.simulation import _row_norms, _step_counts
 
 # canonical one-mode example: position-estimating observer, its Hamiltonian
 # block, and the conjugate (momentum-estimating) observer used after the swap
@@ -354,6 +354,22 @@ def trapezoid_average(times, maps) -> np.ndarray:
     dt = np.diff(times)
     increments = 0.5 * dt[:, None, None] * (maps[1:] + maps[:-1])
     return np.cumsum(increments, axis=0) / times[1:, None, None]
+
+
+def concatenated_grid(durations, dt: float) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The schedule grid as one piece a segment, joined at the end.
+
+    Oracle for ``simulation._grid``, which writes every segment's times into
+    one array: each piece is t0 + (duration / steps) * k, its last point pinned.
+    """
+    pieces, edges, t0 = [np.array([0.0])], [0], 0.0
+    for duration, steps in zip(durations, map(int, _step_counts(durations, dt))):
+        local = t0 + (duration / steps) * np.arange(1, steps + 1)
+        local[-1] = t0 + duration
+        pieces.append(local)
+        edges.append(edges[-1] + steps)
+        t0 += duration
+    return np.concatenate(pieces), tuple(edges)
 
 
 def whole_series(flows, times, edges) -> tuple[np.ndarray, np.ndarray]:

@@ -121,16 +121,27 @@ def test_csv_numbers_use_twelve_significant_digits(one_mode_bundle):
             assert field == format(float(field), ".12g")
 
 
+# signed zero, the smallest subnormals, exponents of both signs, nan, the
+# infinities and 13-digit ties
+EDGE_VALUES = [
+    -0.0, 5e-324, 1e16, 123456789012.5, 1.5e-7,
+    2.5e21, -1e-300, 0.1 + 0.2, -1.7976931348623157e308, 1.0,
+    np.pi, -2.0 / 3.0, 0.0, 999999999999.5, 1e-5,
+    np.nan, np.inf, -np.inf, 12345.678901234567, -5e-324,
+]
+
+
+def edge_series(rng, rows, n):
+    """Times and n x n maps of random magnitudes with EDGE_VALUES spread among them."""
+    table = rng.standard_normal((rows, 1 + n * n)) * 10.0 ** rng.integers(-12, 13, size=(rows, 1 + n * n))
+    flat = table.reshape(-1)
+    flat[rng.choice(flat.size, len(EDGE_VALUES), replace=False)] = EDGE_VALUES
+    return table[:, 0], table[:, 1:].reshape(rows, n, n)
+
+
 def test_csv_writer_matches_formatting_each_value(tmp_path):
-    # signed zero, the smallest subnormal, exponents of both signs and a
-    # 13-digit tie, as the time column and the entries of 2x2 maps
-    values = [
-        -0.0, 5e-324, 1e16, 123456789012.5, 1.5e-7,
-        2.5e21, -1e-300, 0.1 + 0.2, -1.7976931348623157e308, 1.0,
-        np.pi, -2.0 / 3.0, 0.0, 999999999999.5, 1e-5,
-        np.nan, np.inf, -np.inf, 12345.678901234567, -5e-324,
-    ]
-    table = np.array(values).reshape(4, 5)
+    # the edge values as the time column and the entries of 2x2 averages
+    table = np.array(EDGE_VALUES).reshape(4, 5)
     figure = scenarios._Figure("edge", None, None, avg=True)
     averages = table[:, 1:].reshape(4, 2, 2)
     with ExitStack() as stack:
@@ -138,10 +149,74 @@ def test_csv_writer_matches_formatting_each_value(tmp_path):
         # appended in runs, as the pipeline appends its chunks; an empty run
         # and the rows from the stop on write nothing
         for lo, hi in ((0, 1), (1, 1), (1, 3), (3, 5)):
-            writer.write(slice(lo, hi), table[:, 0], None, averages[lo:hi])
+            writer.write(slice(lo, hi), scenarios._stamps(table[lo:hi, 0]), None, averages[lo:hi])
     header = ["T", "phi_11_ave", "phi_12_ave", "phi_21_ave", "phi_22_ave"]
     assert writer.script is None
     assert writer.path.read_bytes() == csv_text(header, table).encode()
+
+
+def test_csv_writer_batches_share_the_time_column(tmp_path):
+    # a maps and an averages file of one n = 4 run: 1,638 and 481 rows a batch,
+    # runs of CHUNK rows, the maps stopping inside their second batch; the
+    # times are formatted once, up to the later stop, and each file cuts them
+    rng = np.random.default_rng(14)
+    n, rows_total, map_stop = 4, 5001, 2000
+    times, maps = edge_series(rng, rows_total, n)
+    _, averages = edge_series(rng, rows_total, n)
+    figures = (scenarios._Figure("maps", 2, None), scenarios._Figure("averages", None, None, avg=True))
+    with ExitStack() as stack:
+        files = [
+            scenarios._FigureFile(tmp_path, fig, "phi", n, rows_total if fig.avg else map_stop, stack)
+            for fig in figures
+        ]
+        assert [f.batch for f in files] == [1638, 481]
+        for first in range(1, rows_total, CHUNK):
+            rows = slice(first, min(first + CHUNK, rows_total))
+            stamps = scenarios._stamps(times[rows])
+            for f in files:
+                f.write(rows, stamps, maps[rows], averages[rows])
+    names = [f"phi_{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
+    map_table = np.column_stack([times, maps[:, 2]])[:map_stop]
+    map_table[0] = [0.0, *np.eye(n)[2]]
+    assert files[0].path.read_bytes() == csv_text(["t", *names[8:12]], map_table).encode()
+    avg_table = np.column_stack([times, averages.reshape(rows_total, n * n)])[1:]
+    header = ["T"] + [f"{name}_ave" for name in names]
+    assert files[1].path.read_bytes() == csv_text(header, avg_table).encode()
+
+
+def test_csv_writer_rows_wider_than_a_batch(tmp_path):
+    # n = 91: 1 + n^2 = 8,282 values a row, more than BATCH_VALUES; one row a call
+    n = 91
+    assert 1 + n * n > scenarios.BATCH_VALUES
+    times, maps = edge_series(np.random.default_rng(15), 4, n)
+    with ExitStack() as stack:
+        writer = scenarios._FigureFile(tmp_path, scenarios._Figure("wide", None, None), "phi", n, 4, stack)
+        writer.write(slice(1, 5), scenarios._stamps(times[1:]), maps[1:], None)
+    assert writer.batch == 1
+    table = np.column_stack([times, maps.reshape(4, n * n)])
+    table[0] = [0.0, *np.eye(n).reshape(-1)]
+    header = ["t"] + [f"phi_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
+    assert writer.path.read_bytes() == csv_text(header, table).encode()
+
+
+def test_csv_writer_holds_a_batch_not_a_chunk(tmp_path):
+    # one write of a CHUNK-row run of one row of n = 32 maps (33 values a row,
+    # 248 rows a batch): a tuple of the whole run would hold 135,168 floats,
+    # 4.3 MB, and its text 2.5 MB more
+    n = 32
+    times, maps = edge_series(np.random.default_rng(16), CHUNK + 1, n)
+    rows = slice(1, CHUNK + 1)
+    stamps = scenarios._stamps(times[rows])
+    with ExitStack() as stack:
+        writer = scenarios._FigureFile(tmp_path, scenarios._Figure("row", 5, None), "phi", n, CHUNK + 1, stack)
+        tracemalloc.start()
+        try:
+            writer.write(rows, stamps, maps[rows], None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1e6
+    assert writer.batch == 248
 
 
 def test_column_names_are_unique_beyond_nine_dimensions(tmp_path):

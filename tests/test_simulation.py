@@ -23,8 +23,9 @@ from dcobserver import (
     uniform_grid,
 )
 from dcobserver.closed_form import observer_flow
-from dcobserver.simulation import CHUNK, _row_norms
+from dcobserver.simulation import CHUNK, _grid, _row_norms
 from helpers import (
+    concatenated_grid,
     exact_propagator_average,
     exact_schedule,
     invariant_residuals,
@@ -484,6 +485,30 @@ def test_segment_below_the_float_spacing_names_its_duration():
     message = "segments[1].duration: 1e-20 gives grid steps below the float spacing at its start t = 20.0"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         propagate_schedule(segments, 0.01)
+
+
+def test_grid_is_built_in_place_bit_for_bit():
+    rng = np.random.default_rng(14)
+    schedules = [
+        ([20.0, 5.0, 75.0], 0.01),
+        ([0.3, 1e-3, 2.7, 40.0], 0.013),
+        ([1.0 / 3.0, 7.1, 2.0**-20, 100.0], 0.003),
+        ([1e4, 0.05, 1e3], 0.1),
+        (list(rng.uniform(0.01, 30.0, size=6)), 0.007),
+    ]
+    for durations, dt in schedules:
+        times, edges = _grid(durations, dt)
+        expected, expected_edges = concatenated_grid(durations, dt)
+        assert times.tobytes() == expected.tobytes() and edges == expected_edges
+    # the grid is the one array held: no step differences, no joined pieces
+    _grid([10.0], 0.1)
+    tracemalloc.start()
+    try:
+        times, _ = _grid([1e5], 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert times.size == 1_000_001 and peak <= 10 * times.size
 
 
 def test_grid_beyond_the_memory_bound_is_a_dt_error():
