@@ -19,24 +19,17 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from contextlib import ExitStack
 from dataclasses import dataclass, fields, replace
+from os import PathLike
 from pathlib import Path
 
 import numpy as np
 
 from .ccr import make_plant
 from .closed_form import observer_flow
-from .simulation import (
-    CHUNK,
-    MAX_SERIES_BYTES,
-    _average,
-    _compose,
-    _grid,
-    _residuals,
-    _step_counts,
-    convergence_diagnostics,
-)
+from .simulation import _run_grid, _sweep, convergence_diagnostics
 from .synthesis import (
     AugmentedSystem,
     assemble_augmented,
@@ -79,10 +72,10 @@ def _matrix(value, path: str) -> np.ndarray:
 
 
 def _positive(value, path: str) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: expected a number") from None
+    # a JSON true is no number, though float(True) is 1.0
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{path}: expected a number")
+    x = float(value)
     if not x > 0 or not np.isfinite(x):
         raise ConfigError(f"{path}: must be a positive finite number, got {value}")
     return x
@@ -107,11 +100,19 @@ class SegmentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, path: str) -> "SegmentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: expected an object")
         _check_fields(cls, raw, f"{path}.", "field")
         duration = None
         if raw.get("duration") is not None:
             duration = _positive(raw["duration"], f"{path}.duration")
-        if raw.get("disconnect", False):
+        disconnect = raw.get("disconnect")
+        if disconnect is not None and not isinstance(disconnect, bool):
+            raise ConfigError(f"{path}.disconnect: expected true or false")
+        if disconnect:
+            for key in ("beta", "r_o", "c_o"):
+                if raw.get(key) is not None:
+                    raise ConfigError(f"{path}.{key}: not read by a disconnected segment")
             return cls(duration=duration, disconnect=True)
         matrices = {}
         for key in ("beta", "r_o", "c_o"):
@@ -166,6 +167,8 @@ class ScenarioConfig:
             if raw.get(key) is not None:
                 values[key] = _positive(raw[key], key)
         if raw.get("out_dir") is not None:
+            if not isinstance(raw["out_dir"], (str, PathLike)):
+                raise ConfigError("out_dir: expected a path string")
             values["out_dir"] = Path(raw["out_dir"])
         return cls(**values)
 
@@ -252,9 +255,11 @@ class _FigureFile:
             self.write(slice(0, 1), _stamps(np.zeros(1)), np.eye(n)[None], None)
 
     def write(self, rows: slice, stamps: list[str], maps: np.ndarray, averages) -> None:
-        """Append the figure's rows of a run's maps or averages; stamps[j] is the
-        formatted time of row rows.start + j."""
-        k = max(0, min(rows.stop, self.stop) - rows.start)
+        """Append the figure's rows of a run's maps or averages (None past the
+        averaging stop); stamps[j] is the formatted time of row rows.start + j."""
+        k = min(rows.stop, self.stop) - rows.start
+        if k <= 0:
+            return
         data = (averages if self.avg else maps)[:k]
         if self.row is not None:
             data = data[:, self.row]
@@ -275,6 +280,12 @@ def _stamps(times: np.ndarray) -> list[str]:
     return ["%.12g" % t for t in times.tolist()]
 
 
+def _stop(times: np.ndarray, end: float) -> int:
+    """The number of grid rows up to ``end``, a grid point within one part in 1e12 above it
+    included: the rounding of the grid grows with its times."""
+    return int(np.searchsorted(times, end + 1e-12 * max(1.0, end), side="right"))
+
+
 def _as_json(report) -> dict:
     """A report dataclass as JSON values; complex numbers become [re, im] pairs."""
 
@@ -292,70 +303,51 @@ def _as_json(report) -> dict:
 
 def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
     """The one pipeline: verify, propagate, average, check, diagnose, write, summarize."""
-    coupled = [aug for _, aug in plan.phases if aug is not None]
+    durations, systems = zip(*plan.phases)
+    coupled = [aug for aug in systems if aug is not None]
     if not coupled:
         raise ConfigError("segments: at least one coupled segment is required")
     n = coupled[0].n
-    for i, (_, aug) in enumerate(plan.phases):
+    for i, aug in enumerate(systems):
         if aug is not None and aug.n != n:
             raise ConfigError(f"segments[{i}]: augmented dimension {aug.n} != {n}")
     if not plan.schedule and config.dt > plan.average_end:
         raise ConfigError(f"dt: {config.dt} exceeds the averaging horizon {plan.average_end}")
-    durations = [d for d, _ in plan.phases]
-    points = 1 + sum(_step_counts(durations, config.dt))
-    # held: the run's grid, the diagnosis grid and its d values (24 bytes a
-    # point), and per chunk row the maps, the averages and four temporaries
-    held = 24 * points + 48 * min(points, CHUNK) * n * n
-    if held > MAX_SERIES_BYTES:
-        raise ConfigError(
-            f"dt: {config.dt} needs {points:.4g} grid points, whose grid, convergence vectors "
-            f"and chunk buffers ({held / 1e9:.3g} GB) exceed {MAX_SERIES_BYTES / 1e9:g} GB"
-        )
     try:
-        times, edges = _grid(durations, config.dt)
-    except ValueError as exc:  # a segment below the float spacing
+        times, edges = _run_grid(durations, config.dt, n)
+    except ValueError as exc:  # past the memory bound, or a segment below the float spacing
         raise ConfigError(str(exc)) from None
-    reports = [
-        None if aug is None else verify_observer_conditions(aug) for _, aug in plan.phases
-    ]
+    reports = [None if aug is None else verify_observer_conditions(aug) for aug in systems]
 
-    # each segment's flow is its certificate's, the identity while disconnected
+    # per segment: its certificate's flow and its Hamiltonian and protected row,
+    # while disconnected the identity flow, zero energy and the whole map (I @ x is x exactly)
     identity = observer_flow(np.zeros((n, n)))
     flows = []
-    for i, (_, aug) in enumerate(plan.phases):
+    for i, aug in enumerate(systems):
         try:
             flows.append(identity if aug is None else aug.certificate.checked_flow())
         except ValueError as exc:
             raise ValueError(f"segments[{i}]: {exc}") from None
+    hamiltonians = [np.zeros((n, n)) if aug is None else aug.r_a for aug in systems]
+    own_rows = [np.eye(n) if aug is None else aug.plant_output for aug in systems]
 
     out = config.out_dir / plan.name
     out.mkdir(parents=True, exist_ok=True)
     # maps are written on the grid rows before map_stop, averages on rows 1 .. avg_stop - 1
-    map_stop = int(np.searchsorted(times, plan.map_end + 1e-12, side="right"))
-    avg_stop = int(np.searchsorted(times, plan.average_end + 1e-12, side="right"))
+    map_stop, avg_stop = (_stop(times, end) for end in (plan.map_end, plan.average_end))
     # per segment: the worst CCR and energy residual, and the deviations from its
-    # start map of its protected row (of the whole map while disconnected: I @ x
-    # is x exactly) and of the first observer's
-    worst = np.zeros((len(plan.phases), 4))
-    theta, first_rows = coupled[0].ccr.theta, coupled[0].plant_output
-    averages, carry = np.empty((min(CHUNK, times.size - 1), n, n)), np.empty((2, n, n))
+    # start map of its protected row and of the first observer's
+    worst = np.zeros((len(systems), 4))
     with ExitStack() as stack:
         files = [
             _FigureFile(out, fig, plan.prefix, n, avg_stop if fig.avg else map_stop, stack)
             for fig in plan.figures
         ]
-        for i, lo, rows, start, block, flow in _compose(flows, times, edges):
-            aug = plan.phases[i][1]
-            if rows.start == lo + 1:
-                if aug is None:
-                    r_seg, own = np.zeros((n, n)), np.eye(n)
-                else:
-                    r_seg, own = aug.r_a, aug.plant_output
-                energy_ref = start.T @ r_seg @ start
-            if rows.start < avg_stop:
-                _average(flow, times, lo, rows, carry, averages[: len(block)])
-            residuals = _residuals(block, theta, r_seg, energy_ref)
-            moved = [np.max(np.abs(m @ block - m @ start)) for m in (own, first_rows)]
+        theta, first_rows = coupled[0].ccr.theta, coupled[0].plant_output
+        for i, rows, start, block, averages, residuals in _sweep(
+            flows, times, edges, theta, hamiltonians, avg_stop
+        ):
+            moved = [np.max(np.abs(m @ block - m @ start)) for m in (own_rows[i], first_rows)]
             worst[i] = np.maximum(worst[i], [*residuals, *moved])
             stamps = _stamps(times[rows])
             for figure in files:
@@ -364,8 +356,8 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
     scripts = [figure.script for figure in files if figure.script is not None]
 
     entries = []
-    for (duration, aug), report, lo, hi, (_, energy, moved, _) in zip(
-        plan.phases, reports, edges[:-1], edges[1:], worst.tolist()
+    for duration, aug, report, lo, hi, (_, energy, moved, _) in zip(
+        durations, systems, reports, edges[:-1], edges[1:], worst.tolist()
     ):
         entry = {
             "kind": "disconnected" if aug is None else "coupled",
@@ -394,7 +386,7 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
         "conservation": {"ccr_residual": ccr_residual, "energy_residual": energy_residual},
     }
     if plan.schedule:
-        coupled_at = [i for i, (_, aug) in enumerate(plan.phases) if aug is not None]
+        coupled_at = [i for i, aug in enumerate(systems) if aug is not None]
         # disturbance of the first observer's protected row under the last observer
         swap_disturbance = float(worst[coupled_at[-1], 3])
         plateau = [e["plateau_max_deviation"] for e in entries if e["kind"] == "disconnected"]

@@ -116,6 +116,24 @@ def _grid(durations, dt: float) -> tuple[np.ndarray, tuple[int, ...]]:
     return times, tuple(edges)
 
 
+def _run_grid(durations, dt: float, n: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """_grid of a run of _sweep at dimension ``n``, once what the run holds fits MAX_SERIES_BYTES.
+
+    A run holds its grid, the diagnosis grid and its d values (24 bytes a
+    point), and per chunk row the maps, the averages and four temporaries.
+    Past the bound the ValueError starts with ``dt: ``, raised before
+    anything is allocated.
+    """
+    points = 1 + sum(_step_counts(durations, dt))
+    held = 24 * points + 48 * min(points, CHUNK) * n * n
+    if held > MAX_SERIES_BYTES:
+        raise ValueError(
+            f"dt: {dt} needs {points:.4g} grid points, whose grid, convergence vectors "
+            f"and chunk buffers ({held / 1e9:.3g} GB) exceed {MAX_SERIES_BYTES / 1e9:g} GB"
+        )
+    return _grid(durations, dt)
+
+
 def uniform_grid(t_end: float, dt: float) -> np.ndarray:
     """Uniform grid over [0, t_end], the step adjusted to hit t_end: a one-segment schedule's grid."""
     if not 0 < t_end < np.inf:
@@ -158,6 +176,26 @@ def _compose(flows: Sequence[Flow], times: np.ndarray, edges, maps: np.ndarray |
         flow.maps(times[rows] - times[lo], out=block)
         yield i, lo, rows, start, block, flow
         end = block[-1].copy()
+
+
+def _sweep(flows: Sequence[Flow], times: np.ndarray, edges, theta, hamiltonians, average_stop: int):
+    """The one pass of a scenario run over the runs of _compose.
+
+    Yields (i, rows, start, block, averages, residuals) for each run:
+    ``averages`` holds the running averages at times[rows] while rows.start
+    is before ``average_stop`` (None after it), and ``residuals`` the worst
+    CCR and energy residual of the block, the energy measured against segment
+    i's Hamiltonian ``hamiltonians[i]`` from its start map.  ``averages``
+    and ``block`` are buffers that the next run overwrites.
+    """
+    n = flows[0].coef.shape[1]
+    averages, carry = np.empty((min(CHUNK, times.size - 1), n, n)), np.empty((2, n, n))
+    for i, lo, rows, start, block, flow in _compose(flows, times, edges):
+        run_averages = None
+        if rows.start < average_stop:
+            run_averages = averages[: len(block)]
+            _average(flow, times, lo, rows, carry, run_averages)
+        yield i, rows, start, block, run_averages, _residuals(block, theta, hamiltonians[i], start)
 
 
 def _series(flows: Sequence[Flow], times: np.ndarray, edges) -> PropagatorSeries:
@@ -264,23 +302,22 @@ def invariant_monitor(series: PropagatorSeries, ccr: CommutationStructure, r_a) 
     theta = ccr.theta
     if series.dim != ccr.n or r_a.shape != (ccr.n, ccr.n):
         raise ValueError("series, ccr and r_a dimensions disagree")
-    energy_ref = series.maps[0].T @ r_a @ series.maps[0]
     worst = [
-        _residuals(series.maps[lo : lo + CHUNK], theta, r_a, energy_ref)
+        _residuals(series.maps[lo : lo + CHUNK], theta, r_a, series.maps[0])
         for lo in range(0, len(series.maps), CHUNK)
     ]
     ccr_res, energy_res = np.max(worst, axis=0).tolist()
     return InvariantReport(max_ccr_residual=ccr_res, max_energy_residual=energy_res)
 
 
-def _residuals(maps: np.ndarray, theta, r_a, energy_ref) -> tuple[float, float]:
-    """Max of |Phi theta Phi.T - theta| and of |Phi.T r_a Phi - energy_ref| over a block of maps.
+def _residuals(maps: np.ndarray, theta, r_a, start: np.ndarray) -> tuple[float, float]:
+    """Max of |Phi theta Phi.T - theta| and of |Phi.T r_a Phi - start.T r_a start| over a block of maps.
 
     Every product goes into one buffer of two blocks, freed on return: four
     separate block-sized temporaries would be mapped and faulted in anew on
     every call.
     """
-    maps_t = maps.transpose(0, 2, 1)
+    maps_t, energy_ref = maps.transpose(0, 2, 1), start.T @ r_a @ start
     half, product = np.empty((2,) + maps.shape)
     worst = []
     for left, middle, right, ref in ((maps, theta, maps_t, theta), (maps_t, r_a, maps, energy_ref)):

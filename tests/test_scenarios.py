@@ -4,6 +4,7 @@ import dataclasses
 import json
 import tracemalloc
 from contextlib import ExitStack
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from dcobserver import (
     time_average,
     uniform_grid,
 )
-from dcobserver import closed_form, scenarios, synthesis
+from dcobserver import closed_form, scenarios, simulation, synthesis
 from dcobserver.cli import main
 from dcobserver.simulation import CHUNK
 from helpers import (
@@ -461,13 +462,13 @@ def count_certify(monkeypatch) -> list:
 
 def test_single_segment_run_propagates_once(tmp_path, monkeypatch):
     composed = []
-    original = scenarios._compose
+    original = simulation._compose
 
     def counting(flows, times, edges):
         composed.append(len(flows))
         return original(flows, times, edges)
 
-    monkeypatch.setattr(scenarios, "_compose", counting)
+    monkeypatch.setattr(simulation, "_compose", counting)
     certified = count_certify(monkeypatch)
     bundle = run_one_mode(
         ScenarioConfig.from_dict({"scenario": "one_mode", "out_dir": str(tmp_path), "t_end": 10.0})
@@ -540,6 +541,57 @@ def test_segment_below_the_float_spacing_names_its_duration(tmp_path, capsys):
     assert err.startswith("error: segments[1].duration: 1e-20 ")
     assert err.count("\n") == 1
     assert not (tmp_path / "measurement_sequence").exists()
+
+
+_COUPLED = {"beta": [[1], [0]], "r_o": [[1, 0], [0, 1]], "c_o": [[1, 0]]}
+
+
+def _sequence(*segments) -> dict:
+    return {"scenario": "measurement_sequence", "segments": list(segments)}
+
+
+@pytest.mark.parametrize(
+    "field, raw",
+    [
+        ("segments[0]", _sequence(5)),
+        ("segments[1]", _sequence(_COUPLED, [_COUPLED])),
+        ("out_dir", {"scenario": "one_mode", "out_dir": 5}),
+        ("dt", {"scenario": "one_mode", "dt": True}),
+        ("t_end", {"scenario": "one_mode", "t_end": "50"}),
+        ("segments[0].duration", _sequence({"duration": True, **_COUPLED})),
+        # a JSON boolean only: "no", 1 and "false" would all disconnect
+        *[
+            ("segments[0].disconnect", _sequence({"duration": 5, "disconnect": flag}, _COUPLED))
+            for flag in ("no", 1, "false")
+        ],
+        # a disconnected segment reads none of the coupled fields
+        *[
+            (f"segments[0].{key}", _sequence({"duration": 5, "disconnect": True, key: _COUPLED[key]}, _COUPLED))
+            for key in ("beta", "r_o", "c_o")
+        ],
+    ],
+)
+def test_config_values_of_the_wrong_type_name_their_field(tmp_path, capsys, monkeypatch, field, raw):
+    # the run starts in an empty directory, so any output directory it made would show
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps({"t_end": 30.0, **raw}))
+    assert main(["--config", "config.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_disconnected_segment_may_give_null_coupled_fields(tmp_path):
+    # null counts as absent, as for the top-level fields
+    segments = [
+        {"duration": 10.0, "disconnect": False, **_COUPLED},
+        {"duration": 5.0, "disconnect": True, "beta": None},
+        {"disconnect": None, **_COUPLED},
+    ]
+    config = ScenarioConfig.from_dict({"t_end": 30.0, **_sequence(*segments)})
+    assert [seg.disconnect for seg in config.segments] == [False, True, False]
+    assert config.segments[1].beta is None
 
 
 def test_config_rejects_unknown_fields():
@@ -785,14 +837,28 @@ def test_stock_csvs_match_the_exact_and_stepwise_oracles(tmp_path, scenario):
                 assert np.all(np.abs(values - reference) <= 5e-12 * np.abs(reference) + drift), tag
 
 
+def test_files_keep_the_grid_point_at_their_end_past_t_16384():
+    # past t = 16,384 the float spacing (3.6e-12) passes an absolute 1e-12
+    # slack, so the grid point of an end k / 10 can round to just above it
+    times, _ = simulation._grid([16400.0], 0.1)
+    rows = np.arange(163_841, times.size)
+    ends = rows / 10.0
+    assert np.count_nonzero(times[rows] > ends + 1e-12) > 10
+    assert [scenarios._stop(times, end) for end in ends.tolist()] == (rows + 1).tolist()
+    # below it nothing moves: the stock ends keep their rows, and an end past
+    # the grid keeps them all
+    times, _ = simulation._grid([100.0], 0.01)
+    assert [scenarios._stop(times, end) for end in (10.0, 50.0, 100.0, np.inf)] == [1001, 5001, 10001, 10001]
+
+
 def test_memory_guard_bounds_the_grid_and_the_chunk_buffers(tmp_path, capsys, monkeypatch):
     # by arithmetic: one_mode at dt = 0.1 has 1001 grid points and n = 4; the
     # guard counts 24 bytes a point and 48 n^2 bytes a chunk row
     held = 24 * 1001 + 48 * 1001 * 4 * 4
     argv = ["--scenario", "one_mode", "--dt", "0.1", "--out-dir", str(tmp_path)]
-    monkeypatch.setattr(scenarios, "MAX_SERIES_BYTES", held)
+    monkeypatch.setattr(simulation, "MAX_SERIES_BYTES", held)
     assert main(argv) == 0
-    monkeypatch.setattr(scenarios, "MAX_SERIES_BYTES", held - 1)
+    monkeypatch.setattr(simulation, "MAX_SERIES_BYTES", held - 1)
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: dt: 0.1 needs 1001 grid points")
 
@@ -802,16 +868,18 @@ def test_memory_guard_bounds_the_grid_and_the_chunk_buffers(tmp_path, capsys, mo
         raise RuntimeError("the guard let the grid through")
 
     monkeypatch.undo()
-    monkeypatch.setattr(scenarios, "_grid", no_grid)
+    monkeypatch.setattr(simulation, "_grid", no_grid)
     config = ScenarioConfig.from_dict({"scenario": "one_mode", "dt": 1e-5, "out_dir": str(tmp_path)})
-    assert 16 * 10_000_001 * 4 * 4 > scenarios.MAX_SERIES_BYTES
+    assert 16 * 10_000_001 * 4 * 4 > simulation.MAX_SERIES_BYTES
     with pytest.raises(RuntimeError, match="the guard let the grid through"):
         run_one_mode(config)
 
 
-def test_run_memory_grows_by_at_most_48_bytes_a_grid_point(tmp_path):
+def test_run_memory_grows_by_at_most_16_bytes_a_grid_point(tmp_path):
     # one_mode at dt = 0.1: 10,001 and 30,001 grid points, both past two
-    # chunks; a run holds its grid and its chunk buffers, never its series
+    # chunks, and the diagnosis grid up to average_t_end = 100 in both; a run
+    # holds its grid (8 bytes a point) and its chunk buffers, never its
+    # series; a run that kept two copies of its grid (24 bytes a point) fails
     def peak(t_end):
         config = {"scenario": "one_mode", "out_dir": str(tmp_path), "t_end": t_end, "dt": 0.1}
         tracemalloc.start()
@@ -822,7 +890,7 @@ def test_run_memory_grows_by_at_most_48_bytes_a_grid_point(tmp_path):
             tracemalloc.stop()
 
     peak(10.0)  # warm up imports and caches
-    assert peak(3e3) - peak(1e3) <= 48 * 20_000
+    assert peak(3e3) - peak(1e3) <= 16 * 20_000
 
 
 def test_schedule_run_writes_and_checks_the_whole_series(tmp_path):
