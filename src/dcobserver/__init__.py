@@ -27,11 +27,9 @@ from .simulation import (
     ConvergenceReport,
     InvariantReport,
     PropagatorSeries,
-    Segment,
     convergence_diagnostics,
     invariant_monitor,
     propagate,
-    propagate_schedule,
     time_average,
     uniform_grid,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "PlantSpec",
     "PropagatorSeries",
     "ScenarioConfig",
-    "Segment",
     "assemble_augmented",
     "convergence_diagnostics",
     "invariant_monitor",
@@ -68,7 +65,6 @@ __all__ = [
     "make_plant",
     "make_theta",
     "propagate",
-    "propagate_schedule",
     "realizability_residual",
     "run_custom",
     "run_measurement_sequence",

@@ -59,6 +59,11 @@ class ConfigError(ValueError):
     """Invalid scenario configuration; the message names the offending field."""
 
 
+def _is_number(value) -> bool:
+    # a JSON true is no number, though float(True) is 1.0
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _matrix(value, path: str) -> np.ndarray:
     try:
         m = np.array(value, dtype=float)
@@ -66,14 +71,18 @@ def _matrix(value, path: str) -> np.ndarray:
         raise ConfigError(f"{path}: not a numeric matrix ({exc})") from None
     if m.ndim != 2 or m.size == 0:
         raise ConfigError(f"{path}: expected a non-empty 2-D matrix, got shape {m.shape}")
+    # numpy casts booleans and numeric strings too
+    for i, row in enumerate(value):
+        for j, x in enumerate(row):
+            if not _is_number(x):
+                raise ConfigError(f"{path}: entry [{i}][{j}] is {x!r}, not a number")
     if not np.all(np.isfinite(m)):
         raise ConfigError(f"{path}: matrix has non-finite entries")
     return m
 
 
 def _positive(value, path: str) -> float:
-    # a JSON true is no number, though float(True) is 1.0
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not _is_number(value):
         raise ConfigError(f"{path}: expected a number")
     x = float(value)
     if not x > 0 or not np.isfinite(x):

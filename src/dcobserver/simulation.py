@@ -22,37 +22,16 @@ MAX_SERIES_BYTES = 2e9
 
 
 @dataclass(frozen=True)
-class Segment:
-    """Constant dynamics ``a`` active for ``duration`` time units."""
-
-    a: np.ndarray
-    duration: float
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"segment dynamics must be square, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("segment dynamics contain non-finite entries")
-        if not 0 < self.duration < np.inf:
-            raise ValueError(f"segment duration must be positive and finite, got {self.duration}")
-        object.__setattr__(self, "a", a)
-
-
-@dataclass(frozen=True)
 class PropagatorSeries:
     """Transition matrices sampled on a grid; maps[0] is the identity.
 
-    Segment i of the schedule runs from times[edges[i]] to times[edges[i + 1]].
-    ``flows[i]`` gives its maps as a function of the time since that start
-    (the closed form right-multiplied by the map there).  A series built by
-    hand, such as a slice of another, may carry no flows.
+    ``flow`` gives the maps as a function of time, as propagate sets it.  A
+    series built by hand, such as a slice of another, may carry none.
     """
 
     times: np.ndarray
     maps: np.ndarray
-    edges: tuple[int, ...]
-    flows: tuple[Flow, ...] = ()
+    flow: Flow | None = None
 
     @property
     def dim(self) -> int:
@@ -146,7 +125,7 @@ def uniform_grid(t_end: float, dt: float) -> np.ndarray:
 def _runs(edges):
     """The one chunk iterator: (i, lo, rows) for each run of at most CHUNK rows.
 
-    Segment i starts at row lo = edges[i]; its rows lo + 1 .. edges[i + 1]
+    Each segment i starts at row lo = edges[i]; its rows lo + 1 .. edges[i + 1]
     are walked from the first, so every run starts a multiple of CHUNK rows
     after the first row of its segment.
     """
@@ -198,15 +177,6 @@ def _sweep(flows: Sequence[Flow], times: np.ndarray, edges, theta, hamiltonians,
         yield i, rows, start, block, run_averages, _residuals(block, theta, hamiltonians[i], start)
 
 
-def _series(flows: Sequence[Flow], times: np.ndarray, edges) -> PropagatorSeries:
-    """The whole series of _compose, maps[0] pinned to I."""
-    maps = np.empty((times.size,) + flows[0].coef.shape[1:])
-    maps[0] = np.eye(maps.shape[1])
-    runs = _compose(flows, times, edges, maps)
-    composed = [flow for _, lo, rows, _, _, flow in runs if rows.start == lo + 1]
-    return PropagatorSeries(times=times, maps=maps, edges=edges, flows=tuple(composed))
-
-
 def _average(flow: Flow, times: np.ndarray, lo: int, rows: slice, carry: np.ndarray, out: np.ndarray):
     """Running averages at times[rows] of a segment from row lo, written into ``out``.
 
@@ -225,7 +195,7 @@ def _average(flow: Flow, times: np.ndarray, lo: int, rows: slice, carry: np.ndar
 
 
 def propagate(a, grid) -> PropagatorSeries:
-    """Transition matrices exp(a t_k) on ``grid``: a schedule of one segment."""
+    """Transition matrices exp(a t_k) on ``grid``, from the closed-form flow of ``a``."""
     times = np.asarray(grid, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("grid must be a 1-D sequence with at least two points")
@@ -235,51 +205,31 @@ def propagate(a, grid) -> PropagatorSeries:
         raise ValueError(f"grid must start at 0, got {times[0]}")
     if not np.all(np.diff(times) > 0):
         raise ValueError("grid must be strictly increasing")
-    flow = observer_flow(Segment(a=a, duration=float(times[-1])).a)
-    return _series([flow], times, (0, times.size - 1))
-
-
-def propagate_schedule(segments: Sequence[Segment], dt: float) -> PropagatorSeries:
-    """Left-composed piecewise propagator over a schedule of Segments, on its own grid.
-
-    Each segment takes max(1, round(duration / dt)) equal steps and ends
-    exactly on its boundary; ``edges`` of the series indexes the boundaries.
-    Every segment must have the observer structure; the error of one that
-    lacks it starts with ``segments[i]: ``.
-    """
-    if not segments:
-        raise ValueError("empty schedule")
-    if not 0 < dt < np.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    n = segments[0].a.shape[0]
-    if any(seg.a.shape != (n, n) for seg in segments):
-        raise ValueError("all segments must share the same dimension")
-    flows = []
-    for i, seg in enumerate(segments):
-        try:
-            flows.append(observer_flow(seg.a))
-        except ValueError as exc:
-            raise ValueError(f"segments[{i}]: {exc}") from None
-    return _series(flows, *_grid([seg.duration for seg in segments], dt))
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"dynamics must be square, got shape {a.shape}")
+    maps = np.empty((times.size,) + a.shape)
+    maps[0] = np.eye(a.shape[0])
+    # every run writes its rows of maps and carries the flow composed with maps[0]
+    runs = list(_compose([observer_flow(a)], times, (0, times.size - 1), maps))
+    return PropagatorSeries(times=times, maps=maps, flow=runs[0][-1])
 
 
 def time_average(series: PropagatorSeries) -> AverageSeries:
-    """Running averages (1/T) int_0^T Phi, T = times[1:], segment by segment.
+    """Running averages (1/T) int_0^T Phi at T = times[1:], from the series' flow.
 
-    Each segment integrates its flow exactly, CHUNK rows at a time, and adds
-    the raw integral up to its start.  The average at T -> 0 tends to the
-    identity by continuity; T = 0 itself is excluded from the output.  The
-    series needs one flow per segment, as propagate and propagate_schedule
-    return it.
+    The flow is integrated exactly, CHUNK rows at a time.  The average at
+    T -> 0 tends to the identity by continuity; T = 0 itself is excluded
+    from the output.  The series needs its flow, as propagate returns it.
     """
-    times, maps, flows = series.times, series.maps, series.flows
+    times, maps = series.times, series.maps
     if times.size < 2:
         raise ValueError("series must contain at least one step beyond t=0")
-    if len(flows) != len(series.edges) - 1:
-        raise ValueError(f"series has {len(flows)} flows for {len(series.edges) - 1} segments")
+    if series.flow is None:
+        raise ValueError("series has no flow to integrate; propagate returns one")
     averages, carry = np.empty_like(maps[1:]), np.empty((2,) + maps.shape[1:])
-    for i, lo, rows in _runs(series.edges):
-        _average(flows[i], times, lo, rows, carry, averages[rows.start - 1 : rows.stop - 1])
+    for _, lo, rows in _runs((0, times.size - 1)):
+        _average(series.flow, times, lo, rows, carry, averages[rows.start - 1 : rows.stop - 1])
     return AverageSeries(times=times[1:].copy(), averages=averages)
 
 

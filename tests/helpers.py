@@ -25,7 +25,8 @@ from dcobserver import (
     synthesize_observer,
     uniform_grid,
 )
-from dcobserver.simulation import _row_norms, _step_counts
+from dcobserver.closed_form import observer_flow
+from dcobserver.simulation import _grid, _row_norms, _step_counts, _sweep
 
 # canonical one-mode example: position-estimating observer, its Hamiltonian
 # block, and the conjugate (momentum-estimating) observer used after the swap
@@ -267,7 +268,7 @@ def exact_schedule(phases, times, edges, picks):
     grid ``times`` with segment i from edges[i] to edges[i + 1].  Each map is
     closed_form_map of the segment's local time times the map at its start,
     each integral Van Loan's block integral times that map plus the integral
-    up to the start.  Oracle for ``propagate_schedule`` and ``time_average``.
+    up to the start.  Oracle for ``swept_schedule`` and ``time_average``.
     """
     n = next(aug.n for _, aug in phases if aug is not None)
     phi, integral = np.eye(n), np.zeros((n, n))
@@ -308,12 +309,18 @@ def eigenvalues_mp(m, dps: int = 40) -> np.ndarray:
         return np.sort(np.array([complex(z) for z in vals]))
 
 
-# boundaries of stepwise_propagate_schedule match grid points within this
+# boundaries of stepwise_schedule match grid points within this
 BOUNDARY_TOL = 1e-9
 
 
-def stepwise_propagate_schedule(segments, grid) -> np.ndarray:
-    """Maps of ``segments`` on any ``grid`` that holds their boundaries, one step at a time.
+def phase_dynamics(phases) -> list[np.ndarray]:
+    """The dynamics of each (duration, aug or None) phase: a_a, or zero while disconnected."""
+    n = next(aug.n for _, aug in phases if aug is not None)
+    return [np.zeros((n, n)) if aug is None else aug.a_a for _, aug in phases]
+
+
+def stepwise_schedule(phases, grid) -> np.ndarray:
+    """Maps of (duration, aug or None) ``phases`` on any ``grid`` holding their boundaries, a step at a time.
 
     A propagator independent of the closed form, with scipy's expm: the
     active segment is found by walking the boundaries as time advances, a
@@ -321,15 +328,16 @@ def stepwise_propagate_schedule(segments, grid) -> np.ndarray:
     exponential is computed once.  Its maps drift by rounding, step by step.
     """
     times = np.asarray(grid, dtype=float)
-    n = segments[0].a.shape[0]
-    boundaries = np.cumsum([seg.duration for seg in segments])
+    dynamics = phase_dynamics(phases)
+    n = dynamics[0].shape[0]
+    boundaries = np.cumsum([duration for duration, _ in phases])
     maps = np.empty((times.size, n, n))
     maps[0] = np.eye(n)
     seg_i = 0
     step_cache = {}
     for k in range(1, times.size):
         t_prev, t_cur = times[k - 1], times[k]
-        while seg_i + 1 < len(segments) and t_prev >= boundaries[seg_i] - BOUNDARY_TOL:
+        while seg_i + 1 < len(phases) and t_prev >= boundaries[seg_i] - BOUNDARY_TOL:
             seg_i += 1
         if t_cur > boundaries[seg_i] + BOUNDARY_TOL:
             raise ValueError(
@@ -340,10 +348,38 @@ def stepwise_propagate_schedule(segments, grid) -> np.ndarray:
         key = (seg_i, dt)
         step = step_cache.get(key)
         if step is None:
-            step = expm(segments[seg_i].a * dt)
+            step = expm(dynamics[seg_i] * dt)
             step_cache[key] = step
         maps[k] = step @ maps[k - 1]
     return maps
+
+
+def swept_schedule(phases, dt: float):
+    """Grid, edges, maps, running averages and per-segment residuals of a schedule, from a run's pass.
+
+    ``phases`` are (duration, aug or None for a disconnected segment) pairs,
+    as a scenario plans them.  ``simulation._grid`` lays the grid and
+    ``simulation._sweep`` walks it with the flows and Hamiltonians a
+    scenario run gives it, averaging every row; each run's block and
+    averages are copied into whole arrays.  ``residuals[i]`` holds segment
+    i's worst CCR and energy residual, the energy against its start map.
+    """
+    times, edges = _grid([duration for duration, _ in phases], dt)
+    coupled = next(aug for _, aug in phases if aug is not None)
+    n = coupled.n
+    identity = observer_flow(np.zeros((n, n)))
+    flows = [identity if aug is None else aug.certificate.checked_flow() for _, aug in phases]
+    hamiltonians = [np.zeros((n, n)) if aug is None else aug.r_a for _, aug in phases]
+    maps = np.empty((times.size, n, n))
+    maps[0] = np.eye(n)
+    averages = np.empty_like(maps[1:])
+    residuals = np.zeros((len(phases), 2))
+    runs = _sweep(flows, times, edges, coupled.ccr.theta, hamiltonians, times.size)
+    for i, rows, _, block, run_averages, worst in runs:
+        maps[rows] = block
+        averages[rows.start - 1 : rows.stop - 1] = run_averages
+        residuals[i] = np.maximum(residuals[i], worst)
+    return times, edges, maps, averages, residuals
 
 
 def trapezoid_average(times, maps) -> np.ndarray:

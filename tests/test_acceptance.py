@@ -9,11 +9,9 @@ import numpy as np
 
 from dcobserver import (
     ScenarioConfig,
-    Segment,
     invariant_monitor,
     make_theta,
     propagate,
-    propagate_schedule,
     realizability_residual,
     run_measurement_sequence,
     run_one_mode,
@@ -31,6 +29,7 @@ from helpers import (
     random_augmented,
     random_spd,
     swapped_augmented,
+    swept_schedule,
 )
 
 
@@ -155,9 +154,7 @@ def test_criterion_6_conservation_laws():
     one_mode = invariant_monitor(series, aug.ccr, aug.r_a)
 
     aug1, aug3 = one_mode_augmented(), swapped_augmented()
-    segments = [Segment(aug1.a_a, 20.0), Segment(np.zeros((4, 4)), 5.0), Segment(aug3.a_a, 75.0)]
-    sched = propagate_schedule(segments, 0.01)
-    maps, times = sched.maps, sched.times
+    times, _, maps, _, _ = swept_schedule([(20.0, aug1), (5.0, None), (75.0, aug3)], 0.01)
     maps_t = maps.transpose(0, 2, 1)
     ccr_res = float(np.max(np.abs(maps @ aug1.ccr.theta @ maps_t - aug1.ccr.theta)))
     energy_res = 0.0
@@ -205,9 +202,7 @@ def test_criterion_7_exponential_norm_bound():
 
 def test_criterion_8_measurement_sequence():
     aug1, aug3 = one_mode_augmented(), swapped_augmented()
-    segments = [Segment(aug1.a_a, 20.0), Segment(np.zeros((4, 4)), 5.0), Segment(aug3.a_a, 75.0)]
-    series = propagate_schedule(segments, 0.01)
-    times, maps = series.times, series.maps
+    times, _, maps, _, _ = swept_schedule([(20.0, aug1), (5.0, None), (75.0, aug3)], 0.01)
     i20 = int(np.argmin(np.abs(times - 20.0)))
     i25 = int(np.argmin(np.abs(times - 25.0)))
 

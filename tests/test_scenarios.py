@@ -12,17 +12,14 @@ import pytest
 from dcobserver import (
     ConfigError,
     ScenarioConfig,
-    Segment,
     assemble_augmented,
     convergence_diagnostics,
     make_plant,
-    propagate_schedule,
     run_custom,
     run_measurement_sequence,
     run_one_mode,
     run_scenario,
     synthesize_observer,
-    time_average,
     uniform_grid,
 )
 from dcobserver import closed_form, scenarios, simulation, synthesis
@@ -33,9 +30,11 @@ from helpers import (
     exact_schedule,
     invariant_residuals,
     one_mode_augmented,
+    phase_dynamics,
     random_augmented,
-    stepwise_propagate_schedule,
+    stepwise_schedule,
     swapped_augmented,
+    swept_schedule,
     trapezoid_average,
     whole_series,
 )
@@ -569,6 +568,12 @@ def _sequence(*segments) -> dict:
             (f"segments[0].{key}", _sequence({"duration": 5, "disconnect": True, key: _COUPLED[key]}, _COUPLED))
             for key in ("beta", "r_o", "c_o")
         ],
+        # a matrix entry is a JSON number: numpy would cast true and "1"
+        ("beta", {"scenario": "custom", **_COUPLED, "beta": [[True], [False]]}),
+        ("r_o", {"scenario": "custom", **_COUPLED, "r_o": [["1", 0], [0, "1"]]}),
+        ("c_o", {"scenario": "custom", **_COUPLED, "c_o": [[1, True]]}),
+        ("segments[0].r_o", _sequence({"duration": 5, **_COUPLED, "r_o": [["1", 0], [0, "1"]]}, _COUPLED)),
+        ("segments[1].beta", _sequence({"duration": 5, **_COUPLED}, {**_COUPLED, "beta": [[True], [False]]})),
     ],
 )
 def test_config_values_of_the_wrong_type_name_their_field(tmp_path, capsys, monkeypatch, field, raw):
@@ -604,6 +609,24 @@ def test_config_rejects_unknown_fields():
 def test_config_rejects_bad_scenario():
     with pytest.raises(ConfigError, match="scenario"):
         ScenarioConfig.from_dict({"scenario": "both_modes"})
+    # a config built by hand skips from_dict's check and reaches the dispatch
+    with pytest.raises(ConfigError, match=r"^scenario: unknown scenario 'bogus'$"):
+        run_scenario(ScenarioConfig(scenario="bogus"))
+
+
+def test_failed_certificate_in_a_run_names_its_segment(tmp_path):
+    # the last coupled phase gets C B != 0: a run rejects it with the
+    # certificate's message behind its segment index, before any output
+    aug1, aug3 = one_mode_augmented(), swapped_augmented()
+    a = aug3.a_a.copy()
+    a[3, 0] += 0.5
+    broken = dataclasses.replace(aug3, a_a=a)
+    phases = ((20.0, aug1), (5.0, None), (75.0, broken))
+    plan = scenarios._Plan("measurement_sequence", phases, scenarios._SEQUENCE_FIGURES, schedule=True)
+    config = ScenarioConfig(scenario="measurement_sequence", out_dir=tmp_path / "out")
+    with pytest.raises(ValueError, match=r"^segments\[2\]: max\|C B\| = "):
+        scenarios._run(config, plan)
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_rejects_nonnumeric_matrix():
@@ -796,11 +819,9 @@ def test_stock_csvs_match_the_exact_and_stepwise_oracles(tmp_path, scenario):
         edges.append(edges[-1] + pieces[-1].size)
         t0 += duration
     times = np.concatenate(pieces)
-    segments = [Segment(np.zeros((4, 4)) if aug is None else aug.a_a, d) for d, aug in phases]
-    # the text is the library's series, cut to each file's rows and times
-    series = propagate_schedule(segments, 0.01)
-    assert np.array_equal(series.times, times) and series.edges == tuple(edges)
-    averages = time_average(series).averages
+    # the text is the series of a run's pass, cut to each file's rows and times
+    swept_times, swept_edges, maps, averages, _ = swept_schedule(phases, 0.01)
+    assert np.array_equal(swept_times, times) and swept_edges == tuple(edges)
     # sampled values: closed_form_map and Van Loan's integral, composed at the
     # boundaries, within the 12-digit rounding (5e-12 of the value) plus 1e-13
     # of max|Phi| for float64 rounding on either side
@@ -809,12 +830,12 @@ def test_stock_csvs_match_the_exact_and_stepwise_oracles(tmp_path, scenario):
     exact_averages = exact_integrals / times[picks][:, None, None]
     # every value: maps within 1e-12 of max|Phi| of the stepwise oracle (its
     # drift), averages within the trapezoid bias (dt^2 / 12) max ||a||^2 max ||Phi||
-    stepped = stepwise_propagate_schedule(segments, times)
+    stepped = stepwise_schedule(phases, times)
     trapezoid = trapezoid_average(times, stepped)
-    a_norm = max(np.linalg.norm(seg.a, 2) for seg in segments)
+    a_norm = max(np.linalg.norm(a, 2) for a in phase_dynamics(phases))
     bias = 0.01**2 / 12.0 * a_norm**2 * max(np.linalg.norm(m, 2) for m in stepped)
     for figures, col, t, data, end, suffix, exact, lag, oracle in [
-        (map_figures, "t", times, series.maps, map_end, "", exact_maps, 0, stepped),
+        (map_figures, "t", times, maps, map_end, "", exact_maps, 0, stepped),
         (average_figures, "T", times[1:], averages, average_end, "_ave", exact_averages, 1, trapezoid),
     ]:
         keep = t <= end
@@ -914,17 +935,16 @@ def test_schedule_run_writes_and_checks_the_whole_series(tmp_path):
         assemble_augmented(make_plant(b), synthesize_observer(make_plant(b), r, c)) for b, r, c in observers
     )
     phases = [(entries[0]["duration"], first), (entries[1]["duration"], None), (entries[2]["duration"], last)]
-    segments = [Segment(np.zeros((4, 4)) if aug is None else aug.a_a, d) for d, aug in phases]
-    series = propagate_schedule(segments, 0.01)
-    lo, hi = series.edges[2:]
-    assert series.edges[1:3] == (1337, 1387) and hi - lo > 2 * CHUNK
-    flows = [closed_form.observer_flow(seg.a) for seg in segments]
-    maps, averages = whole_series(flows, series.times, series.edges)
+    times, edges = simulation._grid([duration for duration, _ in phases], 0.01)
+    lo, hi = edges[2:]
+    assert edges[1:3] == (1337, 1387) and hi - lo > 2 * CHUNK
+    flows = [closed_form.observer_flow(a) for a in phase_dynamics(phases)]
+    maps, averages = whole_series(flows, times, edges)
 
     theta = first.ccr.theta
     ccr = invariant_residuals(maps, theta, np.zeros((4, 4)))[0]
     assert bundle.summary["conservation"]["ccr_residual"] == ccr
-    for entry, (_, aug), lo, hi in zip(entries, phases, series.edges[:-1], series.edges[1:]):
+    for entry, (_, aug), lo, hi in zip(entries, phases, edges[:-1], edges[1:]):
         piece = maps[lo : hi + 1]
         r_seg = np.zeros((4, 4)) if aug is None else aug.r_a
         assert entry["energy_residual"] == invariant_residuals(piece, theta, r_seg)[1]
@@ -939,8 +959,8 @@ def test_schedule_run_writes_and_checks_the_whole_series(tmp_path):
     assert bundle.summary["swap_disturbance"] == swap
 
     for tag, row, t, data, col, suffix in [
-        ("fig07", 0, series.times, maps, "t", ""),
-        ("fig12", 3, series.times[1:], averages, "T", "_ave"),
+        ("fig07", 0, times, maps, "t", ""),
+        ("fig12", 3, times[1:], averages, "T", "_ave"),
     ]:
         header = [col] + [f"phit_{row + 1}{j + 1}{suffix}" for j in range(4)]
         expected = csv_text(header, np.column_stack([t, data[:, row, :]]))

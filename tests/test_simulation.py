@@ -10,14 +10,12 @@ from scipy.linalg import expm
 from dcobserver import (
     ObserverSpec,
     PropagatorSeries,
-    Segment,
     assemble_augmented,
     convergence_diagnostics,
     invariant_monitor,
     make_plant,
     make_theta,
     propagate,
-    propagate_schedule,
     synthesize_observer,
     time_average,
     uniform_grid,
@@ -31,28 +29,26 @@ from helpers import (
     invariant_residuals,
     ladder_times,
     one_mode_augmented,
+    phase_dynamics,
     plant_block_quadrature,
     random_augmented,
     random_beta,
     random_output_matrix,
     random_realizable,
     random_spd,
-    stepwise_propagate_schedule,
+    stepwise_schedule,
     swapped_augmented,
+    swept_schedule,
     trapezoid_average,
     whole_d_values,
     whole_series,
 )
 
 
-def measurement_segments(t_end=100.0):
+def measurement_phases(t_end=100.0):
     aug1 = one_mode_augmented()
     aug3 = swapped_augmented()
-    return [
-        Segment(aug1.a_a, 20.0),
-        Segment(np.zeros((4, 4)), 5.0),
-        Segment(aug3.a_a, t_end - 25.0),
-    ], aug1, aug3
+    return [(20.0, aug1), (5.0, None), (t_end - 25.0, aug3)], aug1, aug3
 
 
 def test_uniform_grid_hits_endpoint():
@@ -66,8 +62,8 @@ def test_uniform_grid_hits_endpoint():
     # the grid of a one-segment schedule, and the closed formula it replaced
     for t_end, dt in [(50.0, 0.01), (1e4, 0.1), (3.0, 0.013), (0.7, 0.7), (100.0, 0.03)]:
         grid = uniform_grid(t_end, dt)
-        schedule = propagate_schedule([Segment(np.zeros((1, 1)), t_end)], dt)
-        assert np.array_equal(grid, schedule.times) and schedule.edges == (0, grid.size - 1)
+        times, edges = _grid([t_end], dt)
+        assert np.array_equal(grid, times) and edges == (0, grid.size - 1)
         steps = max(1, int(round(t_end / dt)))
         formula = (t_end / steps) * np.arange(steps + 1)
         formula[-1] = t_end
@@ -75,17 +71,9 @@ def test_uniform_grid_hits_endpoint():
 
 
 def test_schedule_grid_contains_boundaries():
-    segments, _, _ = measurement_segments()
-    series = propagate_schedule(segments, 0.01)
-    assert series.times[list(series.edges)].tolist() == [0.0, 20.0, 25.0, 100.0]
-    assert np.all(np.diff(series.times) > 0)
-
-
-def test_segment_validation():
-    with pytest.raises(ValueError):
-        Segment(np.ones((2, 3)), 1.0)
-    with pytest.raises(ValueError):
-        Segment(np.eye(2), 0.0)
+    times, edges = _grid([20.0, 5.0, 75.0], 0.01)
+    assert times[list(edges)].tolist() == [0.0, 20.0, 25.0, 100.0]
+    assert np.all(np.diff(times) > 0)
 
 
 def test_propagate_zero_dynamics_gives_identity():
@@ -121,9 +109,6 @@ def test_propagate_rejects_bad_grids():
             propagate(one_mode_augmented().a_a, np.array(grid))
 
 
-ZERO_SEGMENT = [Segment(np.zeros((2, 2)), 1.0)]
-
-
 @pytest.mark.parametrize(
     "build, args, field",
     [
@@ -131,20 +116,12 @@ ZERO_SEGMENT = [Segment(np.zeros((2, 2)), 1.0)]
         pytest.param(uniform_grid, (10.0, np.inf), "dt", id="uniform_grid-dt-inf"),
         pytest.param(uniform_grid, (np.nan, 0.1), "t_end", id="uniform_grid-t_end-nan"),
         pytest.param(uniform_grid, (np.inf, 0.1), "t_end", id="uniform_grid-t_end-inf"),
-        pytest.param(Segment, (np.zeros((2, 2)), np.nan), "duration", id="Segment-duration-nan"),
-        pytest.param(Segment, (np.zeros((2, 2)), np.inf), "duration", id="Segment-duration-inf"),
-        pytest.param(propagate_schedule, (ZERO_SEGMENT, np.nan), "dt", id="propagate_schedule-dt-nan"),
-        pytest.param(propagate_schedule, (ZERO_SEGMENT, np.inf), "dt", id="propagate_schedule-dt-inf"),
         pytest.param(
             convergence_diagnostics, (one_mode_augmented(), 10.0, np.nan), "dt",
             id="convergence_diagnostics-dt-nan",
         ),
         # finite times whose step count overflows to inf
         pytest.param(uniform_grid, (1e300, 1e-10), "dt", id="uniform_grid-steps-inf"),
-        pytest.param(
-            propagate_schedule, ([Segment(np.zeros((2, 2)), 1e300)], 1e-10), "dt",
-            id="propagate_schedule-steps-inf",
-        ),
         pytest.param(
             convergence_diagnostics, (one_mode_augmented(), 1e300, 1e-10), "dt",
             id="convergence_diagnostics-steps-inf",
@@ -157,52 +134,47 @@ def test_non_finite_times_name_their_field(build, args, field):
 
 
 def test_single_segment_schedule_equals_plain_propagation():
+    # the public one-segment chain and a run's pass give the same bits
     aug = one_mode_augmented()
     plain = propagate(aug.a_a, uniform_grid(8.0, 0.05))
-    piecewise = propagate_schedule([Segment(aug.a_a, 8.0)], 0.05)
-    assert np.array_equal(plain.times, piecewise.times)
-    assert np.array_equal(plain.maps, piecewise.maps)
+    times, _, maps, averages, _ = swept_schedule([(8.0, aug)], 0.05)
+    assert np.array_equal(plain.times, times)
+    assert np.array_equal(plain.maps, maps)
+    assert np.array_equal(time_average(plain).averages, averages)
 
 
 def test_schedule_is_exactly_constant_while_disconnected():
-    segments, _, _ = measurement_segments()
-    series = propagate_schedule(segments, 0.01)
-    grid = series.times
+    phases, _, _ = measurement_phases()
+    grid, _, maps, _, _ = swept_schedule(phases, 0.01)
     i20 = int(np.argmin(np.abs(grid - 20.0)))
     i25 = int(np.argmin(np.abs(grid - 25.0)))
-    plateau = series.maps[i20 : i25 + 1]
+    plateau = maps[i20 : i25 + 1]
     assert np.array_equal(plateau, np.broadcast_to(plateau[0], plateau.shape))
 
 
 def test_schedule_matches_segment_exponentials_at_boundaries():
-    segments, aug1, aug3 = measurement_segments()
-    series = propagate_schedule(segments, 0.02)
-    grid = series.times
+    phases, aug1, aug3 = measurement_phases()
+    grid, _, maps, _, _ = swept_schedule(phases, 0.02)
     i20 = int(np.argmin(np.abs(grid - 20.0)))
     i25 = int(np.argmin(np.abs(grid - 25.0)))
     phi20 = expm(aug1.a_a * 20.0)
-    assert np.max(np.abs(series.maps[i20] - phi20)) <= 1e-10
-    assert np.max(np.abs(series.maps[i25] - phi20)) <= 1e-10
+    assert np.max(np.abs(maps[i20] - phi20)) <= 1e-10
+    assert np.max(np.abs(maps[i25] - phi20)) <= 1e-10
     phi40 = expm(aug3.a_a * 15.0) @ phi20
     i40 = int(np.argmin(np.abs(grid - 40.0)))
-    assert np.max(np.abs(series.maps[i40] - phi40)) <= 1e-9
+    assert np.max(np.abs(maps[i40] - phi40)) <= 1e-9
 
 
 def test_first_plant_row_is_frozen_until_the_swap():
-    segments, _, _ = measurement_segments()
-    series = propagate_schedule(segments, 0.01)
-    i25 = int(np.argmin(np.abs(series.times - 25.0)))
-    assert np.max(np.abs(series.maps[: i25 + 1, 0, :] - np.array([1.0, 0, 0, 0]))) == 0.0
+    phases, _, _ = measurement_phases()
+    times, _, maps, _, _ = swept_schedule(phases, 0.01)
+    i25 = int(np.argmin(np.abs(times - 25.0)))
+    assert np.max(np.abs(maps[: i25 + 1, 0, :] - np.array([1.0, 0, 0, 0]))) == 0.0
     # the second observer freezes the conjugate row instead
-    ref = series.maps[i25, 1, :]
-    assert np.max(np.abs(series.maps[i25:, 1, :] - ref)) <= 1e-10
+    ref = maps[i25, 1, :]
+    assert np.max(np.abs(maps[i25:, 1, :] - ref)) <= 1e-10
     # and disturbs the previously frozen one
-    assert np.max(np.abs(series.maps[i25:, 0, :] - series.maps[i25, 0, :])) > 0.1
-
-
-def test_schedule_rejects_empty_and_misspanned():
-    with pytest.raises(ValueError, match="empty"):
-        propagate_schedule([], 0.1)
+    assert np.max(np.abs(maps[i25:, 0, :] - maps[i25, 0, :])) > 0.1
 
 
 def broken_dynamics(kind, rng, n_p=2, n_o=4):
@@ -221,6 +193,8 @@ def broken_dynamics(kind, rng, n_p=2, n_o=4):
         return np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 2.0, 0.0]]), np.zeros((3, 3))
     elif kind == "identity":
         return np.eye(2), 2.0 * make_theta(1).theta
+    elif kind == "non-finite":
+        a[n_p, n_p + 1] = np.nan
     return a, aug.a_a
 
 
@@ -234,25 +208,21 @@ def test_certified_schedule_matches_the_exact_oracles(n_p, n_o, seed):
     c_o = random_output_matrix(rng, n_p // 2, n_o, np.eye(n_o))
     degenerate = assemble_augmented(plant, synthesize_observer(plant, np.eye(n_o), c_o))
     phases = [(1.0, first), (0.5, None), (1.5, degenerate)]
-    n = n_p + n_o
-    segments = [Segment(np.zeros((n, n)) if aug is None else aug.a_a, d) for d, aug in phases]
     dt = 0.01
-    series = propagate_schedule(segments, dt)
-    averages = time_average(series)
-    times, maps, edges = series.times, series.maps, series.edges
+    times, edges, maps, averages, _ = swept_schedule(phases, dt)
 
     picks = list(range(1, times.size))
     exact_maps, exact_integrals = exact_schedule(phases, times, edges, picks)
     assert np.max(np.abs(maps[1:] - exact_maps)) <= 1e-12
-    assert np.max(np.abs(averages.averages - exact_integrals / times[1:, None, None])) <= 1e-12
+    assert np.max(np.abs(averages - exact_integrals / times[1:, None, None])) <= 1e-12
 
     # the stepwise oracle drifts, and the trapezoid rule is off by at most
     # (dt^2 / 12) max ||a||^2 max ||Phi||
-    stepped = stepwise_propagate_schedule(segments, times)
+    stepped = stepwise_schedule(phases, times)
     assert np.max(np.abs(maps - stepped)) <= 1e-10
-    a_norm = max(np.linalg.norm(seg.a, 2) for seg in segments)
+    a_norm = max(np.linalg.norm(a, 2) for a in phase_dynamics(phases))
     bias = dt**2 / 12.0 * a_norm**2 * max(np.linalg.norm(m, 2) for m in maps)
-    assert np.max(np.abs(averages.averages - trapezoid_average(times, maps))) <= bias
+    assert np.max(np.abs(averages - trapezoid_average(times, maps))) <= bias
 
     # the disconnected segment holds the map at its start, bit for bit
     lo, hi = edges[1], edges[2]
@@ -269,7 +239,7 @@ def test_certified_schedule_matches_the_exact_oracles(n_p, n_o, seed):
     for k in (37, 100):
         quadrature = plant_block_quadrature(times[k], first)
         assert np.max(np.abs(maps[k, :n_p] - quadrature)) <= 1e-10
-        observer = averages.averages[k - 1, n_p:, n_p:]
+        observer = averages[k - 1, n_p:, n_p:]
         assert np.max(np.abs(observer - exact_propagator_average(b, times[k]))) <= 1e-12
 
 
@@ -281,13 +251,15 @@ BROKEN_BLOCKS = {
     "generic": "R' is not positive definite",
     "odd": "has odd size 1",
     "identity": "R' is not positive definite",
+    "non-finite": "dynamics contain non-finite entries",
 }
 
 
 @pytest.mark.parametrize("kind", list(BROKEN_BLOCKS))
 def test_broken_certificate_is_rejected_naming_the_block(kind):
     # dynamics without the observer structure have no closed form, and the
-    # library has no other way to propagate them
+    # library has no other way to propagate them; a scenario run prefixes the
+    # same message with its segment (test_scenarios)
     a, certified = broken_dynamics(kind, np.random.default_rng(71))
     observer_flow(certified)
     with pytest.raises(ValueError) as excinfo:
@@ -296,9 +268,6 @@ def test_broken_certificate_is_rejected_naming_the_block(kind):
     assert BROKEN_BLOCKS[kind] in message
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         propagate(a, uniform_grid(2.0, 0.01))
-    schedule = [Segment(certified, 1.0), Segment(a, 1.0)]
-    with pytest.raises(ValueError, match=f"^{re.escape('segments[1]: ' + message)}$"):
-        propagate_schedule(schedule, 0.01)
     # a bad grid is reported before the dynamics, the same as for certified ones
     for bad in ([0.0, 1.0, 1.0], [0.5, 1.0], [0.0], [0.0, np.nan, 1.0], [0.0, 1.0, np.inf]):
         messages = []
@@ -307,6 +276,12 @@ def test_broken_certificate_is_rejected_naming_the_block(kind):
                 propagate(dynamics, np.array(bad))
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("a", [np.ones((2, 3)), np.ones(4), np.ones((1, 2, 2))], ids=["2x3", "1-D", "3-D"])
+def test_propagate_rejects_non_square_dynamics(a):
+    with pytest.raises(ValueError, match=rf"^dynamics must be square, got shape {re.escape(str(a.shape))}$"):
+        propagate(a, uniform_grid(1.0, 0.1))
 
 
 @pytest.mark.parametrize("identity", [False, True])
@@ -352,8 +327,8 @@ def test_time_average_of_identity_series():
 def test_time_average_rejects_a_series_without_flows():
     # a series built by hand, such as a slice of another, has no flows to integrate
     series = propagate(one_mode_augmented().a_a, uniform_grid(5.0, 0.5))
-    piece = PropagatorSeries(times=series.times, maps=series.maps, edges=series.edges)
-    with pytest.raises(ValueError, match="0 flows for 1 segments"):
+    piece = PropagatorSeries(times=series.times, maps=series.maps)
+    with pytest.raises(ValueError, match="^series has no flow to integrate"):
         time_average(piece)
 
 
@@ -425,7 +400,7 @@ def test_invariant_monitor_flags_non_realizable_flow():
     ccr = make_theta(1)
     times = np.array([0.0, 0.5, 1.0])
     maps = np.exp(times)[:, None, None] * np.eye(2)
-    series = PropagatorSeries(times=times, maps=maps, edges=(0, 2))
+    series = PropagatorSeries(times=times, maps=maps)
     report = invariant_monitor(series, ccr, np.zeros((2, 2)))
     assert report.max_ccr_residual == pytest.approx(np.exp(2.0) - 1.0, rel=1e-6)
 
@@ -433,10 +408,9 @@ def test_invariant_monitor_flags_non_realizable_flow():
 def test_invariant_monitor_slices_match_whole_series():
     # the last segment of the measurement schedule: longer than one slice, and
     # its first map is not the identity
-    segments, _, aug3 = measurement_segments()
-    series = propagate_schedule(segments, 0.01)
-    lo, hi = series.edges[2:]
-    piece = PropagatorSeries(times=series.times[lo:], maps=series.maps[lo:], edges=(0, hi - lo))
+    phases, _, aug3 = measurement_phases()
+    times, edges, maps, _, _ = swept_schedule(phases, 0.01)
+    piece = PropagatorSeries(times=times[edges[2] :], maps=maps[edges[2] :])
     assert piece.maps.shape[0] > CHUNK
     assert not np.array_equal(piece.maps[0], np.eye(4))
     report = invariant_monitor(piece, aug3.ccr, aug3.r_a)
@@ -480,11 +454,9 @@ def test_convergence_diagnostics_forms_only_the_output_rows():
 
 def test_segment_below_the_float_spacing_names_its_duration():
     # 20 + 1e-20 == 20: the second segment would take a step of zero length
-    a_a = one_mode_augmented().a_a
-    segments = [Segment(a_a, 20.0), Segment(np.zeros((4, 4)), 1e-20), Segment(a_a, 5.0)]
     message = "segments[1].duration: 1e-20 gives grid steps below the float spacing at its start t = 20.0"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        propagate_schedule(segments, 0.01)
+        _grid([20.0, 1e-20, 5.0], 0.01)
 
 
 def test_grid_is_built_in_place_bit_for_bit():
@@ -518,7 +490,7 @@ def test_grid_beyond_the_memory_bound_is_a_dt_error():
         with pytest.raises(ValueError, match=r"^dt=0\.001 gives 1e\+15 grid points"):
             uniform_grid(1e12, 1e-3)
         with pytest.raises(ValueError, match=r"^dt=0\.001 gives 1e\+15 grid points"):
-            propagate_schedule([Segment(np.zeros((2, 2)), 1e12)], 1e-3)
+            _grid([1e12], 1e-3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -552,18 +524,13 @@ def test_estimated_output_average_stays_at_initial_row():
 
 
 def seam_schedule(n: int, first_rows: int, last_rows: int):
-    """Coupled, zero and coupled segments at dt = 0.01, the zero one 50 rows long.
+    """Coupled, disconnected and coupled phases at dt = 0.01, the disconnected one 50 rows long.
 
-    Returns the segments and the last coupled system.
+    Returns the phases and the last coupled system.
     """
     rng = np.random.default_rng(n)
     first, last = (random_augmented(rng, n // 2, n // 2) for _ in range(2))
-    segments = [
-        Segment(first.a_a, first_rows / 100),
-        Segment(np.zeros((n, n)), 0.5),
-        Segment(last.a_a, last_rows / 100),
-    ]
-    return segments, last
+    return [(first_rows / 100, first), (0.5, None), (last_rows / 100, last)], last
 
 
 @pytest.mark.parametrize(
@@ -573,19 +540,22 @@ def seam_schedule(n: int, first_rows: int, last_rows: int):
 def test_chunked_series_equal_the_whole_series_bit_for_bit(n, first_rows, last_rows):
     # segment starts off the multiples of CHUNK, a zero segment, and a last
     # segment crossing one seam (n = 32) or two (n = 4, 8) of its own chunks
-    segments, last = seam_schedule(n, first_rows, last_rows)
-    series = propagate_schedule(segments, 0.01)
-    assert series.edges == (0, first_rows, first_rows + 50, first_rows + 50 + last_rows)
-    assert all(edge % CHUNK for edge in series.edges[1:])
-    maps, averages = whole_series([observer_flow(seg.a) for seg in segments], series.times, series.edges)
-    assert np.array_equal(series.maps[0], np.eye(n))
-    assert np.array_equal(series.maps, maps)
+    phases, last = seam_schedule(n, first_rows, last_rows)
+    times, edges, swept, swept_averages, residuals = swept_schedule(phases, 0.01)
+    assert edges == (0, first_rows, first_rows + 50, first_rows + 50 + last_rows)
+    assert all(edge % CHUNK for edge in edges[1:])
+    flows = [observer_flow(a) for a in phase_dynamics(phases)]
+    maps, averages = whole_series(flows, times, edges)
+    assert np.array_equal(swept[0], np.eye(n))
+    assert np.array_equal(swept, maps)
     del maps
-    assert np.array_equal(time_average(series).averages, averages)
-    del averages
-    report = invariant_monitor(series, last.ccr, last.r_a)
-    expected = invariant_residuals(series.maps, last.ccr.theta, last.r_a)
+    assert np.array_equal(swept_averages, averages)
+    del averages, swept_averages
+    report = invariant_monitor(PropagatorSeries(times=times, maps=swept), last.ccr, last.r_a)
+    expected = invariant_residuals(swept, last.ccr.theta, last.r_a)
     assert (report.max_ccr_residual, report.max_energy_residual) == expected
+    # the pass's own CCR residual is the whole series', run by run
+    assert np.max(residuals[:, 0]) == expected[0]
 
 
 @pytest.mark.parametrize("n", [4, 8, 32])
