@@ -236,8 +236,9 @@ class _Plan:
 
 
 class _FigureFile:
-    """A figure's CSV, open on ``stack`` and appended a run of grid rows at a time up to
-    row ``stop`` (maps from row 0, averages from row 1), and its gnuplot script if titled."""
+    """A figure's CSV, open in binary on ``stack`` and appended a run of grid rows at a
+    time up to row ``stop`` (maps from row 0, averages from row 1), and its gnuplot
+    script if titled.  The text is bytes from the header on, every line ending in LF."""
 
     def __init__(self, out: Path, fig: _Figure, prefix: str, n: int, stop: int, stack: ExitStack):
         self.avg, self.stop, self.row = fig.avg, stop, fig.row
@@ -250,20 +251,20 @@ class _FigureFile:
         if fig.title is not None:
             plots = ", ".join(f"'{self.path.name}' using 1:{k + 2} with lines" for k in range(len(names)))
             self.script = out / f"{fig.tag}.gp"
-            self.script.write_text(
+            self.script.write_bytes(
                 f"set datafile separator ','\nset title '{fig.title}'\nset xlabel 'time'\n"
-                f"set key autotitle columnhead\nset grid\nplot {plots}\n"
+                f"set key autotitle columnhead\nset grid\nplot {plots}\n".encode()
             )
-        self.file = stack.enter_context(self.path.open("w"))
-        self.file.write(",".join(["T" if fig.avg else "t"] + names) + "\n")
+        self.file = stack.enter_context(self.path.open("wb"))
+        self.file.write((",".join(["T" if fig.avg else "t"] + names) + "\n").encode())
         self.width = len(names)
         # what follows a row's time: its value fields and the line end
-        self.tail = "," + ",".join(["%.12g"] * self.width) + "\n"
+        self.tail = b"," + b",".join([b"%.12g"] * self.width) + b"\n"
         self.batch = max(1, BATCH_VALUES // (self.width + 1))
         if not fig.avg:
             self.write(slice(0, 1), _stamps(np.zeros(1)), np.eye(n)[None], None)
 
-    def write(self, rows: slice, stamps: list[str], maps: np.ndarray, averages) -> None:
+    def write(self, rows: slice, stamps: list[bytes], maps: np.ndarray, averages) -> None:
         """Append the figure's rows of a run's maps or averages (None past the
         averaging stop); stamps[j] is the formatted time of row rows.start + j."""
         k = min(rows.stop, self.stop) - rows.start
@@ -273,20 +274,21 @@ class _FigureFile:
         if self.row is not None:
             data = data[:, self.row]
         data, stamps = data.reshape(k, self.width), stamps[:k]
-        # one "%" call and one write a batch of rows; the times are literal text of
-        # the format string, which is safe as "%.12g" never prints a "%"
+        # one bytes "%" call and one write a batch of rows; the times are literal
+        # text of the format string, which is safe as "%.12g" never prints a "%"
         for lo in range(0, k, self.batch):
             hi = lo + self.batch
             text = self.tail.join(stamps[lo:hi]) + self.tail
             self.file.write(text % tuple(data[lo:hi].ravel().tolist()))
 
 
-def _stamps(times: np.ndarray) -> list[str]:
-    """The CSV time column: each time to 12 significant digits, once for every open file.
+def _stamps(times: np.ndarray) -> list[bytes]:
+    """The CSV time column as bytes: each time to 12 significant digits, once for every open file.
 
-    "%.12g" % x is format(x, ".12g") for every float.
+    b"%.12g" % x is format(x, ".12g").encode() for every float: bytes formatting
+    runs the same float formatter without building a str.
     """
-    return ["%.12g" % t for t in times.tolist()]
+    return [b"%.12g" % t for t in times.tolist()]
 
 
 def _stop(times: np.ndarray, end: float) -> int:
@@ -419,7 +421,7 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
     summary["passed"] = all(checks.values())
     summary["files"] = sorted(p.name for p in csv_files + scripts)
     summary_file = out / "summary.json"
-    summary_file.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    summary_file.write_bytes((json.dumps(summary, indent=2, sort_keys=True) + "\n").encode())
     return ArtifactBundle(
         out_dir=out,
         csv_files=csv_files,

@@ -12,9 +12,8 @@ from .closed_form import Flow, observer_flow
 from .linalg import spectral_norm
 from .synthesis import AugmentedSystem
 
-# rows of every chunk of a K-long evaluation: a multiple of 256, at which the
-# chunked matrix products give the bits of one whole-series product
-CHUNK = 4096
+# bytes of one chunk's block of n x n maps, which sets _chunk_rows
+CHUNK_BYTES = 16 * 2**20
 # slack of the time-average convergence check d(T) <= bound_constant / T
 CONVERGENCE_TOL = 1e-6
 # bound on the bytes of a grid (8 K), and in a scenario run on what it holds
@@ -95,6 +94,17 @@ def _grid(durations, dt: float) -> tuple[np.ndarray, tuple[int, ...]]:
     return times, tuple(edges)
 
 
+def _chunk_rows(n: int) -> int:
+    """Rows of every chunk of a K-long evaluation at dimension ``n``.
+
+    The largest multiple of 256 rows, at most 4,096, whose block of maps
+    (8 rows n^2 bytes) fits CHUNK_BYTES, and 256 where none fits: 4,096 up to
+    n = 22, 256 from n = 65.  At a multiple of 256 the chunked matrix products
+    give the bits of one whole-series product.
+    """
+    return min(4096, max(256, CHUNK_BYTES // (8 * n * n) // 256 * 256))
+
+
 def _run_grid(durations, dt: float, n: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """_grid of a run of _sweep at dimension ``n``, once what the run holds fits MAX_SERIES_BYTES.
 
@@ -104,7 +114,7 @@ def _run_grid(durations, dt: float, n: int) -> tuple[np.ndarray, tuple[int, ...]
     anything is allocated.
     """
     points = 1 + sum(_step_counts(durations, dt))
-    held = 24 * points + 48 * min(points, CHUNK) * n * n
+    held = 24 * points + 48 * min(points, _chunk_rows(n)) * n * n
     if held > MAX_SERIES_BYTES:
         raise ValueError(
             f"dt: {dt} needs {points:.4g} grid points, whose grid, convergence vectors "
@@ -122,16 +132,17 @@ def uniform_grid(t_end: float, dt: float) -> np.ndarray:
     return _grid([t_end], dt)[0]
 
 
-def _runs(edges):
-    """The one chunk iterator: (i, lo, rows) for each run of at most CHUNK rows.
+def _runs(edges, n: int):
+    """The one chunk iterator: (i, lo, rows) for each run of at most _chunk_rows(n) rows.
 
     Each segment i starts at row lo = edges[i]; its rows lo + 1 .. edges[i + 1]
-    are walked from the first, so every run starts a multiple of CHUNK rows
-    after the first row of its segment.
+    are walked from the first, so every run starts a multiple of the chunk
+    rows after the first row of its segment.
     """
+    chunk = _chunk_rows(n)
     for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        for first in range(lo + 1, hi + 1, CHUNK):
-            yield i, lo, slice(first, min(first + CHUNK, hi + 1))
+        for first in range(lo + 1, hi + 1, chunk):
+            yield i, lo, slice(first, min(first + chunk, hi + 1))
 
 
 def _compose(flows: Sequence[Flow], times: np.ndarray, edges, maps: np.ndarray | None = None):
@@ -145,9 +156,9 @@ def _compose(flows: Sequence[Flow], times: np.ndarray, edges, maps: np.ndarray |
     exactly ``start``.
     """
     n = flows[0].coef.shape[1]
-    buffer = np.empty((min(CHUNK, times.size - 1), n, n)) if maps is None else None
+    buffer = np.empty((min(_chunk_rows(n), times.size - 1), n, n)) if maps is None else None
     start = end = np.eye(n)
-    for i, lo, rows in _runs(edges):
+    for i, lo, rows in _runs(edges, n):
         if rows.start == lo + 1:
             start = end
             flow = replace(flows[i], coef=flows[i].coef @ start)
@@ -168,7 +179,7 @@ def _sweep(flows: Sequence[Flow], times: np.ndarray, edges, theta, hamiltonians,
     and ``block`` are buffers that the next run overwrites.
     """
     n = flows[0].coef.shape[1]
-    averages, carry = np.empty((min(CHUNK, times.size - 1), n, n)), np.empty((2, n, n))
+    averages, carry = np.empty((min(_chunk_rows(n), times.size - 1), n, n)), np.empty((2, n, n))
     for i, lo, rows, start, block, flow in _compose(flows, times, edges):
         run_averages = None
         if rows.start < average_stop:
@@ -218,9 +229,9 @@ def propagate(a, grid) -> PropagatorSeries:
 def time_average(series: PropagatorSeries) -> AverageSeries:
     """Running averages (1/T) int_0^T Phi at T = times[1:], from the series' flow.
 
-    The flow is integrated exactly, CHUNK rows at a time.  The average at
-    T -> 0 tends to the identity by continuity; T = 0 itself is excluded
-    from the output.  The series needs its flow, as propagate returns it.
+    The flow is integrated exactly, _chunk_rows(n) rows at a time.  The
+    average at T -> 0 tends to the identity by continuity; T = 0 itself is
+    excluded from the output.  The series needs its flow, as propagate returns it.
     """
     times, maps = series.times, series.maps
     if times.size < 2:
@@ -228,7 +239,7 @@ def time_average(series: PropagatorSeries) -> AverageSeries:
     if series.flow is None:
         raise ValueError("series has no flow to integrate; propagate returns one")
     averages, carry = np.empty_like(maps[1:]), np.empty((2,) + maps.shape[1:])
-    for _, lo, rows in _runs((0, times.size - 1)):
+    for _, lo, rows in _runs((0, times.size - 1), series.dim):
         _average(series.flow, times, lo, rows, carry, averages[rows.start - 1 : rows.stop - 1])
     return AverageSeries(times=times[1:].copy(), averages=averages)
 
@@ -252,9 +263,10 @@ def invariant_monitor(series: PropagatorSeries, ccr: CommutationStructure, r_a) 
     theta = ccr.theta
     if series.dim != ccr.n or r_a.shape != (ccr.n, ccr.n):
         raise ValueError("series, ccr and r_a dimensions disagree")
+    chunk = _chunk_rows(ccr.n)
     worst = [
-        _residuals(series.maps[lo : lo + CHUNK], theta, r_a, series.maps[0])
-        for lo in range(0, len(series.maps), CHUNK)
+        _residuals(series.maps[lo : lo + chunk], theta, r_a, series.maps[0])
+        for lo in range(0, len(series.maps), chunk)
     ]
     ccr_res, energy_res = np.max(worst, axis=0).tolist()
     return InvariantReport(max_ccr_residual=ccr_res, max_energy_residual=energy_res)
@@ -325,9 +337,9 @@ def convergence_diagnostics(aug: AugmentedSystem, horizon: float, dt: float) -> 
     flow = certificate.checked_flow()
     rows_flow = replace(flow, coef=(aug.plant_output - aug.observer_output) @ flow.coef)
     # each chunk of averaged rows becomes its d values, and the max of t d
-    block = np.empty((min(CHUNK, times.size),) + rows_flow.coef.shape[1:])
+    block = np.empty((min(_chunk_rows(aug.n), times.size),) + rows_flow.coef.shape[1:])
     d_all, t_times_d, carry = np.empty(times.size), [], np.empty((2,) + block.shape[1:])
-    for _, _, rows in _runs((0, times.size)):
+    for _, _, rows in _runs((0, times.size), aug.n):
         part, d = block[: rows.stop - rows.start], d_all[rows.start - 1 : rows.stop - 1]
         _average(rows_flow, grid, 0, rows, carry, part)
         d[:] = _row_norms(part)

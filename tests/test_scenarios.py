@@ -24,7 +24,7 @@ from dcobserver import (
 )
 from dcobserver import closed_form, scenarios, simulation, synthesis
 from dcobserver.cli import main
-from dcobserver.simulation import CHUNK
+from dcobserver.simulation import _chunk_rows
 from helpers import (
     csv_text,
     exact_schedule,
@@ -157,7 +157,7 @@ def test_csv_writer_matches_formatting_each_value(tmp_path):
 
 def test_csv_writer_batches_share_the_time_column(tmp_path):
     # a maps and an averages file of one n = 4 run: 1,638 and 481 rows a batch,
-    # runs of CHUNK rows, the maps stopping inside their second batch; the
+    # runs of 4,096 rows, the maps stopping inside their second batch; the
     # times are formatted once, up to the later stop, and each file cuts them
     rng = np.random.default_rng(14)
     n, rows_total, map_stop = 4, 5001, 2000
@@ -170,8 +170,9 @@ def test_csv_writer_batches_share_the_time_column(tmp_path):
             for fig in figures
         ]
         assert [f.batch for f in files] == [1638, 481]
-        for first in range(1, rows_total, CHUNK):
-            rows = slice(first, min(first + CHUNK, rows_total))
+        chunk = _chunk_rows(n)
+        for first in range(1, rows_total, chunk):
+            rows = slice(first, min(first + chunk, rows_total))
             stamps = scenarios._stamps(times[rows])
             for f in files:
                 f.write(rows, stamps, maps[rows], averages[rows])
@@ -200,15 +201,16 @@ def test_csv_writer_rows_wider_than_a_batch(tmp_path):
 
 
 def test_csv_writer_holds_a_batch_not_a_chunk(tmp_path):
-    # one write of a CHUNK-row run of one row of n = 32 maps (33 values a row,
-    # 248 rows a batch): a tuple of the whole run would hold 135,168 floats,
-    # 4.3 MB, and its text 2.5 MB more
+    # one write of a 2,048-row run of one row of n = 32 maps (33 values a row,
+    # 248 rows a batch): a tuple of the whole run would hold 67,584 floats,
+    # 2.2 MB, and its text 1.2 MB more
     n = 32
-    times, maps = edge_series(np.random.default_rng(16), CHUNK + 1, n)
-    rows = slice(1, CHUNK + 1)
+    chunk = _chunk_rows(n)
+    times, maps = edge_series(np.random.default_rng(16), chunk + 1, n)
+    rows = slice(1, chunk + 1)
     stamps = scenarios._stamps(times[rows])
     with ExitStack() as stack:
-        writer = scenarios._FigureFile(tmp_path, scenarios._Figure("row", 5, None), "phi", n, CHUNK + 1, stack)
+        writer = scenarios._FigureFile(tmp_path, scenarios._Figure("row", 5, None), "phi", n, chunk + 1, stack)
         tracemalloc.start()
         try:
             writer.write(rows, stamps, maps[rows], None)
@@ -883,6 +885,25 @@ def test_memory_guard_bounds_the_grid_and_the_chunk_buffers(tmp_path, capsys, mo
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: dt: 0.1 needs 1001 grid points")
 
+    # n = 80 (20 one-mode copies) over 301 grid points: the chunk buffers are
+    # sized by bytes, 256 rows at n = 80, not 301 rows as a 4,096-row chunk
+    # would take
+    modes = 20
+    segment = {
+        "beta": np.kron(np.eye(modes), [[1.0], [0.0]]).tolist(),
+        "r_o": np.eye(2 * modes).tolist(),
+        "c_o": np.kron(np.eye(modes), [[1.0, 0.0]]).tolist(),
+    }
+    config = {"scenario": "measurement_sequence", "t_end": 30.0, "dt": 0.1, "segments": [segment]}
+    (tmp_path / "wide.json").write_text(json.dumps(config))
+    argv = ["--config", str(tmp_path / "wide.json"), "--out-dir", str(tmp_path)]
+    held = 24 * 301 + 48 * 256 * 80 * 80
+    monkeypatch.setattr(simulation, "MAX_SERIES_BYTES", held)
+    assert main(argv) == 0
+    monkeypatch.setattr(simulation, "MAX_SERIES_BYTES", held - 1)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: dt: 0.1 needs 301 grid points")
+
     # 1e7 grid points: the whole series (16 K n^2 = 2.6 GB) would not pass
     # 2 GB, the grid and the chunk buffers (0.24 GB) do; the grid is never built
     def no_grid(durations, dt):
@@ -937,7 +958,7 @@ def test_schedule_run_writes_and_checks_the_whole_series(tmp_path):
     phases = [(entries[0]["duration"], first), (entries[1]["duration"], None), (entries[2]["duration"], last)]
     times, edges = simulation._grid([duration for duration, _ in phases], 0.01)
     lo, hi = edges[2:]
-    assert edges[1:3] == (1337, 1387) and hi - lo > 2 * CHUNK
+    assert edges[1:3] == (1337, 1387) and hi - lo > 2 * _chunk_rows(4)
     flows = [closed_form.observer_flow(a) for a in phase_dynamics(phases)]
     maps, averages = whole_series(flows, times, edges)
 

@@ -21,7 +21,7 @@ from dcobserver import (
     uniform_grid,
 )
 from dcobserver.closed_form import observer_flow
-from dcobserver.simulation import CHUNK, _grid, _row_norms
+from dcobserver.simulation import _chunk_rows, _grid, _row_norms
 from helpers import (
     concatenated_grid,
     exact_propagator_average,
@@ -411,7 +411,7 @@ def test_invariant_monitor_slices_match_whole_series():
     phases, _, aug3 = measurement_phases()
     times, edges, maps, _, _ = swept_schedule(phases, 0.01)
     piece = PropagatorSeries(times=times[edges[2] :], maps=maps[edges[2] :])
-    assert piece.maps.shape[0] > CHUNK
+    assert piece.maps.shape[0] > _chunk_rows(4)
     assert not np.array_equal(piece.maps[0], np.eye(4))
     report = invariant_monitor(piece, aug3.ccr, aug3.r_a)
     expected = invariant_residuals(piece.maps, aug3.ccr.theta, aug3.r_a)
@@ -526,24 +526,33 @@ def test_estimated_output_average_stays_at_initial_row():
 def seam_schedule(n: int, first_rows: int, last_rows: int):
     """Coupled, disconnected and coupled phases at dt = 0.01, the disconnected one 50 rows long.
 
-    Returns the phases and the last coupled system.
+    Half of n is plant, at most 32 quadratures: 20 random output rows against
+    40 observer quadratures are rarely well conditioned.  Returns the phases
+    and the last coupled system.
     """
     rng = np.random.default_rng(n)
-    first, last = (random_augmented(rng, n // 2, n // 2) for _ in range(2))
+    n_p = min(n // 2, 32)
+    first, last = (random_augmented(rng, n_p, n - n_p) for _ in range(2))
     return [(first_rows / 100, first), (0.5, None), (last_rows / 100, last)], last
 
 
 @pytest.mark.parametrize(
     "n, first_rows, last_rows",
-    [(4, 1337, 2 * CHUNK + 308), (8, 1337, 2 * CHUNK + 308), (32, 137, CHUNK + 54)],
+    [
+        (4, 1337, 2 * _chunk_rows(4) + 308),
+        (8, 1337, 2 * _chunk_rows(8) + 308),
+        (32, 137, 2 * _chunk_rows(32) + 54),
+        (80, 137, _chunk_rows(80) + 54),
+    ],
 )
 def test_chunked_series_equal_the_whole_series_bit_for_bit(n, first_rows, last_rows):
-    # segment starts off the multiples of CHUNK, a zero segment, and a last
-    # segment crossing one seam (n = 32) or two (n = 4, 8) of its own chunks
+    # segment starts off the multiples of the chunk rows (4,096 rows at n = 4
+    # and 8, 2,048 at n = 32, 256 at n = 80), a zero segment, and a last
+    # segment crossing one seam (n = 80) or two (n = 4, 8, 32) of its own chunks
     phases, last = seam_schedule(n, first_rows, last_rows)
     times, edges, swept, swept_averages, residuals = swept_schedule(phases, 0.01)
     assert edges == (0, first_rows, first_rows + 50, first_rows + 50 + last_rows)
-    assert all(edge % CHUNK for edge in edges[1:])
+    assert all(edge % _chunk_rows(n) for edge in edges[1:])
     flows = [observer_flow(a) for a in phase_dynamics(phases)]
     maps, averages = whole_series(flows, times, edges)
     assert np.array_equal(swept[0], np.eye(n))
