@@ -17,9 +17,6 @@ from .scenarios import (
     ArtifactBundle,
     ConfigError,
     ScenarioConfig,
-    run_custom,
-    run_measurement_sequence,
-    run_one_mode,
     run_scenario,
 )
 from .simulation import (
@@ -66,9 +63,6 @@ __all__ = [
     "make_theta",
     "propagate",
     "realizability_residual",
-    "run_custom",
-    "run_measurement_sequence",
-    "run_one_mode",
     "run_scenario",
     "spectral_norm",
     "synthesize_observer",

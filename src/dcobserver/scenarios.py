@@ -5,10 +5,12 @@ plant to a single-mode observer and records the transition-matrix entries and
 their running time averages.  ``measurement_sequence`` runs a piecewise
 schedule: observer attached, detached, then a second observer estimating the
 other quadrature attached, which destroys the previously conserved one.
-``custom`` does what ``one_mode`` does on user matrices.  Each runner only
-resolves its config into a schedule of coupled and disconnected segments and
-a figure plan; one pipeline verifies, propagates, averages, checks, diagnoses
-and writes.
+``custom`` does what ``one_mode`` does on user matrices.  ``_PLANNERS`` is the
+one table of scenarios: each name's planner checks the fields its scenario
+requires or never reads, fills in its defaults and resolves the config into a
+schedule of coupled and disconnected segments and a figure plan.
+``run_scenario`` looks the planner up; one pipeline verifies, propagates,
+averages, checks, diagnoses and writes.
 
 All numeric output is CSV (header row, 12 significant digits); every figure
 file gets a companion gnuplot script.  A run "passes" only if all residual
@@ -42,17 +44,12 @@ EXIT_VALIDATION = 1
 EXIT_RESIDUAL = 2
 EXIT_IO = 3
 
-SCENARIOS = ("one_mode", "measurement_sequence", "custom")
-
 # bound on the deviation of a row that must stay constant
 CONSTANT_TOL = 1e-10
 
 # values formatted by one "%" call of a figure file (or one row, if wider): a
 # batch's Python floats and text stay well below a chunk's
 BATCH_VALUES = 8192
-
-_DEFAULT_BETA = [[1.0], [0.0]]
-_DEFAULT_C_O = [[1.0, 0.0]]
 
 
 class ConfigError(ValueError):
@@ -131,14 +128,6 @@ class SegmentConfig:
         return cls(duration=duration, **matrices)
 
 
-# observer attached, detached, then its conjugate attached until t_end
-_DEFAULT_SEGMENTS = (
-    SegmentConfig(20.0, beta=np.array(_DEFAULT_BETA), r_o=np.eye(2), c_o=np.array(_DEFAULT_C_O)),
-    SegmentConfig(5.0, disconnect=True),
-    SegmentConfig(beta=np.array([[0.0], [1.0]]), r_o=np.eye(2), c_o=np.array([[0.0, 1.0]])),
-)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Scenario payload: matrices, schedule, grid and tolerances."""
@@ -154,6 +143,9 @@ class ScenarioConfig:
     average_t_end: float | None = None
     out_dir: Path = Path("out")
     tol: float = 1e-8
+
+    def __post_init__(self):
+        object.__setattr__(self, "out_dir", Path(self.out_dir))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -178,20 +170,8 @@ class ScenarioConfig:
         if raw.get("out_dir") is not None:
             if not isinstance(raw["out_dir"], (str, PathLike)):
                 raise ConfigError("out_dir: expected a path string")
-            values["out_dir"] = Path(raw["out_dir"])
+            values["out_dir"] = raw["out_dir"]
         return cls(**values)
-
-    def resolved_t_end(self) -> float:
-        if self.t_end is not None:
-            return self.t_end
-        return 100.0 if self.scenario == "measurement_sequence" else 50.0
-
-    def resolved_average_t_end(self) -> float:
-        if self.average_t_end is not None:
-            return self.average_t_end
-        if self.scenario == "one_mode":
-            return 100.0
-        return self.resolved_t_end()
 
 
 @dataclass
@@ -218,21 +198,24 @@ class _Figure:
 
 @dataclass(frozen=True)
 class _Plan:
-    """A scenario resolved for the pipeline.
+    """A scenario's config resolved by its planner for the pipeline.
 
-    ``phases`` are (duration, system) pairs, system None while disconnected.
-    Maps are written for t <= map_end, running averages for T <= average_end.
-    A ``schedule`` plan reports each segment; otherwise the one coupled system
-    is reported whole, with its averages diagnosed up to average_end.
+    ``phases`` are (duration, system) pairs, system None while disconnected;
+    ``t_end`` is the horizon the summary reports.  Maps are written for
+    t <= map_end, running averages for T <= average_end.  A ``schedule`` plan
+    reports each segment; otherwise the one coupled system is reported whole,
+    with its averages diagnosed up to average_end (and its estimated row checked
+    if ``estimated_row``).
     """
 
-    name: str
     phases: tuple[tuple[float, AugmentedSystem | None], ...]
     figures: tuple[_Figure, ...]
+    t_end: float
     prefix: str = "phi"
     map_end: float = math.inf
     average_end: float = math.inf
     schedule: bool = False
+    estimated_row: bool = False
 
 
 class _FigureFile:
@@ -249,11 +232,12 @@ class _FigureFile:
         names = [f"{prefix}_{i + 1}{sep}{j + 1}{suffix}" for i in rows for j in range(n)]
         self.path, self.script = out / f"{fig.tag}.csv", None
         if fig.title is not None:
-            plots = ", ".join(f"'{self.path.name}' using 1:{k + 2} with lines" for k in range(len(names)))
+            # one clause plots every value column, each titled by its header
             self.script = out / f"{fig.tag}.gp"
             self.script.write_bytes(
                 f"set datafile separator ','\nset title '{fig.title}'\nset xlabel 'time'\n"
-                f"set key autotitle columnhead\nset grid\nplot {plots}\n".encode()
+                f"set key autotitle columnhead\nset grid\n"
+                f"plot for [k=2:{len(names) + 1}] '{self.path.name}' using 1:k with lines\n".encode()
             )
         self.file = stack.enter_context(self.path.open("wb"))
         self.file.write((",".join(["T" if fig.avg else "t"] + names) + "\n").encode())
@@ -342,7 +326,7 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
     hamiltonians = [np.zeros((n, n)) if aug is None else aug.r_a for aug in systems]
     own_rows = [np.eye(n) if aug is None else aug.plant_output for aug in systems]
 
-    out = config.out_dir / plan.name
+    out = config.out_dir / config.scenario
     out.mkdir(parents=True, exist_ok=True)
     # maps are written on the grid rows before map_stop, averages on rows 1 .. avg_stop - 1
     map_stop, avg_stop = (_stop(times, end) for end in (plan.map_end, plan.average_end))
@@ -391,8 +375,8 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
         "energy_conservation": energy_residual <= config.tol,
     }
     summary = {
-        "scenario": plan.name,
-        "grid": {"t_end": config.resolved_t_end(), "dt": config.dt},
+        "scenario": config.scenario,
+        "grid": {"t_end": plan.t_end, "dt": config.dt},
         "tolerances": {"residual": config.tol, "constant_row": CONSTANT_TOL},
         "conservation": {"ccr_residual": ccr_residual, "energy_residual": energy_residual},
     }
@@ -412,7 +396,7 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
         summary["observer_conditions"] = entries[0]["observer_conditions"]
         summary["convergence"] = _as_json(convergence)
         checks["time_average_convergence"] = bool(convergence.converged)
-        if plan.name == "one_mode":
+        if plan.estimated_row:
             row_dev = entries[0]["protected_row_max_deviation"]
             summary["grid"]["average_t_end"] = plan.average_end
             summary["estimated_row_max_deviation"] = row_dev
@@ -432,6 +416,10 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
     )
 
 
+def _given(value, default):
+    return default if value is None else value
+
+
 def _system(beta, r_o, c_o, alpha=None, where: str = "") -> AugmentedSystem:
     """Augmented system of one coupled segment; errors name the field at fault after ``where``."""
     try:
@@ -441,20 +429,15 @@ def _system(beta, r_o, c_o, alpha=None, where: str = "") -> AugmentedSystem:
         raise ConfigError(f"{where}{exc}") from None
 
 
-def _single(config: ScenarioConfig, name: str, figures: tuple[_Figure, ...]) -> _Plan:
-    """One coupled segment over max(t_end, average_t_end); unset matrices get one-mode defaults."""
-    if config.segments:
-        raise ConfigError(f"segments: not read by the {name} scenario")
-    beta = config.beta if config.beta is not None else np.array(_DEFAULT_BETA)
-    r_o = config.r_o if config.r_o is not None else np.eye(2)
-    c_o = config.c_o
-    if c_o is None and config.alpha is None:
-        c_o = np.array(_DEFAULT_C_O)
-    aug = _system(beta, r_o, c_o, config.alpha)
-    t_end, average_end = config.resolved_t_end(), config.resolved_average_t_end()
+def _single(aug: AugmentedSystem, figures, t_end, average_end, estimated_row=False) -> _Plan:
+    """One coupled segment over max(t_end, average_end), maps written to t_end."""
     phases = ((max(t_end, average_end), aug),)
-    return _Plan(name, phases, figures, map_end=t_end, average_end=average_end)
+    return _Plan(phases, figures, t_end, map_end=t_end, average_end=average_end,
+                 estimated_row=estimated_row)
 
+
+# the one-mode plant and observer: one_mode's defaults and the default schedule's first segment
+_ONE_MODE = SegmentConfig(beta=np.array([[1.0], [0.0]]), r_o=np.eye(2), c_o=np.array([[1.0, 0.0]]))
 
 _ONE_MODE_FIGURES = (
     _Figure("fig03", 0, "coefficients of the first plant quadrature"),
@@ -465,6 +448,19 @@ _ONE_MODE_FIGURES = (
     _Figure("fig06b", 3, "running time averages of the second observer row", avg=True),
 )
 
+
+def _one_mode(config: ScenarioConfig) -> _Plan:
+    """Single-mode plant permanently coupled to one observer (figure data 3-6b): maps to
+    t_end 50 and averages to 100 by default, an unset matrix the one-mode system's."""
+    if config.segments:
+        raise ConfigError(f"segments: not read by the {config.scenario} scenario")
+    c_o = _ONE_MODE.c_o if config.c_o is None and config.alpha is None else config.c_o
+    beta, r_o = _given(config.beta, _ONE_MODE.beta), _given(config.r_o, _ONE_MODE.r_o)
+    t_end, average_end = _given(config.t_end, 50.0), _given(config.average_t_end, 100.0)
+    aug = _system(beta, r_o, c_o, config.alpha)
+    return _single(aug, _ONE_MODE_FIGURES, t_end, average_end, estimated_row=True)
+
+
 _SEQUENCE_FIGURES = (
     _Figure("fig07", 0, "coefficients of the first plant quadrature (schedule)"),
     _Figure("fig08", 1, "coefficients of the second plant quadrature (schedule)"),
@@ -474,21 +470,16 @@ _SEQUENCE_FIGURES = (
     _Figure("fig12", 3, "running time averages of the second observer row (schedule)", avg=True),
 )
 
-_CUSTOM_FIGURES = (
-    _Figure("coefficients", None, "transition-matrix entries"),
-    _Figure("averages", None, None, avg=True),
+# observer attached, detached, then its conjugate attached until t_end
+_DEFAULT_SEGMENTS = (
+    replace(_ONE_MODE, duration=20.0),
+    SegmentConfig(5.0, disconnect=True),
+    SegmentConfig(beta=np.array([[0.0], [1.0]]), r_o=np.eye(2), c_o=np.array([[0.0, 1.0]])),
 )
 
 
-def run_one_mode(config: ScenarioConfig) -> ArtifactBundle:
-    """Single-mode plant permanently coupled to one observer (figure data 3-6b)."""
-    return _run(config, _single(config, "one_mode", _ONE_MODE_FIGURES))
-
-
-def _resolve_segments(config: ScenarioConfig) -> tuple[SegmentConfig, ...]:
+def _resolve_segments(segments, t_end: float) -> tuple[SegmentConfig, ...]:
     """The schedule with the open duration filled in; the config is left as it is."""
-    segments = config.segments or _DEFAULT_SEGMENTS
-    t_end = config.resolved_t_end()
     fixed = sum(s.duration for s in segments if s.duration is not None)
     open_count = sum(1 for s in segments if s.duration is None)
     if open_count > 1:
@@ -508,42 +499,56 @@ def _resolve_segments(config: ScenarioConfig) -> tuple[SegmentConfig, ...]:
     return segments
 
 
-def run_measurement_sequence(config: ScenarioConfig) -> ArtifactBundle:
-    """Observer attach / detach / swap schedule (figure data 7-12).
+def _measurement_sequence(config: ScenarioConfig) -> _Plan:
+    """Observer attach / detach / swap schedule (figure data 7-12), to t_end 100 by default.
 
     The default schedule runs the one-mode observer for 20 time units,
     disconnects for 5, then attaches an observer of the conjugate quadrature.
     """
     for key in ("beta", "r_o", "c_o", "alpha", "average_t_end"):
         if getattr(config, key) is not None:
-            raise ConfigError(f"{key}: not read by the measurement_sequence scenario")
+            raise ConfigError(f"{key}: not read by the {config.scenario} scenario")
+    t_end = _given(config.t_end, 100.0)
+    segments = _resolve_segments(config.segments or _DEFAULT_SEGMENTS, t_end)
     phases = tuple(
-        (
-            seg.duration,
-            None if seg.disconnect else _system(seg.beta, seg.r_o, seg.c_o, where=f"segments[{i}]."),
-        )
-        for i, seg in enumerate(_resolve_segments(config))
+        (s.duration, None if s.disconnect else _system(s.beta, s.r_o, s.c_o, where=f"segments[{i}]."))
+        for i, s in enumerate(segments)
     )
-    plan = _Plan("measurement_sequence", phases, _SEQUENCE_FIGURES, prefix="phit", schedule=True)
-    return _run(config, plan)
+    return _Plan(phases, _SEQUENCE_FIGURES, t_end, prefix="phit", schedule=True)
 
 
-def run_custom(config: ScenarioConfig) -> ArtifactBundle:
-    """Full pipeline on user matrices: validate, synthesize, verify, propagate."""
+_CUSTOM_FIGURES = (
+    _Figure("coefficients", None, "transition-matrix entries"),
+    _Figure("averages", None, None, avg=True),
+)
+
+
+def _custom(config: ScenarioConfig) -> _Plan:
+    """The one-mode pipeline on user matrices, to t_end 50 by default and averaged to t_end."""
     for key in ("beta", "r_o"):
         if getattr(config, key) is None:
-            raise ConfigError(f"{key}: required for the custom scenario")
+            raise ConfigError(f"{key}: required for the {config.scenario} scenario")
     if config.c_o is None and config.alpha is None:
-        raise ConfigError("c_o: either c_o or alpha is required for the custom scenario")
-    return _run(config, _single(config, "custom", _CUSTOM_FIGURES))
+        raise ConfigError(f"c_o: either c_o or alpha is required for the {config.scenario} scenario")
+    if config.segments:
+        raise ConfigError(f"segments: not read by the {config.scenario} scenario")
+    aug = _system(config.beta, config.r_o, config.c_o, config.alpha)
+    t_end = _given(config.t_end, 50.0)
+    return _single(aug, _CUSTOM_FIGURES, t_end, _given(config.average_t_end, t_end))
+
+
+# the one place that knows a scenario: its name and the planner that resolves its config
+_PLANNERS = {
+    "one_mode": _one_mode,
+    "measurement_sequence": _measurement_sequence,
+    "custom": _custom,
+}
+SCENARIOS = tuple(_PLANNERS)
 
 
 def run_scenario(config: ScenarioConfig) -> ArtifactBundle:
-    """Dispatch on config.scenario."""
-    if config.scenario == "one_mode":
-        return run_one_mode(config)
-    if config.scenario == "measurement_sequence":
-        return run_measurement_sequence(config)
-    if config.scenario == "custom":
-        return run_custom(config)
-    raise ConfigError(f"scenario: unknown scenario {config.scenario!r}")
+    """Run config.scenario: its planner resolves the config, the one pipeline does the rest."""
+    planner = _PLANNERS.get(config.scenario)
+    if planner is None:
+        raise ConfigError(f"scenario: unknown scenario {config.scenario!r}")
+    return _run(config, planner(config))

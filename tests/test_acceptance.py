@@ -13,8 +13,7 @@ from dcobserver import (
     make_theta,
     propagate,
     realizability_residual,
-    run_measurement_sequence,
-    run_one_mode,
+    run_scenario,
     spectral_norm,
     time_average,
     uniform_grid,
@@ -222,16 +221,13 @@ def test_criterion_8_measurement_sequence():
 
 def test_criterion_9_determinism(tmp_path):
     identical = True
-    for scenario, runner in [
-        ("one_mode", run_one_mode),
-        ("measurement_sequence", run_measurement_sequence),
-    ]:
+    for scenario in ("one_mode", "measurement_sequence"):
         bundles = []
         for tag in ("first", "second"):
             config = ScenarioConfig.from_dict(
                 {"scenario": scenario, "out_dir": str(tmp_path / tag)}
             )
-            bundles.append(runner(config))
+            bundles.append(run_scenario(config))
         for a, b in zip(sorted(bundles[0].csv_files), sorted(bundles[1].csv_files)):
             identical = identical and a.read_bytes() == b.read_bytes()
     _report(9, "determinism", identical, "byte-identical CSV outputs")

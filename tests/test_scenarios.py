@@ -15,15 +15,12 @@ from dcobserver import (
     assemble_augmented,
     convergence_diagnostics,
     make_plant,
-    run_custom,
-    run_measurement_sequence,
-    run_one_mode,
     run_scenario,
     synthesize_observer,
     uniform_grid,
 )
 from dcobserver import closed_form, scenarios, simulation, synthesis
-from dcobserver.cli import main
+from dcobserver.cli import build_parser, main
 from dcobserver.simulation import _chunk_rows
 from helpers import (
     csv_text,
@@ -50,13 +47,13 @@ def read_csv(path):
 @pytest.fixture(scope="module")
 def one_mode_bundle(tmp_path_factory):
     out = tmp_path_factory.mktemp("one_mode_out")
-    return run_one_mode(ScenarioConfig.from_dict({"scenario": "one_mode", "out_dir": str(out)}))
+    return run_scenario(ScenarioConfig.from_dict({"scenario": "one_mode", "out_dir": str(out)}))
 
 
 @pytest.fixture(scope="module")
 def sequence_bundle(tmp_path_factory):
     out = tmp_path_factory.mktemp("sequence_out")
-    return run_measurement_sequence(
+    return run_scenario(
         ScenarioConfig.from_dict({"scenario": "measurement_sequence", "out_dir": str(out)})
     )
 
@@ -234,7 +231,7 @@ def test_column_names_are_unique_beyond_nine_dimensions(tmp_path):
             "out_dir": str(tmp_path),
         }
     )
-    bundle = run_custom(config)
+    bundle = run_scenario(config)
     for path in bundle.csv_files:
         header = path.read_text().splitlines()[0].split(",")
         assert len(header) == 1 + 12 * 12
@@ -243,10 +240,23 @@ def test_column_names_are_unique_beyond_nine_dimensions(tmp_path):
     assert header[1] == "phi_1_1" and {"phi_1_11", "phi_11_1"} <= set(header)
 
 
-def test_plot_scripts_reference_their_csv(one_mode_bundle):
-    text = (one_mode_bundle.out_dir / "fig05.gp").read_text()
-    assert "'fig05.csv'" in text
-    assert "set datafile separator" in text
+def test_plot_scripts_reference_their_csv(one_mode_bundle, tmp_path):
+    # one "plot for" clause over the CSV's value columns, so a script's size does
+    # not grow with n; checked as text (rendering it needs gnuplot)
+    aug = random_augmented(np.random.default_rng(32), 16, 16)
+    matrices = {key: getattr(aug.observer, key).tolist() for key in ("r_o", "c_o")}
+    raw = {"scenario": "custom", "beta": aug.plant.beta.tolist(), **matrices, "t_end": 0.5, "dt": 0.25}
+    wide = run_scenario(ScenarioConfig.from_dict({**raw, "out_dir": str(tmp_path)}))
+    assert wide.out_dir.name == "custom" and aug.n == 32
+    for script in one_mode_bundle.plot_scripts + wide.plot_scripts:
+        text = script.read_text()
+        csv = script.with_suffix(".csv")
+        columns = len(csv.read_text().splitlines()[0].split(","))
+        assert "set datafile separator ','\n" in text and "set key autotitle columnhead\n" in text
+        assert text.endswith(f"\nplot for [k=2:{columns}] '{csv.name}' using 1:k with lines\n"), script.name
+    assert columns == 1 + 32 * 32
+    one_mode_size = (one_mode_bundle.out_dir / "fig05.gp").stat().st_size
+    assert (wide.out_dir / "coefficients.gp").stat().st_size <= one_mode_size + 16
 
 
 def test_sequence_emits_expected_files(sequence_bundle):
@@ -303,7 +313,7 @@ def test_custom_two_mode_pipeline(tmp_path):
     )
     assert np.allclose(observer.alpha, -np.asarray(config.c_o).T, atol=1e-13)
 
-    bundle = run_custom(config)
+    bundle = run_scenario(config)
     assert bundle.passed
     summary = bundle.summary
     conv = summary["convergence"]
@@ -325,21 +335,22 @@ _CI_TWO_MODE = {
 
 
 @pytest.mark.parametrize(
-    "raw, system",
+    "raw, system, horizon",
     [
-        ({"scenario": "one_mode"}, ([[1.0], [0.0]], np.eye(2), [[1.0, 0.0]])),
-        (_CI_TWO_MODE, (_CI_TWO_MODE["beta"], _CI_TWO_MODE["r_o"], _CI_TWO_MODE["c_o"])),
+        ({"scenario": "one_mode"}, ([[1.0], [0.0]], np.eye(2), [[1.0, 0.0]]), 100.0),
+        (_CI_TWO_MODE, (_CI_TWO_MODE["beta"], _CI_TWO_MODE["r_o"], _CI_TWO_MODE["c_o"]), 20.0),
     ],
     ids=["one_mode", "ci_two_mode"],
 )
-def test_summary_convergence_is_convergence_diagnostics(tmp_path, raw, system):
-    # the CLI and the API build the convergence report on one path, bit for bit
+def test_summary_convergence_is_convergence_diagnostics(tmp_path, raw, system, horizon):
+    # the CLI and the API build the convergence report on one path, bit for bit;
+    # the averaging horizon is one_mode's default 100 and custom's t_end
     config = ScenarioConfig.from_dict({**raw, "out_dir": str(tmp_path)})
     bundle = run_scenario(config)
     beta, r_o, c_o = system
     plant = make_plant(beta)
     aug = assemble_augmented(plant, synthesize_observer(plant, r_o, c_o))
-    report = convergence_diagnostics(aug, config.resolved_average_t_end(), config.dt)
+    report = convergence_diagnostics(aug, horizon, config.dt)
     written = json.loads(bundle.summary_file.read_text())["convergence"]
     assert written == scenarios._as_json(report)
     assert bundle.summary["convergence"] == written
@@ -356,7 +367,7 @@ def test_custom_accepts_alpha_instead_of_output_matrix(tmp_path):
             "out_dir": str(tmp_path),
         }
     )
-    bundle = run_custom(config)
+    bundle = run_scenario(config)
     assert bundle.passed
 
 
@@ -371,12 +382,12 @@ def test_custom_rejects_indefinite_observer_hamiltonian(tmp_path):
         }
     )
     with pytest.raises(ValueError, match="positive definite"):
-        run_custom(config)
+        run_scenario(config)
 
 
 def test_custom_rejects_odd_plant_dimension(tmp_path):
     with pytest.raises((ConfigError, ValueError)):
-        run_custom(
+        run_scenario(
             ScenarioConfig.from_dict(
                 {
                     "scenario": "custom",
@@ -415,7 +426,7 @@ def test_custom_validates_given_gain_before_any_work(tmp_path, capsys, field, ov
         **overrides,
     }
     with pytest.raises(ConfigError, match=f"^{field}:"):
-        run_custom(ScenarioConfig.from_dict(raw))
+        run_scenario(ScenarioConfig.from_dict(raw))
     assert not (tmp_path / "custom").exists()
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps(raw))
@@ -446,6 +457,13 @@ def test_cli_rejects_fields_the_scenario_never_reads(tmp_path, capsys, scenario,
     assert not (tmp_path / scenario).exists()
 
 
+def test_custom_reports_a_missing_field_before_segments(tmp_path):
+    raw = {"scenario": "custom", "r_o": [[1, 0], [0, 1]], "c_o": [[1, 0]], "out_dir": str(tmp_path)}
+    raw["segments"] = [{"duration": 5, "disconnect": True}]
+    with pytest.raises(ConfigError, match=r"^beta: required for the custom scenario$"):
+        run_scenario(ScenarioConfig.from_dict(raw))
+
+
 def count_certify(monkeypatch) -> list:
     """The plant sizes of every closed_form.certify call from now on."""
     calls = []
@@ -471,7 +489,7 @@ def test_single_segment_run_propagates_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(simulation, "_compose", counting)
     certified = count_certify(monkeypatch)
-    bundle = run_one_mode(
+    bundle = run_scenario(
         ScenarioConfig.from_dict({"scenario": "one_mode", "out_dir": str(tmp_path), "t_end": 10.0})
     )
     assert bundle.passed
@@ -483,7 +501,7 @@ def test_schedule_run_certifies_each_coupled_segment_once(tmp_path, monkeypatch)
     # verify and propagate read one certificate per coupled segment; the
     # disconnected segment needs none
     certified = count_certify(monkeypatch)
-    bundle = run_measurement_sequence(
+    bundle = run_scenario(
         ScenarioConfig.from_dict(
             {"scenario": "measurement_sequence", "out_dir": str(tmp_path), "t_end": 40.0}
         )
@@ -616,6 +634,40 @@ def test_config_rejects_bad_scenario():
         run_scenario(ScenarioConfig(scenario="bogus"))
 
 
+@pytest.mark.parametrize(
+    "raw, grid, last_average",
+    [
+        ({"scenario": "one_mode"}, {"t_end": 50.0, "dt": 0.01, "average_t_end": 100.0}, 100.0),
+        ({"scenario": "measurement_sequence"}, {"t_end": 100.0, "dt": 0.01}, None),
+        ({**_CI_TWO_MODE, "t_end": None}, {"t_end": 50.0, "dt": 0.01}, 50.0),
+    ],
+    ids=["one_mode", "measurement_sequence", "custom"],
+)
+def test_each_planner_owns_its_default_horizons(tmp_path, raw, grid, last_average):
+    # one_mode writes maps to 50 and averages to 100, measurement_sequence runs to
+    # 100, and custom (50 by default) averages to its own t_end
+    bundle = run_scenario(ScenarioConfig.from_dict({**raw, "out_dir": str(tmp_path)}))
+    assert bundle.passed
+    assert bundle.summary["grid"] == grid
+    if last_average is not None:
+        assert bundle.summary["convergence"]["t_values"][-1] == last_average
+
+
+def test_cli_scenario_choices_are_the_planner_table():
+    (action,) = [a for a in build_parser()._actions if a.dest == "scenario"]
+    assert list(action.choices) == list(scenarios._PLANNERS)
+
+
+def test_hand_built_config_takes_a_string_out_dir(tmp_path, monkeypatch):
+    # from_dict is not the only way in: a config built by hand converts its path too
+    monkeypatch.chdir(tmp_path)
+    config = ScenarioConfig(scenario="one_mode", out_dir="out", t_end=1.0, dt=0.1)
+    assert config.out_dir == Path("out")
+    bundle = run_scenario(config)
+    assert bundle.passed
+    assert bundle.out_dir == Path("out", "one_mode") and bundle.summary_file.is_file()
+
+
 def test_failed_certificate_in_a_run_names_its_segment(tmp_path):
     # the last coupled phase gets C B != 0: a run rejects it with the
     # certificate's message behind its segment index, before any output
@@ -624,7 +676,7 @@ def test_failed_certificate_in_a_run_names_its_segment(tmp_path):
     a[3, 0] += 0.5
     broken = dataclasses.replace(aug3, a_a=a)
     phases = ((20.0, aug1), (5.0, None), (75.0, broken))
-    plan = scenarios._Plan("measurement_sequence", phases, scenarios._SEQUENCE_FIGURES, schedule=True)
+    plan = scenarios._Plan(phases, scenarios._SEQUENCE_FIGURES, 100.0, schedule=True)
     config = ScenarioConfig(scenario="measurement_sequence", out_dir=tmp_path / "out")
     with pytest.raises(ValueError, match=r"^segments\[2\]: max\|C B\| = "):
         scenarios._run(config, plan)
@@ -659,7 +711,7 @@ def test_segment_durations_must_fill_t_end(tmp_path):
         }
     )
     with pytest.raises(ConfigError, match="durations"):
-        run_measurement_sequence(config)
+        run_scenario(config)
 
 
 def test_run_leaves_its_config_unchanged(tmp_path):
@@ -675,8 +727,8 @@ def test_run_leaves_its_config_unchanged(tmp_path):
             ],
         }
     )
-    assert run_measurement_sequence(config).passed
-    shorter = run_measurement_sequence(dataclasses.replace(config, t_end=60.0))
+    assert run_scenario(config).passed
+    shorter = run_scenario(dataclasses.replace(config, t_end=60.0))
     assert shorter.passed
     assert shorter.summary["segments"][-1]["duration"] == 35.0
     assert config.t_end is None
@@ -768,7 +820,7 @@ def test_runs_are_byte_identical(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     for out in (out_a, out_b):
-        run_one_mode(
+        run_scenario(
             ScenarioConfig.from_dict(
                 {"scenario": "one_mode", "out_dir": str(out), "t_end": 20.0, "dt": 0.02}
             )
@@ -914,7 +966,7 @@ def test_memory_guard_bounds_the_grid_and_the_chunk_buffers(tmp_path, capsys, mo
     config = ScenarioConfig.from_dict({"scenario": "one_mode", "dt": 1e-5, "out_dir": str(tmp_path)})
     assert 16 * 10_000_001 * 4 * 4 > simulation.MAX_SERIES_BYTES
     with pytest.raises(RuntimeError, match="the guard let the grid through"):
-        run_one_mode(config)
+        run_scenario(config)
 
 
 def test_run_memory_grows_by_at_most_16_bytes_a_grid_point(tmp_path):
@@ -926,7 +978,7 @@ def test_run_memory_grows_by_at_most_16_bytes_a_grid_point(tmp_path):
         config = {"scenario": "one_mode", "out_dir": str(tmp_path), "t_end": t_end, "dt": 0.1}
         tracemalloc.start()
         try:
-            assert run_one_mode(ScenarioConfig.from_dict(config)).passed
+            assert run_scenario(ScenarioConfig.from_dict(config)).passed
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -949,7 +1001,7 @@ def test_schedule_run_writes_and_checks_the_whole_series(tmp_path):
         "dt": 0.01,
         "segments": [{"duration": 13.37, **raw[0]}, {"duration": 0.5, "disconnect": True}, raw[1]],
     }
-    bundle = run_measurement_sequence(ScenarioConfig.from_dict(config))
+    bundle = run_scenario(ScenarioConfig.from_dict(config))
     assert bundle.passed
     entries = bundle.summary["segments"]
     first, last = (
