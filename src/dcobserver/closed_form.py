@@ -74,7 +74,9 @@ class Certificate:
     (symmetrized), NaN for a non-finite ``a``.  When lambda_min is positive,
     ``frequencies`` is ``eigh`` of i S, ascending in +- pairs.  ``flow`` is
     exp(a t) in closed form when every residual is within STRUCTURE_TOL;
-    otherwise it is None and ``message`` names the first failed block.
+    otherwise it is None and ``message`` names the first failed block.  A
+    flow whose coefficients overflow the float range certifies nothing:
+    ``flow`` and ``frequencies`` are None and ``message`` says so.
     """
 
     plant: float
@@ -117,7 +119,7 @@ def certify(a: np.ndarray, n_p: int) -> Certificate:
     checks run in order: R' positive definite (with its extreme
     eigenvalues), then max|P| and max|R' - R'.T| against STRUCTURE_TOL max|a|
     and max|C B| against STRUCTURE_TOL max|a|^2, each failure with its value
-    and bound.
+    and bound, then the flow's coefficients, which must be finite.
     """
     n = a.shape[0]
     b, c, d = a[:n_p, n_p:], a[n_p:, :n_p], a[n_p:, n_p:]
@@ -153,16 +155,21 @@ def certify(a: np.ndarray, n_p: int) -> Certificate:
             message = f"{name} = {value:.3e} exceeds {bound:.3e}"
             return Certificate(*residuals, lambda_min, lambda_max, frequencies, None, message)
     eye_o = np.eye(n_o)
-    left = np.vstack([np.linalg.solve(d.T, b.T).T, eye_o])  # L = [B inv(D); I]
-    right = np.hstack([np.linalg.solve(d, c), eye_o])  # R = [inv(D) C, I]
-    secular = np.zeros((n, n))
-    secular[:n_p, :n_p] = -(left[:n_p] @ c)
-    # exp(S t) = sum over w_j > 0 of 2 Re(u_j u_j^* e^{-i w_j t}), u_j of eigh(i S)
-    pos = vectors[:, n_o // 2 :]
-    p = left @ (np.linalg.inv(half) @ pos)
-    q = (pos.conj().T @ half) @ right
-    outer = 2.0 * (p.T[:, :, None] * q[:, None, :])
-    coef = np.concatenate([[np.eye(n) - left @ right, secular], outer.real, outer.imag])
+    # a coefficient past the float range overflows to inf or NaN: checked below, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = np.vstack([np.linalg.solve(d.T, b.T).T, eye_o])  # L = [B inv(D); I]
+        right = np.hstack([np.linalg.solve(d, c), eye_o])  # R = [inv(D) C, I]
+        secular = np.zeros((n, n))
+        secular[:n_p, :n_p] = -(left[:n_p] @ c)
+        # exp(S t) = sum over w_j > 0 of 2 Re(u_j u_j^* e^{-i w_j t}), u_j of eigh(i S)
+        pos = vectors[:, n_o // 2 :]
+        p = left @ (np.linalg.inv(half) @ pos)
+        q = (pos.conj().T @ half) @ right
+        outer = 2.0 * (p.T[:, :, None] * q[:, None, :])
+        coef = np.concatenate([[np.eye(n) - left @ right, secular], outer.real, outer.imag])
+    if not np.all(np.isfinite(coef)):
+        message = f"flow coefficients overflow the float range (max|a| = {scale:.3e})"
+        return Certificate(*residuals, lambda_min, lambda_max, None, None, message)
     flow = Flow(omega=frequencies[n_o // 2 :], coef=coef)
     return Certificate(*residuals, lambda_min, lambda_max, frequencies, flow, None)
 

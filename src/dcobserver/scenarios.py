@@ -221,7 +221,11 @@ class _Plan:
 class _FigureFile:
     """A figure's CSV, open in binary on ``stack`` and appended a run of grid rows at a
     time up to row ``stop`` (maps from row 0, averages from row 1), and its gnuplot
-    script if titled.  The text is bytes from the header on, every line ending in LF."""
+    script if titled.  The text is bytes from the header on, every line ending in LF.
+
+    Rows go out a batch of ``batch`` rows per bytes ``%`` call.  A column whose
+    bits hold over a batch (the observer's estimated quadrature, every map of a
+    disconnected segment) is formatted once for that batch, as literal text."""
 
     def __init__(self, out: Path, fig: _Figure, prefix: str, n: int, stop: int, stack: ExitStack):
         self.avg, self.stop, self.row = fig.avg, stop, fig.row
@@ -250,7 +254,11 @@ class _FigureFile:
 
     def write(self, rows: slice, stamps: list[bytes], maps: np.ndarray, averages) -> None:
         """Append the figure's rows of a run's maps or averages (None past the
-        averaging stop); stamps[j] is the formatted time of row rows.start + j."""
+        averaging stop); stamps[j] is the formatted time of row rows.start + j.
+
+        Each batch's format string holds its times and the text of every column
+        whose int64 bits equal its first row's, so -0.0 and 0.0 keep their own
+        text; only the other columns are formatted by the ``%`` call."""
         k = min(rows.stop, self.stop) - rows.start
         if k <= 0:
             return
@@ -258,12 +266,26 @@ class _FigureFile:
         if self.row is not None:
             data = data[:, self.row]
         data, stamps = data.reshape(k, self.width), stamps[:k]
-        # one bytes "%" call and one write a batch of rows; the times are literal
-        # text of the format string, which is safe as "%.12g" never prints a "%"
+        # one bytes "%" call and one write a batch of rows; literal text in the
+        # format string is safe, as "%.12g" never prints a "%"
         for lo in range(0, k, self.batch):
             hi = lo + self.batch
-            text = self.tail.join(stamps[lo:hi]) + self.tail
-            self.file.write(text % tuple(data[lo:hi].ravel().tolist()))
+            block, tail = data[lo:hi], self.tail
+            # the columns whose last row has the first row's bits, then of those the ones
+            # whose every row has them, each compared as one contiguous run: numpy's loop
+            # over the rows of a narrow batch costs more than the comparisons
+            bits = block.view(np.int64)
+            held = bits[-1] == bits[0]
+            if held.any():
+                columns = bits.T[held]
+                held[held] = (columns == columns[:, :1]).all(axis=1)
+                if held.any():
+                    tail = b"," + b",".join(
+                        [b"%.12g" % x if h else b"%.12g" for x, h in zip(block[0].tolist(), held.tolist())]
+                    ) + b"\n"
+                    block = block[:, ~held]
+            text = tail.join(stamps[lo:hi]) + tail
+            self.file.write(text % tuple(block.ravel().tolist()))
 
 
 def _stamps(times: np.ndarray) -> list[bytes]:
@@ -322,7 +344,8 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
         try:
             flows.append(identity if aug is None else aug.certificate.checked_flow())
         except ValueError as exc:
-            raise ValueError(f"segments[{i}]: {exc}") from None
+            # only a schedule has segments to name
+            raise ValueError(f"segments[{i}]: {exc}" if plan.schedule else str(exc)) from None
     hamiltonians = [np.zeros((n, n)) if aug is None else aug.r_a for aug in systems]
     own_rows = [np.eye(n) if aug is None else aug.plant_output for aug in systems]
 

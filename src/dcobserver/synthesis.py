@@ -213,8 +213,8 @@ class ObserverConditionsReport:
     ``spectrum`` is the spectrum of a_a read off its certificate, and
     ``spectrum_max_abs_real`` the residual of the block structure that
     certifies it (the spectrum itself lies on the imaginary axis).  A
-    certificate without a positive definite R' certifies nothing: the
-    residual is inf and the spectrum NaN.
+    certificate without a positive definite R', or whose flow overflows,
+    certifies nothing: the residual is inf and the spectrum NaN.
     ``beta_block_valid`` is always true for a constructed :class:`PlantSpec`,
     which validates beta; it stays as a reported hypothesis.
     """
@@ -250,12 +250,12 @@ def verify_observer_conditions(aug: AugmentedSystem) -> ObserverConditionsReport
     matrix S of the certificate, whose eigenvalues i * eigh(i S) lie on the
     imaginary axis.  The imaginary-axis residual is the structure residual
     max(|P|, |C B|, |R' - R'.T|), so a broken structure is never certified;
-    without a positive definite R', or for a non-finite a_a, it is inf and
-    the spectrum NaN.  An asymmetric r_o is
-    reported, not raised: lambda_min is taken from its symmetric part, and the
-    asymmetry shows in the realizability and spectrum residuals.  A non-finite
-    r_o reports lambda_min as NaN, and a non-finite gain a NaN or infinite
-    gain residual, so the report fails.
+    without a positive definite R', for a non-finite a_a, or for a flow whose
+    coefficients overflow the float range, it is inf and the spectrum NaN.  An
+    asymmetric r_o is reported, not raised: lambda_min is taken from its
+    symmetric part, and the asymmetry shows in the realizability and spectrum
+    residuals.  A non-finite r_o reports lambda_min as NaN, and a non-finite
+    gain a NaN or infinite gain residual, so the report fails.
     """
     plant, obs = aug.plant, aug.observer
     r_sym = 0.5 * (obs.r_o + obs.r_o.T)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import tracemalloc
+import warnings
 from contextlib import ExitStack
 from pathlib import Path
 
@@ -136,20 +137,33 @@ def edge_series(rng, rows, n):
     return table[:, 0], table[:, 1:].reshape(rows, n, n)
 
 
+# the entries of 2 x 2 averages below their time column
+WRITER_TABLES = (
+    np.array(EDGE_VALUES).reshape(4, 5),
+    # a column alternating 0.0 and -0.0, which a value-equality check would
+    # print as one text, beside constant -0.0, nan and inf columns
+    np.array([[t, -0.0 if t % 2 else 0.0, -0.0, np.nan, np.inf] for t in range(4)]),
+    # every column constant
+    np.array([[t, 1.5, -0.0, np.nan, -np.inf] for t in range(4)]),
+)
+
+
 def test_csv_writer_matches_formatting_each_value(tmp_path):
-    # the edge values as the time column and the entries of 2x2 averages
-    table = np.array(EDGE_VALUES).reshape(4, 5)
     figure = scenarios._Figure("edge", None, None, avg=True)
-    averages = table[:, 1:].reshape(4, 2, 2)
-    with ExitStack() as stack:
-        writer = scenarios._FigureFile(tmp_path, figure, "phi", 2, 4, stack)
-        # appended in runs, as the pipeline appends its chunks; an empty run
-        # and the rows from the stop on write nothing
-        for lo, hi in ((0, 1), (1, 1), (1, 3), (3, 5)):
-            writer.write(slice(lo, hi), scenarios._stamps(table[lo:hi, 0]), None, averages[lo:hi])
     header = ["T", "phi_11_ave", "phi_12_ave", "phi_21_ave", "phi_22_ave"]
-    assert writer.script is None
-    assert writer.path.read_bytes() == csv_text(header, table).encode()
+    for i, table in enumerate(WRITER_TABLES):
+        averages = table[:, 1:].reshape(4, 2, 2)
+        with ExitStack() as stack:
+            out = tmp_path / str(i)
+            out.mkdir()
+            writer = scenarios._FigureFile(out, figure, "phi", 2, 4, stack)
+            # appended in runs, as the pipeline appends its chunks: a one-row
+            # batch, an empty run, a batch of two rows and a one-row batch, past
+            # which the rows from the stop on write nothing
+            for lo, hi in ((0, 1), (1, 1), (1, 3), (3, 5)):
+                writer.write(slice(lo, hi), scenarios._stamps(table[lo:hi, 0]), None, averages[lo:hi])
+        assert writer.script is None
+        assert writer.path.read_bytes() == csv_text(header, table).encode(), i
 
 
 def test_csv_writer_batches_share_the_time_column(tmp_path):
@@ -160,6 +174,12 @@ def test_csv_writer_batches_share_the_time_column(tmp_path):
     n, rows_total, map_stop = 4, 5001, 2000
     times, maps = edge_series(rng, rows_total, n)
     _, averages = edge_series(rng, rows_total, n)
+    # a map column constant over every batch, an average constant over its
+    # first two batches and into the third, and a column of each file whose
+    # first batch ends on the value it starts with
+    maps[:, 2, 3] = np.pi
+    averages[:1200, 1, 1] = -0.0
+    maps[[1, 1638], 2, 0] = averages[[1, 481], 0, 1] = 7.0
     figures = (scenarios._Figure("maps", 2, None), scenarios._Figure("averages", None, None, avg=True))
     with ExitStack() as stack:
         files = [
@@ -183,10 +203,12 @@ def test_csv_writer_batches_share_the_time_column(tmp_path):
 
 
 def test_csv_writer_rows_wider_than_a_batch(tmp_path):
-    # n = 91: 1 + n^2 = 8,282 values a row, more than BATCH_VALUES; one row a call
+    # n = 91: 1 + n^2 = 8,282 values a row, more than BATCH_VALUES; one row a
+    # call, with one column constant over the rows
     n = 91
     assert 1 + n * n > scenarios.BATCH_VALUES
     times, maps = edge_series(np.random.default_rng(15), 4, n)
+    maps[:, 7, 8] = 2.5
     with ExitStack() as stack:
         writer = scenarios._FigureFile(tmp_path, scenarios._Figure("wide", None, None), "phi", n, 4, stack)
         writer.write(slice(1, 5), scenarios._stamps(times[1:]), maps[1:], None)
@@ -681,6 +703,31 @@ def test_failed_certificate_in_a_run_names_its_segment(tmp_path):
     with pytest.raises(ValueError, match=r"^segments\[2\]: max\|C B\| = "):
         scenarios._run(config, plan)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario", ["one_mode", "custom"])
+def test_flow_that_overflows_is_not_certified(tmp_path, capsys, scenario):
+    # c_o = [[1e-300, 0]] gives alpha = -1e300: the structure holds exactly (C B
+    # is 0), but the flow's coefficients pass the float range
+    raw = {"scenario": scenario, "beta": [[1], [0]], "r_o": [[1, 0], [0, 1]], "c_o": [[1e-300, 0]],
+           "t_end": 1.0, "dt": 0.1, "out_dir": str(tmp_path)}
+    plant = make_plant(raw["beta"])
+    aug = assemble_augmented(plant, synthesize_observer(plant, raw["r_o"], raw["c_o"]))
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(raw))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        certificate = aug.certificate
+        passes = synthesis.verify_observer_conditions(aug).passes()
+        status = main(["--config", str(config_file)])
+    assert caught == []
+    assert certificate.coupling == 0.0 and certificate.flow is None and not passes
+    assert status == 1
+    # one line, and no segment to name outside a schedule
+    assert capsys.readouterr().err == (
+        "error: flow coefficients overflow the float range (max|a| = 2.000e+300)\n"
+    )
+    assert not (tmp_path / scenario).exists()
 
 
 def test_config_rejects_nonnumeric_matrix():
