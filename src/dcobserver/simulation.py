@@ -16,7 +16,7 @@ from .synthesis import AugmentedSystem
 CHUNK_BYTES = 16 * 2**20
 # slack of the time-average convergence check d(T) <= bound_constant / T
 CONVERGENCE_TOL = 1e-6
-# bound on the bytes of a grid (8 K), and in a scenario run on what it holds
+# bound on the bytes of a grid (8 K), of propagate's maps (8 K n^2) and of what a scenario run holds
 MAX_SERIES_BYTES = 2e9
 
 
@@ -145,68 +145,51 @@ def _runs(edges, n: int):
             yield i, lo, slice(first, min(first + chunk, hi + 1))
 
 
-def _compose(flows: Sequence[Flow], times: np.ndarray, edges, maps: np.ndarray | None = None):
-    """Left-composed maps on increasing ``times``, flow i running from edges[i] to edges[i + 1].
+def _sweep(flows: Sequence[Flow], times: np.ndarray, edges, theta, hamiltonians, average_stop: int):
+    """The one pass of a scenario run, and the one place that composes segments.
 
-    Yields (i, lo, rows, start, block, flow) for each run of _runs: ``block``
-    holds the maps at times[rows] (a view of ``maps`` when given, else of one
-    buffer that the next run overwrites), ``start`` the map at times[lo] (I
-    at t = 0, which is not yielded) and ``flow`` flow i right-multiplied by
-    ``start``, whose one matrix product gives the block; zero dynamics give
-    exactly ``start``.
+    Flow i runs from edges[i] to edges[i + 1] on increasing ``times``: it is
+    right-multiplied by the map at times[lo], lo = edges[i] (I at t = 0), so
+    one matrix product gives the maps of each run of _runs, and zero
+    dynamics give exactly that start map.  Yields (i, rows, start, block,
+    averages, residuals) for each run: ``block`` holds the maps at
+    times[rows] and ``start`` the map at times[lo]; ``averages`` holds the
+    running averages at times[rows] while rows.start is before
+    ``average_stop`` (None after it): the exact integrals of the composed
+    flow plus the raw integral up to times[lo], carried before the division
+    by t, since dividing and re-multiplying would change its last bits.
+    ``residuals`` are the worst CCR and energy residual of the block, the
+    energy measured against segment i's Hamiltonian ``hamiltonians[i]`` from
+    its start map.  ``block`` and ``averages`` are buffers that the next
+    run overwrites.
     """
     n = flows[0].coef.shape[1]
-    buffer = np.empty((min(_chunk_rows(n), times.size - 1), n, n)) if maps is None else None
-    start = end = np.eye(n)
+    averages = np.empty((min(_chunk_rows(n), times.size - 1), n, n))
+    maps = np.empty_like(averages)
+    end, total = np.eye(n), None
     for i, lo, rows in _runs(edges, n):
         if rows.start == lo + 1:
-            start = end
+            start, carried = end, total
             flow = replace(flows[i], coef=flows[i].coef @ start)
-        block = maps[rows] if buffer is None else buffer[: rows.stop - rows.start]
-        flow.maps(times[rows] - times[lo], out=block)
-        yield i, lo, rows, start, block, flow
+        block = flow.maps(times[rows] - times[lo], out=maps[: rows.stop - rows.start])
+        run_averages = None
+        if rows.start < average_stop:
+            run_averages = flow.integrals(times[rows] - times[lo], out=averages[: len(block)])
+            if lo:
+                run_averages += carried
+            total = run_averages[-1].copy()
+            run_averages /= times[rows, None, None]
+        yield i, rows, start, block, run_averages, _residuals(block, theta, hamiltonians[i], start)
         end = block[-1].copy()
 
 
-def _sweep(flows: Sequence[Flow], times: np.ndarray, edges, theta, hamiltonians, average_stop: int):
-    """The one pass of a scenario run over the runs of _compose.
-
-    Yields (i, rows, start, block, averages, residuals) for each run:
-    ``averages`` holds the running averages at times[rows] while rows.start
-    is before ``average_stop`` (None after it), and ``residuals`` the worst
-    CCR and energy residual of the block, the energy measured against segment
-    i's Hamiltonian ``hamiltonians[i]`` from its start map.  ``averages``
-    and ``block`` are buffers that the next run overwrites.
-    """
-    n = flows[0].coef.shape[1]
-    averages, carry = np.empty((min(_chunk_rows(n), times.size - 1), n, n)), np.empty((2, n, n))
-    for i, lo, rows, start, block, flow in _compose(flows, times, edges):
-        run_averages = None
-        if rows.start < average_stop:
-            run_averages = averages[: len(block)]
-            _average(flow, times, lo, rows, carry, run_averages)
-        yield i, rows, start, block, run_averages, _residuals(block, theta, hamiltonians[i], start)
-
-
-def _average(flow: Flow, times: np.ndarray, lo: int, rows: slice, carry: np.ndarray, out: np.ndarray):
-    """Running averages at times[rows] of a segment from row lo, written into ``out``.
-
-    ``carry`` holds two raw integrals: up to the segment start, and up to the
-    last row averaged, which becomes the first when a segment starts.  Both
-    are taken before the division; dividing and re-multiplying would change
-    their last bits.
-    """
-    if rows.start == lo + 1:
-        carry[0] = carry[1]
-    flow.integrals(times[rows] - times[lo], out=out)
-    if lo:
-        out += carry[0]
-    carry[1] = out[-1]
-    out /= times[rows, None, None]
-
-
 def propagate(a, grid) -> PropagatorSeries:
-    """Transition matrices exp(a t_k) on ``grid``, from the closed-form flow of ``a``."""
+    """Transition matrices exp(a t_k) on ``grid``, from the closed-form flow of ``a``.
+
+    The flow is evaluated _chunk_rows(n) rows at a time into the series.  A
+    series whose maps (8 K n^2 bytes) would pass MAX_SERIES_BYTES is a
+    ValueError starting with ``grid: ``, raised before it is allocated.
+    """
     times = np.asarray(grid, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("grid must be a 1-D sequence with at least two points")
@@ -219,28 +202,39 @@ def propagate(a, grid) -> PropagatorSeries:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"dynamics must be square, got shape {a.shape}")
-    maps = np.empty((times.size,) + a.shape)
-    maps[0] = np.eye(a.shape[0])
-    # every run writes its rows of maps and carries the flow composed with maps[0]
-    runs = list(_compose([observer_flow(a)], times, (0, times.size - 1), maps))
-    return PropagatorSeries(times=times, maps=maps, flow=runs[0][-1])
+    n = a.shape[0]
+    held = 8 * times.size * n * n
+    if held > MAX_SERIES_BYTES:
+        raise ValueError(
+            f"grid: {times.size} points of {n} x {n} maps ({held / 1e9:.3g} GB) "
+            f"exceed {MAX_SERIES_BYTES / 1e9:g} GB"
+        )
+    flow = observer_flow(a)
+    maps = np.empty((times.size, n, n))
+    maps[0] = np.eye(n)
+    for _, _, rows in _runs((0, times.size - 1), n):
+        flow.maps(times[rows], out=maps[rows])
+    return PropagatorSeries(times=times, maps=maps, flow=flow)
 
 
 def time_average(series: PropagatorSeries) -> AverageSeries:
     """Running averages (1/T) int_0^T Phi at T = times[1:], from the series' flow.
 
-    The flow is integrated exactly, _chunk_rows(n) rows at a time.  The
-    average at T -> 0 tends to the identity by continuity; T = 0 itself is
-    excluded from the output.  The series needs its flow, as propagate returns it.
+    The flow is integrated exactly from t = 0, _chunk_rows(n) rows at a
+    time, straight into the averages, which are the size of the series'
+    maps and so within propagate's bound.  The average at T -> 0 tends to
+    the identity by continuity; T = 0 itself is excluded from the output.
+    The series needs its flow, as propagate returns it.
     """
     times, maps = series.times, series.maps
     if times.size < 2:
         raise ValueError("series must contain at least one step beyond t=0")
     if series.flow is None:
         raise ValueError("series has no flow to integrate; propagate returns one")
-    averages, carry = np.empty_like(maps[1:]), np.empty((2,) + maps.shape[1:])
-    for _, lo, rows in _runs((0, times.size - 1), series.dim):
-        _average(series.flow, times, lo, rows, carry, averages[rows.start - 1 : rows.stop - 1])
+    averages = np.empty_like(maps[1:])
+    for _, _, rows in _runs((0, times.size - 1), series.dim):
+        part = series.flow.integrals(times[rows], out=averages[rows.start - 1 : rows.stop - 1])
+        part /= times[rows, None, None]
     return AverageSeries(times=times[1:].copy(), averages=averages)
 
 
@@ -338,10 +332,11 @@ def convergence_diagnostics(aug: AugmentedSystem, horizon: float, dt: float) -> 
     rows_flow = replace(flow, coef=(aug.plant_output - aug.observer_output) @ flow.coef)
     # each chunk of averaged rows becomes its d values, and the max of t d
     block = np.empty((min(_chunk_rows(aug.n), times.size),) + rows_flow.coef.shape[1:])
-    d_all, t_times_d, carry = np.empty(times.size), [], np.empty((2,) + block.shape[1:])
+    d_all, t_times_d = np.empty(times.size), []
     for _, _, rows in _runs((0, times.size), aug.n):
-        part, d = block[: rows.stop - rows.start], d_all[rows.start - 1 : rows.stop - 1]
-        _average(rows_flow, grid, 0, rows, carry, part)
+        part = rows_flow.integrals(grid[rows], out=block[: rows.stop - rows.start])
+        part /= grid[rows, None, None]
+        d = d_all[rows.start - 1 : rows.stop - 1]
         d[:] = _row_norms(part)
         t_times_d.append(np.max(grid[rows] * d))
 

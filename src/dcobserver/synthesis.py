@@ -212,11 +212,11 @@ class ObserverConditionsReport:
 
     ``spectrum`` is the spectrum of a_a read off its certificate, and
     ``spectrum_max_abs_real`` the residual of the block structure that
-    certifies it (the spectrum itself lies on the imaginary axis).  A
-    certificate without a positive definite R', or whose flow overflows,
-    certifies nothing: the residual is inf and the spectrum NaN.
-    ``beta_block_valid`` is always true for a constructed :class:`PlantSpec`,
-    which validates beta; it stays as a reported hypothesis.
+    certifies it (the spectrum itself lies on the imaginary axis).  A failed
+    certificate, which gives no flow, certifies nothing: the residual is inf
+    and the spectrum NaN.  ``beta_block_valid`` is always true for a
+    constructed :class:`PlantSpec`, which validates beta; it stays as a
+    reported hypothesis.
     """
 
     r_o_lambda_min: float
@@ -249,13 +249,15 @@ def verify_observer_conditions(aug: AugmentedSystem) -> ObserverConditionsReport
     spec(a_a) = {0}^n_p + spec(D) exactly, and D is similar to the skew
     matrix S of the certificate, whose eigenvalues i * eigh(i S) lie on the
     imaginary axis.  The imaginary-axis residual is the structure residual
-    max(|P|, |C B|, |R' - R'.T|), so a broken structure is never certified;
-    without a positive definite R', for a non-finite a_a, or for a flow whose
-    coefficients overflow the float range, it is inf and the spectrum NaN.  An
-    asymmetric r_o is reported, not raised: lambda_min is taken from its
-    symmetric part, and the asymmetry shows in the realizability and spectrum
-    residuals.  A non-finite r_o reports lambda_min as NaN, and a non-finite
-    gain a NaN or infinite gain residual, so the report fails.
+    max(|P|, |C B|, |R' - R'.T|) of a certificate that gives a flow.  A
+    certificate that gives none (a residual past STRUCTURE_TOL, no positive
+    definite R', a non-finite a_a, or a flow whose coefficients overflow the
+    float range) makes it inf and the spectrum NaN, so the report fails
+    every system that a run refuses.  An asymmetric r_o is reported, not
+    raised: lambda_min is taken from its symmetric part, and the asymmetry
+    shows in the realizability and spectrum residuals.  A non-finite r_o
+    reports lambda_min as NaN, and a non-finite gain a NaN or infinite gain
+    residual, so the report fails.
     """
     plant, obs = aug.plant, aug.observer
     r_sym = 0.5 * (obs.r_o + obs.r_o.T)
@@ -264,7 +266,7 @@ def verify_observer_conditions(aug: AugmentedSystem) -> ObserverConditionsReport
         annihilation = float(np.max(np.abs(aug.plant_output @ aug.a_a)))
     realizability = realizability_residual(aug.a_a, aug.ccr.theta)
     certificate = aug.certificate
-    if certificate.frequencies is None:
+    if certificate.flow is None:
         spectrum, real_part = np.full(aug.n, np.nan, dtype=complex), np.inf
     else:
         # purely imaginary by construction: no -0.0 real parts from 1j * w

@@ -502,20 +502,20 @@ def count_certify(monkeypatch) -> list:
 
 
 def test_single_segment_run_propagates_once(tmp_path, monkeypatch):
-    composed = []
-    original = simulation._compose
+    swept = []
+    original = scenarios._sweep
 
-    def counting(flows, times, edges):
-        composed.append(len(flows))
-        return original(flows, times, edges)
+    def counting(flows, *args):
+        swept.append(len(flows))
+        return original(flows, *args)
 
-    monkeypatch.setattr(simulation, "_compose", counting)
+    monkeypatch.setattr(scenarios, "_sweep", counting)
     certified = count_certify(monkeypatch)
     bundle = run_scenario(
         ScenarioConfig.from_dict({"scenario": "one_mode", "out_dir": str(tmp_path), "t_end": 10.0})
     )
     assert bundle.passed
-    assert composed == [1]
+    assert swept == [1]
     assert certified == [2]
 
 

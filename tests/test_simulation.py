@@ -20,6 +20,7 @@ from dcobserver import (
     time_average,
     uniform_grid,
 )
+from dcobserver import simulation
 from dcobserver.closed_form import observer_flow
 from dcobserver.simulation import _chunk_rows, _grid, _row_norms
 from helpers import (
@@ -89,6 +90,21 @@ def test_propagate_matches_direct_exponential():
         assert np.max(np.abs(series.maps[k] - direct)) <= 1e-10
 
 
+def test_propagate_rejects_maps_past_the_series_bound(monkeypatch):
+    # the bound scaled down: 101 points of 4 x 4 maps are 12,928 bytes
+    monkeypatch.setattr(simulation, "MAX_SERIES_BYTES", 1e4)
+    tracemalloc.start()
+    try:
+        message = r"^grid: 101 points of 4 x 4 maps \(1.29e-05 GB\) exceed 1e-05 GB$"
+        with pytest.raises(ValueError, match=message):
+            propagate(np.zeros((4, 4)), uniform_grid(1.0, 0.01))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_928
+    assert propagate(np.zeros((4, 4)), uniform_grid(1.0, 0.02)).maps.nbytes == 51 * 128
+
+
 def test_propagate_rotation_entries_at_pi():
     aug = one_mode_augmented()
     grid = np.linspace(0.0, np.pi, 315)
@@ -134,13 +150,24 @@ def test_non_finite_times_name_their_field(build, args, field):
 
 
 def test_single_segment_schedule_equals_plain_propagation():
-    # the public one-segment chain and a run's pass give the same bits
-    aug = one_mode_augmented()
-    plain = propagate(aug.a_a, uniform_grid(8.0, 0.05))
-    times, _, maps, averages, _ = swept_schedule([(8.0, aug)], 0.05)
-    assert np.array_equal(plain.times, times)
-    assert np.array_equal(plain.maps, maps)
-    assert np.array_equal(time_average(plain).averages, averages)
+    # the public one-segment chain and a run's pass give the same bits:
+    # within one chunk (K = 161), and across two chunk seams at 4,096 rows
+    # (n = 8, K = 9,001) and at 256 rows (n = 80, K = 601)
+    rng = np.random.default_rng(21)
+    cases = [
+        (one_mode_augmented(), 8.0, 0.05, 0),
+        (random_augmented(rng, 4, 4), 90.0, 0.01, 2),
+        (random_augmented(rng, 32, 48), 6.0, 0.01, 2),
+    ]
+    for aug, t_end, dt, seams in cases:
+        plain = propagate(aug.a_a, uniform_grid(t_end, dt))
+        times, _, maps, averages, residuals = swept_schedule([(t_end, aug)], dt)
+        assert (times.size - 1) // _chunk_rows(aug.n) == seams
+        assert np.array_equal(plain.times, times)
+        assert np.array_equal(plain.maps, maps)
+        assert np.array_equal(time_average(plain).averages, averages)
+        report = invariant_monitor(plain, aug.ccr, aug.r_a)
+        assert (report.max_ccr_residual, report.max_energy_residual) == tuple(residuals[0])
 
 
 def test_schedule_is_exactly_constant_while_disconnected():

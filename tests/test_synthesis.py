@@ -300,11 +300,26 @@ def test_certificate_flags_asymmetric_observer_block():
     skew = 1e-3 * rng.normal(size=(4, 4))
     skew -= skew.T
     broken = _with_blocks(aug, d=aug.a_a[4:, 4:] + 2.0 * (aug.theta_2 @ skew))
-    report = verify_observer_conditions(broken)
-    assert report.spectrum_max_abs_real > 1e-8
-    assert report.spectrum_max_abs_real == pytest.approx(np.max(np.abs(2.0 * skew)), rel=1e-6)
-    assert not report.passes(1e-8)
+    assert broken.certificate.asymmetry == pytest.approx(np.max(np.abs(2.0 * skew)), rel=1e-6)
     assert broken.certificate.message.startswith("max|R' - R'.T| = ")
+    report = verify_observer_conditions(broken)
+    assert report.spectrum_max_abs_real == np.inf
+    assert not report.passes(1e-8)
+
+
+def test_verifier_fails_what_the_certificate_fails():
+    # max|P| = 1e-9 passes the report's tolerance 1e-8 but not the
+    # certificate's 1e-12 max|a| = 2e-12, which a run would refuse
+    aug = one_mode_augmented()
+    a = aug.a_a.copy()
+    a[0, 1] = 1e-9
+    broken = dataclasses.replace(aug, a_a=a)
+    assert broken.certificate.flow is None
+    assert broken.certificate.message == "max|P| = 1.000e-09 exceeds 2.000e-12"
+    report = verify_observer_conditions(broken)
+    assert report.spectrum_max_abs_real == np.inf
+    assert np.all(np.isnan(report.spectrum))
+    assert not report.passes()
 
 
 def test_certificate_flags_indefinite_observer_block():
