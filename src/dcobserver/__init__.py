@@ -8,11 +8,7 @@ from .ccr import (
     realizability_residual,
     validate_beta,
 )
-from .linalg import (
-    DefinitenessReport,
-    is_positive_definite,
-    spectral_norm,
-)
+from .linalg import spectral_norm
 from .scenarios import (
     ArtifactBundle,
     ConfigError,
@@ -48,7 +44,6 @@ __all__ = [
     "CommutationStructure",
     "ConfigError",
     "ConvergenceReport",
-    "DefinitenessReport",
     "InvariantReport",
     "ObserverConditionsReport",
     "ObserverSpec",
@@ -58,7 +53,6 @@ __all__ = [
     "assemble_augmented",
     "convergence_diagnostics",
     "invariant_monitor",
-    "is_positive_definite",
     "make_plant",
     "make_theta",
     "propagate",

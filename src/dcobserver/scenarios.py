@@ -224,8 +224,8 @@ class _FigureFile:
     script if titled.  The text is bytes from the header on, every line ending in LF.
 
     Rows go out a batch of ``batch`` rows per bytes ``%`` call.  A column whose
-    bits hold over a batch (the observer's estimated quadrature, every map of a
-    disconnected segment) is formatted once for that batch, as literal text."""
+    bits hold over a batch of two rows or more (the observer's estimated quadrature,
+    every map of a disconnected segment) is formatted once for it, as literal text."""
 
     def __init__(self, out: Path, fig: _Figure, prefix: str, n: int, stop: int, stack: ExitStack):
         self.avg, self.stop, self.row = fig.avg, stop, fig.row
@@ -257,8 +257,8 @@ class _FigureFile:
         averaging stop); stamps[j] is the formatted time of row rows.start + j.
 
         Each batch's format string holds its times and the text of every column
-        whose int64 bits equal its first row's, so -0.0 and 0.0 keep their own
-        text; only the other columns are formatted by the ``%`` call."""
+        that ``_held_columns`` finds, so -0.0 and 0.0 keep their own text; only
+        the other columns are formatted by the ``%`` call."""
         k = min(rows.stop, self.stop) - rows.start
         if k <= 0:
             return
@@ -271,21 +271,29 @@ class _FigureFile:
         for lo in range(0, k, self.batch):
             hi = lo + self.batch
             block, tail = data[lo:hi], self.tail
-            # the columns whose last row has the first row's bits, then of those the ones
-            # whose every row has them, each compared as one contiguous run: numpy's loop
-            # over the rows of a narrow batch costs more than the comparisons
-            bits = block.view(np.int64)
-            held = bits[-1] == bits[0]
+            held = _held_columns(block)
             if held.any():
-                columns = bits.T[held]
-                held[held] = (columns == columns[:, :1]).all(axis=1)
-                if held.any():
-                    tail = b"," + b",".join(
-                        [b"%.12g" % x if h else b"%.12g" for x, h in zip(block[0].tolist(), held.tolist())]
-                    ) + b"\n"
-                    block = block[:, ~held]
+                tail = b"," + b",".join(
+                    [b"%.12g" % x if h else b"%.12g" for x, h in zip(block[0].tolist(), held.tolist())]
+                ) + b"\n"
+                block = block[:, ~held]
             text = tail.join(stamps[lo:hi]) + tail
             self.file.write(text % tuple(block.ravel().tolist()))
+
+
+def _held_columns(block: np.ndarray) -> np.ndarray:
+    """The columns whose every row has the first row's int64 bits; none in a batch of one
+    row, whose literal text would cost more than the batched ``%`` call.  Of the columns
+    whose last row has the first row's bits, each is compared as one contiguous run:
+    numpy's loop over the rows of a narrow batch costs more than the comparisons."""
+    if len(block) < 2:
+        return np.zeros(block.shape[1], dtype=bool)
+    bits = block.view(np.int64)
+    held = bits[-1] == bits[0]
+    if held.any():
+        columns = bits.T[held]
+        held[held] = (columns == columns[:, :1]).all(axis=1)
+    return held
 
 
 def _stamps(times: np.ndarray) -> list[bytes]:

@@ -28,7 +28,6 @@ from .ccr import (
     validate_beta,
 )
 from .closed_form import Certificate, certify
-from .linalg import is_positive_definite
 
 GAIN_TOL = 1e-10
 
@@ -141,21 +140,24 @@ def synthesize_observer(plant: PlantSpec, r_o, c_o=None, alpha=None) -> Observer
     ------
     ValueError
         Whose message starts with the field at fault (``r_o:``, ``c_o:`` or
-        ``alpha:``): r_o is not square of positive even dimension, not
-        symmetric or not positive definite; c_o or alpha has the wrong shape,
-        neither is given, or c_o has deficient row rank; or the gain misses
-        the condition beyond 1e-10.
+        ``alpha:``): r_o is not square of positive even dimension, has a
+        non-finite entry, is not symmetric to 1e-9 max(1, max|r_o|), or its
+        symmetric part has smallest eigenvalue at most 1e-12 (never looser
+        than a Cholesky factorization with that pivot threshold); c_o or
+        alpha has the wrong shape, neither is given, or c_o has deficient
+        row rank; or the gain misses the condition beyond 1e-10.
     """
     r_o = np.asarray(r_o, dtype=float)
     n_o, m_p = _observer_dimension(r_o), plant.m_p
-    try:
-        definiteness = is_positive_definite(r_o)
-    except ValueError as exc:  # not symmetric, or non-finite
-        raise ValueError(f"r_o: {exc}") from None
-    if not definiteness.positive_definite:
-        raise ValueError(f"r_o: not positive definite (lambda_min = {definiteness.lambda_min:.3e})")
+    if not np.all(np.isfinite(r_o)):
+        raise ValueError("r_o: matrix contains non-finite entries")
+    if float(np.max(np.abs(r_o - r_o.T))) > 1e-9 * max(1.0, float(np.max(np.abs(r_o)))):
+        raise ValueError("r_o: matrix is not symmetric to tolerance")
     # bitwise-symmetric copy so the block Hamiltonian is exactly symmetric
     r_o = 0.5 * (r_o + r_o.T)
+    lambda_min = float(np.linalg.eigvalsh(r_o)[0])
+    if not lambda_min > 1e-12:
+        raise ValueError(f"r_o: not positive definite (lambda_min = {lambda_min:.3e})")
     if alpha is None:
         if c_o is None:
             raise ValueError("c_o: either c_o or alpha is required")
@@ -214,14 +216,13 @@ class ObserverConditionsReport:
     ``spectrum_max_abs_real`` the residual of the block structure that
     certifies it (the spectrum itself lies on the imaginary axis).  A failed
     certificate, which gives no flow, certifies nothing: the residual is inf
-    and the spectrum NaN.  ``beta_block_valid`` is always true for a
-    constructed :class:`PlantSpec`, which validates beta; it stays as a
-    reported hypothesis.
+    and the spectrum NaN.  ``r_o_lambda_min`` is the certificate's smallest
+    eigenvalue of R', the observer block that a_a propagates: for an
+    assembled system, r_o bit for bit.
     """
 
     r_o_lambda_min: float
     gain_residual: float
-    beta_block_valid: bool
     beta_skew_residual: float
     output_annihilation_residual: float
     realizability_residual: float
@@ -231,7 +232,6 @@ class ObserverConditionsReport:
     def passes(self, tol: float = 1e-8) -> bool:
         return (
             self.r_o_lambda_min > 0.0
-            and self.beta_block_valid
             and self.gain_residual <= tol
             and self.beta_skew_residual <= tol
             and self.output_annihilation_residual <= tol
@@ -253,15 +253,13 @@ def verify_observer_conditions(aug: AugmentedSystem) -> ObserverConditionsReport
     certificate that gives none (a residual past STRUCTURE_TOL, no positive
     definite R', a non-finite a_a, or a flow whose coefficients overflow the
     float range) makes it inf and the spectrum NaN, so the report fails
-    every system that a run refuses.  An asymmetric r_o is reported, not
-    raised: lambda_min is taken from its symmetric part, and the asymmetry
-    shows in the realizability and spectrum residuals.  A non-finite r_o
-    reports lambda_min as NaN, and a non-finite gain a NaN or infinite gain
-    residual, so the report fails.
+    every system that a run refuses.  lambda_min is the certificate's too,
+    taken from the symmetric part of R'; an asymmetric R' shows in the
+    realizability and spectrum residuals, and a non-finite a_a reads NaN.
+    The gain residual is read off the observer spec, so a spec edited after
+    assembly shows there and not in lambda_min.
     """
     plant, obs = aug.plant, aug.observer
-    r_sym = 0.5 * (obs.r_o + obs.r_o.T)
-    lambda_min = is_positive_definite(r_sym).lambda_min if np.all(np.isfinite(r_sym)) else np.nan
     with np.errstate(invalid="ignore"):  # 0 * inf in a non-finite a_a reads NaN
         annihilation = float(np.max(np.abs(aug.plant_output @ aug.a_a)))
     realizability = realizability_residual(aug.a_a, aug.ccr.theta)
@@ -275,9 +273,8 @@ def verify_observer_conditions(aug: AugmentedSystem) -> ObserverConditionsReport
         spectrum = np.sort(np.concatenate([np.zeros(plant.n_p, dtype=complex), reduced]))
         real_part = certificate.residual
     return ObserverConditionsReport(
-        r_o_lambda_min=lambda_min,
+        r_o_lambda_min=certificate.lambda_min,
         gain_residual=gain_residual(obs),
-        beta_block_valid=True,
         beta_skew_residual=validate_beta(plant.beta),
         output_annihilation_residual=annihilation,
         realizability_residual=realizability,

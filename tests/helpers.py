@@ -19,7 +19,6 @@ from scipy.linalg import expm
 
 from dcobserver import (
     assemble_augmented,
-    is_positive_definite,
     make_plant,
     make_theta,
     synthesize_observer,
@@ -291,10 +290,10 @@ def exp_norm_bound(r_o) -> float:
     Conservation of (1/2) x.T r_o x along x' = 2 theta_2 r_o x makes this an
     upper bound for ||exp(2 theta_2 r_o t)|| at every t.
     """
-    report = is_positive_definite(np.asarray(r_o, dtype=float))
-    if not report.positive_definite:
-        raise ValueError(f"r_o is not positive definite (lambda_min = {report.lambda_min:.3e})")
-    return float(np.sqrt(report.lambda_max / report.lambda_min))
+    w = np.linalg.eigvalsh(np.asarray(r_o, dtype=float))
+    if not w[0] > 0.0:
+        raise ValueError(f"r_o is not positive definite (lambda_min = {w[0]:.3e})")
+    return float(np.sqrt(w[-1] / w[0]))
 
 
 def eigenvalues_mp(m, dps: int = 40) -> np.ndarray:

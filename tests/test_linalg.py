@@ -10,7 +10,6 @@ import pytest
 
 import dcobserver
 from dcobserver import (
-    is_positive_definite,
     make_theta,
     propagate,
     spectral_norm,
@@ -44,35 +43,6 @@ def test_high_precision_spectrum_resolves_defective_zero():
     expected = np.sort(np.array([0.0 + 0j, 0.0 + 0j, 2j, -2j]))
     assert np.allclose(spectrum, expected, atol=1e-12)
     assert np.max(np.abs(spectrum.real)) <= 1e-12
-
-
-def test_is_positive_definite_examples():
-    report = is_positive_definite(np.eye(3))
-    assert report.positive_definite
-    assert report.lambda_min == pytest.approx(1.0)
-
-    report = is_positive_definite(np.diag([1.0, -1.0]))
-    assert not report.positive_definite
-
-    report = is_positive_definite(np.diag([2.0, 1.0]))
-    assert report.positive_definite
-    assert report.lambda_min == pytest.approx(1.0)
-    assert report.lambda_max == pytest.approx(2.0)
-
-
-def test_is_positive_definite_rejects_asymmetric():
-    with pytest.raises(ValueError, match="symmetric"):
-        is_positive_definite(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-
-def test_is_positive_definite_agrees_with_eigenvalues():
-    rng = np.random.default_rng(31)
-    for _ in range(60):
-        n = int(rng.integers(1, 9))
-        g = rng.normal(size=(n, n))
-        m = 0.5 * (g + g.T)
-        report = is_positive_definite(m)
-        assert report.positive_definite == (report.lambda_min > 1e-12)
 
 
 def test_spectral_norm_examples():

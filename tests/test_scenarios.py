@@ -219,6 +219,19 @@ def test_csv_writer_rows_wider_than_a_batch(tmp_path):
     assert writer.path.read_bytes() == csv_text(header, table).encode()
 
 
+def test_one_row_batches_hold_no_column(tmp_path):
+    # an all-rows figure of n = 64 is 4,097 values a row, so one row a batch;
+    # every column of one row has its first row's bits, and as literal text
+    # the whole row would be formatted one value at a time, not by the batched %
+    n = 64
+    with ExitStack() as stack:
+        writer = scenarios._FigureFile(tmp_path, scenarios._Figure("wide", None, None), "phi", n, 2, stack)
+    assert writer.batch == 1
+    row = np.eye(n).reshape(1, n * n)
+    assert not scenarios._held_columns(row).any()
+    assert scenarios._held_columns(np.vstack([row, row])).all()
+
+
 def test_csv_writer_holds_a_batch_not_a_chunk(tmp_path):
     # one write of a 2,048-row run of one row of n = 32 maps (33 values a row,
     # 248 rows a batch): a tuple of the whole run would hold 67,584 floats,

@@ -74,9 +74,35 @@ def test_minimum_norm_gain_when_underdetermined():
 
 
 def test_rejects_indefinite_observer_hamiltonian():
+    # the symmetric part needs smallest eigenvalue above 1e-12
     plant = make_plant([[1.0], [0.0]])
-    with pytest.raises(ValueError, match="positive definite"):
-        synthesize_observer(plant, np.diag([1.0, -1.0]), [[1.0, 0.0]])
+    for r_o, text in [
+        (np.diag([1.0, -1.0]), "-1.000e+00"),
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), "-1.000e+00"),
+        (np.zeros((2, 2)), "0.000e+00"),
+        (np.diag([1.0, 1e-13]), "1.000e-13"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            synthesize_observer(plant, r_o, [[1.0, 0.0]])
+        assert str(err.value) == f"r_o: not positive definite (lambda_min = {text})"
+
+
+def test_rejects_asymmetric_observer_hamiltonian():
+    plant = make_plant([[1.0], [0.0]])
+    # the tolerance is 1e-9 max(1, max|r_o|): 2e-9 past it at unit scale, 2e-6 at 1e3
+    for r_o in ([[1.0, 2e-9], [0.0, 1.0]], [[1e3, 2e-6], [0.0, 1e3]], [[1.0, 0.5], [0.0, 1.0]]):
+        with pytest.raises(ValueError) as err:
+            synthesize_observer(plant, r_o, [[1.0, 0.0]])
+        assert str(err.value) == "r_o: matrix is not symmetric to tolerance"
+
+
+def test_accepts_r_o_inside_both_tolerances_and_stores_its_symmetric_part():
+    plant = make_plant([[1.0], [0.0]])
+    for r_o in ([[1.0, 5e-10], [0.0, 1.0]], [[1e3, 5e-7], [0.0, 1e3]], [[1.0, 0.0], [0.0, 1e-11]]):
+        r_o = np.array(r_o)
+        obs = synthesize_observer(plant, r_o, [[1.0, 0.0]])
+        assert np.array_equal(obs.r_o, obs.r_o.T)
+        assert np.array_equal(obs.r_o, 0.5 * (r_o + r_o.T))
 
 
 def test_rejects_rank_deficient_output_matrix():
@@ -162,7 +188,6 @@ def test_verify_conditions_on_canonical_system():
     report = verify_observer_conditions(one_mode_augmented())
     assert report.r_o_lambda_min == pytest.approx(1.0)
     assert report.gain_residual <= 1e-12
-    assert report.beta_block_valid
     assert report.beta_skew_residual == 0.0
     assert report.output_annihilation_residual == 0.0
     assert report.realizability_residual == 0.0
@@ -209,12 +234,26 @@ def test_random_valid_observers_verify_cleanly(n_p, n_o):
     for _ in range(5):
         report = verify_observer_conditions(random_augmented(rng, n_p, n_o))
         assert report.r_o_lambda_min > 0
-        assert report.beta_block_valid
         assert report.gain_residual <= 1e-8
         assert report.beta_skew_residual <= 1e-8
         assert report.output_annihilation_residual <= 1e-8
         assert report.realizability_residual <= 1e-8
         assert report.spectrum_max_abs_real <= 1e-8
+
+
+def test_verifier_reports_the_certificate_lambda_min():
+    # one answer for r_o: R' of an assembled a_a is r_o bit for bit, and the
+    # report's lambda_min is the certificate's, not a second eigen-solve
+    rng = np.random.default_rng(21)
+    for _ in range(120):
+        n_p = 2 * int(rng.integers(1, 5))
+        n_o = 2 * int(rng.integers((n_p + 2) // 4, 5))  # n_o >= m_p = n_p / 2
+        aug = random_augmented(rng, n_p, n_o)
+        r_prime = -0.5 * (aug.theta_2 @ aug.a_a[n_p:, n_p:])
+        assert np.array_equal(r_prime, aug.observer.r_o)
+        lambda_min = verify_observer_conditions(aug).r_o_lambda_min
+        assert lambda_min == aug.certificate.lambda_min
+        assert lambda_min == pytest.approx(np.linalg.eigvalsh(aug.observer.r_o)[0], rel=1e-13)
 
 
 def test_verify_reports_asymmetric_observer_hamiltonian():
@@ -241,7 +280,13 @@ def test_verify_reports_non_finite_observer_entries(field, value):
     report = verify_observer_conditions(broken)
     assert not report.passes(1e-8)
     if field == "r_o":
+        # the verifier judges the dynamics a_a: the entry shows in lambda_min
+        # once a_a carries it
+        with np.errstate(invalid="ignore"):
+            reassembled = assemble_augmented(aug.plant, observer)
+        report = verify_observer_conditions(reassembled)
         assert np.isnan(report.r_o_lambda_min)
+        assert not report.passes(1e-8)
 
 
 def test_synthesis_names_non_finite_observer_block_by_its_field():
