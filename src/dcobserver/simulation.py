@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+from contextvars import copy_context
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -18,6 +20,8 @@ CHUNK_BYTES = 16 * 2**20
 CONVERGENCE_TOL = 1e-6
 # bound on the bytes of a grid (8 K), of propagate's maps (8 K n^2) and of what a scenario run holds
 MAX_SERIES_BYTES = 2e9
+# runs of _each_run in flight at once
+WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -145,6 +149,56 @@ def _runs(edges, n: int):
             yield i, lo, slice(first, min(first + chunk, hi + 1))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, or the CPU count where there is none."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _blas_threads() -> int:
+    """Threads of one BLAS product, as OpenBLAS reads them when it loads.
+
+    The first positive value of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    OMP_NUM_THREADS, else every usable CPU.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return _usable_cpus()
+
+
+def _each_run(edges, n: int, fn) -> list:
+    """fn(lo, rows) for every run of _runs(edges, n), the results in run order.
+
+    At most WORKERS runs are in flight, on the threads of a pool made for
+    this call and joined before it returns, each in a copy of the caller's
+    context (numpy's errstate holds there too).  numpy drops the GIL inside
+    a run's products and ufuncs, so two runs use two CPUs; ``fn`` writes
+    only its own rows, so no result depends on which run ends first.  The
+    runs go in order on the calling thread when there is one run, one
+    usable CPU, or a BLAS that spreads each product over several threads,
+    which two runs at once contend with: with OpenBLAS at two threads on
+    two CPUs, they were slower than one run at a time.  The first exception
+    in run order reaches the caller unchanged, and the runs not yet started
+    are dropped.
+    """
+    runs = [(lo, rows) for _, lo, rows in _runs(edges, n)]
+    if len(runs) < 2 or _usable_cpus() < 2 or _blas_threads() > 1:
+        return [fn(lo, rows) for lo, rows in runs]
+    # imported here: it takes 7 ms, which a CLI run never needs to pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(WORKERS)
+    try:
+        futures = [pool.submit(copy_context().run, fn, lo, rows) for lo, rows in runs]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _sweep(flows: Sequence[Flow], times: np.ndarray, edges, theta, hamiltonians, average_stop: int):
     """The one pass of a scenario run, and the one place that composes segments.
 
@@ -186,8 +240,9 @@ def _sweep(flows: Sequence[Flow], times: np.ndarray, edges, theta, hamiltonians,
 def propagate(a, grid) -> PropagatorSeries:
     """Transition matrices exp(a t_k) on ``grid``, from the closed-form flow of ``a``.
 
-    The flow is evaluated _chunk_rows(n) rows at a time into the series.  A
-    series whose maps (8 K n^2 bytes) would pass MAX_SERIES_BYTES is a
+    The flow is evaluated _chunk_rows(n) rows at a time into the series, up
+    to WORKERS runs at once (_each_run, bit for bit as one run at a time).
+    A series whose maps (8 K n^2 bytes) would pass MAX_SERIES_BYTES is a
     ValueError starting with ``grid: ``, raised before it is allocated.
     """
     times = np.asarray(grid, dtype=float)
@@ -212,8 +267,7 @@ def propagate(a, grid) -> PropagatorSeries:
     flow = observer_flow(a)
     maps = np.empty((times.size, n, n))
     maps[0] = np.eye(n)
-    for _, _, rows in _runs((0, times.size - 1), n):
-        flow.maps(times[rows], out=maps[rows])
+    _each_run((0, times.size - 1), n, lambda _, rows: flow.maps(times[rows], out=maps[rows]))
     return PropagatorSeries(times=times, maps=maps, flow=flow)
 
 
@@ -221,10 +275,11 @@ def time_average(series: PropagatorSeries) -> AverageSeries:
     """Running averages (1/T) int_0^T Phi at T = times[1:], from the series' flow.
 
     The flow is integrated exactly from t = 0, _chunk_rows(n) rows at a
-    time, straight into the averages, which are the size of the series'
-    maps and so within propagate's bound.  The average at T -> 0 tends to
-    the identity by continuity; T = 0 itself is excluded from the output.
-    The series needs its flow, as propagate returns it.
+    time and up to WORKERS runs at once (_each_run, bit for bit as one run
+    at a time), straight into the averages, which are the size of the
+    series' maps and so within propagate's bound.  The average at T -> 0
+    tends to the identity by continuity; T = 0 itself is excluded from the
+    output.  The series needs its flow, as propagate returns it.
     """
     times, maps = series.times, series.maps
     if times.size < 2:
@@ -232,9 +287,12 @@ def time_average(series: PropagatorSeries) -> AverageSeries:
     if series.flow is None:
         raise ValueError("series has no flow to integrate; propagate returns one")
     averages = np.empty_like(maps[1:])
-    for _, _, rows in _runs((0, times.size - 1), series.dim):
+
+    def average(_, rows):
         part = series.flow.integrals(times[rows], out=averages[rows.start - 1 : rows.stop - 1])
         part /= times[rows, None, None]
+
+    _each_run((0, times.size - 1), series.dim, average)
     return AverageSeries(times=times[1:].copy(), averages=averages)
 
 
@@ -251,17 +309,24 @@ def invariant_monitor(series: PropagatorSeries, ccr: CommutationStructure, r_a) 
 
     Energy is measured against the series' first map, so a slice of a
     schedule is checked against its own Hamiltonian from its start; for a
-    series from t = 0 (Phi_0 = I) the reference is r_a itself.
+    series from t = 0 (Phi_0 = I) the reference is r_a itself.  The maps are
+    checked _chunk_rows(n) rows at a time, up to WORKERS runs at once
+    (_each_run; a max takes the same bits in any order), and each run's
+    products half a run at a time, so two runs in flight hold the product
+    blocks of one whole run.
     """
     r_a = np.asarray(r_a, dtype=float)
     theta = ccr.theta
     if series.dim != ccr.n or r_a.shape != (ccr.n, ccr.n):
         raise ValueError("series, ccr and r_a dimensions disagree")
-    chunk = _chunk_rows(ccr.n)
-    worst = [
-        _residuals(series.maps[lo : lo + chunk], theta, r_a, series.maps[0])
-        for lo in range(0, len(series.maps), chunk)
-    ]
+    maps = series.maps
+
+    def monitor(_, rows):
+        halves = np.array_split(maps[rows], 2)
+        return np.max([_residuals(half, theta, r_a, maps[0]) for half in halves if len(half)], axis=0)
+
+    # edges (-1, K - 1) walk the rows from 0, so the first map is checked too
+    worst = _each_run((-1, len(maps) - 1), ccr.n, monitor)
     ccr_res, energy_res = np.max(worst, axis=0).tolist()
     return InvariantReport(max_ccr_residual=ccr_res, max_energy_residual=energy_res)
 

@@ -140,17 +140,17 @@ def synthesize_observer(plant: PlantSpec, r_o, c_o=None, alpha=None) -> Observer
     ------
     ValueError
         Whose message starts with the field at fault (``r_o:``, ``c_o:`` or
-        ``alpha:``): r_o is not square of positive even dimension, has a
-        non-finite entry, is not symmetric to 1e-9 max(1, max|r_o|), or its
-        symmetric part has smallest eigenvalue at most 1e-12 (never looser
-        than a Cholesky factorization with that pivot threshold); c_o or
-        alpha has the wrong shape, neither is given, or c_o has deficient
-        row rank; or the gain misses the condition beyond 1e-10.
+        ``alpha:``): any of the three has a non-finite entry; r_o is not
+        square of positive even dimension, is not symmetric to 1e-9 max(1,
+        max|r_o|), or its symmetric part has smallest eigenvalue at most
+        1e-12 (never looser than a Cholesky factorization with that pivot
+        threshold); c_o or alpha has the wrong shape, neither is given, or
+        c_o has deficient row rank; or the gain misses the condition beyond
+        1e-10.
     """
     r_o = np.asarray(r_o, dtype=float)
     n_o, m_p = _observer_dimension(r_o), plant.m_p
-    if not np.all(np.isfinite(r_o)):
-        raise ValueError("r_o: matrix contains non-finite entries")
+    _check_finite("r_o", r_o)
     if float(np.max(np.abs(r_o - r_o.T))) > 1e-9 * max(1.0, float(np.max(np.abs(r_o)))):
         raise ValueError("r_o: matrix is not symmetric to tolerance")
     # bitwise-symmetric copy so the block Hamiltonian is exactly symmetric
@@ -167,6 +167,7 @@ def synthesize_observer(plant: PlantSpec, r_o, c_o=None, alpha=None) -> Observer
                 f"c_o: must be {m_p}x{n_o} (one output row per estimated quadrature), "
                 f"got {c_o.shape}"
             )
+        _check_finite("c_o", c_o)
         if np.linalg.matrix_rank(c_o) < m_p:
             raise ValueError("c_o: rank deficient, so the gain condition has no solution")
         alpha = -np.linalg.pinv(c_o @ np.linalg.inv(r_o))
@@ -175,16 +176,25 @@ def synthesize_observer(plant: PlantSpec, r_o, c_o=None, alpha=None) -> Observer
         alpha = np.asarray(alpha, dtype=float)
         if alpha.shape != (n_o, m_p):
             raise ValueError(f"alpha: must be n_o x m_p = {(n_o, m_p)}, got {alpha.shape}")
+        _check_finite("alpha", alpha)
         if c_o is None:
             c_o = -np.linalg.pinv(np.linalg.solve(r_o, alpha))
+        else:
+            _check_finite("c_o", np.asarray(c_o, dtype=float))
         at_fault = "alpha"
     spec = ObserverSpec(r_o=r_o, alpha=alpha, c_o=c_o)  # checks a given c_o against alpha
     residual = gain_residual(spec)
-    if residual > GAIN_TOL:
+    if not residual <= GAIN_TOL:
         raise ValueError(
             f"{at_fault}: gain condition residual {residual:.3e} exceeds {GAIN_TOL:.1e}"
         )
     return spec
+
+
+def _check_finite(field: str, matrix: np.ndarray) -> None:
+    """A ValueError naming ``field`` unless every entry of ``matrix`` is finite."""
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError(f"{field}: matrix contains non-finite entries")
 
 
 def gain_residual(obs: ObserverSpec) -> float:
@@ -193,7 +203,11 @@ def gain_residual(obs: ObserverSpec) -> float:
 
 
 def assemble_augmented(plant: PlantSpec, obs: ObserverSpec) -> AugmentedSystem:
-    """Stack r_a = [[0, r_c], [r_c.T, r_o]] with r_c = beta @ alpha.T; form a_a = 2 theta r_a."""
+    """Stack r_a = [[0, r_c], [r_c.T, r_o]] with r_c = beta @ alpha.T; form a_a = 2 theta r_a.
+
+    A hand-built spec with a non-finite entry assembles without a warning;
+    :func:`verify_observer_conditions` then fails it.
+    """
     if obs.m_p != plant.m_p:
         raise ValueError(
             f"observer gain is sized for {obs.m_p} outputs, plant has {plant.m_p}"
@@ -204,7 +218,8 @@ def assemble_augmented(plant: PlantSpec, obs: ObserverSpec) -> AugmentedSystem:
     r_a[: plant.n_p, plant.n_p :] = r_c
     r_a[plant.n_p :, : plant.n_p] = r_c.T
     r_a[plant.n_p :, plant.n_p :] = obs.r_o
-    a_a = 2.0 * (make_theta(n // 2).theta @ r_a)
+    with np.errstate(invalid="ignore"):  # 0 * inf in a non-finite r_a reads NaN
+        a_a = 2.0 * (make_theta(n // 2).theta @ r_a)
     return AugmentedSystem(plant=plant, observer=obs, a_a=a_a)
 
 

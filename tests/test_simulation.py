@@ -1,6 +1,8 @@
 """Tests for grid propagation, running averages and diagnostics."""
 
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -641,3 +643,86 @@ def test_api_pipeline_peak_stays_at_the_returned_arrays():
     assert report.converged and series.maps.shape == (100_001, 8, 8)
     returned = sum(a.nbytes for a in (series.times, series.maps, averages.times, averages.averages))
     assert peak <= returned + allowance, (peak, returned)
+
+
+def whole_series_chain(aug, grid):
+    """The three whole-series results of ``aug`` on ``grid``, each call leaving no thread behind."""
+    threads = threading.active_count()
+    series = propagate(aug.a_a, grid)
+    assert threading.active_count() == threads
+    averages = time_average(series)
+    assert threading.active_count() == threads
+    report = invariant_monitor(series, aug.ccr, aug.r_a)
+    assert threading.active_count() == threads
+    return series.maps, averages.averages, (report.max_ccr_residual, report.max_energy_residual)
+
+
+def test_whole_series_runs_give_the_same_bits_on_one_cpu_and_on_two(monkeypatch):
+    # 12,289 points at n = 8: three 4,096-row runs, and in the monitor, which
+    # starts from row 0, a fourth of one row
+    aug = random_augmented(np.random.default_rng(3), 4, 4)
+    grid = uniform_grid(1228.8, 0.1)
+    assert grid.size == 3 * _chunk_rows(8) + 1
+    monkeypatch.setattr(simulation, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 1)
+    serial = whole_series_chain(aug, grid)
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    # a short switch interval interleaves the two runs' Python steps often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = whole_series_chain(aug, grid)
+    finally:
+        sys.setswitchinterval(interval)
+    for one, two in zip(serial, threaded):
+        assert np.array_equal(one, two)
+    assert threaded[2] == invariant_residuals(threaded[0], aug.ccr.theta, aug.r_a)
+
+
+@pytest.mark.parametrize("cpus, blas_threads", [(1, 1), (2, 1), (2, 2)])
+def test_each_run_keeps_run_order_and_raises_the_first_error_unchanged(monkeypatch, cpus, blas_threads):
+    # threads only with two CPUs and a one-thread BLAS
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(simulation, "_blas_threads", lambda: blas_threads)
+    threaded = (cpus, blas_threads) == (2, 1)
+    edges, error = (0, 5 * _chunk_rows(8)), RuntimeError("third run")
+    runs = [rows for _, _, rows in simulation._runs(edges, 8)]
+    threads, called_on = threading.active_count(), set()
+
+    def record(lo, rows):
+        called_on.add(threading.get_ident())
+        return lo, rows
+
+    assert simulation._each_run(edges, 8, record) == [(0, rows) for rows in runs]
+    assert (threading.get_ident() in called_on) != threaded
+    assert threading.active_count() == threads
+
+    def fail_third(lo, rows):
+        if rows == runs[2]:
+            raise error
+        return rows
+
+    with pytest.raises(RuntimeError) as raised:
+        simulation._each_run(edges, 8, fail_third)
+    assert raised.value is error
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize(
+    "variables, threads",
+    [
+        ({}, None),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1),
+        ({"OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "3"}, 3),
+    ],
+)
+def test_blas_threads_are_read_as_openblas_reads_them(monkeypatch, variables, threads):
+    # unset or non-positive, a variable gives way to the next; none gives every usable CPU
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 7)
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in variables.items():
+        monkeypatch.setenv(name, value)
+    assert simulation._blas_threads() == (7 if threads is None else threads)

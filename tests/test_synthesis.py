@@ -282,8 +282,7 @@ def test_verify_reports_non_finite_observer_entries(field, value):
     if field == "r_o":
         # the verifier judges the dynamics a_a: the entry shows in lambda_min
         # once a_a carries it
-        with np.errstate(invalid="ignore"):
-            reassembled = assemble_augmented(aug.plant, observer)
+        reassembled = assemble_augmented(aug.plant, observer)
         report = verify_observer_conditions(reassembled)
         assert np.isnan(report.r_o_lambda_min)
         assert not report.passes(1e-8)
@@ -295,6 +294,35 @@ def test_synthesis_names_non_finite_observer_block_by_its_field():
     with pytest.raises(ValueError) as err:
         synthesize_observer(make_plant([[1.0], [0.0]]), r_o, [[1.0, 0.0]])
     assert str(err.value) == "r_o: matrix contains non-finite entries"
+
+
+@pytest.mark.parametrize(
+    "field, given",
+    [
+        ("c_o", {"c_o": [[np.nan, 0.0]]}),
+        ("alpha", {"alpha": [[np.inf], [0.0]]}),
+        # given with a valid alpha, c_o is checked too: its NaN gain residual
+        # would compare false with any tolerance
+        ("c_o", {"alpha": [[-1.0], [0.0]], "c_o": [[np.nan, 0.0]]}),
+    ],
+)
+def test_synthesis_names_non_finite_output_and_gain_by_their_field(field, given):
+    with pytest.raises(ValueError) as err:
+        synthesize_observer(make_plant([[1.0], [0.0]]), np.eye(2), **given)
+    assert str(err.value) == f"{field}: matrix contains non-finite entries"
+
+
+def test_assembling_an_infinite_observer_entry_warns_nothing_and_fails_verification():
+    aug = one_mode_augmented()
+    r_o = aug.observer.r_o.copy()
+    r_o[0, 1] = np.inf
+    observer = ObserverSpec(r_o=r_o, alpha=aug.observer.alpha, c_o=aug.observer.c_o)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        broken = assemble_augmented(aug.plant, observer)
+        report = verify_observer_conditions(broken)
+    assert not np.all(np.isfinite(broken.a_a))
+    assert not report.passes()
 
 
 def _with_blocks(aug, b=None, c=None, d=None):
