@@ -6,7 +6,6 @@ from .ccr import (
     make_plant,
     make_theta,
     realizability_residual,
-    validate_beta,
 )
 from .linalg import spectral_norm
 from .scenarios import (
@@ -62,6 +61,5 @@ __all__ = [
     "synthesize_observer",
     "time_average",
     "uniform_grid",
-    "validate_beta",
     "verify_observer_conditions",
 ]

@@ -56,46 +56,36 @@ def realizability_residual(a, theta) -> float:
         return float(np.max(np.abs(a @ theta + theta @ a.T)))
 
 
-def validate_beta(beta) -> float:
-    """Check the one-quadrature-per-mode structure of ``beta``; return its skew residual.
-
-    ``beta`` must be n_p x (n_p/2) with n_p even and a single 2x1 block per
-    column placed on the mode diagonal; all off-block entries must be exactly
-    zero and no block may vanish.  Skew symmetry of J then forces
-    beta.T @ theta_1 @ beta == 0, whose max-norm is returned.
-    """
-    beta = np.asarray(beta, dtype=float)
-    if beta.ndim != 2:
-        raise ValueError(f"beta must be a 2-D matrix, got ndim={beta.ndim}")
-    if not np.all(np.isfinite(beta)):
-        raise ValueError("beta contains non-finite entries")
-    n_p = beta.shape[0]
-    if n_p < 2 or n_p % 2 or beta.shape[1] != n_p // 2:
-        raise ValueError(f"beta must be n_p x (n_p/2) with n_p even, got {beta.shape}")
-    for i in range(n_p // 2):
-        off = beta[:, i].copy()
-        off[2 * i : 2 * i + 2] = 0.0
-        if np.any(off != 0.0):
-            raise ValueError(f"beta column {i} has nonzero entries outside its mode block")
-        if np.linalg.norm(beta[2 * i : 2 * i + 2, i]) == 0.0:
-            raise ValueError(f"beta block {i} is zero: that quadrature would be unobservable")
-    return float(np.max(np.abs(beta.T @ make_theta(n_p // 2).theta @ beta)))
-
-
 @dataclass(frozen=True)
 class PlantSpec:
     """Static quantum plant whose output c_p = beta.T selects one quadrature per mode.
 
-    ``beta`` is the only input: its shape fixes n_p and m_p = n_p / 2, and it
-    is validated by :func:`validate_beta` on construction.  The plant
-    dynamics are zero, so the type cannot express a moving plant.
+    ``beta`` is the only input: its shape fixes n_p and m_p = n_p / 2.  It
+    must be finite, n_p x (n_p/2) with n_p even, and hold a single non-zero
+    2x1 block per column on the mode diagonal, every off-block entry exactly
+    zero; this is checked once, on construction.  Skew symmetry of J then
+    makes the coupling nilpotent, beta.T @ theta_1 @ beta == 0 exactly.  The
+    plant dynamics are zero, so the type cannot express a moving plant.
     """
 
     beta: np.ndarray
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=float)
-        validate_beta(beta)
+        if beta.ndim != 2:
+            raise ValueError(f"beta must be a 2-D matrix, got ndim={beta.ndim}")
+        if not np.all(np.isfinite(beta)):
+            raise ValueError("beta contains non-finite entries")
+        n_p = beta.shape[0]
+        if n_p < 2 or n_p % 2 or beta.shape[1] != n_p // 2:
+            raise ValueError(f"beta must be n_p x (n_p/2) with n_p even, got {beta.shape}")
+        for i in range(n_p // 2):
+            off = beta[:, i].copy()
+            off[2 * i : 2 * i + 2] = 0.0
+            if np.any(off != 0.0):
+                raise ValueError(f"beta column {i} has nonzero entries outside its mode block")
+            if np.linalg.norm(beta[2 * i : 2 * i + 2, i]) == 0.0:
+                raise ValueError(f"beta block {i} is zero: that quadrature would be unobservable")
         object.__setattr__(self, "beta", beta)
 
     @property

@@ -45,13 +45,13 @@ def main(argv=None) -> int:
     raw: dict = {}
     if args.config is not None:
         try:
-            text = args.config.read_text()
+            text = args.config.read_bytes()
         except OSError as exc:
             print(f"error: cannot read config file: {exc}", file=sys.stderr)
             return EXIT_IO
         try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+            raw = json.loads(text)  # bytes: json detects UTF-8, -16 or -32
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
         if not isinstance(raw, dict):

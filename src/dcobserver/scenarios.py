@@ -30,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from .ccr import make_plant
-from .closed_form import observer_flow
 from .simulation import _run_grid, _sweep, convergence_diagnostics
 from .synthesis import (
     AugmentedSystem,
@@ -343,38 +342,28 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
     except ValueError as exc:  # past the memory bound, or a segment below the float spacing
         raise ConfigError(str(exc)) from None
     reports = [None if aug is None else verify_observer_conditions(aug) for aug in systems]
-
-    # per segment: its certificate's flow and its Hamiltonian and protected row,
-    # while disconnected the identity flow, zero energy and the whole map (I @ x is x exactly)
-    identity = observer_flow(np.zeros((n, n)))
-    flows = []
+    # a certificate that gives no flow fails before any output; only a schedule has segments to name
     for i, aug in enumerate(systems):
-        try:
-            flows.append(identity if aug is None else aug.certificate.checked_flow())
-        except ValueError as exc:
-            # only a schedule has segments to name
-            raise ValueError(f"segments[{i}]: {exc}" if plan.schedule else str(exc)) from None
-    hamiltonians = [np.zeros((n, n)) if aug is None else aug.r_a for aug in systems]
-    own_rows = [np.eye(n) if aug is None else aug.plant_output for aug in systems]
+        if aug is not None and aug.certificate.flow is None:
+            message = aug.certificate.message
+            raise ValueError(f"segments[{i}]: {message}" if plan.schedule else message)
 
     out = config.out_dir / config.scenario
     out.mkdir(parents=True, exist_ok=True)
     # maps are written on the grid rows before map_stop, averages on rows 1 .. avg_stop - 1
     map_stop, avg_stop = (_stop(times, end) for end in (plan.map_end, plan.average_end))
     # per segment: the worst CCR and energy residual, and the deviations from its
-    # start map of its protected row and of the first observer's
+    # start map of its held rows and of the first observer's protected row
     worst = np.zeros((len(systems), 4))
     with ExitStack() as stack:
         files = [
             _FigureFile(out, fig, plan.prefix, n, avg_stop if fig.avg else map_stop, stack)
             for fig in plan.figures
         ]
-        theta, first_rows = coupled[0].ccr.theta, coupled[0].plant_output
-        for i, rows, start, block, averages, residuals in _sweep(
-            flows, times, edges, theta, hamiltonians, avg_stop
-        ):
-            moved = [np.max(np.abs(m @ block - m @ start)) for m in (own_rows[i], first_rows)]
-            worst[i] = np.maximum(worst[i], [*residuals, *moved])
+        first_rows = coupled[0].plant_output
+        for i, rows, start, block, averages, residuals in _sweep(systems, times, edges, avg_stop):
+            swap = np.max(np.abs(first_rows @ block - first_rows @ start))
+            worst[i] = np.maximum(worst[i], [*residuals, swap])
             stamps = _stamps(times[rows])
             for figure in files:
                 figure.write(rows, stamps, block, averages)

@@ -199,10 +199,13 @@ def _each_run(edges, n: int, fn) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def _sweep(flows: Sequence[Flow], times: np.ndarray, edges, theta, hamiltonians, average_stop: int):
+def _sweep(systems: Sequence[AugmentedSystem | None], times: np.ndarray, edges, average_stop: int):
     """The one pass of a scenario run, and the one place that composes segments.
 
-    Flow i runs from edges[i] to edges[i + 1] on increasing ``times``: it is
+    Segment i runs ``systems[i]`` from edges[i] to edges[i + 1] on increasing
+    ``times``.  A coupled system gives its certificate's flow, its energy r_a
+    and its held rows plant_output; a disconnected one (None) has zero
+    dynamics: the identity flow, zero energy and every row held.  The flow is
     right-multiplied by the map at times[lo], lo = edges[i] (I at t = 0), so
     one matrix product gives the maps of each run of _runs, and zero
     dynamics give exactly that start map.  Yields (i, rows, start, block,
@@ -212,19 +215,23 @@ def _sweep(flows: Sequence[Flow], times: np.ndarray, edges, theta, hamiltonians,
     ``average_stop`` (None after it): the exact integrals of the composed
     flow plus the raw integral up to times[lo], carried before the division
     by t, since dividing and re-multiplying would change its last bits.
-    ``residuals`` are the worst CCR and energy residual of the block, the
-    energy measured against segment i's Hamiltonian ``hamiltonians[i]`` from
-    its start map.  ``block`` and ``averages`` are buffers that the next
-    run overwrites.
+    ``residuals`` are the block's worst CCR residual, energy residual from
+    the start map and deviation of the held rows from the start map.
+    ``block`` and ``averages`` are buffers that the next run overwrites.
     """
-    n = flows[0].coef.shape[1]
+    coupled = next(aug for aug in systems if aug is not None)
+    n, theta = coupled.n, coupled.ccr.theta
     averages = np.empty((min(_chunk_rows(n), times.size - 1), n, n))
     maps = np.empty_like(averages)
     end, total = np.eye(n), None
     for i, lo, rows in _runs(edges, n):
         if rows.start == lo + 1:
-            start, carried = end, total
-            flow = replace(flows[i], coef=flows[i].coef @ start)
+            start, carried, aug = end, total, systems[i]
+            if aug is None:
+                flow, energy, held = observer_flow(np.zeros((n, n))), np.zeros((n, n)), None
+            else:
+                flow, energy, held = aug.certificate.checked_flow(), aug.r_a, aug.plant_output
+            flow = replace(flow, coef=flow.coef @ start)
         block = flow.maps(times[rows] - times[lo], out=maps[: rows.stop - rows.start])
         run_averages = None
         if rows.start < average_stop:
@@ -233,7 +240,10 @@ def _sweep(flows: Sequence[Flow], times: np.ndarray, edges, theta, hamiltonians,
                 run_averages += carried
             total = run_averages[-1].copy()
             run_averages /= times[rows, None, None]
-        yield i, rows, start, block, run_averages, _residuals(block, theta, hamiltonians[i], start)
+        ccr_res, energy_res = _residuals(block, theta, energy, start)
+        # no temporary outlives the yield: a block-sized array held there changes the heap of later runs
+        moved = np.max(np.abs(block - start if held is None else held @ block - held @ start))
+        yield i, rows, start, block, run_averages, (ccr_res, energy_res, float(moved))
         end = block[-1].copy()
 
 
@@ -363,7 +373,8 @@ class ConvergenceReport:
 def _row_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each stacked row block, from the top eigenvalue of its Gram matrix.
 
-    One or two rows take the eigenvalue in closed form; more take a batched eigvalsh.
+    Two rows take the eigenvalue in closed form; one or more than two take a batched eigvalsh,
+    whose one-row eigenvalue is the Gram entry itself.
     """
     if stack.shape[1] == 2:
         # top eigenvalue of [[a, b], [b, c]]: both terms are non-negative, so nothing cancels
@@ -373,8 +384,7 @@ def _row_norms(stack: np.ndarray) -> np.ndarray:
         c = np.einsum("kn,kn->k", second, second)
         top = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
     else:
-        gram = stack @ stack.transpose(0, 2, 1)
-        top = gram[:, 0, 0] if stack.shape[1] == 1 else np.linalg.eigvalsh(gram)[:, -1]
+        top = np.linalg.eigvalsh(stack @ stack.transpose(0, 2, 1))[:, -1]
     return np.sqrt(np.maximum(top, 0.0))
 
 

@@ -25,7 +25,6 @@ from .ccr import (
     PlantSpec,
     make_theta,
     realizability_residual,
-    validate_beta,
 )
 from .closed_form import Certificate, certify
 
@@ -238,7 +237,6 @@ class ObserverConditionsReport:
 
     r_o_lambda_min: float
     gain_residual: float
-    beta_skew_residual: float
     output_annihilation_residual: float
     realizability_residual: float
     spectrum_max_abs_real: float
@@ -248,7 +246,6 @@ class ObserverConditionsReport:
         return (
             self.r_o_lambda_min > 0.0
             and self.gain_residual <= tol
-            and self.beta_skew_residual <= tol
             and self.output_annihilation_residual <= tol
             and self.realizability_residual <= tol
             and self.spectrum_max_abs_real <= tol
@@ -290,7 +287,6 @@ def verify_observer_conditions(aug: AugmentedSystem) -> ObserverConditionsReport
     return ObserverConditionsReport(
         r_o_lambda_min=certificate.lambda_min,
         gain_residual=gain_residual(obs),
-        beta_skew_residual=validate_beta(plant.beta),
         output_annihilation_residual=annihilation,
         realizability_residual=realizability,
         spectrum_max_abs_real=real_part,

@@ -24,7 +24,6 @@ from dcobserver import (
     synthesize_observer,
     uniform_grid,
 )
-from dcobserver.closed_form import observer_flow
 from dcobserver.simulation import _grid, _row_norms, _step_counts, _sweep
 
 # canonical one-mode example: position-estimating observer, its Hamiltonian
@@ -358,23 +357,19 @@ def swept_schedule(phases, dt: float):
 
     ``phases`` are (duration, aug or None for a disconnected segment) pairs,
     as a scenario plans them.  ``simulation._grid`` lays the grid and
-    ``simulation._sweep`` walks it with the flows and Hamiltonians a
-    scenario run gives it, averaging every row; each run's block and
-    averages are copied into whole arrays.  ``residuals[i]`` holds segment
-    i's worst CCR and energy residual, the energy against its start map.
+    ``simulation._sweep`` walks it with the planned systems, averaging every
+    row; each run's block and averages are copied into whole arrays.
+    ``residuals[i]`` holds segment i's worst CCR residual, energy residual
+    and held-row deviation, the last two from its start map.
     """
-    times, edges = _grid([duration for duration, _ in phases], dt)
-    coupled = next(aug for _, aug in phases if aug is not None)
-    n = coupled.n
-    identity = observer_flow(np.zeros((n, n)))
-    flows = [identity if aug is None else aug.certificate.checked_flow() for _, aug in phases]
-    hamiltonians = [np.zeros((n, n)) if aug is None else aug.r_a for _, aug in phases]
+    durations, systems = zip(*phases)
+    times, edges = _grid(durations, dt)
+    n = next(aug.n for aug in systems if aug is not None)
     maps = np.empty((times.size, n, n))
     maps[0] = np.eye(n)
     averages = np.empty_like(maps[1:])
-    residuals = np.zeros((len(phases), 2))
-    runs = _sweep(flows, times, edges, coupled.ccr.theta, hamiltonians, times.size)
-    for i, rows, _, block, run_averages, worst in runs:
+    residuals = np.zeros((len(phases), 3))
+    for i, rows, _, block, run_averages, worst in _sweep(systems, times, edges, times.size):
         maps[rows] = block
         averages[rows.start - 1 : rows.stop - 1] = run_averages
         residuals[i] = np.maximum(residuals[i], worst)

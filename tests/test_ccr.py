@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from dcobserver import PlantSpec, make_theta, realizability_residual, validate_beta
+from dcobserver import PlantSpec, make_plant, make_theta, realizability_residual
 from helpers import (
     A_ONE_MODE,
     R_ONE_MODE,
@@ -105,35 +105,40 @@ def test_hamiltonian_round_trip_is_tight(seed, shape):
     assert np.max(np.abs(r_a - hamiltonian_of(aug.a_a, theta))) <= 1e-12
 
 
-def test_validate_beta_single_quadrature():
-    assert validate_beta([[1.0], [0.0]]) == 0.0
+def coupling(plant) -> float:
+    """max|beta.T theta_1 beta|: zero for one quadrature per mode."""
+    return float(np.max(np.abs(plant.beta.T @ make_theta(plant.m_p).theta @ plant.beta)))
 
 
-def test_validate_beta_other_quadrature():
-    assert validate_beta([[0.0], [1.0]]) == 0.0
+def test_make_plant_single_quadrature():
+    assert coupling(make_plant([[1.0], [0.0]])) == 0.0
 
 
-def test_validate_beta_two_modes():
+def test_make_plant_other_quadrature():
+    assert coupling(make_plant([[0.0], [1.0]])) == 0.0
+
+
+def test_make_plant_two_modes():
     beta = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]]
-    assert validate_beta(beta) == 0.0
+    assert coupling(make_plant(beta)) == 0.0
 
 
-def test_validate_beta_rejects_off_block_entries():
+def test_make_plant_rejects_off_block_entries():
     # blocks moved off the mode diagonal
     beta = [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
     with pytest.raises(ValueError, match="outside its mode block"):
-        validate_beta(beta)
+        make_plant(beta)
 
 
-def test_validate_beta_rejects_zero_block():
+def test_make_plant_rejects_zero_block():
     beta = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
     with pytest.raises(ValueError, match="zero"):
-        validate_beta(beta)
+        make_plant(beta)
 
 
-def test_validate_beta_rejects_wrong_shape():
+def test_make_plant_rejects_wrong_shape():
     with pytest.raises(ValueError):
-        validate_beta(np.ones((4, 1)))
+        make_plant(np.ones((4, 1)))
 
 
 @pytest.mark.parametrize(

@@ -518,9 +518,9 @@ def test_single_segment_run_propagates_once(tmp_path, monkeypatch):
     swept = []
     original = scenarios._sweep
 
-    def counting(flows, *args):
-        swept.append(len(flows))
-        return original(flows, *args)
+    def counting(systems, *args):
+        swept.append(len(systems))
+        return original(systems, *args)
 
     monkeypatch.setattr(scenarios, "_sweep", counting)
     certified = count_certify(monkeypatch)
@@ -842,6 +842,11 @@ def test_cli_validation_failures_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["--config", str(bad)]) == 1
+    bad.write_bytes(b'{"scenario": "one_mode\xff"}')  # not UTF-8: one error line, no traceback
+    capsys.readouterr()
+    assert main(["--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config is not valid JSON: ") and err.count("\n") == 1
     indefinite = tmp_path / "indefinite.json"
     indefinite.write_text(
         json.dumps(

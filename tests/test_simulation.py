@@ -169,7 +169,7 @@ def test_single_segment_schedule_equals_plain_propagation():
         assert np.array_equal(plain.maps, maps)
         assert np.array_equal(time_average(plain).averages, averages)
         report = invariant_monitor(plain, aug.ccr, aug.r_a)
-        assert (report.max_ccr_residual, report.max_energy_residual) == tuple(residuals[0])
+        assert (report.max_ccr_residual, report.max_energy_residual) == tuple(residuals[0, :2])
 
 
 def test_schedule_is_exactly_constant_while_disconnected():
@@ -594,6 +594,14 @@ def test_chunked_series_equal_the_whole_series_bit_for_bit(n, first_rows, last_r
     assert (report.max_ccr_residual, report.max_energy_residual) == expected
     # the pass's own CCR residual is the whole series', run by run
     assert np.max(residuals[:, 0]) == expected[0]
+    # and so is each segment's held-row deviation from its start map: every
+    # row of the disconnected segment, the plant output rows of a coupled one
+    held = [
+        np.max(np.abs(swept[lo : hi + 1] - swept[lo])) if aug is None
+        else np.max(np.abs(aug.plant_output @ swept[lo : hi + 1] - aug.plant_output @ swept[lo]))
+        for (_, aug), lo, hi in zip(phases, edges[:-1], edges[1:])
+    ]
+    assert residuals[:, 2].tolist() == held
 
 
 @pytest.mark.parametrize("n", [4, 8, 32])

@@ -188,7 +188,6 @@ def test_verify_conditions_on_canonical_system():
     report = verify_observer_conditions(one_mode_augmented())
     assert report.r_o_lambda_min == pytest.approx(1.0)
     assert report.gain_residual <= 1e-12
-    assert report.beta_skew_residual == 0.0
     assert report.output_annihilation_residual == 0.0
     assert report.realizability_residual == 0.0
     assert report.spectrum_max_abs_real <= 1e-12
@@ -235,7 +234,6 @@ def test_random_valid_observers_verify_cleanly(n_p, n_o):
         report = verify_observer_conditions(random_augmented(rng, n_p, n_o))
         assert report.r_o_lambda_min > 0
         assert report.gain_residual <= 1e-8
-        assert report.beta_skew_residual <= 1e-8
         assert report.output_annihilation_residual <= 1e-8
         assert report.realizability_residual <= 1e-8
         assert report.spectrum_max_abs_real <= 1e-8
