@@ -176,14 +176,17 @@ def _each_run(edges, n: int, fn) -> list:
     At most WORKERS runs are in flight, on the threads of a pool made for
     this call and joined before it returns, each in a copy of the caller's
     context (numpy's errstate holds there too).  numpy drops the GIL inside
-    a run's products and ufuncs, so two runs use two CPUs; ``fn`` writes
-    only its own rows, so no result depends on which run ends first.  The
-    runs go in order on the calling thread when there is one run, one
-    usable CPU, or a BLAS that spreads each product over several threads,
-    which two runs at once contend with: with OpenBLAS at two threads on
-    two CPUs, they were slower than one run at a time.  The first exception
-    in run order reaches the caller unchanged, and the runs not yet started
-    are dropped.
+    a run's products and ufuncs, so two runs use two CPUs as long as their
+    products take C-contiguous operands: OpenBLAS serializes products with a
+    transposed operand, which go down its general path, and two runs of
+    those were slower than one (hence _residuals' transposed copies).
+    ``fn`` writes only its own rows, so no result depends on which run ends
+    first.  The runs go in order on the calling thread when there is one
+    run, one usable CPU, or a BLAS that spreads each product over several
+    threads, which two runs at once contend with: with OpenBLAS at two
+    threads on two CPUs, they were slower than one run at a time.  The first
+    exception in run order reaches the caller unchanged, and the runs not
+    yet started are dropped.
     """
     runs = [(lo, rows) for _, lo, rows in _runs(edges, n)]
     if len(runs) < 2 or _usable_cpus() < 2 or _blas_threads() > 1:
@@ -344,18 +347,33 @@ def invariant_monitor(series: PropagatorSeries, ccr: CommutationStructure, r_a) 
 def _residuals(maps: np.ndarray, theta, r_a, start: np.ndarray) -> tuple[float, float]:
     """Max of |Phi theta Phi.T - theta| and of |Phi.T r_a Phi - start.T r_a start| over a block of maps.
 
-    Every product goes into one buffer of two blocks, freed on return: four
-    separate block-sized temporaries would be mapped and faulted in anew on
-    every call.
+    Every product takes C-contiguous operands: each half of the block is
+    copied transposed first, so Phi theta, (Phi theta) Phi.T, Phi.T r_a and
+    (Phi.T r_a) Phi are plain products.  OpenBLAS takes a transposed operand
+    on its general path, where two runs of _each_run at once were slower
+    than one; its small-matrix kernels take plain products without
+    contention.  The copy and a half's two products fill three of the four
+    half-blocks of one two-block buffer, freed on return (three maps for a
+    one-map block): a larger freed block would raise malloc's thresholds
+    for what runs after, and separate temporaries would be mapped and
+    faulted in anew on every call.  The halves' worst values combine with
+    np.max, so a NaN reaches the result.
     """
-    maps_t, energy_ref = maps.transpose(0, 2, 1), start.T @ r_a @ start
-    half, product = np.empty((2,) + maps.shape)
+    energy_ref, half = start.T @ r_a @ start, -(-len(maps) // 2)
+    buffer = np.empty((max(2 * len(maps), 3 * half),) + maps.shape[1:])
     worst = []
-    for left, middle, right, ref in ((maps, theta, maps_t, theta), (maps_t, r_a, maps, energy_ref)):
-        np.matmul(np.matmul(left, middle, out=half), right, out=product)
-        product -= ref
-        worst.append(float(np.max(np.abs(product, out=product))))
-    return worst[0], worst[1]
+    for lo in range(0, len(maps), half):
+        piece = maps[lo : lo + half]
+        piece_t, first, product = buffer[: 3 * len(piece)].reshape((3,) + piece.shape)
+        np.copyto(piece_t, piece.transpose(0, 2, 1))
+        residuals = []
+        for left, middle, right, ref in ((piece, theta, piece_t, theta), (piece_t, r_a, piece, energy_ref)):
+            np.matmul(np.matmul(left, middle, out=first), right, out=product)
+            product -= ref
+            residuals.append(np.max(np.abs(product, out=product)))
+        worst.append(residuals)
+    ccr_res, energy_res = np.max(worst, axis=0).tolist()
+    return ccr_res, energy_res
 
 
 @dataclass(frozen=True)

@@ -456,8 +456,11 @@ def invariant_residuals(maps, theta, r_a) -> tuple[float, float]:
     """CCR and energy residuals of a whole series, in one expression each.
 
     Oracle for ``simulation.invariant_monitor``, which works slice by slice.
+    The transpose is a contiguous copy, as the monitor takes it: a product
+    with a transposed view rounds differently from the plain one at some n
+    (20 and 32 under OpenBLAS's SkylakeX kernel).
     """
-    maps_t = maps.transpose(0, 2, 1)
+    maps_t = np.ascontiguousarray(maps.transpose(0, 2, 1))
     ccr_res = float(np.max(np.abs(maps @ theta @ maps_t - theta)))
     energy_ref = maps_t[0] @ r_a @ maps[0]
     energy_res = float(np.max(np.abs(maps_t @ r_a @ maps - energy_ref)))

@@ -456,6 +456,61 @@ def test_invariant_monitor_zero_dynamics_is_exact():
     assert report.max_energy_residual == 0.0
 
 
+def residual_blocks(n):
+    """A random n-dimensional system and its maps at 3.7 + 0.1 k, for blocks of 1, 2, 3 and one chunk + 1 maps."""
+    aug = random_augmented(np.random.default_rng(n), n // 2, n // 2)
+    flow = observer_flow(aug.a_a)
+    start = flow.maps(np.array([3.7]))[0]
+    blocks = [flow.maps(3.7 + 0.1 * np.arange(1, rows + 1)) for rows in (1, 2, 3, _chunk_rows(n) + 1)]
+    return aug, start, blocks
+
+
+def view_residual(left, middle, right, ref):
+    """max |left middle right - ref| on the operands given, and how far another evaluation may lie from it.
+
+    The allowance is a priori.  Each computed triple product is within
+    gamma_2n |left||middle||right| of the exact one (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 3.5), so two of them differ by
+    at most twice that; subtracting ``ref`` rounds each result once more, by
+    at most u times its size.  The product of absolute values is itself
+    computed, so it is scaled up by 1 / (1 - gamma_2n).
+    """
+    u = np.finfo(float).eps / 2
+    gamma = 2 * left.shape[-1] * u / (1 - 2 * left.shape[-1] * u)
+    residual = float(np.max(np.abs(left @ middle @ right - ref)))
+    magnitude = float(np.max(np.abs(left) @ np.abs(middle) @ np.abs(right)))
+    return residual, 2 * (1 + u) * gamma * magnitude / (1 - gamma) + 3 * u * residual
+
+
+@pytest.mark.parametrize("n", [4, 8, 20, 32, 80])
+def test_residuals_on_contiguous_operands_match_the_transposed_view_products(n):
+    # bit for bit where the kernel rounds both forms alike (n = 4 and 8 under
+    # every OpenBLAS kernel tried), else within the triple-product bound
+    aug, start, blocks = residual_blocks(n)
+    theta, r_a = aug.ccr.theta, aug.r_a
+    for maps in blocks:
+        maps_t = maps.transpose(0, 2, 1)
+        ccr, ccr_allowance = view_residual(maps, theta, maps_t, theta)
+        energy, energy_allowance = view_residual(maps_t, r_a, maps, start.T @ r_a @ start)
+        fast = simulation._residuals(maps, theta, r_a, start)
+        if n <= 8:
+            assert fast == (ccr, energy), len(maps)
+        else:
+            assert abs(fast[0] - ccr) <= ccr_allowance, (len(maps), fast[0], ccr, ccr_allowance)
+            assert abs(fast[1] - energy) <= energy_allowance, (len(maps), fast[1], energy, energy_allowance)
+
+
+@pytest.mark.parametrize("where", [0, -1])
+def test_residuals_of_a_block_with_a_nan_map_are_nan(where):
+    # the last map lies in the block's second half, whose worst values must
+    # not be dropped when the halves combine
+    aug, start, blocks = residual_blocks(8)
+    for maps in blocks:
+        maps[where, 0, 0] = np.nan
+        residuals = simulation._residuals(maps, aug.ccr.theta, aug.r_a, start)
+        assert np.isnan(residuals).all(), (len(maps), residuals)
+
+
 def test_convergence_diagnostics_on_canonical_observer():
     aug = one_mode_augmented()
     report = convergence_diagnostics(aug, horizon=100.0, dt=0.01)
