@@ -10,8 +10,10 @@ with L = [B inv(D); I], R = [inv(D) C, I] and F_1 zero except for
 -B inv(D) C in its plant block.  D is similar to the skew matrix
 S = 2 R'^(1/2) theta_2 R'^(1/2) (Williamson), and i S is Hermitian with
 eigenvalues +-w_j, so exp(a t) is a fixed real combination of the basis
-{1, t, cos w_j t, sin w_j t}: one matrix product evaluates it at every t,
-and the same coefficients on the integrated basis give int_0^t exp(a u) du.
+{1, t, cos w_j t, sin w_j t}: one matrix product evaluates it at every t of
+a run, from the basis laid out frequency-major (one contiguous row per basis
+function), and the same coefficients on the integrated basis give
+int_0^t exp(a u) du.
 
 ``certify`` is the one place that judges the structure: it returns the
 residuals, the frequencies and, when the structure holds, the flow.  The
@@ -36,32 +38,63 @@ class Flow:
     """A flow Phi(t) = sum_k basis_k(t) coef[k] on the basis {1, t, cos w_j t, sin w_j t}.
 
     ``coef`` stacks one matrix per basis function, in the order 1, t, the
-    cosines, the sines; ``omega`` holds the frequencies w_j.
+    cosines, the sines; ``omega`` holds the frequencies w_j.  A run of times
+    is evaluated frequency-major: one C-contiguous (m, rows) basis, m = 2 + 2p
+    for p frequencies, whose cosine and sine rows each ufunc writes as one
+    contiguous block, and one product of its transpose (a view, which numpy
+    hands to BLAS as a transposed operand) with the (m, n^2) coefficients.
+    Every basis value is the same floating-point expression as in a
+    time-major (rows, m) basis, and every output entry the same dot product
+    over m terms, so the maps have the bits of the time-major product; the
+    tests check that under each OpenBLAS kernel they run with.
     """
 
     omega: np.ndarray
     coef: np.ndarray
 
-    def _evaluate(self, columns, out):
-        rows, m = len(columns[0]), self.coef.shape[0]
+    def _basis(self, t: np.ndarray, integrated: bool) -> np.ndarray:
+        """The (m, rows) basis at ``t``, or with ``integrated`` its integral from 0.
+
+        Rows 1, t, cos(w t), sin(w t), or t, t^2 / 2, sin(w t) / w and
+        (1 - cos(w t)) / w, where 1 - cos(w t) is evaluated as (2 h) h with
+        h = sin(w t / 2), which does not cancel.
+        """
+        p = len(self.omega)
+        basis = np.empty((2 + 2 * p, len(t)))
+        of_cos, of_sin = basis[2 : 2 + p], basis[2 + p :]
+        wt = np.multiply.outer(self.omega, t, out=of_sin)
+        if not integrated:
+            basis[0], basis[1] = 1.0, t
+            np.cos(wt, out=of_cos)
+            np.sin(wt, out=of_sin)
+            return basis
+        basis[0] = t
+        np.multiply(0.5, t, out=basis[1])
+        basis[1] *= t
+        half = np.multiply(0.5, wt)
+        np.sin(half, out=half)
+        np.sin(wt, out=of_cos)
+        # (2 h) h, not 2 (h h), which rounds apart where h h is subnormal
+        np.multiply(2.0, half, out=of_sin)
+        of_sin *= half
+        trig = basis[2:].reshape(2, p, len(t))
+        np.divide(trig, self.omega[:, None], out=trig)
+        return basis
+
+    def _evaluate(self, t, integrated: bool, out: np.ndarray | None) -> np.ndarray:
+        basis = self._basis(np.asarray(t, dtype=float), integrated)
+        rows, coef = basis.shape[1], self.coef.reshape(len(self.coef), -1)
         target = np.empty((rows,) + self.coef.shape[1:]) if out is None else out
-        np.matmul(np.column_stack(columns), self.coef.reshape(m, -1), out=target.reshape(rows, -1))
+        np.matmul(basis.T, coef, out=target.reshape(rows, coef.shape[1]))
         return target
 
     def maps(self, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The flow at every time of ``t``, one matrix per time (written into ``out``)."""
-        wt = np.multiply.outer(t, self.omega)
-        return self._evaluate([np.ones_like(t), t, *np.cos(wt).T, *np.sin(wt).T], out)
+        return self._evaluate(t, False, out)
 
     def integrals(self, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """int_0^t of the flow at every t >= 0, from the integrated basis.
-
-        1 - cos(w t) is evaluated as 2 sin^2(w t / 2), which does not cancel.
-        """
-        wt = np.multiply.outer(t, self.omega)
-        half = np.sin(0.5 * wt)
-        of_cos, of_sin = np.sin(wt) / self.omega, 2.0 * half * half / self.omega
-        return self._evaluate([t, 0.5 * t * t, *of_cos.T, *of_sin.T], out)
+        """int_0^t of the flow at every t >= 0, from the integrated basis (written into ``out``)."""
+        return self._evaluate(t, True, out)
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,9 @@ def _chunk_rows(n: int) -> int:
     The largest multiple of 256 rows, at most 4,096, whose block of maps
     (8 rows n^2 bytes) fits CHUNK_BYTES, and 256 where none fits: 4,096 up to
     n = 22, 256 from n = 65.  At a multiple of 256 the chunked matrix products
-    give the bits of one whole-series product.
+    give the bits of one whole-series product under a one-thread BLAS; with
+    OpenBLAS's default threads and its Haswell kernel they differ at n = 32
+    and 80.
     """
     return min(4096, max(256, CHUNK_BYTES // (8 * n * n) // 256 * 256))
 
@@ -177,9 +179,10 @@ def _each_run(edges, n: int, fn) -> list:
     this call and joined before it returns, each in a copy of the caller's
     context (numpy's errstate holds there too).  numpy drops the GIL inside
     a run's products and ufuncs, so two runs use two CPUs as long as their
-    products take C-contiguous operands: OpenBLAS serializes products with a
-    transposed operand, which go down its general path, and two runs of
-    those were slower than one (hence _residuals' transposed copies).
+    small products take C-contiguous operands: the monitor's thousands of
+    n x n products a run, on a transposed view, go down OpenBLAS's general
+    path, and two runs of those were slower than one (hence _residuals'
+    transposed copies).
     ``fn`` writes only its own rows, so no result depends on which run ends
     first.  The runs go in order on the calling thread when there is one
     run, one usable CPU, or a BLAS that spreads each product over several

@@ -402,6 +402,27 @@ def concatenated_grid(durations, dt: float) -> tuple[np.ndarray, tuple[int, ...]
     return np.concatenate(pieces), tuple(edges)
 
 
+def time_major_basis(flow, t: np.ndarray, integrated: bool) -> np.ndarray:
+    """The (rows, m) basis of ``flow`` at ``t``, one column per basis function.
+
+    Oracle for the frequency-major basis of ``closed_form.Flow``: the same
+    values, each from the same floating-point expression, stacked as columns.
+    """
+    wt = np.multiply.outer(t, flow.omega)
+    if not integrated:
+        return np.column_stack([np.ones_like(t), t, *np.cos(wt).T, *np.sin(wt).T])
+    half = np.sin(0.5 * wt)
+    of_cos, of_sin = np.sin(wt) / flow.omega, 2.0 * half * half / flow.omega
+    return np.column_stack([t, 0.5 * t * t, *of_cos.T, *of_sin.T])
+
+
+def time_major_flow(flow, t: np.ndarray, integrated: bool) -> np.ndarray:
+    """``flow.maps(t)`` (``flow.integrals(t)`` when ``integrated``) from :func:`time_major_basis`."""
+    m, shape = flow.coef.shape[0], flow.coef.shape[1:]
+    product = time_major_basis(flow, t, integrated) @ flow.coef.reshape(m, -1)
+    return product.reshape((len(t),) + shape)
+
+
 def whole_series(flows, times, edges) -> tuple[np.ndarray, np.ndarray]:
     """Maps and running averages with one matrix product per segment.
 

@@ -1,5 +1,8 @@
 """Tests for the closed-form oracle of expm(a_a t), the library's closed form and the certificate's norm bound."""
 
+from dataclasses import replace
+from functools import cache
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -20,6 +23,8 @@ from helpers import (
     random_beta,
     random_output_matrix,
     random_spd,
+    time_major_basis,
+    time_major_flow,
     van_loan_integral,
 )
 
@@ -198,3 +203,72 @@ def test_all_zero_dynamics_are_the_identity_flow():
         t = np.array([0.0, 0.5, 7.0])
         assert np.array_equal(flow.maps(t), np.broadcast_to(np.eye(n), (3, n, n)))
         assert np.array_equal(flow.integrals(t), t[:, None, None] * np.eye(n))
+
+
+# (n_p, n_o) of a random system at each n; n = 32 and 80 are the splits of the
+# benchmark's wide_custom and of the widest simulation tests.  n = 3 is the
+# identity flow, which has no frequencies.
+SPLITS = {3: None, 4: (2, 2), 8: (4, 4), 20: (8, 12), 32: (16, 16), 80: (32, 48)}
+
+
+@cache
+def flow_at(n):
+    if SPLITS[n] is None:
+        return observer_flow(np.zeros((n, n)))
+    return observer_flow(random_augmented(np.random.default_rng(n), *SPLITS[n]).a_a)
+
+
+# runs of one row, just under and at a multiple of 256, and past 4,096 rows,
+# each from the start of a grid and from row 3,000; 4,097 rows at n = 80
+# (210 MB of maps) is left out: the library evaluates 256 rows at a time there
+@pytest.mark.parametrize(
+    "n, rows, start",
+    [
+        (n, rows, start)
+        for n in SPLITS
+        for rows in (1, 255, 256, 4097)
+        for start in (0, 3000)
+        if (n, rows) != (80, 4097)
+    ],
+)
+def test_frequency_major_basis_gives_the_bits_of_a_time_major_one(n, rows, start):
+    flow = flow_at(n)
+    t = np.arange(start, start + rows) * 0.05
+    assert np.array_equal(flow.maps(t), time_major_flow(flow, t, integrated=False))
+    assert np.array_equal(flow.integrals(t), time_major_flow(flow, t, integrated=True))
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_flow_on_output_rows_gives_the_bits_of_a_time_major_basis(n):
+    # convergence_diagnostics evaluates the coefficients projected onto m_p rows
+    flow = flow_at(n)
+    projected = replace(flow, coef=np.random.default_rng(n).normal(size=(n // 4, n)) @ flow.coef)
+    t = np.arange(3000, 7097) * 0.05
+    assert np.array_equal(projected.integrals(t), time_major_flow(projected, t, integrated=True))
+
+
+@pytest.mark.parametrize("integrated", [False, True])
+def test_basis_rows_are_the_time_major_columns(integrated):
+    # near t = 1e-160, h = sin(w t / 2) squares to a subnormal, where (2 h) h
+    # and 2 (h h) round apart; the flow's sums hide that, the basis does not
+    flow = flow_at(20)
+    t = np.concatenate([np.geomspace(1e-165, 1e-150, 64), np.arange(300) * 0.05])
+    basis = flow._basis(t, integrated)
+    assert basis.flags.c_contiguous
+    assert np.array_equal(basis.T, time_major_basis(flow, t, integrated))
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_flow_of_no_times_is_empty(n):
+    flow = flow_at(n)
+    for evaluate in (flow.maps, flow.integrals):
+        assert evaluate(np.array([])).shape == (0, n, n)
+        out = np.empty((0, n, n))
+        assert evaluate(np.zeros(0), out=out) is out
+
+
+def test_flow_takes_a_list_of_times():
+    flow = flow_at(8)
+    t = [0.0, 1.0, 2.5]
+    assert np.array_equal(flow.maps(t), flow.maps(np.array(t)))
+    assert np.array_equal(flow.integrals(t), flow.integrals(np.array(t)))
