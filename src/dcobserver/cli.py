@@ -1,7 +1,9 @@
 """Command-line scenario runner.
 
-Exit codes: 0 all residual checks passed, 1 validation failure, 2 a residual
-or convergence check failed, 3 I/O failure.
+Exit codes: 0 all residual checks passed, 1 validation failure (a malformed
+flag included), 2 a residual or convergence check failed, 3 I/O failure.
+Flags and the config file are merged into one JSON object, and
+``ScenarioConfig`` checks it as it checks every config.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .scenarios import (
     EXIT_RESIDUAL,
     EXIT_VALIDATION,
     SCENARIOS,
-    ConfigError,
     ScenarioConfig,
     run_scenario,
 )
@@ -35,46 +36,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, help="JSON config file (flags override it)")
     parser.add_argument("--t-end", dest="t_end", type=float, help="simulation horizon")
     parser.add_argument("--dt", type=float, help="grid step")
-    parser.add_argument("--out-dir", dest="out_dir", type=Path, help="output directory")
+    parser.add_argument("--out-dir", dest="out_dir", help="output directory")
     parser.add_argument("--tol", type=float, help="residual tolerance for pass/fail gates")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        flags = vars(build_parser().parse_args(argv))
+    except SystemExit as exc:  # --help exits 0; a usage error, printed by argparse, 2
+        return EXIT_VALIDATION if exc.code else EXIT_OK
+    config_file = flags.pop("config")
     raw: dict = {}
-    if args.config is not None:
+    if config_file is not None:
         try:
-            text = args.config.read_bytes()
+            raw = json.loads(config_file.read_bytes())  # bytes: json detects UTF-8, -16 or -32
         except OSError as exc:
             print(f"error: cannot read config file: {exc}", file=sys.stderr)
             return EXIT_IO
-        try:
-            raw = json.loads(text)  # bytes: json detects UTF-8, -16 or -32
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
         if not isinstance(raw, dict):
             print("error: config must be a JSON object", file=sys.stderr)
             return EXIT_VALIDATION
-    if args.scenario is not None:
-        raw["scenario"] = args.scenario
-    if args.t_end is not None:
-        raw["t_end"] = args.t_end
-    if args.dt is not None:
-        raw["dt"] = args.dt
-    if args.out_dir is not None:
-        raw["out_dir"] = str(args.out_dir)
-    if args.tol is not None:
-        raw["tol"] = args.tol
-    if "scenario" not in raw:
+    raw.update((key, value) for key, value in flags.items() if value is not None)
+    if raw.get("scenario") is None:
         print("error: no scenario given (use --scenario or the config file)", file=sys.stderr)
         return EXIT_VALIDATION
 
     try:
-        config = ScenarioConfig.from_dict(raw)
-        bundle = run_scenario(config)
-    except (ConfigError, ValueError) as exc:
+        bundle = run_scenario(ScenarioConfig.from_dict(raw))
+    except ValueError as exc:  # a ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -85,7 +85,11 @@ class Flow:
         basis = self._basis(np.asarray(t, dtype=float), integrated)
         rows, coef = basis.shape[1], self.coef.reshape(len(self.coef), -1)
         target = np.empty((rows,) + self.coef.shape[1:]) if out is None else out
-        np.matmul(basis.T, coef, out=target.reshape(rows, coef.shape[1]))
+        flat = target.reshape(rows, coef.shape[1])
+        np.matmul(basis.T, coef, out=flat)
+        # an ``out`` whose matrix axes do not merge reshapes to a copy: write it back
+        if not np.may_share_memory(flat, target):
+            target[...] = flat.reshape(target.shape)
         return target
 
     def maps(self, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

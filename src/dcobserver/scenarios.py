@@ -86,11 +86,13 @@ def _positive(value, path: str) -> float:
     return x
 
 
-def _check_fields(cls, raw: dict, prefix: str, what: str) -> None:
+def _json_fields(cls, raw: dict, prefix: str, what: str) -> dict:
+    """The fields of a JSON object for ``cls``: an unknown key is an error, a null is absent."""
     known = {f.name for f in fields(cls)}
     for key in raw:
         if key not in known:
             raise ConfigError(f"{prefix}{key}: unknown {what}")
+    return {key: value for key, value in raw.items() if value is not None}
 
 
 @dataclass(frozen=True)
@@ -103,33 +105,33 @@ class SegmentConfig:
     r_o: np.ndarray | None = None
     c_o: np.ndarray | None = None
 
-    @classmethod
-    def from_dict(cls, raw: dict, path: str) -> "SegmentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: expected an object")
-        _check_fields(cls, raw, f"{path}.", "field")
-        duration = None
-        if raw.get("duration") is not None:
-            duration = _positive(raw["duration"], f"{path}.duration")
-        disconnect = raw.get("disconnect")
-        if disconnect is not None and not isinstance(disconnect, bool):
-            raise ConfigError(f"{path}.disconnect: expected true or false")
-        if disconnect:
-            for key in ("beta", "r_o", "c_o"):
-                if raw.get(key) is not None:
-                    raise ConfigError(f"{path}.{key}: not read by a disconnected segment")
-            return cls(duration=duration, disconnect=True)
-        matrices = {}
-        for key in ("beta", "r_o", "c_o"):
-            if raw.get(key) is None:
+
+def _segment(segment, path: str) -> SegmentConfig:
+    """A segment with its values checked and its matrices as float arrays; an
+    error names its field after ``path``."""
+    if not isinstance(segment, SegmentConfig):
+        raise ConfigError(f"{path}: expected an object")
+    duration = None if segment.duration is None else _positive(segment.duration, f"{path}.duration")
+    if not isinstance(segment.disconnect, bool):
+        raise ConfigError(f"{path}.disconnect: expected true or false")
+    matrices = {}
+    for key in ("beta", "r_o", "c_o"):
+        value = getattr(segment, key)
+        if segment.disconnect and value is not None:
+            raise ConfigError(f"{path}.{key}: not read by a disconnected segment")
+        if not segment.disconnect:
+            if value is None:
                 raise ConfigError(f"{path}.{key}: required for a coupled segment")
-            matrices[key] = _matrix(raw[key], f"{path}.{key}")
-        return cls(duration=duration, **matrices)
+            matrices[key] = _matrix(value, f"{path}.{key}")
+    return SegmentConfig(duration, segment.disconnect, **matrices)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Scenario payload: matrices, schedule, grid and tolerances."""
+    """Scenario payload: matrices, schedule, grid and tolerances.  Construction
+    checks every value, however the config was made (each segment under its
+    ``segments[i]`` path), and names the first field at fault; matrices become
+    float arrays, numbers floats and ``out_dir`` a Path."""
 
     scenario: str = "one_mode"
     beta: np.ndarray | None = None
@@ -144,32 +146,35 @@ class ScenarioConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        object.__setattr__(self, "out_dir", Path(self.out_dir))
+        if self.scenario not in SCENARIOS:
+            raise ConfigError(f"scenario: must be one of {SCENARIOS}, got {self.scenario!r}")
+        matrices = ("beta", "r_o", "c_o", "alpha")
+        checked = {k: _matrix(getattr(self, k), k) for k in matrices if getattr(self, k) is not None}
+        checked["segments"] = tuple(_segment(s, f"segments[{i}]") for i, s in enumerate(self.segments))
+        for key in ("t_end", "dt", "average_t_end", "tol"):
+            # an unset t_end or average_t_end takes its planner's default
+            if getattr(self, key) is not None or key in ("dt", "tol"):
+                checked[key] = _positive(getattr(self, key), key)
+        if not isinstance(self.out_dir, (str, PathLike)):
+            raise ConfigError("out_dir: expected a path string")
+        checked["out_dir"] = Path(self.out_dir)
+        for key, value in checked.items():
+            object.__setattr__(self, key, value)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        _check_fields(cls, raw, "", "config field")
-        scenario = raw.get("scenario", "one_mode")
-        if scenario not in SCENARIOS:
-            raise ConfigError(f"scenario: must be one of {SCENARIOS}, got {scenario!r}")
-        values: dict = {"scenario": scenario}
-        for key in ("beta", "r_o", "c_o", "alpha"):
-            if raw.get(key) is not None:
-                values[key] = _matrix(raw[key], key)
-        if raw.get("segments") is not None:
-            if not isinstance(raw["segments"], list) or not raw["segments"]:
+        """The config of a JSON object; construction checks its values."""
+        values = _json_fields(cls, raw, "", "config field")
+        if "segments" in values:
+            segments = values["segments"]
+            if not isinstance(segments, list) or not segments:
                 raise ConfigError("segments: expected a non-empty list")
+            # an entry that is no object is left for construction to name
             values["segments"] = tuple(
-                SegmentConfig.from_dict(seg, f"segments[{i}]")
-                for i, seg in enumerate(raw["segments"])
+                SegmentConfig(**_json_fields(SegmentConfig, seg, f"segments[{i}].", "field"))
+                if isinstance(seg, dict) else seg
+                for i, seg in enumerate(segments)
             )
-        for key in ("t_end", "dt", "average_t_end", "tol"):
-            if raw.get(key) is not None:
-                values[key] = _positive(raw[key], key)
-        if raw.get("out_dir") is not None:
-            if not isinstance(raw["out_dir"], (str, PathLike)):
-                raise ConfigError("out_dir: expected a path string")
-            values["out_dir"] = raw["out_dir"]
         return cls(**values)
 
 
@@ -500,7 +505,8 @@ _DEFAULT_SEGMENTS = (
 
 def _resolve_segments(segments, t_end: float) -> tuple[SegmentConfig, ...]:
     """The schedule with the open duration filled in; the config is left as it is."""
-    fixed = sum(s.duration for s in segments if s.duration is not None)
+    # correctly rounded sums: a float sum of many short durations drifts from t_end
+    fixed = math.fsum(s.duration for s in segments if s.duration is not None)
     open_count = sum(1 for s in segments if s.duration is None)
     if open_count > 1:
         raise ConfigError("segments: at most one segment may omit its duration")
@@ -513,7 +519,7 @@ def _resolve_segments(segments, t_end: float) -> tuple[SegmentConfig, ...]:
         segments = tuple(
             replace(s, duration=remainder) if s.duration is None else s for s in segments
         )
-    total = sum(s.duration for s in segments)
+    total = math.fsum(s.duration for s in segments)
     if abs(total - t_end) > 1e-9:
         raise ConfigError(f"segments: durations sum to {total}, but t_end is {t_end}")
     return segments
@@ -568,7 +574,4 @@ SCENARIOS = tuple(_PLANNERS)
 
 def run_scenario(config: ScenarioConfig) -> ArtifactBundle:
     """Run config.scenario: its planner resolves the config, the one pipeline does the rest."""
-    planner = _PLANNERS.get(config.scenario)
-    if planner is None:
-        raise ConfigError(f"scenario: unknown scenario {config.scenario!r}")
-    return _run(config, planner(config))
+    return _run(config, _PLANNERS[config.scenario](config))

@@ -272,3 +272,14 @@ def test_flow_takes_a_list_of_times():
     t = [0.0, 1.0, 2.5]
     assert np.array_equal(flow.maps(t), flow.maps(np.array(t)))
     assert np.array_equal(flow.integrals(t), flow.integrals(np.array(t)))
+
+
+@pytest.mark.parametrize("integrated", [False, True])
+def test_flow_writes_an_out_whose_matrix_axes_do_not_merge(integrated):
+    # a transposed out reshapes to a copy; the values must still land in out
+    flow = flow_at(4)
+    evaluate = flow.integrals if integrated else flow.maps
+    t = np.array([0.5, 1.0, 2.0])
+    out = np.zeros((3, 4, 4)).transpose(0, 2, 1)
+    assert evaluate(t, out=out) is out
+    assert np.array_equal(out, evaluate(t))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import tracemalloc
 import warnings
 from contextlib import ExitStack
@@ -604,33 +605,34 @@ def _sequence(*segments) -> dict:
     return {"scenario": "measurement_sequence", "segments": list(segments)}
 
 
-@pytest.mark.parametrize(
-    "field, raw",
-    [
-        ("segments[0]", _sequence(5)),
-        ("segments[1]", _sequence(_COUPLED, [_COUPLED])),
-        ("out_dir", {"scenario": "one_mode", "out_dir": 5}),
-        ("dt", {"scenario": "one_mode", "dt": True}),
-        ("t_end", {"scenario": "one_mode", "t_end": "50"}),
-        ("segments[0].duration", _sequence({"duration": True, **_COUPLED})),
-        # a JSON boolean only: "no", 1 and "false" would all disconnect
-        *[
-            ("segments[0].disconnect", _sequence({"duration": 5, "disconnect": flag}, _COUPLED))
-            for flag in ("no", 1, "false")
-        ],
-        # a disconnected segment reads none of the coupled fields
-        *[
-            (f"segments[0].{key}", _sequence({"duration": 5, "disconnect": True, key: _COUPLED[key]}, _COUPLED))
-            for key in ("beta", "r_o", "c_o")
-        ],
-        # a matrix entry is a JSON number: numpy would cast true and "1"
-        ("beta", {"scenario": "custom", **_COUPLED, "beta": [[True], [False]]}),
-        ("r_o", {"scenario": "custom", **_COUPLED, "r_o": [["1", 0], [0, "1"]]}),
-        ("c_o", {"scenario": "custom", **_COUPLED, "c_o": [[1, True]]}),
-        ("segments[0].r_o", _sequence({"duration": 5, **_COUPLED, "r_o": [["1", 0], [0, "1"]]}, _COUPLED)),
-        ("segments[1].beta", _sequence({"duration": 5, **_COUPLED}, {**_COUPLED, "beta": [[True], [False]]})),
+# one fault each, named by its field; t_end 30 is added to each
+_WRONG_TYPES = [
+    ("segments[0]", _sequence(5)),
+    ("segments[1]", _sequence(_COUPLED, [_COUPLED])),
+    ("out_dir", {"scenario": "one_mode", "out_dir": 5}),
+    ("dt", {"scenario": "one_mode", "dt": True}),
+    ("t_end", {"scenario": "one_mode", "t_end": "50"}),
+    ("segments[0].duration", _sequence({"duration": True, **_COUPLED})),
+    # a JSON boolean only: "no", 1 and "false" would all disconnect
+    *[
+        ("segments[0].disconnect", _sequence({"duration": 5, "disconnect": flag}, _COUPLED))
+        for flag in ("no", 1, "false")
     ],
-)
+    # a disconnected segment reads none of the coupled fields
+    *[
+        (f"segments[0].{key}", _sequence({"duration": 5, "disconnect": True, key: _COUPLED[key]}, _COUPLED))
+        for key in ("beta", "r_o", "c_o")
+    ],
+    # a matrix entry is a JSON number: numpy would cast true and "1"
+    ("beta", {"scenario": "custom", **_COUPLED, "beta": [[True], [False]]}),
+    ("r_o", {"scenario": "custom", **_COUPLED, "r_o": [["1", 0], [0, "1"]]}),
+    ("c_o", {"scenario": "custom", **_COUPLED, "c_o": [[1, True]]}),
+    ("segments[0].r_o", _sequence({"duration": 5, **_COUPLED, "r_o": [["1", 0], [0, "1"]]}, _COUPLED)),
+    ("segments[1].beta", _sequence({"duration": 5, **_COUPLED}, {**_COUPLED, "beta": [[True], [False]]})),
+]
+
+
+@pytest.mark.parametrize("field, raw", _WRONG_TYPES)
 def test_config_values_of_the_wrong_type_name_their_field(tmp_path, capsys, monkeypatch, field, raw):
     # the run starts in an empty directory, so any output directory it made would show
     monkeypatch.chdir(tmp_path)
@@ -664,9 +666,48 @@ def test_config_rejects_unknown_fields():
 def test_config_rejects_bad_scenario():
     with pytest.raises(ConfigError, match="scenario"):
         ScenarioConfig.from_dict({"scenario": "both_modes"})
-    # a config built by hand skips from_dict's check and reaches the dispatch
-    with pytest.raises(ConfigError, match=r"^scenario: unknown scenario 'bogus'$"):
-        run_scenario(ScenarioConfig(scenario="bogus"))
+    # a config built by hand is checked on construction too, with the same message
+    with pytest.raises(ConfigError, match=r"^scenario: must be one of \(.*\), got 'bogus'$"):
+        ScenarioConfig(scenario="bogus")
+
+
+def _by_hand(raw: dict) -> ScenarioConfig:
+    """The config of a JSON object built by hand: each segment object becomes a SegmentConfig."""
+    values = dict(raw)
+    if "segments" in values:
+        values["segments"] = tuple(
+            scenarios.SegmentConfig(**seg) if isinstance(seg, dict) else seg
+            for seg in values["segments"]
+        )
+    return ScenarioConfig(**values)
+
+
+@pytest.mark.parametrize(
+    "field, raw",
+    [
+        *_WRONG_TYPES,
+        *[
+            (key, {"scenario": "one_mode", key: value})
+            for key in ("t_end", "dt", "average_t_end", "tol")
+            for value in (float("nan"), -5.0, float("inf"))
+        ],
+        ("segments[0].duration", _sequence({"duration": -5, **_COUPLED}, _COUPLED)),
+        ("scenario", {"scenario": "bogus"}),
+    ],
+)
+def test_hand_built_config_fails_as_its_json_does(tmp_path, monkeypatch, field, raw):
+    # construction is the one check: a config built by hand (a disconnected
+    # segment with a beta among them) fails with the JSON route's message,
+    # before run_scenario could write anything
+    monkeypatch.chdir(tmp_path)
+    raw = {"t_end": 30.0, **raw}
+    with pytest.raises(ConfigError) as from_json:
+        ScenarioConfig.from_dict(raw)
+    with pytest.raises(ConfigError) as by_hand:
+        run_scenario(_by_hand(raw))
+    assert str(from_json.value).startswith(f"{field}: ")
+    assert str(by_hand.value) == str(from_json.value)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -774,6 +815,16 @@ def test_segment_durations_must_fill_t_end(tmp_path):
         run_scenario(config)
 
 
+def test_many_short_segments_fill_t_end():
+    # 30,000 segments of 0.1: a float sum drifts 1.6e-9 below 3000; math.fsum is exact
+    segments = (scenarios.SegmentConfig(0.1, disconnect=True),) * 30_000
+    assert scenarios._resolve_segments(segments, 3000.0) == segments
+    open_end = segments[:-1] + (scenarios.SegmentConfig(disconnect=True),)
+    resolved = scenarios._resolve_segments(open_end, 3000.0)
+    assert resolved[:-1] == segments[:-1]
+    assert resolved[-1].duration == 3000.0 - math.fsum([0.1] * 29_999)
+
+
 def test_run_leaves_its_config_unchanged(tmp_path):
     # the last segment omits its duration; resolving it must not write it back
     config = ScenarioConfig.from_dict(
@@ -879,6 +930,18 @@ def test_cli_missing_config_exits_3(tmp_path, capsys):
 def test_cli_missing_scenario_exits_1(capsys):
     assert main([]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["--t-end", "abc"], ["--scenario", "bogus"], ["--no-such-flag"]])
+def test_cli_usage_errors_exit_1(capsys, argv):
+    # exit 2 is a failed residual check; a malformed command line is a validation failure
+    assert main(argv) == 1
+    assert "error: " in capsys.readouterr().err
+
+
+def test_cli_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "--scenario" in capsys.readouterr().out
 
 
 def test_runs_are_byte_identical(tmp_path):
