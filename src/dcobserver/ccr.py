@@ -9,11 +9,16 @@ a @ theta + theta @ a.T == 0, in which case it derives from a quadratic
 Hamiltonian with symmetric matrix r via a = 2 theta r.  The package forms
 that map once, in ``synthesis.assemble_augmented``, and inverts it once, in
 ``synthesis.AugmentedSystem.r_a``.
+
+Theta is a constant: ``make_theta`` returns one shared structure per size,
+whose ``theta`` is built once, on first use, and is read-only, so every
+module reads the same array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -34,14 +39,17 @@ class CommutationStructure:
     def n_modes(self) -> int:
         return self.n // 2
 
-    @property
+    @cached_property
     def theta(self) -> np.ndarray:
-        """The commutation matrix diag(J, ..., J)."""
-        return np.kron(np.eye(self.n_modes), J2)
+        """The commutation matrix diag(J, ..., J), built once and read-only."""
+        theta = np.kron(np.eye(self.n_modes), J2)
+        theta.flags.writeable = False
+        return theta
 
 
+@cache
 def make_theta(n_modes: int) -> CommutationStructure:
-    """Commutation structure for ``n_modes`` modes (two variables per mode)."""
+    """The one commutation structure for ``n_modes`` modes (two variables per mode)."""
     return CommutationStructure(n=2 * n_modes)
 
 

@@ -62,16 +62,18 @@ def _is_number(value) -> bool:
 
 def _matrix(value, path: str) -> np.ndarray:
     try:
-        m = np.array(value, dtype=float)
+        m = np.asarray(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: not a numeric matrix ({exc})") from None
     if m.ndim != 2 or m.size == 0:
         raise ConfigError(f"{path}: expected a non-empty 2-D matrix, got shape {m.shape}")
-    # numpy casts booleans and numeric strings too
+    # checked before the cast: numpy casts booleans and numeric strings too, and
+    # drops an imaginary part with a warning
     for i, row in enumerate(value):
         for j, x in enumerate(row):
             if not _is_number(x):
                 raise ConfigError(f"{path}: entry [{i}][{j}] is {x!r}, not a number")
+    m = m.astype(float)
     if not np.all(np.isfinite(m)):
         raise ConfigError(f"{path}: matrix has non-finite entries")
     return m
@@ -131,7 +133,10 @@ class ScenarioConfig:
     """Scenario payload: matrices, schedule, grid and tolerances.  Construction
     checks every value, however the config was made (each segment under its
     ``segments[i]`` path), and names the first field at fault; matrices become
-    float arrays, numbers floats and ``out_dir`` a Path."""
+    float arrays, numbers floats and ``out_dir`` a Path.  A schedule given to
+    the scenario that reads one needs a coupled segment and may leave at most
+    one duration open; what the planner derives (the systems, the defaults) it
+    checks itself."""
 
     scenario: str = "one_mode"
     beta: np.ndarray | None = None
@@ -158,6 +163,11 @@ class ScenarioConfig:
         if not isinstance(self.out_dir, (str, PathLike)):
             raise ConfigError("out_dir: expected a path string")
         checked["out_dir"] = Path(self.out_dir)
+        if self.scenario == "measurement_sequence" and self.segments:
+            if all(s.disconnect for s in checked["segments"]):
+                raise ConfigError("segments: at least one coupled segment is required")
+            if sum(1 for s in checked["segments"] if s.duration is None) > 1:
+                raise ConfigError("segments: at most one segment may omit its duration")
         for key, value in checked.items():
             object.__setattr__(self, key, value)
 
@@ -333,20 +343,15 @@ def _as_json(report) -> dict:
 def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
     """The one pipeline: verify, propagate, average, check, diagnose, write, summarize."""
     durations, systems = zip(*plan.phases)
-    coupled = [aug for aug in systems if aug is not None]
-    if not coupled:
-        raise ConfigError("segments: at least one coupled segment is required")
-    n = coupled[0].n
-    for i, aug in enumerate(systems):
-        if aug is not None and aug.n != n:
-            raise ConfigError(f"segments[{i}]: augmented dimension {aug.n} != {n}")
-    if not plan.schedule and config.dt > plan.average_end:
-        raise ConfigError(f"dt: {config.dt} exceeds the averaging horizon {plan.average_end}")
+    coupled_at = [i for i, aug in enumerate(systems) if aug is not None]
+    first = systems[coupled_at[0]]
     try:
-        times, edges = _run_grid(durations, config.dt, n)
+        times, edges = _run_grid(durations, config.dt, first.n)
     except ValueError as exc:  # past the memory bound, or a segment below the float spacing
         raise ConfigError(str(exc)) from None
-    reports = [None if aug is None else verify_observer_conditions(aug) for aug in systems]
+    # each distinct system is verified once; segments that share it share its report
+    distinct = {id(aug): aug for aug in systems if aug is not None}
+    reports = {key: verify_observer_conditions(aug) for key, aug in distinct.items()}
     # a certificate that gives no flow fails before any output; only a schedule has segments to name
     for i, aug in enumerate(systems):
         if aug is not None and aug.certificate.flow is None:
@@ -357,17 +362,19 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
     out.mkdir(parents=True, exist_ok=True)
     # maps are written on the grid rows before map_stop, averages on rows 1 .. avg_stop - 1
     map_stop, avg_stop = (_stop(times, end) for end in (plan.map_end, plan.average_end))
-    # per segment: the worst CCR and energy residual, and the deviations from its
-    # start map of its held rows and of the first observer's protected row
+    # per segment: the worst CCR and energy residual, the deviation from its start
+    # map of its held rows and, on the one segment whose swap disturbance a
+    # schedule reports (its last coupled one), that of the first observer's rows
+    swap_at = coupled_at[-1] if plan.schedule else None
     worst = np.zeros((len(systems), 4))
     with ExitStack() as stack:
         files = [
-            _FigureFile(out, fig, plan.prefix, n, avg_stop if fig.avg else map_stop, stack)
+            _FigureFile(out, fig, plan.prefix, first.n, avg_stop if fig.avg else map_stop, stack)
             for fig in plan.figures
         ]
-        first_rows = coupled[0].plant_output
+        first_rows = first.plant_output
         for i, rows, start, block, averages, residuals in _sweep(systems, times, edges, avg_stop):
-            swap = np.max(np.abs(first_rows @ block - first_rows @ start))
+            swap = np.max(np.abs(first_rows @ block - first_rows @ start)) if i == swap_at else 0.0
             worst[i] = np.maximum(worst[i], [*residuals, swap])
             stamps = _stamps(times[rows])
             for figure in files:
@@ -376,8 +383,9 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
     scripts = [figure.script for figure in files if figure.script is not None]
 
     entries = []
-    for duration, aug, report, lo, hi, (_, energy, moved, _) in zip(
-        durations, systems, reports, edges[:-1], edges[1:], worst.tolist()
+    conditions = {key: _as_json(report) for key, report in reports.items()}
+    for duration, aug, lo, hi, (_, energy, moved, _) in zip(
+        durations, systems, edges[:-1], edges[1:], worst.tolist()
     ):
         entry = {
             "kind": "disconnected" if aug is None else "coupled",
@@ -390,12 +398,12 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
             entry["plateau_max_deviation"] = moved
         else:
             entry["protected_row_max_deviation"] = moved
-            entry["observer_conditions"] = _as_json(report)
+            entry["observer_conditions"] = conditions[id(aug)]
         entries.append(entry)
     ccr_residual, energy_residual = np.max(worst[:, :2], axis=0).tolist()
 
     checks = {
-        "observer_conditions": all(r.passes(config.tol) for r in reports if r is not None),
+        "observer_conditions": all(r.passes(config.tol) for r in reports.values()),
         "ccr_conservation": ccr_residual <= config.tol,
         "energy_conservation": energy_residual <= config.tol,
     }
@@ -406,9 +414,8 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
         "conservation": {"ccr_residual": ccr_residual, "energy_residual": energy_residual},
     }
     if plan.schedule:
-        coupled_at = [i for i, aug in enumerate(systems) if aug is not None]
         # disturbance of the first observer's protected row under the last observer
-        swap_disturbance = float(worst[coupled_at[-1], 3])
+        swap_disturbance = float(worst[swap_at, 3])
         plateau = [e["plateau_max_deviation"] for e in entries if e["kind"] == "disconnected"]
         protected = [e["protected_row_max_deviation"] for e in entries if e["kind"] == "coupled"]
         summary["segments"] = entries
@@ -417,7 +424,7 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
         checks["plateau_constant"] = max(plateau, default=0.0) <= 1e-12
         checks["swap_disturbs_previous_row"] = len(coupled_at) == 1 or swap_disturbance > 0.1
     else:
-        convergence = convergence_diagnostics(coupled[0], plan.average_end, config.dt)
+        convergence = convergence_diagnostics(first, plan.average_end, config.dt)
         summary["observer_conditions"] = entries[0]["observer_conditions"]
         summary["convergence"] = _as_json(convergence)
         checks["time_average_convergence"] = bool(convergence.converged)
@@ -454,8 +461,11 @@ def _system(beta, r_o, c_o, alpha=None, where: str = "") -> AugmentedSystem:
         raise ConfigError(f"{where}{exc}") from None
 
 
-def _single(aug: AugmentedSystem, figures, t_end, average_end, estimated_row=False) -> _Plan:
-    """One coupled segment over max(t_end, average_end), maps written to t_end."""
+def _single(aug: AugmentedSystem, figures, t_end, average_end, dt, estimated_row=False) -> _Plan:
+    """One coupled segment over max(t_end, average_end), maps written to t_end; a
+    ConfigError names ``dt`` if it exceeds the averaging horizon."""
+    if dt > average_end:
+        raise ConfigError(f"dt: {dt} exceeds the averaging horizon {average_end}")
     phases = ((max(t_end, average_end), aug),)
     return _Plan(phases, figures, t_end, map_end=t_end, average_end=average_end,
                  estimated_row=estimated_row)
@@ -483,7 +493,7 @@ def _one_mode(config: ScenarioConfig) -> _Plan:
     beta, r_o = _given(config.beta, _ONE_MODE.beta), _given(config.r_o, _ONE_MODE.r_o)
     t_end, average_end = _given(config.t_end, 50.0), _given(config.average_t_end, 100.0)
     aug = _system(beta, r_o, c_o, config.alpha)
-    return _single(aug, _ONE_MODE_FIGURES, t_end, average_end, estimated_row=True)
+    return _single(aug, _ONE_MODE_FIGURES, t_end, average_end, config.dt, estimated_row=True)
 
 
 _SEQUENCE_FIGURES = (
@@ -507,10 +517,7 @@ def _resolve_segments(segments, t_end: float) -> tuple[SegmentConfig, ...]:
     """The schedule with the open duration filled in; the config is left as it is."""
     # correctly rounded sums: a float sum of many short durations drifts from t_end
     fixed = math.fsum(s.duration for s in segments if s.duration is not None)
-    open_count = sum(1 for s in segments if s.duration is None)
-    if open_count > 1:
-        raise ConfigError("segments: at most one segment may omit its duration")
-    if open_count == 1:
+    if any(s.duration is None for s in segments):
         remainder = t_end - fixed
         if remainder <= 0:
             raise ConfigError(
@@ -530,17 +537,29 @@ def _measurement_sequence(config: ScenarioConfig) -> _Plan:
 
     The default schedule runs the one-mode observer for 20 time units,
     disconnects for 5, then attaches an observer of the conjugate quadrature.
+    One system is built per distinct (beta, r_o, c_o), keyed by each matrix's
+    shape and bytes, so segments that repeat it share its certificate and
+    flow; an error names the first segment at fault.
     """
     for key in ("beta", "r_o", "c_o", "alpha", "average_t_end"):
         if getattr(config, key) is not None:
             raise ConfigError(f"{key}: not read by the {config.scenario} scenario")
     t_end = _given(config.t_end, 100.0)
     segments = _resolve_segments(config.segments or _DEFAULT_SEGMENTS, t_end)
-    phases = tuple(
-        (s.duration, None if s.disconnect else _system(s.beta, s.r_o, s.c_o, where=f"segments[{i}]."))
-        for i, s in enumerate(segments)
-    )
-    return _Plan(phases, _SEQUENCE_FIGURES, t_end, prefix="phit", schedule=True)
+    built, phases = {}, []
+    for i, s in enumerate(segments):
+        aug = None
+        if not s.disconnect:
+            key = tuple((m.shape, m.tobytes()) for m in (s.beta, s.r_o, s.c_o))
+            if key not in built:
+                built[key] = _system(s.beta, s.r_o, s.c_o, where=f"segments[{i}].")
+            aug = built[key]
+        phases.append((s.duration, aug))
+    n = next(iter(built.values())).n
+    for i, (_, aug) in enumerate(phases):
+        if aug is not None and aug.n != n:
+            raise ConfigError(f"segments[{i}]: augmented dimension {aug.n} != {n}")
+    return _Plan(tuple(phases), _SEQUENCE_FIGURES, t_end, prefix="phit", schedule=True)
 
 
 _CUSTOM_FIGURES = (
@@ -560,7 +579,7 @@ def _custom(config: ScenarioConfig) -> _Plan:
         raise ConfigError(f"segments: not read by the {config.scenario} scenario")
     aug = _system(config.beta, config.r_o, config.c_o, config.alpha)
     t_end = _given(config.t_end, 50.0)
-    return _single(aug, _CUSTOM_FIGURES, t_end, _given(config.average_t_end, t_end))
+    return _single(aug, _CUSTOM_FIGURES, t_end, _given(config.average_t_end, t_end), config.dt)
 
 
 # the one place that knows a scenario: its name and the planner that resolves its config

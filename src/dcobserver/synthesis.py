@@ -75,14 +75,22 @@ class ObserverSpec:
         return self.alpha.shape[1]
 
 
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    """``matrix``, marked read-only: a derived matrix that its owner computes once and shares."""
+    matrix.flags.writeable = False
+    return matrix
+
+
 @dataclass(frozen=True)
 class AugmentedSystem:
     """Joint plant-observer system with dynamics a_a = 2 theta r_a.
 
     ``a_a`` is the one stored matrix.  The commutation structure, the block
-    Hamiltonian r_a = -theta a_a / 2 and the certificate of the observer
-    structure, which :func:`verify_observer_conditions` reports and whose flow
-    propagation takes, are derived from it.
+    Hamiltonian r_a = -theta a_a / 2, the output selectors and the
+    certificate of the observer structure, which
+    :func:`verify_observer_conditions` reports and whose flow propagation
+    takes, are derived from it once per system, on first use; the matrices
+    are read-only.
     """
 
     plant: PlantSpec
@@ -93,37 +101,38 @@ class AugmentedSystem:
     def n(self) -> int:
         return self.plant.n_p + self.observer.n_o
 
-    @property
+    @cached_property
     def ccr(self) -> CommutationStructure:
         return make_theta(self.n // 2)
 
-    @property
+    @cached_property
     def r_a(self) -> np.ndarray:
         """Block Hamiltonian of a_a (theta squares to -I, so this inverts a_a = 2 theta r_a)."""
-        return -0.5 * (self.ccr.theta @ self.a_a)
+        return _read_only(-0.5 * (self.ccr.theta @ self.a_a))
 
     @cached_property
     def certificate(self) -> Certificate:
-        """closed_form.certify of a_a split at the plant, computed once per system."""
+        """closed_form.certify of a_a split at the plant."""
         return certify(self.a_a, self.plant.n_p)
 
-    @property
+    @cached_property
     def theta_2(self) -> np.ndarray:
+        """The observer block of theta, a view of the shared read-only theta."""
         return self.ccr.theta[self.plant.n_p :, self.plant.n_p :]
 
-    @property
+    @cached_property
     def plant_output(self) -> np.ndarray:
         """Row selector [c_p 0] of the estimated plant quadratures."""
         sel = np.zeros((self.plant.m_p, self.n))
         sel[:, : self.plant.n_p] = self.plant.c_p
-        return sel
+        return _read_only(sel)
 
-    @property
+    @cached_property
     def observer_output(self) -> np.ndarray:
         """Row selector [0 c_o] of the observer output variables."""
         sel = np.zeros((self.plant.m_p, self.n))
         sel[:, self.plant.n_p :] = self.observer.c_o
-        return sel
+        return _read_only(sel)
 
 
 def synthesize_observer(plant: PlantSpec, r_o, c_o=None, alpha=None) -> ObserverSpec:

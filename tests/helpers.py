@@ -138,6 +138,24 @@ def exact_propagator_average(a, t_end: float) -> np.ndarray:
     return np.linalg.solve(a, expm(a * t_end) - np.eye(a.shape[0])) / t_end
 
 
+def derived_matrices(aug) -> dict:
+    """The matrices an ``AugmentedSystem`` derives, by the formulas it once rebuilt on every
+    access: theta from np.kron, r_a = -theta a_a / 2, theta's observer block and the
+    output selectors [c_p 0] and [0 c_o]."""
+    theta = np.kron(np.eye(aug.n // 2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    n_p = aug.plant.n_p
+    plant_output = np.zeros((aug.plant.m_p, aug.n))
+    plant_output[:, :n_p] = aug.plant.c_p
+    observer_output = np.zeros((aug.plant.m_p, aug.n))
+    observer_output[:, n_p:] = aug.observer.c_o
+    return {
+        "r_a": -0.5 * (theta @ aug.a_a),
+        "theta_2": theta[n_p:, n_p:],
+        "plant_output": plant_output,
+        "observer_output": observer_output,
+    }
+
+
 def hamiltonian_of(a, theta) -> np.ndarray:
     """Symmetric Hamiltonian matrix r = (1/4)(-theta a + a.T theta) of realizable dynamics.
 

@@ -33,6 +33,22 @@ def test_make_theta_two_modes_block_diagonal():
     assert np.array_equal(ccr.theta, expected)
 
 
+@pytest.mark.parametrize("n_modes", [1, 2, 5])
+def test_make_theta_is_one_shared_read_only_structure(n_modes):
+    ccr = make_theta(n_modes)
+    assert make_theta(n_modes) is ccr
+    assert ccr.theta is ccr.theta
+    with pytest.raises(ValueError, match="read-only"):
+        ccr.theta[0, 1] = 2.0
+    assert np.array_equal(ccr.theta, np.kron(np.eye(n_modes), J))
+
+
+def test_augmented_system_reads_the_shared_theta():
+    aug = one_mode_augmented()
+    assert aug.ccr is make_theta(2)
+    assert np.shares_memory(aug.theta_2, make_theta(2).theta)
+
+
 @given(n_modes=st.integers(min_value=1, max_value=12))
 def test_theta_skew_and_squares_to_minus_identity(n_modes):
     ccr = make_theta(n_modes)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from contextlib import ExitStack
@@ -17,6 +18,7 @@ from dcobserver import (
     assemble_augmented,
     convergence_diagnostics,
     make_plant,
+    make_theta,
     run_scenario,
     synthesize_observer,
     uniform_grid,
@@ -546,6 +548,72 @@ def test_schedule_run_certifies_each_coupled_segment_once(tmp_path, monkeypatch)
     assert certified == [2, 2]
 
 
+def _alternating_schedule(out_dir) -> dict:
+    """299 segments of 0.25 that alternate the one-mode observer and a disconnect, then the
+    conjugate observer for the open remainder: 151 coupled segments of two distinct systems."""
+    one_mode = {"beta": [[1], [0]], "r_o": [[1, 0], [0, 1]], "c_o": [[1, 0]]}
+    conjugate = {"beta": [[0], [1]], "r_o": [[1, 0], [0, 1]], "c_o": [[0, 1]]}
+    segments = [{"duration": 0.25, **(one_mode if i % 2 == 0 else {"disconnect": True})} for i in range(299)]
+    return {"scenario": "measurement_sequence", "t_end": 99.75, "dt": 0.01, "out_dir": str(out_dir),
+            "segments": [*segments, conjugate]}
+
+
+def test_long_schedule_derives_each_system_once(tmp_path, monkeypatch):
+    # theta is built once per size, and each distinct system is synthesized,
+    # certified and verified once, however many segments repeat it
+    kron_sizes, synthesized, verified = [], [], []
+    original_kron, original_synthesize = np.kron, scenarios.synthesize_observer
+    original_verify = scenarios.verify_observer_conditions
+
+    def counting_kron(a, b):
+        kron_sizes.append(len(a))
+        return original_kron(a, b)
+
+    def counting_synthesize(*args, **kwargs):
+        synthesized.append(args)
+        return original_synthesize(*args, **kwargs)
+
+    def counting_verify(aug):
+        verified.append(aug)
+        return original_verify(aug)
+
+    monkeypatch.setattr(np, "kron", counting_kron)
+    monkeypatch.setattr(scenarios, "synthesize_observer", counting_synthesize)
+    monkeypatch.setattr(scenarios, "verify_observer_conditions", counting_verify)
+    certified = count_certify(monkeypatch)
+    make_theta.cache_clear()  # so that every size this run reads is built here
+    config_file = tmp_path / "schedule.json"
+    config_file.write_text(json.dumps(_alternating_schedule(tmp_path)))
+    assert main(["--config", str(config_file)]) == 0
+    assert sorted(kron_sizes) == [1, 2]
+    assert len(synthesized) == 2 and certified == [2, 2] and len(verified) == 2
+    entries = json.loads((tmp_path / "measurement_sequence" / "summary.json").read_text())["segments"]
+    assert len(entries) == 300
+    conditions = [entry.get("observer_conditions") for entry in entries]
+    assert all(entry == conditions[0] for entry in conditions[:299:2])
+
+
+def test_repeated_system_errors_name_its_first_segment(tmp_path):
+    bad = {"beta": [[1], [0]], "r_o": [[1, 0], [0, -1]], "c_o": [[1, 0]]}
+    segments = ({"duration": 5, **_COUPLED}, {"duration": 5, **bad}, {"duration": 5, "disconnect": True}, bad)
+    raw = {"t_end": 30.0, "out_dir": str(tmp_path), **_sequence(*segments)}
+    with pytest.raises(ConfigError, match=r"^segments\[1\]\.r_o: not positive definite"):
+        run_scenario(ScenarioConfig.from_dict(raw))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_schedule_of_mixed_dimensions_fails_in_its_planner(tmp_path):
+    two_mode = {"beta": [[1, 0], [0, 0], [0, 1], [0, 0]], "r_o": np.eye(2).tolist(), "c_o": [[1, 0], [0, 1]]}
+    config = ScenarioConfig.from_dict(
+        {"t_end": 30.0, "out_dir": str(tmp_path), **_sequence({"duration": 5, **_COUPLED}, two_mode)}
+    )
+    with pytest.raises(ConfigError, match=r"^segments\[1\]: augmented dimension 6 != 4$"):
+        scenarios._measurement_sequence(config)
+    with pytest.raises(ConfigError, match=r"^segments\[1\]: augmented dimension 6 != 4$"):
+        run_scenario(config)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_dt_beyond_averaging_horizon_exits_1(tmp_path, capsys):
     argv = ["--out-dir", str(tmp_path), "--t-end", "1", "--dt", "2"]
     assert main(["--scenario", "one_mode", *argv]) == 0
@@ -782,6 +850,32 @@ def test_flow_that_overflows_is_not_certified(tmp_path, capsys, scenario):
         "error: flow coefficients overflow the float range (max|a| = 2.000e+300)\n"
     )
     assert not (tmp_path / scenario).exists()
+
+
+def test_config_rejects_a_complex_matrix_entry_before_the_cast():
+    # numpy would drop the imaginary part with a ComplexWarning, a RuntimeWarning
+    with pytest.raises(ConfigError, match=r"^beta: entry \[0\]\[0\] is .*1\+1j.*, not a number$"):
+        ScenarioConfig(scenario="custom", beta=np.array([[1 + 1j], [0]]))
+
+
+@pytest.mark.parametrize(
+    "segments, message",
+    [
+        ((scenarios.SegmentConfig(disconnect=True),), "segments: at least one coupled segment is required"),
+        (
+            (scenarios.SegmentConfig(5.0, disconnect=True), scenarios.SegmentConfig(disconnect=True)),
+            "segments: at least one coupled segment is required",
+        ),
+        (
+            (scenarios.SegmentConfig(**_COUPLED), scenarios.SegmentConfig(disconnect=True)),
+            "segments: at most one segment may omit its duration",
+        ),
+    ],
+)
+def test_schedule_faults_fail_at_construction(segments, message):
+    # the config alone shows these faults: construction names them, not the run
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ScenarioConfig(scenario="measurement_sequence", segments=segments)
 
 
 def test_config_rejects_nonnumeric_matrix():

@@ -22,6 +22,7 @@ from helpers import (
     A_ONE_MODE,
     A_SWAPPED,
     R_ONE_MODE,
+    derived_matrices,
     eigenvalues_mp,
     one_mode_augmented,
     random_augmented,
@@ -149,6 +150,17 @@ def test_assemble_reproduces_one_mode_matrices_exactly():
     assert np.array_equal(aug.r_a, R_ONE_MODE)
     assert np.array_equal(aug.plant_output, [[1.0, 0.0, 0.0, 0.0]])
     assert np.array_equal(aug.observer_output, [[0.0, 0.0, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize("n_p, n_o, seed", [(2, 2, 0), (4, 2, 1), (2, 6, 2), (6, 4, 3)])
+def test_derived_matrices_are_computed_once_read_only_and_bit_equal_their_formulas(n_p, n_o, seed):
+    aug = random_augmented(np.random.default_rng(seed), n_p, n_o)
+    for name, expected in derived_matrices(aug).items():
+        value = getattr(aug, name)
+        assert getattr(aug, name) is value, name
+        assert value.shape == expected.shape and value.tobytes() == expected.tobytes(), name
+        with pytest.raises(ValueError, match="read-only"):
+            value[0, 0] = 1.0
 
 
 def test_assemble_reproduces_swapped_observer_exactly():
