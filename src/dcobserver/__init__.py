@@ -7,7 +7,6 @@ from .ccr import (
     make_theta,
     realizability_residual,
 )
-from .linalg import spectral_norm
 from .scenarios import (
     ArtifactBundle,
     ConfigError,
@@ -57,7 +56,6 @@ __all__ = [
     "propagate",
     "realizability_residual",
     "run_scenario",
-    "spectral_norm",
     "synthesize_observer",
     "time_average",
     "uniform_grid",

@@ -25,6 +25,12 @@ import numpy as np
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    """``matrix``, marked read-only: an array its owner stores once and shares."""
+    matrix.flags.writeable = False
+    return matrix
+
+
 @dataclass(frozen=True)
 class CommutationStructure:
     """Skew form of the commutation relations for n/2 oscillator modes."""
@@ -42,9 +48,7 @@ class CommutationStructure:
     @cached_property
     def theta(self) -> np.ndarray:
         """The commutation matrix diag(J, ..., J), built once and read-only."""
-        theta = np.kron(np.eye(self.n_modes), J2)
-        theta.flags.writeable = False
-        return theta
+        return _read_only(np.kron(np.eye(self.n_modes), J2))
 
 
 @cache
@@ -71,15 +75,17 @@ class PlantSpec:
     ``beta`` is the only input: its shape fixes n_p and m_p = n_p / 2.  It
     must be finite, n_p x (n_p/2) with n_p even, and hold a single non-zero
     2x1 block per column on the mode diagonal, every off-block entry exactly
-    zero; this is checked once, on construction.  Skew symmetry of J then
-    makes the coupling nilpotent, beta.T @ theta_1 @ beta == 0 exactly.  The
-    plant dynamics are zero, so the type cannot express a moving plant.
+    zero; this is checked once, on construction, and ``beta`` is stored as a
+    read-only copy.  Skew symmetry of J then makes the coupling nilpotent,
+    beta.T @ theta_1 @ beta == 0 exactly.  The plant dynamics are zero, so the
+    type cannot express a moving plant.
     """
 
     beta: np.ndarray
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
+        # a copy: the caller's array stays writable, the stored one is read-only
+        beta = _read_only(np.array(self.beta, dtype=float))
         if beta.ndim != 2:
             raise ValueError(f"beta must be a 2-D matrix, got ndim={beta.ndim}")
         if not np.all(np.isfinite(beta)):
@@ -92,7 +98,7 @@ class PlantSpec:
             off[2 * i : 2 * i + 2] = 0.0
             if np.any(off != 0.0):
                 raise ValueError(f"beta column {i} has nonzero entries outside its mode block")
-            if np.linalg.norm(beta[2 * i : 2 * i + 2, i]) == 0.0:
+            if not beta[2 * i : 2 * i + 2, i].any():
                 raise ValueError(f"beta block {i} is zero: that quadrature would be unobservable")
         object.__setattr__(self, "beta", beta)
 

@@ -54,7 +54,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: cannot read config file: {exc}", file=sys.stderr)
             return EXIT_IO
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON or encoding, or an integer past Python's digit limit
             print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
         if not isinstance(raw, dict):

@@ -16,8 +16,9 @@ function), and the same coefficients on the integrated basis give
 int_0^t exp(a u) du.
 
 ``certify`` is the one place that judges the structure: it returns the
-residuals, the frequencies and, when the structure holds, the flow.  The
-verifier reads the spectrum off it and propagation takes its flow.
+residuals, the frequencies and, when the structure holds, the flow and R.
+The verifier reads the spectrum off it, propagation takes its flow, and the
+convergence diagnostics take their constant from its R and lambda_min.
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ class Certificate:
     exp(a t) in closed form when every residual is within STRUCTURE_TOL;
     otherwise it is None and ``message`` names the first failed block.  A
     flow whose coefficients overflow the float range certifies nothing:
-    ``flow`` and ``frequencies`` are None and ``message`` says so.
+    ``flow`` and ``frequencies`` are None and ``message`` says so.  ``right``
+    is the flow's right factor R = [inv(D) C, I], None without a flow.
     """
 
     plant: float
@@ -125,6 +127,7 @@ class Certificate:
     frequencies: np.ndarray | None
     flow: Flow | None
     message: str | None
+    right: np.ndarray | None = None
 
     @property
     def residual(self) -> float:
@@ -208,7 +211,7 @@ def certify(a: np.ndarray, n_p: int) -> Certificate:
         message = f"flow coefficients overflow the float range (max|a| = {scale:.3e})"
         return Certificate(*residuals, lambda_min, lambda_max, None, None, message)
     flow = Flow(omega=frequencies[n_o // 2 :], coef=coef)
-    return Certificate(*residuals, lambda_min, lambda_max, frequencies, flow, None)
+    return Certificate(*residuals, lambda_min, lambda_max, frequencies, flow, None, right)
 
 
 def observer_flow(a: np.ndarray) -> Flow:

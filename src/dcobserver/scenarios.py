@@ -73,7 +73,10 @@ def _matrix(value, path: str) -> np.ndarray:
         for j, x in enumerate(row):
             if not _is_number(x):
                 raise ConfigError(f"{path}: entry [{i}][{j}] is {x!r}, not a number")
-    m = m.astype(float)
+    try:
+        m = m.astype(float)
+    except OverflowError:  # a JSON integer past the float range
+        raise ConfigError(f"{path}: an entry is an integer beyond the float range") from None
     if not np.all(np.isfinite(m)):
         raise ConfigError(f"{path}: matrix has non-finite entries")
     return m
@@ -82,7 +85,11 @@ def _matrix(value, path: str) -> np.ndarray:
 def _positive(value, path: str) -> float:
     if not _is_number(value):
         raise ConfigError(f"{path}: expected a number")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # a JSON integer past the float range
+        message = "must be a positive finite number, got an integer beyond the float range"
+        raise ConfigError(f"{path}: {message}") from None
     if not x > 0 or not np.isfinite(x):
         raise ConfigError(f"{path}: must be a positive finite number, got {value}")
     return x

@@ -11,7 +11,7 @@ import numpy as np
 
 from .ccr import CommutationStructure
 from .closed_form import Flow, observer_flow
-from .linalg import spectral_norm
+from .linalg import spectral_norms
 from .synthesis import AugmentedSystem
 
 # bytes of one chunk's block of n x n maps, which sets _chunk_rows
@@ -391,24 +391,6 @@ class ConvergenceReport:
     converged: bool
 
 
-def _row_norms(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of each stacked row block, from the top eigenvalue of its Gram matrix.
-
-    Two rows take the eigenvalue in closed form; one or more than two take a batched eigvalsh,
-    whose one-row eigenvalue is the Gram entry itself.
-    """
-    if stack.shape[1] == 2:
-        # top eigenvalue of [[a, b], [b, c]]: both terms are non-negative, so nothing cancels
-        first, second = stack[:, 0], stack[:, 1]
-        a = np.einsum("kn,kn->k", first, first)
-        b = np.einsum("kn,kn->k", first, second)
-        c = np.einsum("kn,kn->k", second, second)
-        top = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
-    else:
-        top = np.linalg.eigvalsh(stack @ stack.transpose(0, 2, 1))[:, -1]
-    return np.sqrt(np.maximum(top, 0.0))
-
-
 def convergence_diagnostics(aug: AugmentedSystem, horizon: float, dt: float) -> ConvergenceReport:
     """Check the time-average convergence of the observer output rows of ``aug``.
 
@@ -417,9 +399,12 @@ def convergence_diagnostics(aug: AugmentedSystem, horizon: float, dt: float) -> 
     ``aug.certificate`` are projected onto those rows first, so only the m_p
     rows of the averages are formed, one chunk at a time.  d is compared on
     a geometric ladder of T values halving from ``horizon`` down to 20 dt
-    against bound_constant / T, the constant coming from the norm bound of
-    the observer flow (``Certificate.norm_bound``).  ``converged`` fails for
-    couplings that transfer no information (for example alpha = 0).
+    against bound_constant / T, with bound_constant =
+    (norm_bound + 1) ||c_o|| ||R|| / (2 lambda_min), read off the certificate
+    (the norm bound of the observer flow, its right factor R = [inv(D) C, I]
+    and the smallest eigenvalue of R') and the observer output selector.
+    ``converged`` fails for couplings that transfer no information (for
+    example alpha = 0).
     """
     grid = uniform_grid(horizon, dt)
     times = grid[1:]
@@ -433,7 +418,7 @@ def convergence_diagnostics(aug: AugmentedSystem, horizon: float, dt: float) -> 
         part = rows_flow.integrals(grid[rows], out=block[: rows.stop - rows.start])
         part /= grid[rows, None, None]
         d = d_all[rows.start - 1 : rows.stop - 1]
-        d[:] = _row_norms(part)
+        d[:] = spectral_norms(part)
         t_times_d.append(np.max(grid[rows] * d))
 
     ladder = [horizon]
@@ -447,16 +432,9 @@ def convergence_diagnostics(aug: AugmentedSystem, horizon: float, dt: float) -> 
     t_sel = times[indices]
     d_sel = d_all[indices]
 
-    obs = aug.observer
-    r_inv = np.linalg.inv(obs.r_o)
-    mixing = np.hstack([r_inv @ obs.alpha @ aug.plant.beta.T, np.eye(obs.n_o)])
-    bound_constant = (
-        0.5
-        * (certificate.norm_bound + 1.0)
-        * spectral_norm(r_inv @ aug.theta_2)
-        * spectral_norm(obs.c_o)
-        * spectral_norm(mixing)
-    )
+    # ||inv(R') theta_2|| = 1 / lambda_min, theta_2 being orthogonal
+    output_norm, right_norm = (spectral_norms(m[None])[0] for m in (aug.observer_output, certificate.right))
+    bound_constant = 0.5 * (certificate.norm_bound + 1.0) / certificate.lambda_min * output_norm * right_norm
 
     converged = bool(np.all(d_sel <= bound_constant / t_sel + CONVERGENCE_TOL))
     positive = np.maximum(d_sel, 1e-300)

@@ -23,6 +23,7 @@ import numpy as np
 from .ccr import (
     CommutationStructure,
     PlantSpec,
+    _read_only,
     make_theta,
     realizability_residual,
 )
@@ -46,7 +47,8 @@ class ObserverSpec:
     n_o and m_p are read from the shapes of r_o and alpha.  The gain condition
     c_o @ inv(r_o) @ alpha == -I is enforced by :func:`synthesize_observer`
     and reported by :func:`verify_observer_conditions`, not checked here, so
-    that deliberately broken specs can be constructed in tests.
+    that deliberately broken specs can be constructed in tests.  The three
+    matrices are stored as read-only copies.
     """
 
     r_o: np.ndarray
@@ -54,9 +56,8 @@ class ObserverSpec:
     c_o: np.ndarray
 
     def __post_init__(self):
-        r_o = np.asarray(self.r_o, dtype=float)
-        alpha = np.asarray(self.alpha, dtype=float)
-        c_o = np.asarray(self.c_o, dtype=float)
+        # copies: the caller's arrays stay writable, the stored ones are read-only
+        r_o, alpha, c_o = (_read_only(np.array(m, dtype=float)) for m in (self.r_o, self.alpha, self.c_o))
         n_o = _observer_dimension(r_o)
         if alpha.ndim != 2 or alpha.shape[0] != n_o:
             raise ValueError(f"alpha: must be {n_o} x m_p, got {alpha.shape}")
@@ -75,27 +76,24 @@ class ObserverSpec:
         return self.alpha.shape[1]
 
 
-def _read_only(matrix: np.ndarray) -> np.ndarray:
-    """``matrix``, marked read-only: a derived matrix that its owner computes once and shares."""
-    matrix.flags.writeable = False
-    return matrix
-
-
 @dataclass(frozen=True)
 class AugmentedSystem:
     """Joint plant-observer system with dynamics a_a = 2 theta r_a.
 
-    ``a_a`` is the one stored matrix.  The commutation structure, the block
-    Hamiltonian r_a = -theta a_a / 2, the output selectors and the
-    certificate of the observer structure, which
-    :func:`verify_observer_conditions` reports and whose flow propagation
-    takes, are derived from it once per system, on first use; the matrices
-    are read-only.
+    ``a_a`` is the one stored matrix, a read-only copy, so nothing derived
+    from it can go stale.  The commutation structure, the block Hamiltonian
+    r_a = -theta a_a / 2, the output selectors and the certificate of the
+    observer structure, which :func:`verify_observer_conditions` reports and
+    whose flow propagation takes, are derived from it once per system, on
+    first use; the matrices are read-only.
     """
 
     plant: PlantSpec
     observer: ObserverSpec
     a_a: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "a_a", _read_only(np.array(self.a_a, dtype=float)))
 
     @property
     def n(self) -> int:

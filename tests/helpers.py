@@ -24,7 +24,8 @@ from dcobserver import (
     synthesize_observer,
     uniform_grid,
 )
-from dcobserver.simulation import _grid, _row_norms, _step_counts, _sweep
+from dcobserver.linalg import spectral_norms
+from dcobserver.simulation import _grid, _step_counts, _sweep
 
 # canonical one-mode example: position-estimating observer, its Hamiltonian
 # block, and the conjugate (momentum-estimating) observer used after the swap
@@ -477,9 +478,24 @@ def whole_d_values(aug, horizon: float, dt: float) -> tuple[np.ndarray, np.ndarr
     flow = aug.certificate.flow
     rows = replace(flow, coef=(aug.plant_output - aug.observer_output) @ flow.coef).integrals(times)
     rows /= times[:, None, None]
-    d_all = _row_norms(rows)
+    d_all = spectral_norms(rows)
     indices = [int(np.argmin(np.abs(times - t))) for t in sorted(ladder_times(horizon, dt))]
     return times[indices], d_all[indices], float(np.max(times * d_all))
+
+
+def spec_bound_constant(aug) -> float:
+    """The convergence constant formed from the specs, with SVD norms.
+
+    1/2 (norm_bound + 1) ||inv(r_o) theta_2|| ||c_o|| ||[inv(r_o) alpha beta.T, I]||:
+    oracle for ``simulation.convergence_diagnostics``, which reads the same
+    factors off the certificate (1 / lambda_min, theta_2 being orthogonal,
+    and R = [inv(D) C, I]) and the observer output selector.
+    """
+    obs = aug.observer
+    r_inv = np.linalg.inv(obs.r_o)
+    mixing = np.hstack([r_inv @ obs.alpha @ aug.plant.beta.T, np.eye(obs.n_o)])
+    norms = [np.linalg.norm(m, 2) for m in (r_inv @ aug.theta_2, obs.c_o, mixing)]
+    return float(0.5 * (aug.certificate.norm_bound + 1.0) * norms[0] * norms[1] * norms[2])
 
 
 def ladder_times(horizon: float, dt: float) -> list[float]:

@@ -152,6 +152,14 @@ def test_make_plant_rejects_zero_block():
         make_plant(beta)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-170, 1e200])
+def test_make_plant_tests_each_block_exactly(scale):
+    # a block's norm underflows to 0 below about 1e-162 and overflows past
+    # about 1e154 (a RuntimeWarning): neither may decide whether it is zero
+    plant = make_plant([[scale, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, -scale]])
+    assert plant.beta[0, 0] == scale and plant.beta[3, 1] == -scale
+
+
 def test_make_plant_rejects_wrong_shape():
     with pytest.raises(ValueError):
         make_plant(np.ones((4, 1)))

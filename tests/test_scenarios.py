@@ -712,6 +712,43 @@ def test_config_values_of_the_wrong_type_name_their_field(tmp_path, capsys, monk
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+_HUGE = 10**400  # a JSON integer that float() cannot hold
+
+# one integer beyond the float range each, named by its field; t_end 30 is added to each
+_BEYOND_FLOAT = [
+    ("t_end", {"scenario": "one_mode", "t_end": _HUGE}),
+    ("dt", {"scenario": "one_mode", "dt": -_HUGE}),
+    ("segments[0].duration", _sequence({"duration": _HUGE, **_COUPLED}, _COUPLED)),
+    ("beta", {"scenario": "custom", **_COUPLED, "beta": [[_HUGE], [0]]}),
+    ("r_o", {"scenario": "custom", **_COUPLED, "r_o": [[1, 0], [0, -_HUGE]]}),
+    ("segments[1].c_o", _sequence({"duration": 5, **_COUPLED}, {**_COUPLED, "c_o": [[_HUGE, 0]]})),
+]
+
+
+@pytest.mark.parametrize("field, raw", _BEYOND_FLOAT)
+def test_integers_beyond_the_float_range_name_their_field(tmp_path, capsys, monkeypatch, field, raw):
+    # float() and astype(float) raise OverflowError on them: a config error, one line, exit 1
+    monkeypatch.chdir(tmp_path)
+    raw = {"t_end": 30.0, **raw}
+    Path("config.json").write_text(json.dumps(raw))
+    assert main(["--config", "config.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and "beyond the float range" in err
+    assert err.count("\n") == 1
+    with pytest.raises(ConfigError, match=f"^{re.escape(field)}: "):
+        _by_hand(raw)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_integer_past_the_digit_limit_is_a_json_error(tmp_path, capsys):
+    # Python's json refuses integers of more than 4,300 digits with a plain ValueError
+    config_file = tmp_path / "config.json"
+    config_file.write_text('{"scenario": "one_mode", "t_end": 1' + "0" * 5000 + "}")
+    assert main(["--config", str(config_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config is not valid JSON: ") and err.count("\n") == 1
+
+
 def test_disconnected_segment_may_give_null_coupled_fields(tmp_path):
     # null counts as absent, as for the top-level fields
     segments = [
@@ -850,6 +887,23 @@ def test_flow_that_overflows_is_not_certified(tmp_path, capsys, scenario):
         "error: flow coefficients overflow the float range (max|a| = 2.000e+300)\n"
     )
     assert not (tmp_path / scenario).exists()
+
+
+@pytest.mark.parametrize("beta, status", [(1e-200, 0), (1e200, 1)])
+def test_custom_at_extreme_beta(tmp_path, capsys, beta, status):
+    # a tiny beta block is no zero block, and every check passes; a huge one
+    # overflows the flow's coefficients, one line and exit 1, without a warning
+    raw = {"scenario": "custom", "beta": [[beta], [0]], "r_o": [[1, 0], [0, 1]], "c_o": [[1, 0]],
+           "t_end": 20.0, "out_dir": str(tmp_path)}
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(raw))
+    assert main(["--config", str(config_file)]) == status
+    err = capsys.readouterr().err
+    if status:
+        assert err == "error: flow coefficients overflow the float range (max|a| = 2.000e+200)\n"
+    else:
+        assert err == ""
+        assert all(json.loads((tmp_path / "custom" / "summary.json").read_text())["checks"].values())
 
 
 def test_config_rejects_a_complex_matrix_entry_before_the_cast():

@@ -24,7 +24,8 @@ from dcobserver import (
 )
 from dcobserver import simulation
 from dcobserver.closed_form import observer_flow
-from dcobserver.simulation import _chunk_rows, _grid, _row_norms
+from dcobserver.linalg import spectral_norms
+from dcobserver.simulation import _chunk_rows, _grid
 from helpers import (
     concatenated_grid,
     exact_propagator_average,
@@ -39,6 +40,7 @@ from helpers import (
     random_output_matrix,
     random_realizable,
     random_spd,
+    spec_bound_constant,
     stepwise_schedule,
     swapped_augmented,
     swept_schedule,
@@ -326,8 +328,10 @@ def test_observer_block_alone_is_taken_in_closed_form(identity):
     assert np.max(np.abs(averages.averages[-1] - exact_propagator_average(b, 10.0))) <= 1e-12
 
 
-@pytest.mark.parametrize("m_p", [1, 2, 3])
+@pytest.mark.parametrize("m_p", [1, 2, 3, 16])
 def test_row_norms_equal_the_largest_singular_value(m_p):
+    # one row (the Gram entry), two (closed form) and wider stacks (eigvalsh), up
+    # to the 16 rows of the right factor R whose norm the n = 32 constant takes
     rng = np.random.default_rng(m_p)
     stack = rng.normal(size=(500, m_p, 8))
     stack[::5, -1] = stack[::5, 0]  # repeated rows: rank deficient
@@ -339,7 +343,7 @@ def test_row_norms_equal_the_largest_singular_value(m_p):
         stack[3::5, 0, 0] = stack[3::5, 1, 1] = 2.5
         stack[4::5, 0] *= 1e8  # row norms 1e8 apart
     expected = np.linalg.svd(stack, compute_uv=False)[:, 0]
-    got = _row_norms(stack)
+    got = spectral_norms(stack)
     assert np.all(np.abs(got - expected) <= 1e-14 * expected)
     if m_p == 1:
         gram = stack @ stack.transpose(0, 2, 1)
@@ -668,6 +672,21 @@ def test_chunked_d_values_equal_the_whole_grid_bit_for_bit(n):
     assert np.array_equal(report.t_values, t_values)
     assert np.array_equal(report.d_values, d_values)
     assert report.max_t_times_d == max_t_times_d
+
+
+@pytest.mark.parametrize("n", [4, 8, 32])
+def test_bound_constant_read_off_the_certificate_equals_the_spec_formula(n):
+    # 1 / lambda_min from eigh and ||inv(r_o) theta_2|| from inv each round to
+    # about n_o kappa eps relative (kappa = lambda_max / lambda_min); the eight
+    # other roundings of the norms and products add a few eps
+    rng = np.random.default_rng(100 + n)
+    for _ in range(10):
+        aug = random_augmented(rng, n // 2, n // 2)
+        report = convergence_diagnostics(aug, horizon=10.0, dt=0.1)
+        expected = spec_bound_constant(aug)
+        kappa = aug.certificate.norm_bound**2
+        allowance = (8.0 + aug.observer.n_o * kappa) * np.finfo(float).eps * expected
+        assert abs(report.bound_constant - expected) <= allowance, (report.bound_constant, expected)
 
 
 def test_ladder_takes_the_grid_points_argmin_takes():

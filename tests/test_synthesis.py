@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from dcobserver import (
+    AugmentedSystem,
     ObserverSpec,
     assemble_augmented,
     make_plant,
@@ -161,6 +162,24 @@ def test_derived_matrices_are_computed_once_read_only_and_bit_equal_their_formul
         assert value.shape == expected.shape and value.tobytes() == expected.tobytes(), name
         with pytest.raises(ValueError, match="read-only"):
             value[0, 0] = 1.0
+
+
+def test_stored_inputs_are_read_only_copies():
+    # an input edited in place would leave the certificate and the derived
+    # matrices stale; the caller's own arrays stay writable and unshared
+    beta, r_o, alpha, c_o = np.array([[1.0], [0.0]]), np.eye(2), np.array([[-1.0], [0.0]]), np.array([[1.0, 0.0]])
+    plant = make_plant(beta)
+    spec = ObserverSpec(r_o=r_o, alpha=alpha, c_o=c_o)
+    a_a = assemble_augmented(plant, spec).a_a.copy()
+    aug = AugmentedSystem(plant=plant, observer=spec, a_a=a_a)
+    verify_observer_conditions(aug)
+    stored = [plant.beta, spec.r_o, spec.alpha, spec.c_o, aug.a_a]
+    for given, kept in zip([beta, r_o, alpha, c_o, a_a], stored):
+        assert np.array_equal(given, kept) and not np.shares_memory(given, kept)
+        assert given.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 1 % kept.shape[1]] = 1.0
+    assert verify_observer_conditions(aug).output_annihilation_residual == 0.0
 
 
 def test_assemble_reproduces_swapped_observer_exactly():
@@ -489,6 +508,19 @@ def test_certificate_is_computed_once_per_system():
     assert aug.certificate.flow is not None and aug.certificate.residual == 0.0
     assert broken.certificate.flow is None and broken.certificate.plant == 0.1
     assert broken.certificate.message.startswith("max|P| = 1.000e-01 exceeds ")
+
+
+@pytest.mark.parametrize("n_p,n_o", [(2, 2), (4, 8), (16, 16)])
+def test_certificate_carries_the_right_factor(n_p, n_o):
+    # R = [inv(D) C, I] = [inv(r_o) alpha beta.T, I] for an assembled system
+    aug = random_augmented(np.random.default_rng(n_p + n_o), n_p, n_o)
+    right = aug.certificate.right
+    expected = np.linalg.solve(aug.observer.r_o, aug.observer.alpha @ aug.plant.beta.T)
+    assert np.array_equal(right[:, n_p:], np.eye(n_o))
+    assert np.max(np.abs(right[:, :n_p] - expected)) <= 1e-13 * np.max(np.abs(expected))
+    broken = aug.a_a.copy()
+    broken[0, 0] = 0.1
+    assert dataclasses.replace(aug, a_a=broken).certificate.right is None
 
 
 @pytest.mark.parametrize("n_p,n_o", [(2, 4), (4, 8), (8, 4), (16, 16)])
