@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ccr import make_plant
+from .ccr import _as_float, _check_finite, make_plant
 from .simulation import _run_grid, _sweep, convergence_diagnostics
 from .synthesis import (
     AugmentedSystem,
@@ -61,36 +61,27 @@ def _is_number(value) -> bool:
 
 
 def _matrix(value, path: str) -> np.ndarray:
-    try:
-        m = np.asarray(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: not a numeric matrix ({exc})") from None
-    if m.ndim != 2 or m.size == 0:
-        raise ConfigError(f"{path}: expected a non-empty 2-D matrix, got shape {m.shape}")
-    # checked before the cast: numpy casts booleans and numeric strings too, and
-    # drops an imaginary part with a warning
-    for i, row in enumerate(value):
-        for j, x in enumerate(row):
-            if not _is_number(x):
-                raise ConfigError(f"{path}: entry [{i}][{j}] is {x!r}, not a number")
-    try:
-        m = m.astype(float)
-    except OverflowError:  # a JSON integer past the float range
-        raise ConfigError(f"{path}: an entry is an integer beyond the float range") from None
-    if not np.all(np.isfinite(m)):
-        raise ConfigError(f"{path}: matrix has non-finite entries")
+    """A config matrix through the intake: non-empty, 2-D, every entry a number and finite.
+
+    The entries are checked first, so a JSON true or "1", which numpy casts,
+    and a complex entry are named by their place."""
+    cells = np.asarray(value, dtype=object)
+    if cells.ndim != 2 or cells.size == 0:
+        raise ConfigError(f"{path}: expected a non-empty 2-D matrix, got shape {cells.shape}")
+    for (i, j), x in np.ndenumerate(cells):
+        if not _is_number(x):
+            raise ConfigError(f"{path}: entry [{i}][{j}] is {x!r}, not a number")
+    m = _as_float(value, path)
+    _check_finite(path, m)
     return m
 
 
 def _positive(value, path: str) -> float:
+    """A config time or tolerance through the intake: a number, positive and finite."""
     if not _is_number(value):
         raise ConfigError(f"{path}: expected a number")
-    try:
-        x = float(value)
-    except OverflowError:  # a JSON integer past the float range
-        message = "must be a positive finite number, got an integer beyond the float range"
-        raise ConfigError(f"{path}: {message}") from None
-    if not x > 0 or not np.isfinite(x):
+    x = float(_as_float(value, path))
+    if not 0 < x < np.inf:
         raise ConfigError(f"{path}: must be a positive finite number, got {value}")
     return x
 
@@ -161,12 +152,15 @@ class ScenarioConfig:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario: must be one of {SCENARIOS}, got {self.scenario!r}")
         matrices = ("beta", "r_o", "c_o", "alpha")
-        checked = {k: _matrix(getattr(self, k), k) for k in matrices if getattr(self, k) is not None}
-        checked["segments"] = tuple(_segment(s, f"segments[{i}]") for i, s in enumerate(self.segments))
-        for key in ("t_end", "dt", "average_t_end", "tol"):
-            # an unset t_end or average_t_end takes its planner's default
-            if getattr(self, key) is not None or key in ("dt", "tol"):
-                checked[key] = _positive(getattr(self, key), key)
+        try:  # the intake's and the finiteness check's ValueErrors name their field
+            checked = {k: _matrix(getattr(self, k), k) for k in matrices if getattr(self, k) is not None}
+            checked["segments"] = tuple(_segment(s, f"segments[{i}]") for i, s in enumerate(self.segments))
+            for key in ("t_end", "dt", "average_t_end", "tol"):
+                # an unset t_end or average_t_end takes its planner's default
+                if getattr(self, key) is not None or key in ("dt", "tol"):
+                    checked[key] = _positive(getattr(self, key), key)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not isinstance(self.out_dir, (str, PathLike)):
             raise ConfigError("out_dir: expected a path string")
         checked["out_dir"] = Path(self.out_dir)

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ccr import CommutationStructure
+from .ccr import CommutationStructure, _as_float
 from .closed_form import Flow, observer_flow
 from .linalg import spectral_norms
 from .synthesis import AugmentedSystem
@@ -129,12 +129,28 @@ def _run_grid(durations, dt: float, n: int) -> tuple[np.ndarray, tuple[int, ...]
     return _grid(durations, dt)
 
 
+def _time(value, field: str) -> float:
+    """``value`` through the intake as one positive finite float, or a ValueError starting with ``field``."""
+    t = _as_float(value, field)
+    if t.ndim or not 0 < t < np.inf:
+        raise ValueError(f"{field} must be positive and finite, got {value}")
+    return float(t)
+
+
 def uniform_grid(t_end: float, dt: float) -> np.ndarray:
-    """Uniform grid over [0, t_end], the step adjusted to hit t_end: a one-segment schedule's grid."""
-    if not 0 < t_end < np.inf:
-        raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    if not 0 < dt <= t_end:
-        raise ValueError(f"dt must be positive and at most t_end, got dt={dt}, t_end={t_end}")
+    """Uniform grid over [0, t_end], the step adjusted to hit t_end: a one-segment schedule's grid.
+
+    Raises
+    ------
+    ValueError
+        Whose message starts with ``t_end`` or ``dt``: either is no real
+        number (see ``ccr._as_float``) or not one positive finite number, or
+        dt exceeds t_end or gives no finite number of steps or a grid past
+        MAX_SERIES_BYTES.
+    """
+    t_end, dt = _time(t_end, "t_end"), _time(dt, "dt")
+    if dt > t_end:
+        raise ValueError(f"dt must be at most t_end, got dt={dt}, t_end={t_end}")
     return _grid([t_end], dt)[0]
 
 
@@ -258,10 +274,19 @@ def propagate(a, grid) -> PropagatorSeries:
 
     The flow is evaluated _chunk_rows(n) rows at a time into the series, up
     to WORKERS runs at once (_each_run, bit for bit as one run at a time).
-    A series whose maps (8 K n^2 bytes) would pass MAX_SERIES_BYTES is a
-    ValueError starting with ``grid: ``, raised before it is allocated.
+    A float64 grid is the series' times as it is, not a copy.
+
+    Raises
+    ------
+    ValueError
+        ``grid`` or ``a`` has an entry that is no real number (the message
+        starts with its name; see ``ccr._as_float``); the grid is not 1-D
+        with two points or more, starting at 0, finite and strictly
+        increasing, or its maps (8 K n^2 bytes) would pass MAX_SERIES_BYTES
+        (``grid: ``, raised before they are allocated); or the dynamics are
+        not square.
     """
-    times = np.asarray(grid, dtype=float)
+    times = _as_float(grid, "grid")
     if times.ndim != 1 or times.size < 2:
         raise ValueError("grid must be a 1-D sequence with at least two points")
     if not np.all(np.isfinite(times)):
@@ -270,7 +295,7 @@ def propagate(a, grid) -> PropagatorSeries:
         raise ValueError(f"grid must start at 0, got {times[0]}")
     if not np.all(np.diff(times) > 0):
         raise ValueError("grid must be strictly increasing")
-    a = np.asarray(a, dtype=float)
+    a = _as_float(a, "a")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"dynamics must be square, got shape {a.shape}")
     n = a.shape[0]
@@ -331,7 +356,7 @@ def invariant_monitor(series: PropagatorSeries, ccr: CommutationStructure, r_a) 
     products half a run at a time, so two runs in flight hold the product
     blocks of one whole run.
     """
-    r_a = np.asarray(r_a, dtype=float)
+    r_a = _as_float(r_a, "r_a")
     theta = ccr.theta
     if series.dim != ccr.n or r_a.shape != (ccr.n, ccr.n):
         raise ValueError("series, ccr and r_a dimensions disagree")
@@ -405,7 +430,17 @@ def convergence_diagnostics(aug: AugmentedSystem, horizon: float, dt: float) -> 
     and the smallest eigenvalue of R') and the observer output selector.
     ``converged`` fails for couplings that transfer no information (for
     example alpha = 0).
+
+    Raises
+    ------
+    ValueError
+        Whose message starts with ``horizon`` or ``dt``: either is no real
+        number (see ``ccr._as_float``) or not one positive finite number, or
+        dt exceeds the horizon or gives no finite number of steps or a grid
+        past MAX_SERIES_BYTES; or the certificate of ``aug`` gives no flow,
+        whose message it carries.
     """
+    horizon, dt = _time(horizon, "horizon"), _time(dt, "dt")
     grid = uniform_grid(horizon, dt)
     times = grid[1:]
     certificate = aug.certificate

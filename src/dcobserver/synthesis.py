@@ -23,6 +23,8 @@ import numpy as np
 from .ccr import (
     CommutationStructure,
     PlantSpec,
+    _as_float,
+    _check_finite,
     _read_only,
     make_theta,
     realizability_residual,
@@ -47,8 +49,10 @@ class ObserverSpec:
     n_o and m_p are read from the shapes of r_o and alpha.  The gain condition
     c_o @ inv(r_o) @ alpha == -I is enforced by :func:`synthesize_observer`
     and reported by :func:`verify_observer_conditions`, not checked here, so
-    that deliberately broken specs can be constructed in tests.  The three
-    matrices are stored as read-only copies.
+    that deliberately broken specs can be constructed in tests; a non-finite
+    entry is let through for the verifier to fail.  The three matrices are
+    stored as read-only copies; an entry that is no real number is a
+    ValueError naming its field (see ``ccr._as_float``).
     """
 
     r_o: np.ndarray
@@ -57,7 +61,9 @@ class ObserverSpec:
 
     def __post_init__(self):
         # copies: the caller's arrays stay writable, the stored ones are read-only
-        r_o, alpha, c_o = (_read_only(np.array(m, dtype=float)) for m in (self.r_o, self.alpha, self.c_o))
+        r_o, alpha, c_o = (
+            _read_only(np.array(_as_float(getattr(self, key), key))) for key in ("r_o", "alpha", "c_o")
+        )
         n_o = _observer_dimension(r_o)
         if alpha.ndim != 2 or alpha.shape[0] != n_o:
             raise ValueError(f"alpha: must be {n_o} x m_p, got {alpha.shape}")
@@ -81,7 +87,9 @@ class AugmentedSystem:
     """Joint plant-observer system with dynamics a_a = 2 theta r_a.
 
     ``a_a`` is the one stored matrix, a read-only copy, so nothing derived
-    from it can go stale.  The commutation structure, the block Hamiltonian
+    from it can go stale; it may hold non-finite entries, which the
+    certificate fails, but an entry that is no real number is a ValueError
+    naming ``a_a``.  The commutation structure, the block Hamiltonian
     r_a = -theta a_a / 2, the output selectors and the certificate of the
     observer structure, which :func:`verify_observer_conditions` reports and
     whose flow propagation takes, are derived from it once per system, on
@@ -93,7 +101,7 @@ class AugmentedSystem:
     a_a: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a_a", _read_only(np.array(self.a_a, dtype=float)))
+        object.__setattr__(self, "a_a", _read_only(np.array(_as_float(self.a_a, "a_a"))))
 
     @property
     def n(self) -> int:
@@ -112,11 +120,6 @@ class AugmentedSystem:
     def certificate(self) -> Certificate:
         """closed_form.certify of a_a split at the plant."""
         return certify(self.a_a, self.plant.n_p)
-
-    @cached_property
-    def theta_2(self) -> np.ndarray:
-        """The observer block of theta, a view of the shared read-only theta."""
-        return self.ccr.theta[self.plant.n_p :, self.plant.n_p :]
 
     @cached_property
     def plant_output(self) -> np.ndarray:
@@ -146,7 +149,10 @@ def synthesize_observer(plant: PlantSpec, r_o, c_o=None, alpha=None) -> Observer
     ------
     ValueError
         Whose message starts with the field at fault (``r_o:``, ``c_o:`` or
-        ``alpha:``): any of the three has a non-finite entry; r_o is not
+        ``alpha:``): any of the three has an entry that is no real number
+        (a complex, string or None entry, an integer beyond the float range
+        or a ragged sequence; see ``ccr._as_float``) or a non-finite entry
+        (``<field>: matrix contains non-finite entries``); r_o is not
         square of positive even dimension, is not symmetric to 1e-9 max(1,
         max|r_o|), or its symmetric part has smallest eigenvalue at most
         1e-12 (never looser than a Cholesky factorization with that pivot
@@ -154,7 +160,7 @@ def synthesize_observer(plant: PlantSpec, r_o, c_o=None, alpha=None) -> Observer
         c_o has deficient row rank; or the gain misses the condition beyond
         1e-10.
     """
-    r_o = np.asarray(r_o, dtype=float)
+    r_o = _as_float(r_o, "r_o")
     n_o, m_p = _observer_dimension(r_o), plant.m_p
     _check_finite("r_o", r_o)
     if float(np.max(np.abs(r_o - r_o.T))) > 1e-9 * max(1.0, float(np.max(np.abs(r_o)))):
@@ -167,7 +173,7 @@ def synthesize_observer(plant: PlantSpec, r_o, c_o=None, alpha=None) -> Observer
     if alpha is None:
         if c_o is None:
             raise ValueError("c_o: either c_o or alpha is required")
-        c_o = np.asarray(c_o, dtype=float)
+        c_o = _as_float(c_o, "c_o")
         if c_o.shape != (m_p, n_o):
             raise ValueError(
                 f"c_o: must be {m_p}x{n_o} (one output row per estimated quadrature), "
@@ -179,14 +185,15 @@ def synthesize_observer(plant: PlantSpec, r_o, c_o=None, alpha=None) -> Observer
         alpha = -np.linalg.pinv(c_o @ np.linalg.inv(r_o))
         at_fault = "c_o"
     else:
-        alpha = np.asarray(alpha, dtype=float)
+        alpha = _as_float(alpha, "alpha")
         if alpha.shape != (n_o, m_p):
             raise ValueError(f"alpha: must be n_o x m_p = {(n_o, m_p)}, got {alpha.shape}")
         _check_finite("alpha", alpha)
         if c_o is None:
             c_o = -np.linalg.pinv(np.linalg.solve(r_o, alpha))
         else:
-            _check_finite("c_o", np.asarray(c_o, dtype=float))
+            c_o = _as_float(c_o, "c_o")
+            _check_finite("c_o", c_o)
         at_fault = "alpha"
     spec = ObserverSpec(r_o=r_o, alpha=alpha, c_o=c_o)  # checks a given c_o against alpha
     residual = gain_residual(spec)
@@ -195,12 +202,6 @@ def synthesize_observer(plant: PlantSpec, r_o, c_o=None, alpha=None) -> Observer
             f"{at_fault}: gain condition residual {residual:.3e} exceeds {GAIN_TOL:.1e}"
         )
     return spec
-
-
-def _check_finite(field: str, matrix: np.ndarray) -> None:
-    """A ValueError naming ``field`` unless every entry of ``matrix`` is finite."""
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError(f"{field}: matrix contains non-finite entries")
 
 
 def gain_residual(obs: ObserverSpec) -> float:

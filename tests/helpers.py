@@ -141,8 +141,8 @@ def exact_propagator_average(a, t_end: float) -> np.ndarray:
 
 def derived_matrices(aug) -> dict:
     """The matrices an ``AugmentedSystem`` derives, by the formulas it once rebuilt on every
-    access: theta from np.kron, r_a = -theta a_a / 2, theta's observer block and the
-    output selectors [c_p 0] and [0 c_o]."""
+    access: theta from np.kron, r_a = -theta a_a / 2 and the output selectors [c_p 0]
+    and [0 c_o]."""
     theta = np.kron(np.eye(aug.n // 2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
     n_p = aug.plant.n_p
     plant_output = np.zeros((aug.plant.m_p, aug.n))
@@ -151,7 +151,6 @@ def derived_matrices(aug) -> dict:
     observer_output[:, n_p:] = aug.observer.c_o
     return {
         "r_a": -0.5 * (theta @ aug.a_a),
-        "theta_2": theta[n_p:, n_p:],
         "plant_output": plant_output,
         "observer_output": observer_output,
     }
@@ -189,15 +188,19 @@ def theta_1(aug) -> np.ndarray:
     return aug.ccr.theta[: aug.plant.n_p, : aug.plant.n_p]
 
 
+def theta_2(aug) -> np.ndarray:
+    """Observer block of the commutation matrix of ``aug``, a view of the shared read-only theta."""
+    return aug.ccr.theta[aug.plant.n_p :, aug.plant.n_p :]
+
+
 def closed_form_pieces(aug):
     """(n_p, n_o, theta_2, p, k, inv(r_o), b) of the closed form of ``aug``."""
     plant, obs = aug.plant, aug.observer
-    theta_2 = aug.theta_2
     p = theta_1(aug) @ plant.beta @ obs.alpha.T
     k = obs.alpha @ plant.beta.T
     r_inv = np.linalg.inv(obs.r_o)
-    b = 2.0 * (theta_2 @ obs.r_o)
-    return plant.n_p, obs.n_o, theta_2, p, k, r_inv, b
+    b = 2.0 * (theta_2(aug) @ obs.r_o)
+    return plant.n_p, obs.n_o, theta_2(aug), p, k, r_inv, b
 
 
 def observer_block(t: float, aug) -> np.ndarray:
@@ -242,10 +245,9 @@ def plant_block_quadrature(t: float, aug, nodes: int = 12) -> np.ndarray:
     if t < 0:
         raise ValueError("t must be nonnegative")
     plant, obs = aug.plant, aug.observer
-    theta_2 = aug.theta_2
     p = theta_1(aug) @ plant.beta @ obs.alpha.T
     k = obs.alpha @ plant.beta.T
-    b = 2.0 * (theta_2 @ obs.r_o)
+    b = 2.0 * (theta_2(aug) @ obs.r_o)
     moment_0 = np.zeros((obs.n_o, obs.n_o))
     moment_1 = np.zeros((obs.n_o, obs.n_o))
     if t > 0:
@@ -260,7 +262,7 @@ def plant_block_quadrature(t: float, aug, nodes: int = 12) -> np.ndarray:
                 kernel = wi * half * expm(b * (t - tau))
                 moment_0 += kernel
                 moment_1 += tau * kernel
-    on_xp = np.eye(plant.n_p) + 4.0 * (p @ moment_1 @ theta_2 @ k)
+    on_xp = np.eye(plant.n_p) + 4.0 * (p @ moment_1 @ theta_2(aug) @ k)
     on_xo = 2.0 * (p @ moment_0)
     return np.hstack([on_xp, on_xo])
 
@@ -494,7 +496,7 @@ def spec_bound_constant(aug) -> float:
     obs = aug.observer
     r_inv = np.linalg.inv(obs.r_o)
     mixing = np.hstack([r_inv @ obs.alpha @ aug.plant.beta.T, np.eye(obs.n_o)])
-    norms = [np.linalg.norm(m, 2) for m in (r_inv @ aug.theta_2, obs.c_o, mixing)]
+    norms = [np.linalg.norm(m, 2) for m in (r_inv @ theta_2(aug), obs.c_o, mixing)]
     return float(0.5 * (aug.certificate.norm_bound + 1.0) * norms[0] * norms[1] * norms[2])
 
 

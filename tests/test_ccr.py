@@ -1,12 +1,27 @@
 """Tests for the commutation structure, the realizability residual and the plant."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from dcobserver import PlantSpec, make_plant, make_theta, realizability_residual
+from dcobserver import (
+    AugmentedSystem,
+    ObserverSpec,
+    PlantSpec,
+    convergence_diagnostics,
+    invariant_monitor,
+    make_plant,
+    make_theta,
+    propagate,
+    realizability_residual,
+    synthesize_observer,
+    uniform_grid,
+)
+from dcobserver.ccr import _as_float
 from helpers import (
     A_ONE_MODE,
     R_ONE_MODE,
@@ -14,6 +29,7 @@ from helpers import (
     one_mode_augmented,
     random_augmented,
     random_realizable,
+    swapped_augmented,
 )
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -46,7 +62,7 @@ def test_make_theta_is_one_shared_read_only_structure(n_modes):
 def test_augmented_system_reads_the_shared_theta():
     aug = one_mode_augmented()
     assert aug.ccr is make_theta(2)
-    assert np.shares_memory(aug.theta_2, make_theta(2).theta)
+    assert aug.ccr.theta is make_theta(2).theta
 
 
 @given(n_modes=st.integers(min_value=1, max_value=12))
@@ -171,10 +187,13 @@ def test_make_plant_rejects_wrong_shape():
         ([[1.0, 0.0], [0.0, 0.0], [0.5, 1.0], [0.0, 0.0]], "outside its mode block"),
         ([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "zero"),
         ([[1.0], [0.0], [0.0]], "n_p x \\(n_p/2\\)"),
+        ([1.0, 0.0], "2-D"),
+        ([[np.inf], [0.0]], "matrix contains non-finite entries$"),
     ],
 )
 def test_plant_spec_validates_beta_on_construction(beta, message):
-    with pytest.raises(ValueError, match=message):
+    # every message starts with the field, as the other specs' messages do
+    with pytest.raises(ValueError, match=f"^beta: .*{message}"):
         PlantSpec(np.array(beta))
 
 
@@ -212,3 +231,120 @@ def test_no_realizable_system_is_asymptotically_stable():
     for _ in range(120):
         a, _, _ = random_realizable(rng, int(rng.integers(1, 6)))
         assert float(np.max(np.linalg.eigvals(a).real)) >= -1e-9
+
+
+# -- the intake: every public call converts its matrices and times through ccr._as_float --
+
+_HUGE = 10**400  # an integer float() cannot hold
+_GRID = [0.0, 0.5, 1.0]
+
+
+def _entry_replaced(good, x):
+    """``good`` as nested lists with its first entry ``x``; a scalar becomes ``x`` itself."""
+    value = np.asarray(good, dtype=float).tolist()
+    if not isinstance(value, list):
+        return x
+    row = value
+    while isinstance(row[0], list):
+        row = row[0]
+    row[0] = x
+    return value
+
+
+def _calls():
+    """(argument name, a valid value, the call on a value) for every public call that converts input."""
+    aug = one_mode_augmented()
+    plant, alpha, c_o = aug.plant, [[-1.0], [0.0]], [[1.0, 0.0]]
+    series = propagate(A_ONE_MODE, _GRID)
+    return {
+        "make_plant-beta": ("beta", [[1.0], [0.0]], make_plant),
+        "PlantSpec-beta": ("beta", [[1.0], [0.0]], PlantSpec),
+        "ObserverSpec-r_o": ("r_o", np.eye(2), lambda v: ObserverSpec(r_o=v, alpha=alpha, c_o=c_o)),
+        "ObserverSpec-alpha": ("alpha", alpha, lambda v: ObserverSpec(r_o=np.eye(2), alpha=v, c_o=c_o)),
+        "ObserverSpec-c_o": ("c_o", c_o, lambda v: ObserverSpec(r_o=np.eye(2), alpha=alpha, c_o=v)),
+        "synthesize_observer-r_o": ("r_o", np.eye(2), lambda v: synthesize_observer(plant, v, c_o)),
+        "synthesize_observer-c_o": ("c_o", c_o, lambda v: synthesize_observer(plant, np.eye(2), v)),
+        "synthesize_observer-alpha": ("alpha", alpha, lambda v: synthesize_observer(plant, np.eye(2), alpha=v)),
+        "synthesize_observer-c_o-with-alpha": (
+            "c_o", c_o, lambda v: synthesize_observer(plant, np.eye(2), c_o=v, alpha=alpha)
+        ),
+        "AugmentedSystem-a_a": ("a_a", A_ONE_MODE, lambda v: AugmentedSystem(plant, aug.observer, v)),
+        "realizability_residual-a": ("a", A_ONE_MODE, lambda v: realizability_residual(v, aug.ccr.theta)),
+        "realizability_residual-theta": ("theta", aug.ccr.theta, lambda v: realizability_residual(A_ONE_MODE, v)),
+        "propagate-a": ("a", A_ONE_MODE, lambda v: propagate(v, _GRID)),
+        "propagate-grid": ("grid", _GRID, lambda v: propagate(A_ONE_MODE, v)),
+        "invariant_monitor-r_a": ("r_a", R_ONE_MODE, lambda v: invariant_monitor(series, aug.ccr, v)),
+        "uniform_grid-t_end": ("t_end", 1.0, lambda v: uniform_grid(v, 0.5)),
+        "uniform_grid-dt": ("dt", 0.5, lambda v: uniform_grid(1.0, v)),
+        "convergence_diagnostics-horizon": ("horizon", 10.0, lambda v: convergence_diagnostics(aug, v, 0.5)),
+        "convergence_diagnostics-dt": ("dt", 0.5, lambda v: convergence_diagnostics(aug, 10.0, v)),
+    }
+
+
+_BAD_INPUTS = {
+    "integer-beyond-float": lambda good: _entry_replaced(good, _HUGE),
+    "complex-entry": lambda good: _entry_replaced(good, 1 + 1j),
+    "complex128-array": lambda good: np.asarray(good, dtype=np.complex128),
+    "string-entry": lambda good: _entry_replaced(good, "1"),
+}
+
+
+@pytest.mark.parametrize("bad", _BAD_INPUTS)
+@pytest.mark.parametrize("call", _calls())
+def test_every_call_refuses_what_is_no_real_number_naming_its_argument(call, bad):
+    # not OverflowError, TypeError or a ComplexWarning, and no string parsed as a number
+    name, good, fn = _calls()[call]
+    fn(good)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            fn(_BAD_INPUTS[bad](good))
+    assert type(err.value) is ValueError
+    assert str(err.value).startswith(f"{name}: "), str(err.value)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ([[1.0, None]], "x: expected real numbers, got the entry None"),
+        ([[1.0, 2.0], [3.0]], "x: not a rectangular array ("),
+        (np.empty((0, 2), dtype=complex), "x: expected real numbers, got complex128 entries"),
+        ([[_HUGE]], "x: got an integer beyond the float range"),
+    ],
+)
+def test_intake_messages(value, message):
+    with pytest.raises(ValueError) as err:
+        _as_float(value, "x")
+    assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        pytest.param(lambda m: np.asarray(m, dtype=float).tolist(), id="lists"),
+        pytest.param(lambda m: np.asarray(m, dtype=float), id="float64"),
+        pytest.param(lambda m: np.asfortranarray(m, dtype=float), id="fortran"),
+        pytest.param(lambda m: np.asarray(m, dtype=np.float32), id="float32"),
+        pytest.param(lambda m: np.round(np.asarray(m) * 1e6).astype(np.int64), id="int64"),
+        pytest.param(lambda m: np.asarray(m, dtype=np.longdouble), id="longdouble"),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_intake_converts_real_input_as_asarray_does(form, seed):
+    # the stored matrices have the bits of np.array(value, dtype=float), as before the intake
+    rng = np.random.default_rng(seed)
+    stock = [one_mode_augmented(), swapped_augmented()]
+    for aug in stock + [random_augmented(rng, 4, 6), random_augmented(rng, 6, 4)]:
+        beta, r_o, alpha, c_o, a_a = (
+            form(m) for m in (aug.plant.beta, aug.observer.r_o, aug.observer.alpha, aug.observer.c_o, aug.a_a)
+        )
+        plant = make_plant(beta)
+        obs = ObserverSpec(r_o=r_o, alpha=alpha, c_o=c_o)
+        stored = [plant.beta, obs.r_o, obs.alpha, obs.c_o, AugmentedSystem(plant, obs, a_a).a_a]
+        for got, given in zip(stored, (beta, r_o, alpha, c_o, a_a)):
+            assert got.tobytes() == np.array(given, dtype=float).tobytes()
+    # a float64 array is taken as it is, not copied
+    grid = uniform_grid(10.0, 0.5)
+    assert _as_float(grid, "grid") is grid
+    assert propagate(A_ONE_MODE, grid).times is grid
+

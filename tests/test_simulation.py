@@ -44,6 +44,7 @@ from helpers import (
     stepwise_schedule,
     swapped_augmented,
     swept_schedule,
+    theta_2,
     trapezoid_average,
     whole_d_values,
     whole_series,
@@ -139,6 +140,10 @@ def test_propagate_rejects_bad_grids():
         pytest.param(
             convergence_diagnostics, (one_mode_augmented(), 10.0, np.nan), "dt",
             id="convergence_diagnostics-dt-nan",
+        ),
+        pytest.param(
+            convergence_diagnostics, (one_mode_augmented(), np.nan, 0.1), "horizon",
+            id="convergence_diagnostics-horizon-nan",
         ),
         # finite times whose step count overflows to inf
         pytest.param(uniform_grid, (1e300, 1e-10), "dt", id="uniform_grid-steps-inf"),
@@ -266,7 +271,7 @@ def test_certified_schedule_matches_the_exact_oracles(n_p, n_o, seed):
             assert np.max(np.abs(rows - rows[0])) <= 1e-12
     # plant rows against the Gauss-Legendre integral representation, and the
     # observer block of the averages against inv(b) (expm(b T) - I) / T
-    b = 2.0 * first.theta_2 @ first.observer.r_o
+    b = 2.0 * theta_2(first) @ first.observer.r_o
     for k in (37, 100):
         quadrature = plant_block_quadrature(times[k], first)
         assert np.max(np.abs(maps[k, :n_p] - quadrature)) <= 1e-10

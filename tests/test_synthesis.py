@@ -30,6 +30,7 @@ from helpers import (
     random_orthogonal,
     swapped_augmented,
     theta_1,
+    theta_2,
 )
 
 
@@ -192,9 +193,8 @@ def test_assemble_decoupled_observer_is_block_diagonal():
     r_o = np.array([[2.0, 0.5], [0.5, 1.0]])
     spec = ObserverSpec(r_o=r_o, alpha=np.zeros((2, 1)), c_o=np.array([[1.0, 0.0]]))
     aug = assemble_augmented(plant, spec)
-    theta_2 = make_theta(1).theta
     expected = np.zeros((4, 4))
-    expected[2:, 2:] = 2.0 * theta_2 @ r_o
+    expected[2:, 2:] = 2.0 * make_theta(1).theta @ r_o
     assert np.array_equal(aug.a_a, expected)
 
 
@@ -278,7 +278,7 @@ def test_verifier_reports_the_certificate_lambda_min():
         n_p = 2 * int(rng.integers(1, 5))
         n_o = 2 * int(rng.integers((n_p + 2) // 4, 5))  # n_o >= m_p = n_p / 2
         aug = random_augmented(rng, n_p, n_o)
-        r_prime = -0.5 * (aug.theta_2 @ aug.a_a[n_p:, n_p:])
+        r_prime = -0.5 * (theta_2(aug) @ aug.a_a[n_p:, n_p:])
         assert np.array_equal(r_prime, aug.observer.r_o)
         lambda_min = verify_observer_conditions(aug).r_o_lambda_min
         assert lambda_min == aug.certificate.lambda_min
@@ -387,7 +387,7 @@ def test_certificate_flags_non_nilpotent_coupling():
     rng = np.random.default_rng(31)
     aug = random_augmented(rng, 4, 4)
     r_c = rng.normal(size=(4, 4))
-    b, c = 2.0 * (theta_1(aug) @ r_c), 2.0 * (aug.theta_2 @ r_c.T)
+    b, c = 2.0 * (theta_1(aug) @ r_c), 2.0 * (theta_2(aug) @ r_c.T)
     broken = _with_blocks(aug, b=b, c=c)
     assert np.max(np.abs(c @ b)) > 1e-3
     report = verify_observer_conditions(broken)
@@ -401,7 +401,7 @@ def test_certificate_flags_asymmetric_observer_block():
     aug = random_augmented(rng, 4, 4)
     skew = 1e-3 * rng.normal(size=(4, 4))
     skew -= skew.T
-    broken = _with_blocks(aug, d=aug.a_a[4:, 4:] + 2.0 * (aug.theta_2 @ skew))
+    broken = _with_blocks(aug, d=aug.a_a[4:, 4:] + 2.0 * (theta_2(aug) @ skew))
     assert broken.certificate.asymmetry == pytest.approx(np.max(np.abs(2.0 * skew)), rel=1e-6)
     assert broken.certificate.message.startswith("max|R' - R'.T| = ")
     report = verify_observer_conditions(broken)
@@ -430,7 +430,7 @@ def test_certificate_flags_indefinite_observer_block():
         aug = random_augmented(rng, n_p, n_o)
         q = random_orthogonal(rng, n_o)
         r = q @ np.diag(np.concatenate([[-1.0], rng.uniform(0.5, 3.0, size=n_o - 1)])) @ q.T
-        broken = _with_blocks(aug, d=2.0 * (aug.theta_2 @ (0.5 * (r + r.T))))
+        broken = _with_blocks(aug, d=2.0 * (theta_2(aug) @ (0.5 * (r + r.T))))
         report = verify_observer_conditions(broken)
         assert report.spectrum_max_abs_real == np.inf
         assert np.all(np.isnan(report.spectrum))
