@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccr import make_theta
+from .ccr import _as_float, make_theta
 
 # relative bound on the structure residual of a dynamics matrix whose flow is
 # taken in closed form: |P|, |R' - R'.T| <= tol max|a| and |C B| <= tol max|a|^2
@@ -53,15 +53,24 @@ class Flow:
     omega: np.ndarray
     coef: np.ndarray
 
-    def _basis(self, t: np.ndarray, integrated: bool) -> np.ndarray:
+    def _scratch_size(self, rows: int) -> int:
+        """Floats of a scratch ``_evaluate`` fills for up to ``rows`` times: the basis and the half angles."""
+        return (2 + 3 * len(self.omega)) * rows
+
+    def _basis(self, t: np.ndarray, integrated: bool, scratch: np.ndarray | None = None) -> np.ndarray:
         """The (m, rows) basis at ``t``, or with ``integrated`` its integral from 0.
 
         Rows 1, t, cos(w t), sin(w t), or t, t^2 / 2, sin(w t) / w and
         (1 - cos(w t)) / w, where 1 - cos(w t) is evaluated as (2 h) h with
-        h = sin(w t / 2), which does not cancel.
+        h = sin(w t / 2), which does not cancel.  The basis and h are new
+        arrays, or views of ``scratch`` (``_scratch_size`` floats or more).
         """
-        p = len(self.omega)
-        basis = np.empty((2 + 2 * p, len(t)))
+        p, rows = len(self.omega), len(t)
+        if scratch is None:
+            basis, half = np.empty((2 + 2 * p, rows)), None
+        else:
+            basis = scratch[: (2 + 2 * p) * rows].reshape(2 + 2 * p, rows)
+            half = scratch[(2 + 2 * p) * rows : (2 + 3 * p) * rows].reshape(p, rows)
         of_cos, of_sin = basis[2 : 2 + p], basis[2 + p :]
         wt = np.multiply.outer(self.omega, t, out=of_sin)
         if not integrated:
@@ -72,18 +81,24 @@ class Flow:
         basis[0] = t
         np.multiply(0.5, t, out=basis[1])
         basis[1] *= t
-        half = np.multiply(0.5, wt)
+        half = np.multiply(0.5, wt, out=half)
         np.sin(half, out=half)
         np.sin(wt, out=of_cos)
         # (2 h) h, not 2 (h h), which rounds apart where h h is subnormal
         np.multiply(2.0, half, out=of_sin)
         of_sin *= half
-        trig = basis[2:].reshape(2, p, len(t))
+        trig = basis[2:].reshape(2, p, rows)
         np.divide(trig, self.omega[:, None], out=trig)
         return basis
 
-    def _evaluate(self, t, integrated: bool, out: np.ndarray | None) -> np.ndarray:
-        basis = self._basis(np.asarray(t, dtype=float), integrated)
+    def _evaluate(self, t, integrated: bool, out: np.ndarray | None, scratch: np.ndarray | None = None):
+        """The maps, or with ``integrated`` the integrals, at ``t``, written into ``out`` when given.
+
+        ``t`` goes through the intake (``ccr._as_float``), which passes a
+        float64 array as it is, and the basis goes into ``scratch`` when
+        given, so with both a run allocates no array of its own.
+        """
+        basis = self._basis(_as_float(t, "t"), integrated, scratch)
         rows, coef = basis.shape[1], self.coef.reshape(len(self.coef), -1)
         target = np.empty((rows,) + self.coef.shape[1:]) if out is None else out
         flat = target.reshape(rows, coef.shape[1])

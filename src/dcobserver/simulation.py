@@ -188,34 +188,56 @@ def _blas_threads() -> int:
     return _usable_cpus()
 
 
-def _each_run(edges, n: int, fn) -> list:
-    """fn(lo, rows) for every run of _runs(edges, n), the results in run order.
+def _each_run(edges, n: int, scratch_size, fn) -> list:
+    """fn(lo, rows, scratch) for every run of _runs(edges, n), the results in run order.
 
+    ``scratch`` is a float64 array of scratch_size(rows) floats, ``rows``
+    being the longest run's, that the run may overwrite and must not keep.
+    The calling thread allocates one scratch per run in flight before any
+    run starts, and the scratches are freed when the call returns, so a
+    worker thread allocates no array of its own: glibc keeps a block freed
+    on a thread in that thread's arena, and worker arenas that held each
+    run's buffers grew from call to call.
     At most WORKERS runs are in flight, on the threads of a pool made for
     this call and joined before it returns, each in a copy of the caller's
-    context (numpy's errstate holds there too).  numpy drops the GIL inside
-    a run's products and ufuncs, so two runs use two CPUs as long as their
-    small products take C-contiguous operands: the monitor's thousands of
-    n x n products a run, on a transposed view, go down OpenBLAS's general
-    path, and two runs of those were slower than one (hence _residuals'
+    context (numpy's errstate holds there too) and with a scratch taken
+    from the WORKERS free ones.  numpy drops the GIL inside a run's
+    products and ufuncs, so two runs use two CPUs as long as their small
+    products take C-contiguous operands: the monitor's thousands of n x n
+    products a run, on a transposed view, go down OpenBLAS's general path,
+    and two runs of those were slower than one (hence _residuals'
     transposed copies).
     ``fn`` writes only its own rows, so no result depends on which run ends
-    first.  The runs go in order on the calling thread when there is one
-    run, one usable CPU, or a BLAS that spreads each product over several
-    threads, which two runs at once contend with: with OpenBLAS at two
-    threads on two CPUs, they were slower than one run at a time.  The first
-    exception in run order reaches the caller unchanged, and the runs not
-    yet started are dropped.
+    first.  The runs go in order on the calling thread, with one scratch,
+    when there is one run, one usable CPU, or a BLAS that spreads each
+    product over several threads, which two runs at once contend with: with
+    OpenBLAS at two threads on two CPUs, they were slower than one run at a
+    time.  The first exception in run order reaches the caller unchanged,
+    and the runs not yet started are dropped.
     """
     runs = [(lo, rows) for _, lo, rows in _runs(edges, n)]
+    size = scratch_size(max(rows.stop - rows.start for _, rows in runs))
     if len(runs) < 2 or _usable_cpus() < 2 or _blas_threads() > 1:
-        return [fn(lo, rows) for lo, rows in runs]
-    # imported here: it takes 7 ms, which a CLI run never needs to pay
+        scratch = np.empty(size)
+        return [fn(lo, rows, scratch) for lo, rows in runs]
+    # imported here: they take 7 ms, which a CLI run never needs to pay
     from concurrent.futures import ThreadPoolExecutor
+    from queue import SimpleQueue
+
+    free = SimpleQueue()
+    for _ in range(WORKERS):
+        free.put(np.empty(size))
+
+    def run(lo, rows):
+        scratch = free.get_nowait()  # never empty: WORKERS threads, WORKERS scratches
+        try:
+            return fn(lo, rows, scratch)
+        finally:
+            free.put(scratch)
 
     pool = ThreadPoolExecutor(WORKERS)
     try:
-        futures = [pool.submit(copy_context().run, fn, lo, rows) for lo, rows in runs]
+        futures = [pool.submit(copy_context().run, run, lo, rows) for lo, rows in runs]
         return [future.result() for future in futures]
     finally:
         pool.shutdown(cancel_futures=True)
@@ -273,7 +295,8 @@ def propagate(a, grid) -> PropagatorSeries:
     """Transition matrices exp(a t_k) on ``grid``, from the closed-form flow of ``a``.
 
     The flow is evaluated _chunk_rows(n) rows at a time into the series, up
-    to WORKERS runs at once (_each_run, bit for bit as one run at a time).
+    to WORKERS runs at once (_each_run, bit for bit as one run at a time),
+    each run's basis in its scratch.
     A float64 grid is the series' times as it is, not a copy.
 
     Raises
@@ -308,7 +331,11 @@ def propagate(a, grid) -> PropagatorSeries:
     flow = observer_flow(a)
     maps = np.empty((times.size, n, n))
     maps[0] = np.eye(n)
-    _each_run((0, times.size - 1), n, lambda _, rows: flow.maps(times[rows], out=maps[rows]))
+
+    def evaluate(_, rows, scratch):
+        flow._evaluate(times[rows], False, maps[rows], scratch)
+
+    _each_run((0, times.size - 1), n, flow._scratch_size, evaluate)
     return PropagatorSeries(times=times, maps=maps, flow=flow)
 
 
@@ -317,10 +344,11 @@ def time_average(series: PropagatorSeries) -> AverageSeries:
 
     The flow is integrated exactly from t = 0, _chunk_rows(n) rows at a
     time and up to WORKERS runs at once (_each_run, bit for bit as one run
-    at a time), straight into the averages, which are the size of the
-    series' maps and so within propagate's bound.  The average at T -> 0
-    tends to the identity by continuity; T = 0 itself is excluded from the
-    output.  The series needs its flow, as propagate returns it.
+    at a time, each run's basis in its scratch), straight into the
+    averages, which are the size of the series' maps and so within
+    propagate's bound.  The average at T -> 0 tends to the identity by
+    continuity; T = 0 itself is excluded from the output.  The series needs
+    its flow, as propagate returns it.
     """
     times, maps = series.times, series.maps
     if times.size < 2:
@@ -329,11 +357,11 @@ def time_average(series: PropagatorSeries) -> AverageSeries:
         raise ValueError("series has no flow to integrate; propagate returns one")
     averages = np.empty_like(maps[1:])
 
-    def average(_, rows):
-        part = series.flow.integrals(times[rows], out=averages[rows.start - 1 : rows.stop - 1])
+    def average(_, rows, scratch):
+        part = series.flow._evaluate(times[rows], True, averages[rows.start - 1 : rows.stop - 1], scratch)
         part /= times[rows, None, None]
 
-    _each_run((0, times.size - 1), series.dim, average)
+    _each_run((0, times.size - 1), series.dim, series.flow._scratch_size, average)
     return AverageSeries(times=times[1:].copy(), averages=averages)
 
 
@@ -353,8 +381,8 @@ def invariant_monitor(series: PropagatorSeries, ccr: CommutationStructure, r_a) 
     series from t = 0 (Phi_0 = I) the reference is r_a itself.  The maps are
     checked _chunk_rows(n) rows at a time, up to WORKERS runs at once
     (_each_run; a max takes the same bits in any order), and each run's
-    products half a run at a time, so two runs in flight hold the product
-    blocks of one whole run.
+    products a quarter run at a time, in a scratch of three quarter-run
+    blocks.
     """
     r_a = _as_float(r_a, "r_a")
     theta = ccr.theta
@@ -362,40 +390,44 @@ def invariant_monitor(series: PropagatorSeries, ccr: CommutationStructure, r_a) 
         raise ValueError("series, ccr and r_a dimensions disagree")
     maps = series.maps
 
-    def monitor(_, rows):
-        halves = np.array_split(maps[rows], 2)
-        return np.max([_residuals(half, theta, r_a, maps[0]) for half in halves if len(half)], axis=0)
+    def monitor(_, rows, scratch):
+        return _residuals(maps[rows], theta, r_a, maps[0], scratch)
 
     # edges (-1, K - 1) walk the rows from 0, so the first map is checked too
-    worst = _each_run((-1, len(maps) - 1), ccr.n, monitor)
+    worst = _each_run((-1, len(maps) - 1), ccr.n, lambda rows: 3 * -(-rows // 4) * theta.size, monitor)
     ccr_res, energy_res = np.max(worst, axis=0).tolist()
     return InvariantReport(max_ccr_residual=ccr_res, max_energy_residual=energy_res)
 
 
-def _residuals(maps: np.ndarray, theta, r_a, start: np.ndarray) -> tuple[float, float]:
+def _residuals(maps: np.ndarray, theta, r_a, start: np.ndarray, scratch: np.ndarray | None = None):
     """Max of |Phi theta Phi.T - theta| and of |Phi.T r_a Phi - start.T r_a start| over a block of maps.
 
-    Every product takes C-contiguous operands: each half of the block is
+    Every product takes C-contiguous operands: each piece of the block is
     copied transposed first, so Phi theta, (Phi theta) Phi.T, Phi.T r_a and
     (Phi.T r_a) Phi are plain products.  OpenBLAS takes a transposed operand
     on its general path, where two runs of _each_run at once were slower
     than one; its small-matrix kernels take plain products without
-    contention.  The copy and a half's two products fill three of the four
-    half-blocks of one two-block buffer, freed on return (three maps for a
-    one-map block): a larger freed block would raise malloc's thresholds
-    for what runs after, and separate temporaries would be mapped and
-    faulted in anew on every call.  The halves' worst values combine with
-    np.max, so a NaN reaches the result.
+    contention.  A piece's copy and two products fill ``scratch``, whose
+    pieces are a third of it.  Without one, a piece is half the block, and
+    the three fill three of the four half-blocks of one two-block buffer,
+    freed on return (three maps for a one-map block): a larger freed block
+    would raise malloc's thresholds for what runs after, and separate
+    temporaries would be mapped and faulted in anew on every call.  The
+    pieces' worst values combine with np.max, so a NaN reaches the result.
     """
-    energy_ref, half = start.T @ r_a @ start, -(-len(maps) // 2)
-    buffer = np.empty((max(2 * len(maps), 3 * half),) + maps.shape[1:])
+    energy_ref, size = start.T @ r_a @ start, theta.size
+    if scratch is None:
+        piece = -(-len(maps) // 2)
+        scratch = np.empty(max(2 * len(maps), 3 * piece) * size)
+    else:
+        piece = len(scratch) // (3 * size)
     worst = []
-    for lo in range(0, len(maps), half):
-        piece = maps[lo : lo + half]
-        piece_t, first, product = buffer[: 3 * len(piece)].reshape((3,) + piece.shape)
-        np.copyto(piece_t, piece.transpose(0, 2, 1))
+    for lo in range(0, len(maps), piece):
+        block = maps[lo : lo + piece]
+        block_t, first, product = scratch[: 3 * block.size].reshape((3,) + block.shape)
+        np.copyto(block_t, block.transpose(0, 2, 1))
         residuals = []
-        for left, middle, right, ref in ((piece, theta, piece_t, theta), (piece_t, r_a, piece, energy_ref)):
+        for left, middle, right, ref in ((block, theta, block_t, theta), (block_t, r_a, block, energy_ref)):
             np.matmul(np.matmul(left, middle, out=first), right, out=product)
             product -= ref
             residuals.append(np.max(np.abs(product, out=product)))
@@ -441,6 +473,8 @@ def convergence_diagnostics(aug: AugmentedSystem, horizon: float, dt: float) -> 
         whose message it carries.
     """
     horizon, dt = _time(horizon, "horizon"), _time(dt, "dt")
+    if dt > horizon:
+        raise ValueError(f"dt must be at most horizon, got dt={dt}, horizon={horizon}")
     grid = uniform_grid(horizon, dt)
     times = grid[1:]
     certificate = aug.certificate

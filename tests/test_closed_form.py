@@ -1,5 +1,6 @@
 """Tests for the closed-form oracle of expm(a_a t), the library's closed form and the certificate's norm bound."""
 
+import tracemalloc
 from dataclasses import replace
 from functools import cache
 
@@ -8,7 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from dcobserver import assemble_augmented, make_plant, make_theta
+from dcobserver import assemble_augmented, make_plant, make_theta, propagate
 from dcobserver import synthesize_observer
 from dcobserver.closed_form import certify, observer_flow
 from helpers import (
@@ -272,6 +273,44 @@ def test_flow_takes_a_list_of_times():
     t = [0.0, 1.0, 2.5]
     assert np.array_equal(flow.maps(t), flow.maps(np.array(t)))
     assert np.array_equal(flow.integrals(t), flow.integrals(np.array(t)))
+
+
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        (np.array([1 + 1j]), "t: expected real numbers, got complex128 entries"),
+        (["1"], "t: expected real numbers, got <U1 entries"),
+        ([10**400], "t: got an integer beyond the float range"),
+    ],
+)
+def test_flow_times_go_through_the_intake(t, message):
+    # numpy would drop the imaginary part with a warning, parse the string
+    # and raise OverflowError; the public series' flow names its argument
+    flow = propagate(random_augmented(np.random.default_rng(8), 4, 4).a_a, [0.0, 1.0]).flow
+    for evaluate in (flow.maps, flow.integrals):
+        with pytest.raises(ValueError) as raised:
+            evaluate(t)
+        assert type(raised.value) is ValueError and str(raised.value) == message
+
+
+@pytest.mark.parametrize("integrated", [False, True])
+def test_a_run_with_out_and_scratch_allocates_no_array(integrated):
+    # float64 times pass the intake uncopied and the basis and half angles go
+    # into the scratch, so a run of simulation's _each_run allocates less
+    # than one copy of its times (only numpy's 64 KiB buffer of a
+    # broadcasting ufunc), and gets the bits of a new basis
+    flow = flow_at(8)
+    t = np.arange(16384) * 0.05
+    out, scratch = np.empty((t.size, 8, 8)), np.empty(flow._scratch_size(t.size))
+    flow._evaluate(t, integrated, out, scratch)
+    tracemalloc.start()
+    try:
+        assert flow._evaluate(t, integrated, out, scratch) is out
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < t.nbytes, peak
+    assert np.array_equal(out, flow._evaluate(t, integrated, None))
 
 
 @pytest.mark.parametrize("integrated", [False, True])

@@ -1,9 +1,14 @@
 """Tests for grid propagation, running averages and diagnostics."""
 
+import os
+import platform
 import re
+import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -516,8 +521,10 @@ def test_residuals_of_a_block_with_a_nan_map_are_nan(where):
     aug, start, blocks = residual_blocks(8)
     for maps in blocks:
         maps[where, 0, 0] = np.nan
-        residuals = simulation._residuals(maps, aug.ccr.theta, aug.r_a, start)
-        assert np.isnan(residuals).all(), (len(maps), residuals)
+        # without a scratch, and with one whose pieces are one map each
+        for scratch in (None, np.empty(3 * 64)):
+            residuals = simulation._residuals(maps, aug.ccr.theta, aug.r_a, start, scratch)
+            assert np.isnan(residuals).all(), (len(maps), residuals)
 
 
 def test_convergence_diagnostics_on_canonical_observer():
@@ -597,6 +604,13 @@ def test_scaled_average_error_stays_bounded_to_long_horizons():
     assert report.converged
     ladder = report.t_values[report.t_values >= 1.0]
     assert ladder.size >= 8 and ladder[-1] == 1000.0
+
+
+def test_convergence_diagnostics_names_the_horizon_that_dt_exceeds():
+    # uniform_grid would name it t_end, a field convergence_diagnostics does not take
+    with pytest.raises(ValueError) as raised:
+        convergence_diagnostics(one_mode_augmented(), horizon=1.0, dt=2.0)
+    assert str(raised.value) == "dt must be at most horizon, got dt=2.0, horizon=1.0"
 
 
 def test_convergence_diagnostics_flags_decoupled_observer():
@@ -776,23 +790,102 @@ def test_each_run_keeps_run_order_and_raises_the_first_error_unchanged(monkeypat
     runs = [rows for _, _, rows in simulation._runs(edges, 8)]
     threads, called_on = threading.active_count(), set()
 
-    def record(lo, rows):
+    def record(lo, rows, scratch):
         called_on.add(threading.get_ident())
         return lo, rows
 
-    assert simulation._each_run(edges, 8, record) == [(0, rows) for rows in runs]
+    assert simulation._each_run(edges, 8, lambda rows: rows, record) == [(0, rows) for rows in runs]
     assert (threading.get_ident() in called_on) != threaded
     assert threading.active_count() == threads
 
-    def fail_third(lo, rows):
+    def fail_third(lo, rows, scratch):
         if rows == runs[2]:
             raise error
         return rows
 
     with pytest.raises(RuntimeError) as raised:
-        simulation._each_run(edges, 8, fail_third)
+        simulation._each_run(edges, 8, lambda rows: rows, fail_third)
     assert raised.value is error
     assert threading.active_count() == threads
+
+
+def test_each_run_gives_every_run_in_flight_its_own_scratch_from_the_caller(monkeypatch):
+    # each run writes its index into its scratch, waits until the other
+    # thread's run is in flight too, and reads its index back
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulation, "_blas_threads", lambda: 1)
+    edges = (0, 4 * _chunk_rows(8) - 100)
+    runs = [rows for _, _, rows in simulation._runs(edges, 8)]
+    threads, barrier, sizes, made, held = threading.active_count(), threading.Barrier(2, timeout=30), [], [], set()
+    empty = np.empty
+
+    def counted_empty(*args, **kwargs):
+        made.append(threading.get_ident())
+        return empty(*args, **kwargs)
+
+    def scratch_size(rows):
+        sizes.append(rows)
+        return 3 * rows
+
+    def own(lo, rows, scratch):
+        index = runs.index(rows)
+        scratch[0] = index
+        barrier.wait()
+        assert scratch[0] == index and scratch.size == 3 * _chunk_rows(8)
+        held.add(id(scratch))
+        return index
+
+    monkeypatch.setattr(np, "empty", counted_empty)
+    assert simulation._each_run(edges, 8, scratch_size, own) == list(range(4))
+    monkeypatch.undo()
+    assert sizes == [_chunk_rows(8)]
+    assert made == [threading.get_ident()] * simulation.WORKERS
+    assert len(held) == simulation.WORKERS
+    assert threading.active_count() == threads
+
+
+def test_whole_series_chain_holds_no_more_after_four_passes_than_after_one():
+    # the worker threads allocate no buffers, so no malloc arena of theirs
+    # grows from pass to pass: ru_maxrss after four passes of the n = 8,
+    # T = 1e4 chain (the long_horizon benchmark's) stays within 1 MiB of its
+    # value after one.  Each pass's grid is kept until the next, and between
+    # passes the caller multiplies a batch of 2,000 maps, as the benchmark's
+    # calibration kernel does; with each run allocating its buffers on the
+    # worker threads, the peak grew by 2.0 to 4.1 MB over the four passes in
+    # each of 16 trials (2 CPUs, glibc 2.36).
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("measures glibc's malloc arenas")
+    if simulation._usable_cpus() < 2:
+        pytest.skip("runs go in order on one usable CPU")
+    child = textwrap.dedent(
+        """
+        import resource
+        import numpy as np
+        from dcobserver import (assemble_augmented, invariant_monitor, make_plant, propagate,
+                                synthesize_observer, time_average, uniform_grid)
+
+        plant = make_plant([[1, 0], [0, 0], [0, 1], [0, 0]])
+        aug = assemble_augmented(plant, synthesize_observer(plant, np.eye(4), [[1, 0, 0, 0], [0, 0, 1, 0]]))
+        batch, theta = np.ones((2000, 8, 8)), aug.ccr.theta
+        peaks = []
+        for _ in range(4):
+            grid = uniform_grid(1e4, 0.1)
+            series = propagate(aug.a_a, grid)
+            averages = time_average(series)
+            invariant_monitor(series, aug.ccr, aug.r_a)
+            del series, averages
+            float(np.max(np.abs(batch @ theta @ batch.transpose(0, 2, 1))))
+            peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        print(peaks[0], peaks[-1])
+        """
+    )
+    src = str(Path(simulation.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    first, last = map(int, done.stdout.split())
+    assert last - first < 1024, (first, last)  # KiB
 
 
 @pytest.mark.parametrize(
