@@ -365,8 +365,10 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
     map_stop, avg_stop = (_stop(times, end) for end in (plan.map_end, plan.average_end))
     # per segment: the worst CCR and energy residual, the deviation from its start
     # map of its held rows and, on the one segment whose swap disturbance a
-    # schedule reports (its last coupled one), that of the first observer's rows
-    swap_at = coupled_at[-1] if plan.schedule else None
+    # schedule reports, that of the first observer's rows: the last coupled
+    # segment whose system is another (systems are interned, so `is not` tells);
+    # a schedule that only reattaches the first observer swaps nothing
+    swap_at = next((i for i in reversed(coupled_at) if systems[i] is not first), None)
     worst = np.zeros((len(systems), 4))
     with ExitStack() as stack:
         files = [
@@ -415,15 +417,15 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
         "conservation": {"ccr_residual": ccr_residual, "energy_residual": energy_residual},
     }
     if plan.schedule:
-        # disturbance of the first observer's protected row under the last observer
-        swap_disturbance = float(worst[swap_at, 3])
+        # disturbance of the first observer's protected row under the last other observer
+        swap_disturbance = 0.0 if swap_at is None else float(worst[swap_at, 3])
         plateau = [e["plateau_max_deviation"] for e in entries if e["kind"] == "disconnected"]
         protected = [e["protected_row_max_deviation"] for e in entries if e["kind"] == "coupled"]
         summary["segments"] = entries
         summary["swap_disturbance"] = swap_disturbance
         checks["protected_rows_constant"] = all(dev <= CONSTANT_TOL for dev in protected)
         checks["plateau_constant"] = max(plateau, default=0.0) <= 1e-12
-        checks["swap_disturbs_previous_row"] = len(coupled_at) == 1 or swap_disturbance > 0.1
+        checks["swap_disturbs_previous_row"] = swap_at is None or swap_disturbance > 0.1
     else:
         convergence = convergence_diagnostics(first, plan.average_end, config.dt)
         summary["observer_conditions"] = entries[0]["observer_conditions"]
@@ -528,7 +530,12 @@ def _resolve_segments(segments, t_end: float) -> tuple[SegmentConfig, ...]:
             replace(s, duration=remainder) if s.duration is None else s for s in segments
         )
     total = math.fsum(s.duration for s in segments)
-    if abs(total - t_end) > 1e-9:
+    # durations that sum to t_end in decimal miss it in floats by three roundings
+    # of at most half an ulp, each at most eps/2 * t_end: the decimal inputs' (the
+    # durations' together, and t_end's) and fsum's; with an open duration, the fixed
+    # sum's, the subtraction's and fsum's. 4 * eps * t_end holds them with room to
+    # spare, and the 1e-9 floor keeps every schedule the absolute bound accepted.
+    if abs(total - t_end) > max(1e-9, 4 * np.finfo(float).eps * t_end):
         raise ConfigError(f"segments: durations sum to {total}, but t_end is {t_end}")
     return segments
 

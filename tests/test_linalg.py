@@ -76,25 +76,72 @@ def test_exponential_norm_bound_holds_on_samples():
         assert np.linalg.norm(series.maps, 2, axis=(1, 2)).max() <= bound + 1e-8
 
 
-def test_import_leaves_mpmath_unloaded():
-    # extended precision and scipy are test oracles only; the library never
-    # imports them, and a pipeline run loads neither
-    src = str(Path(dcobserver.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    script = """
-import sys, dcobserver
-loaded = lambda: " ".join(str(name in sys.modules) for name in ("mpmath", "scipy"))
-print(loaded())
+# A pipeline run, every python block of the README (argv[1]), each in a fresh
+# namespace, and the CLI's error paths, each one line and exit 1; the test
+# tools must stay unloaded throughout, as on an install of numpy alone.
+_PLAIN_RUN = r"""
+import contextlib, io, json, re, sys
+from pathlib import Path
+
+import dcobserver
+from dcobserver.cli import main
+
+TOOLS = ("mpmath", "scipy", "hypothesis")
+loaded = lambda: [name for name in TOOLS if name in sys.modules]
+assert not loaded(), f"importing dcobserver loaded {loaded()}"
 plant = dcobserver.make_plant([[1.0], [0.0]])
 observer = dcobserver.synthesize_observer(plant, [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0]])
 aug = dcobserver.assemble_augmented(plant, observer)
 dcobserver.verify_observer_conditions(aug)
 dcobserver.time_average(dcobserver.propagate(aug.a_a, dcobserver.uniform_grid(1.0, 0.1)))
 dcobserver.convergence_diagnostics(aug, horizon=1.0, dt=0.1)
-print(loaded())
+
+blocks = re.findall(r"```python\n(.*?)```", Path(sys.argv[1]).read_text(encoding="utf-8"), re.S)
+assert blocks, "README.md has no python block"
+for i, block in enumerate(blocks):
+    exec(compile(block, f"README.md python block {i + 1}", "exec"), {})
+
+
+def cli(*argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            status = main(list(argv))
+        except SystemExit as exc:  # argparse's own exit, which main must not let out
+            status = exc.code
+    return status, err.getvalue()
+
+
+one_mode = {"beta": [[1], [0]], "r_o": [[1, 0], [0, 1]], "c_o": [[1, 0]]}
+for raw, prefix in [
+    ({"scenario": "measurement_sequence", "segments": [5]}, "error: segments[0]"),
+    ({"scenario": "one_mode", "t_end": 10**400}, "error: t_end"),
+    ({"scenario": "custom", **one_mode, "beta": [[1e200], [0]], "t_end": 20.0}, "error: flow coefficients overflow"),
+]:
+    Path("bad.json").write_text(json.dumps(raw))
+    status, err = cli("--config", "bad.json", "--out-dir", "bad")
+    assert status == 1 and err.count("\n") == 1 and err.startswith(prefix), (raw, status, err)
+assert not Path("bad").exists(), "a refused config made its output directory"
+status, err = cli("--t-end", "abc")
+assert status == 1, (status, err)
+assert not loaded(), f"a run loaded {loaded()}"
 """
-    out = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.splitlines() == ["False False", "False False"]
+
+
+def test_import_leaves_mpmath_unloaded(tmp_path):
+    # extended precision, scipy and hypothesis are test tools only: a fresh
+    # interpreter, in an empty directory and with a RuntimeWarning an error,
+    # runs _PLAIN_RUN under OpenBLAS's default threads (runs go in order) and
+    # under one BLAS thread (two runs at once)
+    src = str(Path(dcobserver.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    for blas in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        cwd = tmp_path / (",".join(blas) or "default")
+        cwd.mkdir()
+        out = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", _PLAIN_RUN, str(readme)],
+            capture_output=True, text=True, cwd=cwd, env=dict(env, PYTHONPATH=path, **blas),
+        )
+        assert out.returncode == 0, f"{blas}: {out.stderr}"

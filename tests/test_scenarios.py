@@ -973,6 +973,53 @@ def test_many_short_segments_fill_t_end():
     assert resolved[-1].duration == 3000.0 - math.fsum([0.1] * 29_999)
 
 
+def test_durations_that_sum_to_t_end_in_decimal_fill_it_at_any_scale(tmp_path):
+    # 16.9 + 1481424305.2 is 1481424322.1 in decimal, but fsum of the parsed
+    # floats lands one ulp (2.4e-7) above the parsed t_end; the bound scales with t_end
+    config = {
+        "scenario": "measurement_sequence", "t_end": 1481424322.1, "dt": 1e7, "out_dir": str(tmp_path),
+        "segments": [{"duration": 16.9, **_COUPLED}, {"duration": 1481424305.2, "disconnect": True}],
+    }
+    assert math.fsum([16.9, 1481424305.2]) != 1481424322.1
+    assert run_scenario(ScenarioConfig.from_dict(config)).passed
+    # a misfit of 1e-5, far above the rounding, is still refused
+    config["t_end"] = 1481424322.10001
+    with pytest.raises(ConfigError, match="durations sum to"):
+        run_scenario(ScenarioConfig.from_dict(config))
+
+
+_CONJUGATE_SEGMENT = {"beta": [[0], [1]], "r_o": [[1, 0], [0, 1]], "c_o": [[0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "segments, swapped",
+    [
+        ([_COUPLED, {"disconnect": True}, _COUPLED], False),
+        ([_COUPLED] * 3, False),
+        ([_COUPLED, _CONJUGATE_SEGMENT, _COUPLED], True),
+    ],
+    ids=["reattached-after-disconnect", "reattached-three-times", "conjugate-between"],
+)
+def test_swap_is_measured_on_the_last_other_observer(tmp_path, segments, swapped):
+    # a schedule that only reattaches the first observer swaps nothing and
+    # reports 0.0; otherwise the swap is that of the last coupled segment whose
+    # system is another, even when the first observer comes back after it
+    config = {
+        "scenario": "measurement_sequence", "t_end": 30.0, "dt": 0.01, "out_dir": str(tmp_path),
+        "segments": [{"duration": 10.0, **segment} for segment in segments],
+    }
+    bundle = run_scenario(ScenarioConfig.from_dict(config))
+    assert bundle.passed, bundle.summary["checks"]
+    disturbance = bundle.summary["swap_disturbance"]
+    assert disturbance > 0.1 if swapped else disturbance == 0.0
+    if swapped:  # measured on the conjugate segment, not on the last coupled one
+        first = one_mode_augmented()
+        _, edges, maps, _, _ = swept_schedule([(10.0, first), (10.0, swapped_augmented()), (10.0, first)], 0.01)
+        lo, hi = edges[1:3]
+        rows = first.plant_output
+        assert disturbance == float(np.max(np.abs(rows @ maps[lo : hi + 1] - rows @ maps[lo])))
+
+
 def test_run_leaves_its_config_unchanged(tmp_path):
     # the last segment omits its duration; resolving it must not write it back
     config = ScenarioConfig.from_dict(
