@@ -1,7 +1,6 @@
 """Direct-coupling coherent observers for closed linear quantum systems."""
 
 from .ccr import (
-    CommutationStructure,
     PlantSpec,
     make_plant,
     make_theta,
@@ -39,7 +38,6 @@ __all__ = [
     "ArtifactBundle",
     "AugmentedSystem",
     "AverageSeries",
-    "CommutationStructure",
     "ConfigError",
     "ConvergenceReport",
     "InvariantReport",

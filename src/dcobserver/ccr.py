@@ -10,9 +10,9 @@ Hamiltonian with symmetric matrix r via a = 2 theta r.  The package forms
 that map once, in ``synthesis.assemble_augmented``, and inverts it once, in
 ``synthesis.AugmentedSystem.r_a``.
 
-Theta is a constant: ``make_theta`` returns one shared structure per size,
-whose ``theta`` is built once, on first use, and is read-only, so every
-module reads the same array.
+Theta is a constant: ``make_theta`` returns it as one shared array per size,
+built once, on first use, and read-only, so every module reads the same
+array.
 
 ``_as_float`` is the one intake of the package: every public call that takes
 a matrix or a time converts it there, and ``_check_finite`` is the one test
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -69,30 +69,12 @@ def _read_only(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-@dataclass(frozen=True)
-class CommutationStructure:
-    """Skew form of the commutation relations for n/2 oscillator modes."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2 or self.n % 2:
-            raise ValueError(f"n must be a positive even integer, got {self.n}")
-
-    @property
-    def n_modes(self) -> int:
-        return self.n // 2
-
-    @cached_property
-    def theta(self) -> np.ndarray:
-        """The commutation matrix diag(J, ..., J), built once and read-only."""
-        return _read_only(np.kron(np.eye(self.n_modes), J2))
-
-
 @cache
-def make_theta(n_modes: int) -> CommutationStructure:
-    """The one commutation structure for ``n_modes`` modes (two variables per mode)."""
-    return CommutationStructure(n=2 * n_modes)
+def make_theta(n_modes: int) -> np.ndarray:
+    """The commutation matrix diag(J, ..., J) of ``n_modes`` modes, one read-only array per size."""
+    if not isinstance(n_modes, numbers.Integral) or n_modes < 1:
+        raise ValueError(f"n_modes must be a positive integer, got {n_modes!r}")
+    return _read_only(np.kron(np.eye(n_modes), J2))
 
 
 def realizability_residual(a, theta) -> float:

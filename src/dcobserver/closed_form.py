@@ -57,20 +57,17 @@ class Flow:
         """Floats of a scratch ``_evaluate`` fills for up to ``rows`` times: the basis and the half angles."""
         return (2 + 3 * len(self.omega)) * rows
 
-    def _basis(self, t: np.ndarray, integrated: bool, scratch: np.ndarray | None = None) -> np.ndarray:
-        """The (m, rows) basis at ``t``, or with ``integrated`` its integral from 0.
+    def _basis(self, t: np.ndarray, integrated: bool, scratch: np.ndarray) -> np.ndarray:
+        """The (m, rows) basis at ``t``, or with ``integrated`` its integral from 0, in ``scratch``.
 
         Rows 1, t, cos(w t), sin(w t), or t, t^2 / 2, sin(w t) / w and
         (1 - cos(w t)) / w, where 1 - cos(w t) is evaluated as (2 h) h with
-        h = sin(w t / 2), which does not cancel.  The basis and h are new
-        arrays, or views of ``scratch`` (``_scratch_size`` floats or more).
+        h = sin(w t / 2), which does not cancel.  The basis and h are views of
+        ``scratch``, which holds ``_scratch_size(rows)`` floats or more.
         """
         p, rows = len(self.omega), len(t)
-        if scratch is None:
-            basis, half = np.empty((2 + 2 * p, rows)), None
-        else:
-            basis = scratch[: (2 + 2 * p) * rows].reshape(2 + 2 * p, rows)
-            half = scratch[(2 + 2 * p) * rows : (2 + 3 * p) * rows].reshape(p, rows)
+        basis = scratch[: (2 + 2 * p) * rows].reshape(2 + 2 * p, rows)
+        half = scratch[(2 + 2 * p) * rows : (2 + 3 * p) * rows].reshape(p, rows)
         of_cos, of_sin = basis[2 : 2 + p], basis[2 + p :]
         wt = np.multiply.outer(self.omega, t, out=of_sin)
         if not integrated:
@@ -81,7 +78,7 @@ class Flow:
         basis[0] = t
         np.multiply(0.5, t, out=basis[1])
         basis[1] *= t
-        half = np.multiply(0.5, wt, out=half)
+        np.multiply(0.5, wt, out=half)
         np.sin(half, out=half)
         np.sin(wt, out=of_cos)
         # (2 h) h, not 2 (h h), which rounds apart where h h is subnormal
@@ -91,30 +88,31 @@ class Flow:
         np.divide(trig, self.omega[:, None], out=trig)
         return basis
 
-    def _evaluate(self, t, integrated: bool, out: np.ndarray | None, scratch: np.ndarray | None = None):
-        """The maps, or with ``integrated`` the integrals, at ``t``, written into ``out`` when given.
+    def _evaluate(self, t: np.ndarray, integrated: bool, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """The maps, or with ``integrated`` the integrals, at the float64 times ``t``, written into ``out``.
 
-        ``t`` goes through the intake (``ccr._as_float``), which passes a
-        float64 array as it is, and the basis goes into ``scratch`` when
-        given, so with both a run allocates no array of its own.
+        ``out`` is C-contiguous with one matrix per time, and the basis goes
+        into ``scratch`` (see ``_basis``), so a run allocates no array of its
+        own.
         """
-        basis = self._basis(_as_float(t, "t"), integrated, scratch)
-        rows, coef = basis.shape[1], self.coef.reshape(len(self.coef), -1)
-        target = np.empty((rows,) + self.coef.shape[1:]) if out is None else out
-        flat = target.reshape(rows, coef.shape[1])
-        np.matmul(basis.T, coef, out=flat)
-        # an ``out`` whose matrix axes do not merge reshapes to a copy: write it back
-        if not np.may_share_memory(flat, target):
-            target[...] = flat.reshape(target.shape)
-        return target
+        basis = self._basis(t, integrated, scratch)
+        coef = self.coef.reshape(len(self.coef), -1)
+        np.matmul(basis.T, coef, out=out.reshape(len(t), coef.shape[1]))
+        return out
 
-    def maps(self, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The flow at every time of ``t``, one matrix per time (written into ``out``)."""
-        return self._evaluate(t, False, out)
+    def _new(self, t, integrated: bool) -> np.ndarray:
+        """``_evaluate`` at ``t``, taken through the intake (``ccr._as_float``), into new arrays."""
+        t = _as_float(t, "t")
+        out = np.empty((len(t),) + self.coef.shape[1:])
+        return self._evaluate(t, integrated, out, np.empty(self._scratch_size(len(t))))
 
-    def integrals(self, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """int_0^t of the flow at every t >= 0, from the integrated basis (written into ``out``)."""
-        return self._evaluate(t, True, out)
+    def maps(self, t) -> np.ndarray:
+        """The flow at every time of ``t``, one new matrix per time."""
+        return self._new(t, False)
+
+    def integrals(self, t) -> np.ndarray:
+        """int_0^t of the flow at every t >= 0, from the integrated basis, one new matrix per time."""
+        return self._new(t, True)
 
 
 @dataclass(frozen=True)
@@ -167,19 +165,22 @@ class Certificate:
         return self.flow
 
 
-def certify(a: np.ndarray, n_p: int) -> Certificate:
-    """The certificate of ``a`` split at ``n_p``, whose observer block has even size; never raises.
+def certify(a, n_p: int) -> Certificate:
+    """The certificate of ``a`` split at ``n_p``, whose observer block has even size.
 
+    ``a`` goes through the intake (``ccr._as_float``), whose ValueError
+    starts with ``a:``; the call never raises on a float array.
     A non-finite ``a`` fails before any eigensolver runs.  Otherwise the
     checks run in order: R' positive definite (with its extreme
     eigenvalues), then max|P| and max|R' - R'.T| against STRUCTURE_TOL max|a|
     and max|C B| against STRUCTURE_TOL max|a|^2, each failure with its value
     and bound, then the flow's coefficients, which must be finite.
     """
+    a = _as_float(a, "a")
     n = a.shape[0]
     b, c, d = a[:n_p, n_p:], a[n_p:, :n_p], a[n_p:, n_p:]
     n_o = n - n_p
-    theta_2 = make_theta(n_o // 2).theta
+    theta_2 = make_theta(n_o // 2)
     # a non-finite ``a`` gives NaN residuals (inf - inf, 0 * inf) without a warning
     with np.errstate(invalid="ignore"):
         r = -0.5 * (theta_2 @ d)
@@ -229,15 +230,17 @@ def certify(a: np.ndarray, n_p: int) -> Certificate:
     return Certificate(*residuals, lambda_min, lambda_max, frequencies, flow, None, right)
 
 
-def observer_flow(a: np.ndarray) -> Flow:
+def observer_flow(a) -> Flow:
     """exp(a t) in closed form: the flow of :func:`certify`.
 
     The plant size n_p is the largest even k with a[:k, :k] == 0 exactly; an
     all-zero ``a`` is the identity flow.  For an assembled a_a, n_p is the
     plant: the leading 2 x 2 block of D is 2 J R'[:2, :2], which is non-zero.
     An odd observer block, or a failed certificate, raises a ValueError
-    naming the block at fault.
+    naming the block at fault, and ``a`` goes through the intake, as in
+    :func:`certify`.
     """
+    a = _as_float(a, "a")
     n = a.shape[0]
     if not a.any():
         return Flow(omega=np.zeros(0), coef=np.stack([np.eye(n), np.zeros((n, n))]))

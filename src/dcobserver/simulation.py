@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ccr import CommutationStructure, _as_float
+from .ccr import _as_float
 from .closed_form import Flow, observer_flow
 from .linalg import spectral_norms
 from .synthesis import AugmentedSystem
@@ -262,11 +262,17 @@ def _sweep(systems: Sequence[AugmentedSystem | None], times: np.ndarray, edges, 
     ``residuals`` are the block's worst CCR residual, energy residual from
     the start map and deviation of the held rows from the start map.
     ``block`` and ``averages`` are buffers that the next run overwrites.
+    The pass allocates its buffers once: the two run buffers, one basis
+    scratch for the largest flow among ``systems`` and one monitor scratch.
     """
     coupled = next(aug for aug in systems if aug is not None)
-    n, theta = coupled.n, coupled.ccr.theta
-    averages = np.empty((min(_chunk_rows(n), times.size - 1), n, n))
+    n, theta = coupled.n, coupled.ccr
+    longest = min(_chunk_rows(n), times.size - 1)
+    averages = np.empty((longest, n, n))
     maps = np.empty_like(averages)
+    coupled_flows = (aug.certificate.checked_flow() for aug in systems if aug is not None)
+    basis = np.empty(max(flow._scratch_size(longest) for flow in coupled_flows))
+    monitor = np.empty(_residuals_scratch_size(longest, n))
     end, total = np.eye(n), None
     for i, lo, rows in _runs(edges, n):
         if rows.start == lo + 1:
@@ -276,15 +282,16 @@ def _sweep(systems: Sequence[AugmentedSystem | None], times: np.ndarray, edges, 
             else:
                 flow, energy, held = aug.certificate.checked_flow(), aug.r_a, aug.plant_output
             flow = replace(flow, coef=flow.coef @ start)
-        block = flow.maps(times[rows] - times[lo], out=maps[: rows.stop - rows.start])
+        count = rows.stop - rows.start
+        block = flow._evaluate(times[rows] - times[lo], False, maps[:count], basis)
         run_averages = None
         if rows.start < average_stop:
-            run_averages = flow.integrals(times[rows] - times[lo], out=averages[: len(block)])
+            run_averages = flow._evaluate(times[rows] - times[lo], True, averages[:count], basis)
             if lo:
                 run_averages += carried
             total = run_averages[-1].copy()
             run_averages /= times[rows, None, None]
-        ccr_res, energy_res = _residuals(block, theta, energy, start)
+        ccr_res, energy_res = _residuals(block, theta, energy, start, monitor)
         # no temporary outlives the yield: a block-sized array held there changes the heap of later runs
         moved = np.max(np.abs(block - start if held is None else held @ block - held @ start))
         yield i, rows, start, block, run_averages, (ccr_res, energy_res, float(moved))
@@ -373,33 +380,37 @@ class InvariantReport:
     max_energy_residual: float
 
 
-def invariant_monitor(series: PropagatorSeries, ccr: CommutationStructure, r_a) -> InvariantReport:
+def invariant_monitor(series: PropagatorSeries, theta, r_a) -> InvariantReport:
     """Max over the grid of |Phi theta Phi.T - theta| and |Phi.T r_a Phi - Phi_0.T r_a Phi_0|.
 
     Energy is measured against the series' first map, so a slice of a
     schedule is checked against its own Hamiltonian from its start; for a
-    series from t = 0 (Phi_0 = I) the reference is r_a itself.  The maps are
-    checked _chunk_rows(n) rows at a time, up to WORKERS runs at once
-    (_each_run; a max takes the same bits in any order), and each run's
-    products a quarter run at a time, in a scratch of three quarter-run
-    blocks.
+    series from t = 0 (Phi_0 = I) the reference is r_a itself.  ``theta``
+    and ``r_a`` go through the intake (``ccr._as_float``) and must match
+    the series' dimension.  The maps are checked _chunk_rows(n) rows at a
+    time, up to WORKERS runs at once (_each_run; a max takes the same bits
+    in any order), each run in a scratch of _residuals_scratch_size floats.
     """
-    r_a = _as_float(r_a, "r_a")
-    theta = ccr.theta
-    if series.dim != ccr.n or r_a.shape != (ccr.n, ccr.n):
-        raise ValueError("series, ccr and r_a dimensions disagree")
-    maps = series.maps
+    theta, r_a = _as_float(theta, "theta"), _as_float(r_a, "r_a")
+    n, maps = series.dim, series.maps
+    if theta.shape != (n, n) or r_a.shape != (n, n):
+        raise ValueError("series, theta and r_a dimensions disagree")
 
     def monitor(_, rows, scratch):
         return _residuals(maps[rows], theta, r_a, maps[0], scratch)
 
     # edges (-1, K - 1) walk the rows from 0, so the first map is checked too
-    worst = _each_run((-1, len(maps) - 1), ccr.n, lambda rows: 3 * -(-rows // 4) * theta.size, monitor)
+    worst = _each_run((-1, len(maps) - 1), n, lambda rows: _residuals_scratch_size(rows, n), monitor)
     ccr_res, energy_res = np.max(worst, axis=0).tolist()
     return InvariantReport(max_ccr_residual=ccr_res, max_energy_residual=energy_res)
 
 
-def _residuals(maps: np.ndarray, theta, r_a, start: np.ndarray, scratch: np.ndarray | None = None):
+def _residuals_scratch_size(rows: int, n: int) -> int:
+    """Floats of a _residuals scratch for blocks of up to ``rows`` n x n maps: three quarter-block pieces."""
+    return 3 * -(-rows // 4) * n * n
+
+
+def _residuals(maps: np.ndarray, theta, r_a, start: np.ndarray, scratch: np.ndarray):
     """Max of |Phi theta Phi.T - theta| and of |Phi.T r_a Phi - start.T r_a start| over a block of maps.
 
     Every product takes C-contiguous operands: each piece of the block is
@@ -408,19 +419,11 @@ def _residuals(maps: np.ndarray, theta, r_a, start: np.ndarray, scratch: np.ndar
     on its general path, where two runs of _each_run at once were slower
     than one; its small-matrix kernels take plain products without
     contention.  A piece's copy and two products fill ``scratch``, whose
-    pieces are a third of it.  Without one, a piece is half the block, and
-    the three fill three of the four half-blocks of one two-block buffer,
-    freed on return (three maps for a one-map block): a larger freed block
-    would raise malloc's thresholds for what runs after, and separate
-    temporaries would be mapped and faulted in anew on every call.  The
-    pieces' worst values combine with np.max, so a NaN reaches the result.
+    pieces are a third of it.  The pieces' worst values combine with np.max,
+    so a NaN reaches the result.
     """
     energy_ref, size = start.T @ r_a @ start, theta.size
-    if scratch is None:
-        piece = -(-len(maps) // 2)
-        scratch = np.empty(max(2 * len(maps), 3 * piece) * size)
-    else:
-        piece = len(scratch) // (3 * size)
+    piece = len(scratch) // (3 * size)
     worst = []
     for lo in range(0, len(maps), piece):
         block = maps[lo : lo + piece]
@@ -482,9 +485,10 @@ def convergence_diagnostics(aug: AugmentedSystem, horizon: float, dt: float) -> 
     rows_flow = replace(flow, coef=(aug.plant_output - aug.observer_output) @ flow.coef)
     # each chunk of averaged rows becomes its d values, and the max of t d
     block = np.empty((min(_chunk_rows(aug.n), times.size),) + rows_flow.coef.shape[1:])
+    scratch = np.empty(rows_flow._scratch_size(len(block)))
     d_all, t_times_d = np.empty(times.size), []
     for _, _, rows in _runs((0, times.size), aug.n):
-        part = rows_flow.integrals(grid[rows], out=block[: rows.stop - rows.start])
+        part = rows_flow._evaluate(grid[rows], True, block[: rows.stop - rows.start], scratch)
         part /= grid[rows, None, None]
         d = d_all[rows.start - 1 : rows.stop - 1]
         d[:] = spectral_norms(part)

@@ -21,7 +21,6 @@ from functools import cached_property
 import numpy as np
 
 from .ccr import (
-    CommutationStructure,
     PlantSpec,
     _as_float,
     _check_finite,
@@ -89,11 +88,11 @@ class AugmentedSystem:
     ``a_a`` is the one stored matrix, a read-only copy, so nothing derived
     from it can go stale; it may hold non-finite entries, which the
     certificate fails, but an entry that is no real number is a ValueError
-    naming ``a_a``.  The commutation structure, the block Hamiltonian
-    r_a = -theta a_a / 2, the output selectors and the certificate of the
-    observer structure, which :func:`verify_observer_conditions` reports and
-    whose flow propagation takes, are derived from it once per system, on
-    first use; the matrices are read-only.
+    naming ``a_a``.  The block Hamiltonian r_a = -theta a_a / 2, the output
+    selectors and the certificate of the observer structure, which
+    :func:`verify_observer_conditions` reports and whose flow propagation
+    takes, are derived from it once per system, on first use; the matrices
+    are read-only.
     """
 
     plant: PlantSpec
@@ -107,14 +106,15 @@ class AugmentedSystem:
     def n(self) -> int:
         return self.plant.n_p + self.observer.n_o
 
-    @cached_property
-    def ccr(self) -> CommutationStructure:
+    @property
+    def ccr(self) -> np.ndarray:
+        """The commutation matrix theta of the joint system: make_theta's shared read-only array."""
         return make_theta(self.n // 2)
 
     @cached_property
     def r_a(self) -> np.ndarray:
         """Block Hamiltonian of a_a (theta squares to -I, so this inverts a_a = 2 theta r_a)."""
-        return _read_only(-0.5 * (self.ccr.theta @ self.a_a))
+        return _read_only(-0.5 * (self.ccr @ self.a_a))
 
     @cached_property
     def certificate(self) -> Certificate:
@@ -226,7 +226,7 @@ def assemble_augmented(plant: PlantSpec, obs: ObserverSpec) -> AugmentedSystem:
     r_a[plant.n_p :, : plant.n_p] = r_c.T
     r_a[plant.n_p :, plant.n_p :] = obs.r_o
     with np.errstate(invalid="ignore"):  # 0 * inf in a non-finite r_a reads NaN
-        a_a = 2.0 * (make_theta(n // 2).theta @ r_a)
+        a_a = 2.0 * (make_theta(n // 2) @ r_a)
     return AugmentedSystem(plant=plant, observer=obs, a_a=a_a)
 
 
@@ -282,7 +282,7 @@ def verify_observer_conditions(aug: AugmentedSystem) -> ObserverConditionsReport
     plant, obs = aug.plant, aug.observer
     with np.errstate(invalid="ignore"):  # 0 * inf in a non-finite a_a reads NaN
         annihilation = float(np.max(np.abs(aug.plant_output @ aug.a_a)))
-    realizability = realizability_residual(aug.a_a, aug.ccr.theta)
+    realizability = realizability_residual(aug.a_a, aug.ccr)
     certificate = aug.certificate
     if certificate.flow is None:
         spectrum, real_part = np.full(aug.n, np.nan, dtype=complex), np.inf

@@ -114,12 +114,12 @@ def random_realizable(rng: np.random.Generator, n_modes: int, scale: float = 1.0
     exponentially; normalizing the norm keeps sampled flows bounded enough
     for absolute conservation checks in double precision.
     """
-    ccr = make_theta(n_modes)
-    g = rng.normal(size=(ccr.n, ccr.n))
+    theta = make_theta(n_modes)
+    g = rng.normal(size=theta.shape)
     r = 0.5 * (g + g.T)
-    a = 2.0 * (ccr.theta @ r)
+    a = 2.0 * (theta @ r)
     factor = scale / max(1e-12, float(np.linalg.norm(a, 2)))
-    return a * factor, ccr, r * factor
+    return a * factor, theta, r * factor
 
 
 def exact_propagator_average(a, t_end: float) -> np.ndarray:
@@ -185,12 +185,12 @@ def hamiltonian_of(a, theta) -> np.ndarray:
 
 def theta_1(aug) -> np.ndarray:
     """Plant block of the commutation matrix of ``aug``."""
-    return aug.ccr.theta[: aug.plant.n_p, : aug.plant.n_p]
+    return aug.ccr[: aug.plant.n_p, : aug.plant.n_p]
 
 
 def theta_2(aug) -> np.ndarray:
     """Observer block of the commutation matrix of ``aug``, a view of the shared read-only theta."""
-    return aug.ccr.theta[aug.plant.n_p :, aug.plant.n_p :]
+    return aug.ccr[aug.plant.n_p :, aug.plant.n_p :]
 
 
 def closed_form_pieces(aug):
@@ -459,11 +459,8 @@ def whole_series(flows, times, edges) -> tuple[np.ndarray, np.ndarray]:
     for flow, lo, hi in zip(flows, edges[:-1], edges[1:]):
         composed = replace(flow, coef=flow.coef @ maps[lo])
         local = times[lo + 1 : hi + 1] - times[lo]
-        if flow.coef[1:].any():
-            composed.maps(local, out=maps[lo + 1 : hi + 1])
-        else:
-            maps[lo + 1 : hi + 1] = maps[lo]
-        composed.integrals(local, out=integrals[lo:hi])
+        maps[lo + 1 : hi + 1] = composed.maps(local) if flow.coef[1:].any() else maps[lo]
+        integrals[lo:hi] = composed.integrals(local)
         if lo:
             integrals[lo:hi] += integrals[lo - 1]
     return maps, integrals / times[1:, None, None]

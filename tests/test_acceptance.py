@@ -51,7 +51,7 @@ def test_criterion_1_realizability_algebra():
     worst_res = 0.0
     worst_round = 0.0
     for aug in _assembled_test_set():
-        theta, r_a = aug.ccr.theta, aug.r_a
+        theta, r_a = aug.ccr, aug.r_a
         worst_res = max(worst_res, realizability_residual(aug.a_a, theta))
         # a_a = 2 theta r_a with r_a symmetric, and r_a equals the symmetric oracle
         worst_round = max(
@@ -154,7 +154,7 @@ def test_criterion_6_conservation_laws():
     aug1, aug3 = one_mode_augmented(), swapped_augmented()
     times, _, maps, _, _ = swept_schedule([(20.0, aug1), (5.0, None), (75.0, aug3)], 0.01)
     maps_t = maps.transpose(0, 2, 1)
-    ccr_res = float(np.max(np.abs(maps @ aug1.ccr.theta @ maps_t - aug1.ccr.theta)))
+    ccr_res = float(np.max(np.abs(maps @ aug1.ccr @ maps_t - aug1.ccr)))
     energy_res = 0.0
     bounds = [0.0, 20.0, 25.0, 100.0]
     for i, r_seg in enumerate([aug1.r_a, np.zeros((4, 4)), aug3.r_a]):
@@ -185,7 +185,7 @@ def test_criterion_7_exponential_norm_bound():
     for _ in range(100):
         n_o = int(rng.choice([2, 4, 6, 8]))
         r_o = random_spd(rng, n_o, 0.2, 5.0)
-        theta_2 = make_theta(n_o // 2).theta
+        theta_2 = make_theta(n_o // 2)
         bound = certify(2.0 * theta_2 @ r_o, 0).norm_bound
         series = propagate(2.0 * theta_2 @ r_o, uniform_grid(50.0, 0.25))
         sup = float(np.linalg.norm(series.maps, 2, axis=(1, 2)).max())

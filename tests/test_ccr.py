@@ -36,63 +36,61 @@ J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def test_make_theta_single_mode():
-    ccr = make_theta(1)
-    assert ccr.n == 2
-    assert np.array_equal(ccr.theta, J)
+    theta = make_theta(1)
+    assert theta.shape == (2, 2)
+    assert np.array_equal(theta, J)
 
 
 def test_make_theta_two_modes_block_diagonal():
-    ccr = make_theta(2)
     expected = np.zeros((4, 4))
     expected[:2, :2] = J
     expected[2:, 2:] = J
-    assert np.array_equal(ccr.theta, expected)
+    assert np.array_equal(make_theta(2), expected)
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 5])
 def test_make_theta_is_one_shared_read_only_structure(n_modes):
-    ccr = make_theta(n_modes)
-    assert make_theta(n_modes) is ccr
-    assert ccr.theta is ccr.theta
+    theta = make_theta(n_modes)
+    assert type(theta) is np.ndarray and theta.dtype == float
+    assert make_theta(n_modes) is theta
     with pytest.raises(ValueError, match="read-only"):
-        ccr.theta[0, 1] = 2.0
-    assert np.array_equal(ccr.theta, np.kron(np.eye(n_modes), J))
+        theta[0, 1] = 2.0
+    assert np.array_equal(theta, np.kron(np.eye(n_modes), J))
 
 
 def test_augmented_system_reads_the_shared_theta():
     aug = one_mode_augmented()
     assert aug.ccr is make_theta(2)
-    assert aug.ccr.theta is make_theta(2).theta
 
 
 @given(n_modes=st.integers(min_value=1, max_value=12))
 def test_theta_skew_and_squares_to_minus_identity(n_modes):
-    ccr = make_theta(n_modes)
-    assert np.array_equal(ccr.theta + ccr.theta.T, np.zeros((ccr.n, ccr.n)))
-    assert np.array_equal(ccr.theta @ ccr.theta, -np.eye(ccr.n))
+    theta = make_theta(n_modes)
+    assert np.array_equal(theta + theta.T, np.zeros((2 * n_modes, 2 * n_modes)))
+    assert np.array_equal(theta @ theta, -np.eye(2 * n_modes))
 
 
-@pytest.mark.parametrize("bad", [0, -3])
+@pytest.mark.parametrize("bad", [0, -3, 1.5])
 def test_make_theta_rejects_nonpositive(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_modes must be a positive integer"):
         make_theta(bad)
 
 
 def test_realizability_of_one_mode_dynamics_is_exact():
-    assert realizability_residual(A_ONE_MODE, make_theta(2).theta) == 0.0
+    assert realizability_residual(A_ONE_MODE, make_theta(2)) == 0.0
 
 
 def test_identity_dynamics_not_realizable():
-    assert realizability_residual(np.eye(4), make_theta(2).theta) == pytest.approx(2.0)
+    assert realizability_residual(np.eye(4), make_theta(2)) == pytest.approx(2.0)
 
 
 def test_zero_dynamics_realizable():
-    assert realizability_residual(np.zeros((2, 2)), make_theta(1).theta) == 0.0
+    assert realizability_residual(np.zeros((2, 2)), make_theta(1)) == 0.0
 
 
 def test_realizability_dimension_mismatch():
     with pytest.raises(ValueError):
-        realizability_residual(np.eye(3), make_theta(2).theta)
+        realizability_residual(np.eye(3), make_theta(2))
 
 
 def test_hamiltonian_from_zero_dynamics():
@@ -107,23 +105,23 @@ def test_hamiltonian_from_rotation_dynamics():
 def test_hamiltonian_of_one_mode_system():
     aug = one_mode_augmented()
     assert np.array_equal(aug.r_a, R_ONE_MODE)
-    assert np.array_equal(hamiltonian_of(A_ONE_MODE, aug.ccr.theta), R_ONE_MODE)
+    assert np.array_equal(hamiltonian_of(A_ONE_MODE, aug.ccr), R_ONE_MODE)
 
 
 def test_dynamics_from_hamiltonian_examples():
     # assemble_augmented forms a_a = 2 theta r_a from the one-mode Hamiltonian
     assert np.array_equal(one_mode_augmented().a_a, A_ONE_MODE)
-    assert np.array_equal(2.0 * make_theta(2).theta @ R_ONE_MODE, A_ONE_MODE)
+    assert np.array_equal(2.0 * make_theta(2) @ R_ONE_MODE, A_ONE_MODE)
 
 
 @given(seed=st.integers(0, 10_000), n_modes=st.integers(1, 8))
 @settings(max_examples=60)
 def test_generated_dynamics_always_realizable(seed, n_modes):
     rng = np.random.default_rng(seed)
-    ccr = make_theta(n_modes)
-    g = rng.normal(size=(ccr.n, ccr.n))
+    theta = make_theta(n_modes)
+    g = rng.normal(size=theta.shape)
     r = 0.5 * (g + g.T)
-    assert realizability_residual(2.0 * (ccr.theta @ r), ccr.theta) <= 1e-12
+    assert realizability_residual(2.0 * (theta @ r), theta) <= 1e-12
 
 
 @given(seed=st.integers(0, 10_000), shape=st.sampled_from([(2, 2), (2, 4), (4, 2), (4, 6), (6, 6)]))
@@ -131,7 +129,7 @@ def test_generated_dynamics_always_realizable(seed, n_modes):
 def test_hamiltonian_round_trip_is_tight(seed, shape):
     # r_a = -theta a_a / 2 inverts a_a = 2 theta r_a, and is the symmetric oracle
     aug = random_augmented(np.random.default_rng(seed), *shape)
-    theta, r_a = aug.ccr.theta, aug.r_a
+    theta, r_a = aug.ccr, aug.r_a
     assert np.max(np.abs(2.0 * (theta @ r_a) - aug.a_a)) <= 1e-12
     assert np.max(np.abs(r_a - r_a.T)) <= 1e-12
     assert np.max(np.abs(r_a - hamiltonian_of(aug.a_a, theta))) <= 1e-12
@@ -139,7 +137,7 @@ def test_hamiltonian_round_trip_is_tight(seed, shape):
 
 def coupling(plant) -> float:
     """max|beta.T theta_1 beta|: zero for one quadrature per mode."""
-    return float(np.max(np.abs(plant.beta.T @ make_theta(plant.m_p).theta @ plant.beta)))
+    return float(np.max(np.abs(plant.beta.T @ make_theta(plant.m_p) @ plant.beta)))
 
 
 def test_make_plant_single_quadrature():
@@ -208,17 +206,17 @@ def test_plant_spec_derives_everything_from_beta():
 @settings(max_examples=40, deadline=None)
 def test_flow_preserves_commutation_matrix(seed):
     rng = np.random.default_rng(seed)
-    a, ccr, _ = random_realizable(rng, int(rng.integers(1, 5)), scale=0.7)
+    a, theta, _ = random_realizable(rng, int(rng.integers(1, 5)), scale=0.7)
     for t in rng.uniform(0.0, 4.0, size=5):
         phi = expm(a * t)
-        assert np.max(np.abs(phi @ ccr.theta @ phi.T - ccr.theta)) <= 1e-9
+        assert np.max(np.abs(phi @ theta @ phi.T - theta)) <= 1e-9
 
 
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_flow_preserves_hamiltonian(seed):
     rng = np.random.default_rng(seed)
-    a, ccr, r = random_realizable(rng, int(rng.integers(1, 5)), scale=0.7)
+    a, _, r = random_realizable(rng, int(rng.integers(1, 5)), scale=0.7)
     for t in rng.uniform(0.0, 4.0, size=5):
         phi = expm(a * t)
         assert np.max(np.abs(phi.T @ r @ phi - r)) <= 1e-9
@@ -269,10 +267,11 @@ def _calls():
             "c_o", c_o, lambda v: synthesize_observer(plant, np.eye(2), c_o=v, alpha=alpha)
         ),
         "AugmentedSystem-a_a": ("a_a", A_ONE_MODE, lambda v: AugmentedSystem(plant, aug.observer, v)),
-        "realizability_residual-a": ("a", A_ONE_MODE, lambda v: realizability_residual(v, aug.ccr.theta)),
-        "realizability_residual-theta": ("theta", aug.ccr.theta, lambda v: realizability_residual(A_ONE_MODE, v)),
+        "realizability_residual-a": ("a", A_ONE_MODE, lambda v: realizability_residual(v, aug.ccr)),
+        "realizability_residual-theta": ("theta", aug.ccr, lambda v: realizability_residual(A_ONE_MODE, v)),
         "propagate-a": ("a", A_ONE_MODE, lambda v: propagate(v, _GRID)),
         "propagate-grid": ("grid", _GRID, lambda v: propagate(A_ONE_MODE, v)),
+        "invariant_monitor-theta": ("theta", aug.ccr, lambda v: invariant_monitor(series, v, R_ONE_MODE)),
         "invariant_monitor-r_a": ("r_a", R_ONE_MODE, lambda v: invariant_monitor(series, aug.ccr, v)),
         "uniform_grid-t_end": ("t_end", 1.0, lambda v: uniform_grid(v, 0.5)),
         "uniform_grid-dt": ("dt", 0.5, lambda v: uniform_grid(1.0, v)),

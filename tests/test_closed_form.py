@@ -102,7 +102,7 @@ def test_expanded_form_equals_quadrature_form():
 def test_coefficient_map_is_symplectic():
     rng = np.random.default_rng(43)
     aug = random_augmented(rng, 2, 4)
-    theta = aug.ccr.theta
+    theta = aug.ccr
     for t in rng.uniform(0.0, 15.0, size=10):
         m = closed_form_map(t, aug)
         assert np.max(np.abs(m @ theta @ m.T - theta)) <= 1e-9
@@ -142,7 +142,7 @@ def test_output_maps_examples():
 def observer_certificate(r_o):
     """The certificate of the observer block 2 theta_2 r_o alone (n_p = 0)."""
     r_o = np.asarray(r_o, dtype=float)
-    return certify(2.0 * make_theta(r_o.shape[0] // 2).theta @ r_o, 0)
+    return certify(2.0 * make_theta(r_o.shape[0] // 2) @ r_o, 0)
 
 
 def test_exp_norm_bound_examples():
@@ -156,7 +156,7 @@ def test_exp_norm_bound_examples():
 
 def test_exp_norm_bound_is_sharp_for_diagonal_block():
     r_o = np.diag([2.0, 1.0])
-    theta_2 = make_theta(1).theta
+    theta_2 = make_theta(1)
     b = 2.0 * theta_2 @ r_o
     sampled = max(
         float(np.linalg.norm(expm(b * t), 2)) for t in np.linspace(0.0, 50.0, 5001)
@@ -204,6 +204,18 @@ def test_all_zero_dynamics_are_the_identity_flow():
         t = np.array([0.0, 0.5, 7.0])
         assert np.array_equal(flow.maps(t), np.broadcast_to(np.eye(n), (3, n, n)))
         assert np.array_equal(flow.integrals(t), t[:, None, None] * np.eye(n))
+
+
+def test_certify_and_observer_flow_take_a_through_the_intake():
+    # a list is the flow of its array; a complex a names its argument, not
+    # AttributeError on the list's shape or a ComplexWarning
+    a = random_augmented(np.random.default_rng(4), 2, 2).a_a
+    pairs = [(certify(a.tolist(), 2).flow, certify(a, 2).flow), (observer_flow(a.tolist()), observer_flow(a))]
+    for listed, array in pairs:
+        assert np.array_equal(listed.omega, array.omega) and np.array_equal(listed.coef, array.coef)
+    for call in (lambda v: certify(v, 2), observer_flow):
+        with pytest.raises(ValueError, match="^a: expected real numbers, got complex128 entries$"):
+            call(a.astype(complex))
 
 
 # (n_p, n_o) of a random system at each n; n = 32 and 80 are the splits of the
@@ -254,7 +266,7 @@ def test_basis_rows_are_the_time_major_columns(integrated):
     # and 2 (h h) round apart; the flow's sums hide that, the basis does not
     flow = flow_at(20)
     t = np.concatenate([np.geomspace(1e-165, 1e-150, 64), np.arange(300) * 0.05])
-    basis = flow._basis(t, integrated)
+    basis = flow._basis(t, integrated, np.empty(flow._scratch_size(t.size)))
     assert basis.flags.c_contiguous
     assert np.array_equal(basis.T, time_major_basis(flow, t, integrated))
 
@@ -264,8 +276,6 @@ def test_flow_of_no_times_is_empty(n):
     flow = flow_at(n)
     for evaluate in (flow.maps, flow.integrals):
         assert evaluate(np.array([])).shape == (0, n, n)
-        out = np.empty((0, n, n))
-        assert evaluate(np.zeros(0), out=out) is out
 
 
 def test_flow_takes_a_list_of_times():
@@ -295,10 +305,10 @@ def test_flow_times_go_through_the_intake(t, message):
 
 @pytest.mark.parametrize("integrated", [False, True])
 def test_a_run_with_out_and_scratch_allocates_no_array(integrated):
-    # float64 times pass the intake uncopied and the basis and half angles go
-    # into the scratch, so a run of simulation's _each_run allocates less
-    # than one copy of its times (only numpy's 64 KiB buffer of a
-    # broadcasting ufunc), and gets the bits of a new basis
+    # the basis and half angles go into the scratch, so a run of simulation's
+    # _each_run allocates less than one copy of its times (only numpy's 64 KiB
+    # buffer of a broadcasting ufunc), and gets the bits of the allocating
+    # maps and integrals
     flow = flow_at(8)
     t = np.arange(16384) * 0.05
     out, scratch = np.empty((t.size, 8, 8)), np.empty(flow._scratch_size(t.size))
@@ -310,15 +320,4 @@ def test_a_run_with_out_and_scratch_allocates_no_array(integrated):
     finally:
         tracemalloc.stop()
     assert peak < t.nbytes, peak
-    assert np.array_equal(out, flow._evaluate(t, integrated, None))
-
-
-@pytest.mark.parametrize("integrated", [False, True])
-def test_flow_writes_an_out_whose_matrix_axes_do_not_merge(integrated):
-    # a transposed out reshapes to a copy; the values must still land in out
-    flow = flow_at(4)
-    evaluate = flow.integrals if integrated else flow.maps
-    t = np.array([0.5, 1.0, 2.0])
-    out = np.zeros((3, 4, 4)).transpose(0, 2, 1)
-    assert evaluate(t, out=out) is out
-    assert np.array_equal(out, evaluate(t))
+    assert np.array_equal(out, flow.integrals(t) if integrated else flow.maps(t))

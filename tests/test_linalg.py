@@ -32,7 +32,7 @@ def test_positive_definite_generators_have_imaginary_spectrum():
     rng = np.random.default_rng(23)
     for _ in range(120):
         n_modes = int(rng.integers(1, 6))
-        theta = make_theta(n_modes).theta
+        theta = make_theta(n_modes)
         spectrum = np.linalg.eigvals(2.0 * theta @ random_spd(rng, 2 * n_modes, 0.1, 4.0))
         assert np.max(np.abs(spectrum.real)) <= 1e-9
 
@@ -70,7 +70,7 @@ def test_exponential_norm_bound_holds_on_samples():
     for _ in range(30):
         n_o = int(rng.choice([2, 4, 6]))
         r_o = random_spd(rng, n_o, 0.2, 5.0)
-        theta_2 = make_theta(n_o // 2).theta
+        theta_2 = make_theta(n_o // 2)
         bound = certify(2.0 * theta_2 @ r_o, 0).norm_bound
         series = propagate(2.0 * theta_2 @ r_o, uniform_grid(50.0, 0.5))
         assert np.linalg.norm(series.maps, 2, axis=(1, 2)).max() <= bound + 1e-8

@@ -1337,7 +1337,7 @@ def test_schedule_run_writes_and_checks_the_whole_series(tmp_path):
     flows = [closed_form.observer_flow(a) for a in phase_dynamics(phases)]
     maps, averages = whole_series(flows, times, edges)
 
-    theta = first.ccr.theta
+    theta = first.ccr
     ccr = invariant_residuals(maps, theta, np.zeros((4, 4)))[0]
     assert bundle.summary["conservation"]["ccr_residual"] == ccr
     for entry, (_, aug), lo, hi in zip(entries, phases, edges[:-1], edges[1:]):

@@ -225,7 +225,7 @@ def broken_dynamics(kind, rng, n_p=2, n_o=4):
     if kind == "coupling":  # C B != 0
         a[n_p:, :n_p] += 0.1 * rng.normal(size=(n_o, n_p))
     elif kind == "indefinite":  # R' = diag(1, -1, ...)
-        a[n_p:, n_p:] = 2.0 * make_theta(n_o // 2).theta @ np.diag([1.0, -1.0] * (n_o // 2))
+        a[n_p:, n_p:] = 2.0 * make_theta(n_o // 2) @ np.diag([1.0, -1.0] * (n_o // 2))
     elif kind == "asymmetric":  # R' != R'.T
         a[n_p, n_p + 2] += 1e-3
     elif kind == "generic":  # realizable, with a non-zero leading 2 x 2 block
@@ -233,7 +233,7 @@ def broken_dynamics(kind, rng, n_p=2, n_o=4):
     elif kind == "odd":  # a one-dimensional observer block
         return np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 2.0, 0.0]]), np.zeros((3, 3))
     elif kind == "identity":
-        return np.eye(2), 2.0 * make_theta(1).theta
+        return np.eye(2), 2.0 * make_theta(1)
     elif kind == "non-finite":
         a[n_p, n_p + 1] = np.nan
     return a, aug.a_a
@@ -330,7 +330,7 @@ def test_observer_block_alone_is_taken_in_closed_form(identity):
     # n_p = 0: the dynamics 2 theta_2 r_o of the observer on its own
     rng = np.random.default_rng(61)
     r_o = np.eye(4) if identity else random_spd(rng, 4)
-    b = 2.0 * make_theta(2).theta @ r_o
+    b = 2.0 * make_theta(2) @ r_o
     series = propagate(b, uniform_grid(10.0, 0.01))
     for k in (0, 1, 457, 1000):
         assert np.max(np.abs(series.maps[k] - expm(b * series.times[k]))) <= 1e-12
@@ -418,7 +418,7 @@ def test_trapezoid_averages_converge_at_second_order():
 
 def test_exact_average_cross_checks_trapezoid():
     r_o = np.array([[2.0, 0.3], [0.3, 1.0]])
-    b = 2.0 * make_theta(1).theta @ r_o
+    b = 2.0 * make_theta(1) @ r_o
     averages = time_average(propagate(b, uniform_grid(10.0, 0.005)))
     closed = exact_propagator_average(b, 10.0)
     assert np.max(np.abs(averages.averages[-1] - closed)) <= 1e-5
@@ -440,11 +440,10 @@ def test_invariant_monitor_on_canonical_run():
 
 def test_invariant_monitor_flags_non_realizable_flow():
     # Phi = e^t I gives Phi theta Phi.T - theta = (e^{2t} - 1) theta
-    ccr = make_theta(1)
     times = np.array([0.0, 0.5, 1.0])
     maps = np.exp(times)[:, None, None] * np.eye(2)
     series = PropagatorSeries(times=times, maps=maps)
-    report = invariant_monitor(series, ccr, np.zeros((2, 2)))
+    report = invariant_monitor(series, make_theta(1), np.zeros((2, 2)))
     assert report.max_ccr_residual == pytest.approx(np.exp(2.0) - 1.0, rel=1e-6)
 
 
@@ -457,15 +456,14 @@ def test_invariant_monitor_slices_match_whole_series():
     assert piece.maps.shape[0] > _chunk_rows(4)
     assert not np.array_equal(piece.maps[0], np.eye(4))
     report = invariant_monitor(piece, aug3.ccr, aug3.r_a)
-    expected = invariant_residuals(piece.maps, aug3.ccr.theta, aug3.r_a)
+    expected = invariant_residuals(piece.maps, aug3.ccr, aug3.r_a)
     assert (report.max_ccr_residual, report.max_energy_residual) == expected
     assert min(expected) > 0.0
 
 
 def test_invariant_monitor_zero_dynamics_is_exact():
-    ccr = make_theta(2)
     series = propagate(np.zeros((4, 4)), uniform_grid(5.0, 0.5))
-    report = invariant_monitor(series, ccr, np.diag([1.0, 2.0, 3.0, 4.0]))
+    report = invariant_monitor(series, make_theta(2), np.diag([1.0, 2.0, 3.0, 4.0]))
     assert report.max_ccr_residual == 0.0
     assert report.max_energy_residual == 0.0
 
@@ -501,12 +499,13 @@ def test_residuals_on_contiguous_operands_match_the_transposed_view_products(n):
     # bit for bit where the kernel rounds both forms alike (n = 4 and 8 under
     # every OpenBLAS kernel tried), else within the triple-product bound
     aug, start, blocks = residual_blocks(n)
-    theta, r_a = aug.ccr.theta, aug.r_a
+    theta, r_a = aug.ccr, aug.r_a
     for maps in blocks:
         maps_t = maps.transpose(0, 2, 1)
         ccr, ccr_allowance = view_residual(maps, theta, maps_t, theta)
         energy, energy_allowance = view_residual(maps_t, r_a, maps, start.T @ r_a @ start)
-        fast = simulation._residuals(maps, theta, r_a, start)
+        scratch = np.empty(simulation._residuals_scratch_size(len(maps), n))
+        fast = simulation._residuals(maps, theta, r_a, start, scratch)
         if n <= 8:
             assert fast == (ccr, energy), len(maps)
         else:
@@ -516,14 +515,14 @@ def test_residuals_on_contiguous_operands_match_the_transposed_view_products(n):
 
 @pytest.mark.parametrize("where", [0, -1])
 def test_residuals_of_a_block_with_a_nan_map_are_nan(where):
-    # the last map lies in the block's second half, whose worst values must
-    # not be dropped when the halves combine
+    # the last map lies in the block's last piece, whose worst values must
+    # not be dropped when the pieces combine
     aug, start, blocks = residual_blocks(8)
     for maps in blocks:
         maps[where, 0, 0] = np.nan
-        # without a scratch, and with one whose pieces are one map each
-        for scratch in (None, np.empty(3 * 64)):
-            residuals = simulation._residuals(maps, aug.ccr.theta, aug.r_a, start, scratch)
+        # with quarter-block pieces, and with pieces of one map each
+        for scratch in (np.empty(simulation._residuals_scratch_size(len(maps), 8)), np.empty(3 * 64)):
+            residuals = simulation._residuals(maps, aug.ccr, aug.r_a, start, scratch)
             assert np.isnan(residuals).all(), (len(maps), residuals)
 
 
@@ -668,7 +667,7 @@ def test_chunked_series_equal_the_whole_series_bit_for_bit(n, first_rows, last_r
     assert np.array_equal(swept_averages, averages)
     del averages, swept_averages
     report = invariant_monitor(PropagatorSeries(times=times, maps=swept), last.ccr, last.r_a)
-    expected = invariant_residuals(swept, last.ccr.theta, last.r_a)
+    expected = invariant_residuals(swept, last.ccr, last.r_a)
     assert (report.max_ccr_residual, report.max_energy_residual) == expected
     # the pass's own CCR residual is the whole series', run by run
     assert np.max(residuals[:, 0]) == expected[0]
@@ -726,9 +725,8 @@ def test_ladder_takes_the_grid_points_argmin_takes():
 
 def test_api_pipeline_peak_stays_at_the_returned_arrays():
     # n = 8, K = 100,001: beyond the returned maps, averages and their times
-    # (104 MB), the peak holds one monitor slice's two product blocks
-    # (4.2 MB); whole-grid temporaries of the basis or the output rows would
-    # pass 6 MB
+    # (104 MB), the peak holds up to two 1.6 MB monitor scratches; whole-grid
+    # temporaries of the basis or the output rows would pass 6 MB
     allowance = 6e6
     aug = random_augmented(np.random.default_rng(5), 4, 4)
     convergence_diagnostics(aug, horizon=10.0, dt=0.1)  # warm up imports and caches
@@ -744,6 +742,33 @@ def test_api_pipeline_peak_stays_at_the_returned_arrays():
     assert report.converged and series.maps.shape == (100_001, 8, 8)
     returned = sum(a.nbytes for a in (series.times, series.maps, averages.times, averages.averages))
     assert peak <= returned + allowance, (peak, returned)
+
+
+def test_a_sweep_pass_peaks_at_its_own_buffers():
+    # n = 8 over three full runs and part of a fourth: the pass holds its two
+    # run buffers, one basis scratch and one quarter-run monitor scratch
+    # (6.0 MB in all).  The allowance covers the held-row deviation's two
+    # (rows, m_p, n) temporaries (1.0 MB) and 256 KiB of small arrays; a
+    # residual buffer of two blocks a run (4.2 MB) would pass it
+    aug = random_augmented(np.random.default_rng(8), 4, 4)
+    chunk = _chunk_rows(8)
+    times = uniform_grid((3 * chunk + 100) * 0.1, 0.1)
+    assert times.size == 3 * chunk + 101
+
+    def one_pass():
+        for _ in simulation._sweep([aug], times, (0, times.size - 1), times.size):
+            pass
+
+    one_pass()  # warm up the certificate and the selectors
+    tracemalloc.start()
+    try:
+        one_pass()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = 8 * (2 * chunk * 64 + aug.certificate.flow._scratch_size(chunk) + 3 * (chunk // 4) * 64)
+    allowance = 2 * 8 * chunk * aug.plant.m_p * 8 + 2**18
+    assert peak <= own + allowance, (peak, own)
 
 
 def whole_series_chain(aug, grid):
@@ -777,7 +802,7 @@ def test_whole_series_runs_give_the_same_bits_on_one_cpu_and_on_two(monkeypatch)
         sys.setswitchinterval(interval)
     for one, two in zip(serial, threaded):
         assert np.array_equal(one, two)
-    assert threaded[2] == invariant_residuals(threaded[0], aug.ccr.theta, aug.r_a)
+    assert threaded[2] == invariant_residuals(threaded[0], aug.ccr, aug.r_a)
 
 
 @pytest.mark.parametrize("cpus, blas_threads", [(1, 1), (2, 1), (2, 2)])
@@ -866,7 +891,7 @@ def test_whole_series_chain_holds_no_more_after_four_passes_than_after_one():
 
         plant = make_plant([[1, 0], [0, 0], [0, 1], [0, 0]])
         aug = assemble_augmented(plant, synthesize_observer(plant, np.eye(4), [[1, 0, 0, 0], [0, 0, 1, 0]]))
-        batch, theta = np.ones((2000, 8, 8)), aug.ccr.theta
+        batch, theta = np.ones((2000, 8, 8)), aug.ccr
         peaks = []
         for _ in range(4):
             grid = uniform_grid(1e4, 0.1)

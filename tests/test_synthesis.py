@@ -194,7 +194,7 @@ def test_assemble_decoupled_observer_is_block_diagonal():
     spec = ObserverSpec(r_o=r_o, alpha=np.zeros((2, 1)), c_o=np.array([[1.0, 0.0]]))
     aug = assemble_augmented(plant, spec)
     expected = np.zeros((4, 4))
-    expected[2:, 2:] = 2.0 * make_theta(1).theta @ r_o
+    expected[2:, 2:] = 2.0 * make_theta(1) @ r_o
     assert np.array_equal(aug.a_a, expected)
 
 
@@ -238,7 +238,7 @@ def test_verify_conditions_flags_perturbed_dynamics():
 
 
 def test_observer_block_spectrum_is_pure_rotation():
-    spectrum = np.linalg.eigvals(2.0 * make_theta(1).theta @ np.eye(2))
+    spectrum = np.linalg.eigvals(2.0 * make_theta(1) @ np.eye(2))
     assert np.allclose(np.sort(spectrum), np.sort(np.array([2j, -2j])), atol=1e-12)
 
 
