@@ -23,6 +23,7 @@ convergence diagnostics take their constant from its R and lambda_min.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,11 @@ class Flow:
 
     omega: np.ndarray
     coef: np.ndarray
+
+    @classmethod
+    def identity(cls, n: int) -> "Flow":
+        """The flow of zero dynamics at dimension ``n``: I at every t, no frequencies."""
+        return cls(omega=np.zeros(0), coef=np.stack([np.eye(n), np.zeros((n, n))]))
 
     def _scratch_size(self, rows: int) -> int:
         """Floats of a scratch ``_evaluate`` fills for up to ``rows`` times: the basis and the half angles."""
@@ -168,16 +174,21 @@ class Certificate:
 def certify(a, n_p: int) -> Certificate:
     """The certificate of ``a`` split at ``n_p``, whose observer block has even size.
 
-    ``a`` goes through the intake (``ccr._as_float``), whose ValueError
-    starts with ``a:``; the call never raises on a float array.
-    A non-finite ``a`` fails before any eigensolver runs.  Otherwise the
-    checks run in order: R' positive definite (with its extreme
-    eigenvalues), then max|P| and max|R' - R'.T| against STRUCTURE_TOL max|a|
-    and max|C B| against STRUCTURE_TOL max|a|^2, each failure with its value
-    and bound, then the flow's coefficients, which must be finite.
+    ``a`` goes through the intake (``ccr._as_float``); a non-square ``a``, or
+    an ``n_p`` that is no even integer leaving an even observer block of 2 or
+    more, is a ValueError starting with ``a:`` or ``n_p:``.  Past that the
+    call never raises on a float array: a non-finite ``a`` fails before any
+    eigensolver runs, then the checks run in order: R' positive definite
+    (with its extreme eigenvalues), max|P| and max|R' - R'.T| against
+    STRUCTURE_TOL max|a|, max|C B| against STRUCTURE_TOL max|a|^2, each
+    failure with its value and bound, and finite flow coefficients.
     """
     a = _as_float(a, "a")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"a: must be square, got shape {a.shape}")
     n = a.shape[0]
+    if not isinstance(n_p, numbers.Integral) or n_p % 2 or n % 2 or not 0 <= n_p <= n - 2:
+        raise ValueError(f"n_p: must be even, leaving an even observer block of 2 or more in {n}, got {n_p!r}")
     b, c, d = a[:n_p, n_p:], a[n_p:, :n_p], a[n_p:, n_p:]
     n_o = n - n_p
     theta_2 = make_theta(n_o // 2)
@@ -228,23 +239,3 @@ def certify(a, n_p: int) -> Certificate:
         return Certificate(*residuals, lambda_min, lambda_max, None, None, message)
     flow = Flow(omega=frequencies[n_o // 2 :], coef=coef)
     return Certificate(*residuals, lambda_min, lambda_max, frequencies, flow, None, right)
-
-
-def observer_flow(a) -> Flow:
-    """exp(a t) in closed form: the flow of :func:`certify`.
-
-    The plant size n_p is the largest even k with a[:k, :k] == 0 exactly; an
-    all-zero ``a`` is the identity flow.  For an assembled a_a, n_p is the
-    plant: the leading 2 x 2 block of D is 2 J R'[:2, :2], which is non-zero.
-    An odd observer block, or a failed certificate, raises a ValueError
-    naming the block at fault, and ``a`` goes through the intake, as in
-    :func:`certify`.
-    """
-    a = _as_float(a, "a")
-    n = a.shape[0]
-    if not a.any():
-        return Flow(omega=np.zeros(0), coef=np.stack([np.eye(n), np.zeros((n, n))]))
-    n_p = max(k for k in range(0, n + 1, 2) if not a[:k, :k].any())
-    if (n - n_p) % 2:
-        raise ValueError(f"observer block a[{n_p}:, {n_p}:] has odd size {n - n_p}")
-    return certify(a, n_p).checked_flow()

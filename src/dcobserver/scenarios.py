@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .ccr import _as_float, _check_finite, make_plant
-from .simulation import _run_grid, _sweep, convergence_diagnostics
+from .simulation import _deviation, _run_grid, _sweep, convergence_diagnostics
 from .synthesis import (
     AugmentedSystem,
     assemble_augmented,
@@ -375,9 +375,8 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
             _FigureFile(out, fig, plan.prefix, first.n, avg_stop if fig.avg else map_stop, stack)
             for fig in plan.figures
         ]
-        first_rows = first.plant_output
         for i, rows, start, block, averages, residuals in _sweep(systems, times, edges, avg_stop):
-            swap = np.max(np.abs(first_rows @ block - first_rows @ start)) if i == swap_at else 0.0
+            swap = _deviation(block, start, first.plant_output) if i == swap_at else 0.0
             worst[i] = np.maximum(worst[i], [*residuals, swap])
             stamps = _stamps(times[rows])
             for figure in files:
@@ -424,7 +423,7 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
         summary["segments"] = entries
         summary["swap_disturbance"] = swap_disturbance
         checks["protected_rows_constant"] = all(dev <= CONSTANT_TOL for dev in protected)
-        checks["plateau_constant"] = max(plateau, default=0.0) <= 1e-12
+        checks["plateau_constant"] = all(dev <= 1e-12 for dev in plateau)
         checks["swap_disturbs_previous_row"] = swap_at is None or swap_disturbance > 0.1
     else:
         convergence = convergence_diagnostics(first, plan.average_end, config.dt)

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .ccr import _as_float
-from .closed_form import Flow, observer_flow
+from .closed_form import Flow, certify
 from .linalg import spectral_norms
 from .synthesis import AugmentedSystem
 
@@ -203,10 +203,7 @@ def _each_run(edges, n: int, scratch_size, fn) -> list:
     context (numpy's errstate holds there too) and with a scratch taken
     from the WORKERS free ones.  numpy drops the GIL inside a run's
     products and ufuncs, so two runs use two CPUs as long as their small
-    products take C-contiguous operands: the monitor's thousands of n x n
-    products a run, on a transposed view, go down OpenBLAS's general path,
-    and two runs of those were slower than one (hence _residuals'
-    transposed copies).
+    products take C-contiguous operands (see _residuals).
     ``fn`` writes only its own rows, so no result depends on which run ends
     first.  The runs go in order on the calling thread, with one scratch,
     when there is one run, one usable CPU, or a BLAS that spreads each
@@ -265,20 +262,20 @@ def _sweep(systems: Sequence[AugmentedSystem | None], times: np.ndarray, edges, 
     The pass allocates its buffers once: the two run buffers, one basis
     scratch for the largest flow among ``systems`` and one monitor scratch.
     """
-    coupled = next(aug for aug in systems if aug is not None)
-    n, theta = coupled.n, coupled.ccr
+    n, theta = next((aug.n, aug.ccr) for aug in systems if aug is not None)
     longest = min(_chunk_rows(n), times.size - 1)
     averages = np.empty((longest, n, n))
     maps = np.empty_like(averages)
     coupled_flows = (aug.certificate.checked_flow() for aug in systems if aug is not None)
     basis = np.empty(max(flow._scratch_size(longest) for flow in coupled_flows))
     monitor = np.empty(_residuals_scratch_size(longest, n))
+    identity, zero = Flow.identity(n), np.zeros((n, n))
     end, total = np.eye(n), None
     for i, lo, rows in _runs(edges, n):
         if rows.start == lo + 1:
             start, carried, aug = end, total, systems[i]
             if aug is None:
-                flow, energy, held = observer_flow(np.zeros((n, n))), np.zeros((n, n)), None
+                flow, energy, held = identity, zero, None
             else:
                 flow, energy, held = aug.certificate.checked_flow(), aug.r_a, aug.plant_output
             flow = replace(flow, coef=flow.coef @ start)
@@ -292,18 +289,26 @@ def _sweep(systems: Sequence[AugmentedSystem | None], times: np.ndarray, edges, 
             total = run_averages[-1].copy()
             run_averages /= times[rows, None, None]
         ccr_res, energy_res = _residuals(block, theta, energy, start, monitor)
-        # no temporary outlives the yield: a block-sized array held there changes the heap of later runs
-        moved = np.max(np.abs(block - start if held is None else held @ block - held @ start))
-        yield i, rows, start, block, run_averages, (ccr_res, energy_res, float(moved))
+        yield i, rows, start, block, run_averages, (ccr_res, energy_res, _deviation(block, start, held))
         end = block[-1].copy()
+
+
+def _deviation(maps: np.ndarray, start: np.ndarray, rows=None) -> float:
+    """max |rows Phi - rows start| over a block of maps Phi (all rows if None), off each entry's extremes:
+    x - s rounds monotonically in x, so it has the bits of the elementwise max (NaN too; abs clears -0.0)."""
+    if rows is not None:
+        maps, start = rows @ maps, rows @ start
+    return float(abs(np.maximum(np.max(np.max(maps, axis=0) - start), np.max(start - np.min(maps, axis=0)))))
 
 
 def propagate(a, grid) -> PropagatorSeries:
     """Transition matrices exp(a t_k) on ``grid``, from the closed-form flow of ``a``.
 
-    The flow is evaluated _chunk_rows(n) rows at a time into the series, up
-    to WORKERS runs at once (_each_run, bit for bit as one run at a time),
-    each run's basis in its scratch.
+    That is Flow.identity for an all-zero ``a``, else certify(a, n_p)'s flow,
+    n_p the largest even k with a[:k, :k] == 0 (for an a_a the plant, as
+    D[:2, :2] = 2 J R'[:2, :2] is non-zero).  It is evaluated _chunk_rows(n)
+    rows at a time into the series, up to WORKERS runs at once (_each_run,
+    bit for bit as one run at a time), each run's basis in its scratch.
     A float64 grid is the series' times as it is, not a copy.
 
     Raises
@@ -313,8 +318,8 @@ def propagate(a, grid) -> PropagatorSeries:
         starts with its name; see ``ccr._as_float``); the grid is not 1-D
         with two points or more, starting at 0, finite and strictly
         increasing, or its maps (8 K n^2 bytes) would pass MAX_SERIES_BYTES
-        (``grid: ``, raised before they are allocated); or the dynamics are
-        not square.
+        (``grid: ``, raised before they are allocated); ``a`` is not square
+        (``a: ``); or an odd observer block or a failed certificate, named.
     """
     times = _as_float(grid, "grid")
     if times.ndim != 1 or times.size < 2:
@@ -327,7 +332,7 @@ def propagate(a, grid) -> PropagatorSeries:
         raise ValueError("grid must be strictly increasing")
     a = _as_float(a, "a")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"dynamics must be square, got shape {a.shape}")
+        raise ValueError(f"a: must be square, got shape {a.shape}")
     n = a.shape[0]
     held = 8 * times.size * n * n
     if held > MAX_SERIES_BYTES:
@@ -335,7 +340,10 @@ def propagate(a, grid) -> PropagatorSeries:
             f"grid: {times.size} points of {n} x {n} maps ({held / 1e9:.3g} GB) "
             f"exceed {MAX_SERIES_BYTES / 1e9:g} GB"
         )
-    flow = observer_flow(a)
+    n_p = max(k for k in range(0, n + 1, 2) if not a[:k, :k].any())
+    if a.any() and (n - n_p) % 2:
+        raise ValueError(f"observer block a[{n_p}:, {n_p}:] has odd size {n - n_p}")
+    flow = certify(a, n_p).checked_flow() if a.any() else Flow.identity(n)
     maps = np.empty((times.size, n, n))
     maps[0] = np.eye(n)
 
@@ -395,6 +403,8 @@ def invariant_monitor(series: PropagatorSeries, theta, r_a) -> InvariantReport:
     n, maps = series.dim, series.maps
     if theta.shape != (n, n) or r_a.shape != (n, n):
         raise ValueError("series, theta and r_a dimensions disagree")
+    if not len(maps):
+        raise ValueError("series must contain at least one map")
 
     def monitor(_, rows, scratch):
         return _residuals(maps[rows], theta, r_a, maps[0], scratch)

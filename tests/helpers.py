@@ -21,6 +21,7 @@ from dcobserver import (
     assemble_augmented,
     make_plant,
     make_theta,
+    propagate,
     synthesize_observer,
     uniform_grid,
 )
@@ -330,6 +331,11 @@ def eigenvalues_mp(m, dps: int = 40) -> np.ndarray:
 
 # boundaries of stepwise_schedule match grid points within this
 BOUNDARY_TOL = 1e-9
+
+
+def flow_of(a):
+    """The closed-form flow of the dynamics ``a``, as ``propagate`` takes it (plant size inferred)."""
+    return propagate(a, [0.0, 1.0]).flow
 
 
 def phase_dynamics(phases) -> list[np.ndarray]:

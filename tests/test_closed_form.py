@@ -11,11 +11,12 @@ from scipy.linalg import expm
 
 from dcobserver import assemble_augmented, make_plant, make_theta, propagate
 from dcobserver import synthesize_observer
-from dcobserver.closed_form import certify, observer_flow
+from dcobserver.closed_form import Flow, certify
 from helpers import (
     closed_form_map,
     closed_form_pieces,
     exp_norm_bound,
+    flow_of,
     observer_block,
     one_mode_augmented,
     plant_block,
@@ -184,7 +185,7 @@ def test_observer_flow_equals_the_closed_form_oracle(n_p, n_o):
     c_o = random_output_matrix(rng, n_p // 2, n_o, np.eye(n_o))
     identity = synthesize_observer(plant, np.eye(n_o), c_o)
     for aug in (random_augmented(rng, n_p, n_o), assemble_augmented(plant, identity)):
-        flow = observer_flow(aug.a_a)
+        flow = flow_of(aug.a_a)
         assert flow.coef.shape == (n_o + 2, n_p + n_o, n_p + n_o) and flow.omega.shape == (n_o // 2,)
         t = np.concatenate([[0.0], rng.uniform(0.0, 20.0, size=8)])
         maps, integrals = flow.maps(t), flow.integrals(t)
@@ -199,23 +200,40 @@ def test_observer_flow_equals_the_closed_form_oracle(n_p, n_o):
 
 
 def test_all_zero_dynamics_are_the_identity_flow():
+    # propagate takes Flow.identity for an all-zero a, whatever its size
+    t = np.array([0.0, 0.5, 7.0])
     for n in (1, 3, 4):
-        flow = observer_flow(np.zeros((n, n)))
-        t = np.array([0.0, 0.5, 7.0])
-        assert np.array_equal(flow.maps(t), np.broadcast_to(np.eye(n), (3, n, n)))
-        assert np.array_equal(flow.integrals(t), t[:, None, None] * np.eye(n))
+        for flow in (Flow.identity(n), flow_of(np.zeros((n, n)))):
+            assert np.array_equal(flow.maps(t), np.broadcast_to(np.eye(n), (3, n, n)))
+            assert np.array_equal(flow.integrals(t), t[:, None, None] * np.eye(n))
 
 
-def test_certify_and_observer_flow_take_a_through_the_intake():
+def test_certify_and_propagate_take_a_through_the_intake():
     # a list is the flow of its array; a complex a names its argument, not
     # AttributeError on the list's shape or a ComplexWarning
     a = random_augmented(np.random.default_rng(4), 2, 2).a_a
-    pairs = [(certify(a.tolist(), 2).flow, certify(a, 2).flow), (observer_flow(a.tolist()), observer_flow(a))]
+    pairs = [(certify(a.tolist(), 2).flow, certify(a, 2).flow), (flow_of(a.tolist()), flow_of(a))]
     for listed, array in pairs:
         assert np.array_equal(listed.omega, array.omega) and np.array_equal(listed.coef, array.coef)
-    for call in (lambda v: certify(v, 2), observer_flow):
+    for call in (lambda v: certify(v, 2), flow_of):
         with pytest.raises(ValueError, match="^a: expected real numbers, got complex128 entries$"):
             call(a.astype(complex))
+
+
+@pytest.mark.parametrize(
+    "a, n_p, message",
+    [
+        (np.eye(4), 1, "n_p: "),
+        (np.eye(4), 4, "n_p: "),
+        (np.zeros((4, 6)), 2, r"a: must be square, got shape \(4, 6\)$"),
+        (random_augmented(np.random.default_rng(4), 2, 2).a_a, 2.0, "n_p: "),
+    ],
+    ids=["odd-plant", "no-observer", "non-square", "float-n_p"],
+)
+def test_certify_names_a_bad_shape_or_split(a, n_p, message):
+    # not numpy's matmul or broadcast error, make_theta's n_modes or a TypeError
+    with pytest.raises(ValueError, match=f"^{message}"):
+        certify(a, n_p)
 
 
 # (n_p, n_o) of a random system at each n; n = 32 and 80 are the splits of the
@@ -227,8 +245,8 @@ SPLITS = {3: None, 4: (2, 2), 8: (4, 4), 20: (8, 12), 32: (16, 16), 80: (32, 48)
 @cache
 def flow_at(n):
     if SPLITS[n] is None:
-        return observer_flow(np.zeros((n, n)))
-    return observer_flow(random_augmented(np.random.default_rng(n), *SPLITS[n]).a_a)
+        return Flow.identity(n)
+    return flow_of(random_augmented(np.random.default_rng(n), *SPLITS[n]).a_a)
 
 
 # runs of one row, just under and at a multiple of 256, and past 4,096 rows,

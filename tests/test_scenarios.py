@@ -29,6 +29,7 @@ from dcobserver.simulation import _chunk_rows
 from helpers import (
     csv_text,
     exact_schedule,
+    flow_of,
     invariant_residuals,
     one_mode_augmented,
     phase_dynamics,
@@ -700,7 +701,16 @@ _WRONG_TYPES = [
 ]
 
 
-@pytest.mark.parametrize("field, raw", _WRONG_TYPES)
+# faults that a config built by hand shows only to its planner, and an empty matrix
+_PLANNED_FAULTS = [
+    ("beta", {"scenario": "custom", **_COUPLED, "beta": []}),
+    ("segments", _sequence()),
+    ("segments", _sequence({"duration": 40.0, **_COUPLED}, _COUPLED)),
+    ("c_o", {"scenario": "custom", "beta": _COUPLED["beta"], "r_o": _COUPLED["r_o"]}),
+]
+
+
+@pytest.mark.parametrize("field, raw", _WRONG_TYPES + _PLANNED_FAULTS)
 def test_config_values_of_the_wrong_type_name_their_field(tmp_path, capsys, monkeypatch, field, raw):
     # the run starts in an empty directory, so any output directory it made would show
     monkeypatch.chdir(tmp_path)
@@ -1020,6 +1030,31 @@ def test_swap_is_measured_on_the_last_other_observer(tmp_path, segments, swapped
         assert disturbance == float(np.max(np.abs(rows @ maps[lo : hi + 1] - rows @ maps[lo])))
 
 
+def test_a_nan_plateau_after_a_constant_one_fails_its_check(tmp_path, monkeypatch):
+    # Python's max keeps a finite first value and drops a NaN after it; every
+    # plateau must be within its bound, as every protected row must
+    sweep = scenarios._sweep
+
+    def nan_second_plateau(systems, *args):
+        second = [i for i, aug in enumerate(systems) if aug is None][1]
+        for i, rows, start, block, averages, residuals in sweep(systems, *args):
+            moved = np.nan if i == second else residuals[2]
+            yield i, rows, start, block, averages, (*residuals[:2], moved)
+
+    monkeypatch.setattr(scenarios, "_sweep", nan_second_plateau)
+    segments = [_COUPLED, {"disconnect": True}, _CONJUGATE_SEGMENT, {"disconnect": True}, _COUPLED]
+    config = {
+        "scenario": "measurement_sequence", "t_end": 10.0, "dt": 0.1, "out_dir": str(tmp_path),
+        "segments": [{"duration": 2.0, **segment} for segment in segments],
+    }
+    bundle = run_scenario(ScenarioConfig.from_dict(config))
+    plateaus = [e["plateau_max_deviation"] for e in bundle.summary["segments"] if e["kind"] == "disconnected"]
+    assert plateaus[0] == 0.0 and math.isnan(plateaus[1])
+    checks = bundle.summary["checks"]
+    assert not checks["plateau_constant"] and not bundle.passed
+    assert all(ok for name, ok in checks.items() if name != "plateau_constant")
+
+
 def test_run_leaves_its_config_unchanged(tmp_path):
     # the last segment omits its duration; resolving it must not write it back
     config = ScenarioConfig.from_dict(
@@ -1120,6 +1155,23 @@ def test_cli_residual_failure_exits_2(tmp_path, capsys):
 def test_cli_missing_config_exits_3(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "missing.json")]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", ["[]", "5", '"one_mode"', "null"])
+def test_cli_config_that_is_no_object_exits_1(tmp_path, capsys, text):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(text)
+    assert main(["--config", str(config_file)]) == 1
+    assert capsys.readouterr().err == "error: config must be a JSON object\n"
+
+
+def test_cli_io_failure_during_a_run_exits_3(tmp_path, capsys):
+    # the output directory would sit below a regular file
+    (tmp_path / "file").write_text("")
+    argv = ["--scenario", "one_mode", "--t-end", "1", "--dt", "0.1", "--out-dir", str(tmp_path / "file")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: I/O failure: ") and err.count("\n") == 1
 
 
 def test_cli_missing_scenario_exits_1(capsys):
@@ -1334,7 +1386,7 @@ def test_schedule_run_writes_and_checks_the_whole_series(tmp_path):
     times, edges = simulation._grid([duration for duration, _ in phases], 0.01)
     lo, hi = edges[2:]
     assert edges[1:3] == (1337, 1387) and hi - lo > 2 * _chunk_rows(4)
-    flows = [closed_form.observer_flow(a) for a in phase_dynamics(phases)]
+    flows = [flow_of(a) for a in phase_dynamics(phases)]
     maps, averages = whole_series(flows, times, edges)
 
     theta = first.ccr

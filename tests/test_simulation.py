@@ -28,13 +28,13 @@ from dcobserver import (
     uniform_grid,
 )
 from dcobserver import simulation
-from dcobserver.closed_form import observer_flow
 from dcobserver.linalg import spectral_norms
 from dcobserver.simulation import _chunk_rows, _grid
 from helpers import (
     concatenated_grid,
     exact_propagator_average,
     exact_schedule,
+    flow_of,
     invariant_residuals,
     ladder_times,
     one_mode_augmented,
@@ -302,13 +302,10 @@ def test_broken_certificate_is_rejected_naming_the_block(kind):
     # library has no other way to propagate them; a scenario run prefixes the
     # same message with its segment (test_scenarios)
     a, certified = broken_dynamics(kind, np.random.default_rng(71))
-    observer_flow(certified)
+    propagate(certified, uniform_grid(2.0, 0.01))
     with pytest.raises(ValueError) as excinfo:
-        observer_flow(a)
-    message = str(excinfo.value)
-    assert BROKEN_BLOCKS[kind] in message
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         propagate(a, uniform_grid(2.0, 0.01))
+    assert BROKEN_BLOCKS[kind] in str(excinfo.value)
     # a bad grid is reported before the dynamics, the same as for certified ones
     for bad in ([0.0, 1.0, 1.0], [0.5, 1.0], [0.0], [0.0, np.nan, 1.0], [0.0, 1.0, np.inf]):
         messages = []
@@ -321,7 +318,7 @@ def test_broken_certificate_is_rejected_naming_the_block(kind):
 
 @pytest.mark.parametrize("a", [np.ones((2, 3)), np.ones(4), np.ones((1, 2, 2))], ids=["2x3", "1-D", "3-D"])
 def test_propagate_rejects_non_square_dynamics(a):
-    with pytest.raises(ValueError, match=rf"^dynamics must be square, got shape {re.escape(str(a.shape))}$"):
+    with pytest.raises(ValueError, match=rf"^a: must be square, got shape {re.escape(str(a.shape))}$"):
         propagate(a, uniform_grid(1.0, 0.1))
 
 
@@ -358,6 +355,23 @@ def test_row_norms_equal_the_largest_singular_value(m_p):
     if m_p == 1:
         gram = stack @ stack.transpose(0, 2, 1)
         assert np.array_equal(got, np.sqrt(np.linalg.eigvalsh(gram)[:, -1]))
+
+
+@pytest.mark.parametrize(
+    "call, points, modes, message",
+    [
+        ("average", 1, 2, "series must contain at least one step beyond t=0"),
+        ("monitor", 0, 2, "series must contain at least one map"),
+        ("monitor", 3, 1, "series, theta and r_a dimensions disagree"),
+    ],
+    ids=["average-one-point", "monitor-no-maps", "monitor-dimensions"],
+)
+def test_series_calls_name_a_series_they_cannot_read(call, points, modes, message):
+    # the first points of a 4 x 4 series, its monitor given theta of ``modes`` modes
+    series = propagate(one_mode_augmented().a_a, uniform_grid(5.0, 0.5))
+    piece = PropagatorSeries(times=series.times[:points], maps=series.maps[:points], flow=series.flow)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        time_average(piece) if call == "average" else invariant_monitor(piece, make_theta(modes), np.eye(4))
 
 
 def test_time_average_of_identity_series():
@@ -471,7 +485,7 @@ def test_invariant_monitor_zero_dynamics_is_exact():
 def residual_blocks(n):
     """A random n-dimensional system and its maps at 3.7 + 0.1 k, for blocks of 1, 2, 3 and one chunk + 1 maps."""
     aug = random_augmented(np.random.default_rng(n), n // 2, n // 2)
-    flow = observer_flow(aug.a_a)
+    flow = flow_of(aug.a_a)
     start = flow.maps(np.array([3.7]))[0]
     blocks = [flow.maps(3.7 + 0.1 * np.arange(1, rows + 1)) for rows in (1, 2, 3, _chunk_rows(n) + 1)]
     return aug, start, blocks
@@ -659,7 +673,7 @@ def test_chunked_series_equal_the_whole_series_bit_for_bit(n, first_rows, last_r
     times, edges, swept, swept_averages, residuals = swept_schedule(phases, 0.01)
     assert edges == (0, first_rows, first_rows + 50, first_rows + 50 + last_rows)
     assert all(edge % _chunk_rows(n) for edge in edges[1:])
-    flows = [observer_flow(a) for a in phase_dynamics(phases)]
+    flows = [flow_of(a) for a in phase_dynamics(phases)]
     maps, averages = whole_series(flows, times, edges)
     assert np.array_equal(swept[0], np.eye(n))
     assert np.array_equal(swept, maps)
@@ -744,31 +758,64 @@ def test_api_pipeline_peak_stays_at_the_returned_arrays():
     assert peak <= returned + allowance, (peak, returned)
 
 
+@pytest.mark.parametrize("n", [4, 8, 32])
+def test_deviation_has_the_bits_of_the_elementwise_max(n):
+    # the reference forms every |rows Phi - rows start| and takes their max
+    rng = np.random.default_rng(n)
+    block, start, rows = rng.standard_normal((300, n, n)), rng.standard_normal((n, n)), rng.standard_normal((2, n))
+    assert simulation._deviation(block, start) == float(np.max(np.abs(block - start)))
+    assert simulation._deviation(block, start, rows) == float(np.max(np.abs(rows @ block - rows @ start)))
+    # a held -0.0 against a +0.0 start reads +0.0, as |x - s| does; a NaN map reads NaN
+    zero = np.zeros((n, n))
+    assert np.copysign(1.0, simulation._deviation(np.full((3, n, n), -0.0), zero)) == 1.0
+    block[7, 1, 0] = np.nan
+    assert np.isnan(simulation._deviation(block, start)) and np.isnan(simulation._deviation(block, start, rows))
+
+
+def sweep_peak(systems, times, edges):
+    """tracemalloc's peak over one _sweep pass, after a pass that warms up the certificates and selectors."""
+
+    def one_pass():
+        for _ in simulation._sweep(systems, times, edges, times.size):
+            pass
+
+    one_pass()
+    tracemalloc.start()
+    try:
+        one_pass()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_sweep_pass_peaks_at_its_own_buffers():
     # n = 8 over three full runs and part of a fourth: the pass holds its two
     # run buffers, one basis scratch and one quarter-run monitor scratch
-    # (6.0 MB in all).  The allowance covers the held-row deviation's two
-    # (rows, m_p, n) temporaries (1.0 MB) and 256 KiB of small arrays; a
+    # (6.0 MB in all).  The allowance covers the held-row deviation's one
+    # (rows, m_p, n) product (0.5 MB) and 256 KiB of small arrays; a
     # residual buffer of two blocks a run (4.2 MB) would pass it
     aug = random_augmented(np.random.default_rng(8), 4, 4)
     chunk = _chunk_rows(8)
     times = uniform_grid((3 * chunk + 100) * 0.1, 0.1)
     assert times.size == 3 * chunk + 101
-
-    def one_pass():
-        for _ in simulation._sweep([aug], times, (0, times.size - 1), times.size):
-            pass
-
-    one_pass()  # warm up the certificate and the selectors
-    tracemalloc.start()
-    try:
-        one_pass()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = sweep_peak([aug], times, (0, times.size - 1))
     own = 8 * (2 * chunk * 64 + aug.certificate.flow._scratch_size(chunk) + 3 * (chunk // 4) * 64)
-    allowance = 2 * 8 * chunk * aug.plant.m_p * 8 + 2**18
+    allowance = 8 * chunk * aug.plant.m_p * 8 + 2**18
     assert peak <= own + allowance, (peak, own)
+
+
+def test_a_disconnected_segment_adds_nothing_to_a_sweep_pass():
+    # a one-row coupled segment, then three runs of zero dynamics at n = 8:
+    # the plateau deviation reads each entry's extremes over a run, so past
+    # the pass's own buffers only 256 KiB of small arrays are allowed; the
+    # two block-sized temporaries of block - start (4.2 MB) would pass it
+    aug = random_augmented(np.random.default_rng(8), 4, 4)
+    chunk = _chunk_rows(8)
+    times, edges = _grid([0.1, 3 * chunk * 0.1], 0.1)
+    assert edges == (0, 1, 3 * chunk + 1)
+    peak = sweep_peak([aug, None], times, edges)
+    own = 8 * (2 * chunk * 64 + aug.certificate.flow._scratch_size(chunk) + 3 * (chunk // 4) * 64)
+    assert peak <= own + 2**18, (peak, own)
 
 
 def whole_series_chain(aug, grid):
