@@ -45,6 +45,8 @@ EXIT_IO = 3
 
 # bound on the deviation of a row that must stay constant
 CONSTANT_TOL = 1e-10
+# bound on the deviation of a disconnected segment's maps from its start map
+PLATEAU_TOL = 1e-12
 
 # values formatted by one "%" call of a figure file (or one row, if wider): a
 # batch's Python floats and text stay well below a chunk's
@@ -215,7 +217,9 @@ class _Figure:
 class _Plan:
     """A scenario's config resolved by its planner for the pipeline.
 
-    ``phases`` are (duration, system) pairs, system None while disconnected;
+    ``systems`` are the distinct coupled systems in order of first use, the
+    one place that decides which segments share a system; ``phases`` are
+    (duration, index into systems) pairs, the index None while disconnected.
     ``t_end`` is the horizon the summary reports.  Maps are written for
     t <= map_end, running averages for T <= average_end.  A ``schedule`` plan
     reports each segment; otherwise the one coupled system is reported whole,
@@ -223,7 +227,8 @@ class _Plan:
     if ``estimated_row``).
     """
 
-    phases: tuple[tuple[float, AugmentedSystem | None], ...]
+    phases: tuple[tuple[float, int | None], ...]
+    systems: tuple[AugmentedSystem, ...]
     figures: tuple[_Figure, ...]
     t_end: float
     prefix: str = "phi"
@@ -343,20 +348,18 @@ def _as_json(report) -> dict:
 
 def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
     """The one pipeline: verify, propagate, average, check, diagnose, write, summarize."""
-    durations, systems = zip(*plan.phases)
-    coupled_at = [i for i, aug in enumerate(systems) if aug is not None]
-    first = systems[coupled_at[0]]
+    durations, indices = zip(*plan.phases)
+    first = plan.systems[0]
     try:
         times, edges = _run_grid(durations, config.dt, first.n)
     except ValueError as exc:  # past the memory bound, or a segment below the float spacing
         raise ConfigError(str(exc)) from None
-    # each distinct system is verified once; segments that share it share its report
-    distinct = {id(aug): aug for aug in systems if aug is not None}
-    reports = {key: verify_observer_conditions(aug) for key, aug in distinct.items()}
+    # each system is verified once; the segments that share it share its report
+    reports = [verify_observer_conditions(aug) for aug in plan.systems]
     # a certificate that gives no flow fails before any output; only a schedule has segments to name
-    for i, aug in enumerate(systems):
-        if aug is not None and aug.certificate.flow is None:
-            message = aug.certificate.message
+    for i, k in enumerate(indices):
+        if k is not None and plan.systems[k].certificate.flow is None:
+            message = plan.systems[k].certificate.message
             raise ValueError(f"segments[{i}]: {message}" if plan.schedule else message)
 
     out = config.out_dir / config.scenario
@@ -365,17 +368,18 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
     map_stop, avg_stop = (_stop(times, end) for end in (plan.map_end, plan.average_end))
     # per segment: the worst CCR and energy residual, the deviation from its start
     # map of its held rows and, on the one segment whose swap disturbance a
-    # schedule reports, that of the first observer's rows: the last coupled
-    # segment whose system is another (systems are interned, so `is not` tells);
-    # a schedule that only reattaches the first observer swaps nothing
-    swap_at = next((i for i in reversed(coupled_at) if systems[i] is not first), None)
-    worst = np.zeros((len(systems), 4))
+    # schedule reports, that of the first observer's rows: the last segment
+    # whose system is not plan.systems[0]; a schedule that only reattaches
+    # the first observer swaps nothing
+    swap_at = max((i for i, k in enumerate(indices) if k not in (None, 0)), default=None)
+    worst = np.zeros((len(indices), 4))
+    segment_systems = [None if k is None else plan.systems[k] for k in indices]
     with ExitStack() as stack:
         files = [
             _FigureFile(out, fig, plan.prefix, first.n, avg_stop if fig.avg else map_stop, stack)
             for fig in plan.figures
         ]
-        for i, rows, start, block, averages, residuals in _sweep(systems, times, edges, avg_stop):
+        for i, rows, start, block, averages, residuals in _sweep(segment_systems, times, edges, avg_stop):
             swap = _deviation(block, start, first.plant_output) if i == swap_at else 0.0
             worst[i] = np.maximum(worst[i], [*residuals, swap])
             stamps = _stamps(times[rows])
@@ -385,27 +389,27 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
     scripts = [figure.script for figure in files if figure.script is not None]
 
     entries = []
-    conditions = {key: _as_json(report) for key, report in reports.items()}
-    for duration, aug, lo, hi, (_, energy, moved, _) in zip(
-        durations, systems, edges[:-1], edges[1:], worst.tolist()
+    conditions = [_as_json(report) for report in reports]
+    for duration, k, lo, hi, (_, energy, moved, _) in zip(
+        durations, indices, edges[:-1], edges[1:], worst.tolist()
     ):
         entry = {
-            "kind": "disconnected" if aug is None else "coupled",
+            "kind": "disconnected" if k is None else "coupled",
             "duration": duration,
             "t_start": float(times[lo]),
             "t_stop": float(times[hi]),
             "energy_residual": energy,
         }
-        if aug is None:
+        if k is None:
             entry["plateau_max_deviation"] = moved
         else:
             entry["protected_row_max_deviation"] = moved
-            entry["observer_conditions"] = conditions[id(aug)]
+            entry["system"] = k
         entries.append(entry)
     ccr_residual, energy_residual = np.max(worst[:, :2], axis=0).tolist()
 
     checks = {
-        "observer_conditions": all(r.passes(config.tol) for r in reports.values()),
+        "observer_conditions": all(r.passes(config.tol) for r in reports),
         "ccr_conservation": ccr_residual <= config.tol,
         "energy_conservation": energy_residual <= config.tol,
     }
@@ -420,14 +424,16 @@ def _run(config: ScenarioConfig, plan: _Plan) -> ArtifactBundle:
         swap_disturbance = 0.0 if swap_at is None else float(worst[swap_at, 3])
         plateau = [e["plateau_max_deviation"] for e in entries if e["kind"] == "disconnected"]
         protected = [e["protected_row_max_deviation"] for e in entries if e["kind"] == "coupled"]
+        summary["systems"] = [{"observer_conditions": c} for c in conditions]
         summary["segments"] = entries
         summary["swap_disturbance"] = swap_disturbance
+        summary["tolerances"]["plateau"] = PLATEAU_TOL
         checks["protected_rows_constant"] = all(dev <= CONSTANT_TOL for dev in protected)
-        checks["plateau_constant"] = all(dev <= 1e-12 for dev in plateau)
+        checks["plateau_constant"] = all(dev <= PLATEAU_TOL for dev in plateau)
         checks["swap_disturbs_previous_row"] = swap_at is None or swap_disturbance > 0.1
     else:
         convergence = convergence_diagnostics(first, plan.average_end, config.dt)
-        summary["observer_conditions"] = entries[0]["observer_conditions"]
+        summary["observer_conditions"] = conditions[0]
         summary["convergence"] = _as_json(convergence)
         checks["time_average_convergence"] = bool(convergence.converged)
         if plan.estimated_row:
@@ -468,8 +474,8 @@ def _single(aug: AugmentedSystem, figures, t_end, average_end, dt, estimated_row
     ConfigError names ``dt`` if it exceeds the averaging horizon."""
     if dt > average_end:
         raise ConfigError(f"dt: {dt} exceeds the averaging horizon {average_end}")
-    phases = ((max(t_end, average_end), aug),)
-    return _Plan(phases, figures, t_end, map_end=t_end, average_end=average_end,
+    phases = ((max(t_end, average_end), 0),)
+    return _Plan(phases, (aug,), figures, t_end, map_end=t_end, average_end=average_end,
                  estimated_row=estimated_row)
 
 
@@ -545,28 +551,30 @@ def _measurement_sequence(config: ScenarioConfig) -> _Plan:
     The default schedule runs the one-mode observer for 20 time units,
     disconnects for 5, then attaches an observer of the conjugate quadrature.
     One system is built per distinct (beta, r_o, c_o), keyed by each matrix's
-    shape and bytes, so segments that repeat it share its certificate and
-    flow; an error names the first segment at fault.
+    shape and bytes, in order of first use, and each phase points at it, so
+    segments that repeat it share its certificate, flow and report; an error
+    names the first segment at fault.
     """
     for key in ("beta", "r_o", "c_o", "alpha", "average_t_end"):
         if getattr(config, key) is not None:
             raise ConfigError(f"{key}: not read by the {config.scenario} scenario")
     t_end = _given(config.t_end, 100.0)
     segments = _resolve_segments(config.segments or _DEFAULT_SEGMENTS, t_end)
-    built, phases = {}, []
+    index, systems, phases = {}, [], []
     for i, s in enumerate(segments):
-        aug = None
+        k = None
         if not s.disconnect:
             key = tuple((m.shape, m.tobytes()) for m in (s.beta, s.r_o, s.c_o))
-            if key not in built:
-                built[key] = _system(s.beta, s.r_o, s.c_o, where=f"segments[{i}].")
-            aug = built[key]
-        phases.append((s.duration, aug))
-    n = next(iter(built.values())).n
-    for i, (_, aug) in enumerate(phases):
-        if aug is not None and aug.n != n:
-            raise ConfigError(f"segments[{i}]: augmented dimension {aug.n} != {n}")
-    return _Plan(tuple(phases), _SEQUENCE_FIGURES, t_end, prefix="phit", schedule=True)
+            if key not in index:
+                index[key] = len(systems)
+                systems.append(_system(s.beta, s.r_o, s.c_o, where=f"segments[{i}]."))
+            k = index[key]
+        phases.append((s.duration, k))
+    n = systems[0].n
+    for i, (_, k) in enumerate(phases):
+        if k is not None and systems[k].n != n:
+            raise ConfigError(f"segments[{i}]: augmented dimension {systems[k].n} != {n}")
+    return _Plan(tuple(phases), tuple(systems), _SEQUENCE_FIGURES, t_end, prefix="phit", schedule=True)
 
 
 _CUSTOM_FIGURES = (

@@ -588,10 +588,27 @@ def test_long_schedule_derives_each_system_once(tmp_path, monkeypatch):
     assert main(["--config", str(config_file)]) == 0
     assert sorted(kron_sizes) == [1, 2]
     assert len(synthesized) == 2 and certified == [2, 2] and len(verified) == 2
-    entries = json.loads((tmp_path / "measurement_sequence" / "summary.json").read_text())["segments"]
-    assert len(entries) == 300
-    conditions = [entry.get("observer_conditions") for entry in entries]
-    assert all(entry == conditions[0] for entry in conditions[:299:2])
+    summary = json.loads((tmp_path / "measurement_sequence" / "summary.json").read_text())
+    assert len(summary["segments"]) == 300 and len(summary["systems"]) == 2
+
+
+def test_schedule_summary_states_each_system_once(tmp_path):
+    # two observers over 300 segments: summary.json lists each system's
+    # conditions once, and each coupled segment points at its own
+    bundle = run_scenario(ScenarioConfig.from_dict(_alternating_schedule(tmp_path)))
+    assert bundle.passed
+    summary = json.loads(bundle.summary_file.read_text())
+    systems, entries = summary["systems"], summary["segments"]
+    assert len(systems) == 2
+    assert [entry.get("system") for entry in entries] == [0, None] * 149 + [0, 1]
+    conjugate = scenarios._system([[0], [1]], np.eye(2), [[0, 1]])
+    own = [one_mode_augmented() if i % 2 == 0 else None for i in range(299)] + [conjugate]
+    for entry, system in zip(entries, own):
+        assert "observer_conditions" not in entry
+        if system is not None:
+            conditions = scenarios._as_json(synthesis.verify_observer_conditions(system))
+            assert systems[entry["system"]] == {"observer_conditions": conditions}
+    assert summary["tolerances"] == {"residual": 1e-8, "constant_row": 1e-10, "plateau": 1e-12}
 
 
 def test_repeated_system_errors_name_its_first_segment(tmp_path):
@@ -860,14 +877,14 @@ def test_hand_built_config_takes_a_string_out_dir(tmp_path, monkeypatch):
 
 
 def test_failed_certificate_in_a_run_names_its_segment(tmp_path):
-    # the last coupled phase gets C B != 0: a run rejects it with the
-    # certificate's message behind its segment index, before any output
+    # the second system gets C B != 0: a run rejects it with the certificate's
+    # message behind the index of the first segment that uses it, before any output
     aug1, aug3 = one_mode_augmented(), swapped_augmented()
     a = aug3.a_a.copy()
     a[3, 0] += 0.5
     broken = dataclasses.replace(aug3, a_a=a)
-    phases = ((20.0, aug1), (5.0, None), (75.0, broken))
-    plan = scenarios._Plan(phases, scenarios._SEQUENCE_FIGURES, 100.0, schedule=True)
+    phases = ((20.0, 0), (5.0, None), (35.0, 1), (40.0, 1))
+    plan = scenarios._Plan(phases, (aug1, broken), scenarios._SEQUENCE_FIGURES, 100.0, schedule=True)
     config = ScenarioConfig(scenario="measurement_sequence", out_dir=tmp_path / "out")
     with pytest.raises(ValueError, match=r"^segments\[2\]: max\|C B\| = "):
         scenarios._run(config, plan)
@@ -1028,6 +1045,22 @@ def test_swap_is_measured_on_the_last_other_observer(tmp_path, segments, swapped
         lo, hi = edges[1:3]
         rows = first.plant_output
         assert disturbance == float(np.max(np.abs(rows @ maps[lo : hi + 1] - rows @ maps[lo])))
+
+
+def test_disconnected_run_checks_its_first_map_for_residuals(tmp_path, monkeypatch):
+    # every map of a disconnected run is its start map, so the monitor reads
+    # its first map alone; the plateau deviation still reads every row
+    received, residuals = [], simulation._residuals
+
+    def counting_residuals(maps, *args):
+        received.append(len(maps))
+        return residuals(maps, *args)
+
+    monkeypatch.setattr(simulation, "_residuals", counting_residuals)
+    bundle = run_scenario(ScenarioConfig(scenario="measurement_sequence", out_dir=tmp_path))
+    assert bundle.passed
+    # 2,000 coupled rows, 500 disconnected ones, then 7,500 coupled in runs of 4,096
+    assert received == [2000, 1, 4096, 3404]
 
 
 def test_a_nan_plateau_after_a_constant_one_fails_its_check(tmp_path, monkeypatch):
