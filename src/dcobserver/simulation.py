@@ -11,7 +11,7 @@ import numpy as np
 
 from .ccr import _as_float
 from .closed_form import Flow, certify
-from .linalg import spectral_norms
+from .linalg import _spectral_norms, spectral_norms
 from .synthesis import AugmentedSystem
 
 # bytes of one chunk's block of n x n maps, which sets _chunk_rows
@@ -198,9 +198,11 @@ def _each_run(edges, n: int, scratch_size, fn) -> list:
     being the longest run's, that the run may overwrite and must not keep.
     The calling thread allocates one scratch per run in flight before any
     run starts, and the scratches are freed when the call returns, so a
-    worker thread allocates no array of its own: glibc keeps a block freed
-    on a thread in that thread's arena, and worker arenas that held each
-    run's buffers grew from call to call.
+    worker thread allocates no array of its own (the one exception is
+    eigvalsh's eigenvalues in a diagnosis of more than two output rows, see
+    _d_values): glibc keeps a block freed on a thread in that thread's
+    arena, and worker arenas that held each run's buffers grew from call to
+    call.
     At most WORKERS runs are in flight, on the threads of a pool made for
     this call and joined before it returns, each in a copy of the caller's
     context (numpy's errstate holds there too) and with a scratch taken
@@ -436,20 +438,28 @@ def _residuals(maps: np.ndarray, theta, r_a, start: np.ndarray, scratch: np.ndar
     (Phi.T r_a) Phi are plain products.  OpenBLAS takes a transposed operand
     on its general path, where two runs of _each_run at once were slower
     than one; its small-matrix kernels take plain products without
-    contention.  A piece's copy and two products fill ``scratch``, whose
-    pieces are a third of it.  The pieces' worst values combine with np.max,
-    so a NaN reaches the result.
+    contention.  Up to n = 8 the first products, by a constant matrix, are
+    one 2-D GEMM a piece, its maps stacked as (piece n, n) rows (reshape
+    copies a piece whose maps are not C-contiguous), which took a quarter to
+    a half of the time of one product a map.  From n = 10 OpenBLAS's
+    SkylakeX kernel took that GEMM 1.1 to 2 times longer, with other bits
+    at n = 20 and 28, so larger maps keep one product each.  The tests
+    check the residuals against one product a map.  A piece's copy and two
+    products fill ``scratch``, whose pieces are a third of it.  The pieces'
+    worst values combine with np.max, so a NaN reaches the result.
     """
-    energy_ref, size = start.T @ r_a @ start, theta.size
-    piece = len(scratch) // (3 * size)
+    energy_ref, n = start.T @ r_a @ start, len(theta)
+    piece = len(scratch) // (3 * n * n)
     worst = []
     for lo in range(0, len(maps), piece):
         block = maps[lo : lo + piece]
         block_t, first, product = scratch[: 3 * block.size].reshape((3,) + block.shape)
         np.copyto(block_t, block.transpose(0, 2, 1))
+        stacked = (-1, n) if n <= 8 else block.shape  # one GEMM a piece, or one product a map
         residuals = []
         for left, middle, right, ref in ((block, theta, block_t, theta), (block_t, r_a, block, energy_ref)):
-            np.matmul(np.matmul(left, middle, out=first), right, out=product)
+            np.matmul(left.reshape(stacked), middle, out=first.reshape(stacked))
+            np.matmul(first, right, out=product)
             product -= ref
             residuals.append(np.max(np.abs(product, out=product)))
         worst.append(residuals)
@@ -469,13 +479,38 @@ class ConvergenceReport:
     converged: bool
 
 
+def _d_values_scratch_size(flow: Flow, rows: int) -> int:
+    """Floats of a _d_values scratch for up to ``rows`` times: the averaged rows, the norm temporaries, the basis."""
+    m_p, n = flow.coef.shape[1:]
+    return rows * (m_p * n + max(3, m_p * m_p)) + flow._scratch_size(rows)
+
+
+def _d_values(flow: Flow, t: np.ndarray, d: np.ndarray, scratch: np.ndarray) -> float:
+    """d(t), the spectral norm of the flow's running average at each time of ``t``, into ``d``; returns max t d(t).
+
+    The (rows, m_p, n) averages, the norm temporaries, which then hold t d,
+    and the flow's basis are views of ``scratch``, which holds
+    _d_values_scratch_size floats or more: a run allocates no array but the
+    eigenvalues of more than two rows (see linalg._spectral_norms).
+    """
+    count, (m_p, n) = len(t), flow.coef.shape[1:]
+    averages = scratch[: count * m_p * n].reshape(count, m_p, n)
+    norms = scratch[averages.size : averages.size + count * max(3, m_p * m_p)]
+    flow._evaluate(t, True, averages, scratch[averages.size + norms.size :])
+    averages /= t[:, None, None]
+    _spectral_norms(averages, d, norms)
+    return np.max(np.multiply(t, d, out=norms[:count]))
+
+
 def convergence_diagnostics(aug: AugmentedSystem, horizon: float, dt: float) -> ConvergenceReport:
     """Check the time-average convergence of the observer output rows of ``aug``.
 
     d(T) is the norm of the output-difference rows of the running average at
     T, on uniform_grid(horizon, dt).  The closed-form coefficients of
     ``aug.certificate`` are projected onto those rows first, so only the m_p
-    rows of the averages are formed, one chunk at a time.  d is compared on
+    rows of the averages are formed, _chunk_rows(n) rows at a time and up
+    to WORKERS runs at once (_each_run, bit for bit as one run at a time),
+    each run in a scratch of _d_values_scratch_size floats.  d is compared on
     a geometric ladder of T values halving from ``horizon`` down to 20 dt
     against bound_constant / T, with bound_constant =
     (norm_bound + 1) ||c_o|| ||R|| / (2 lambda_min), read off the certificate
@@ -501,16 +536,12 @@ def convergence_diagnostics(aug: AugmentedSystem, horizon: float, dt: float) -> 
     certificate = aug.certificate
     flow = certificate.checked_flow()
     rows_flow = replace(flow, coef=(aug.plant_output - aug.observer_output) @ flow.coef)
-    # each chunk of averaged rows becomes its d values, and the max of t d
-    block = np.empty((min(_chunk_rows(aug.n), times.size),) + rows_flow.coef.shape[1:])
-    scratch = np.empty(rows_flow._scratch_size(len(block)))
-    d_all, t_times_d = np.empty(times.size), []
-    for _, _, rows in _runs((0, times.size), aug.n):
-        part = rows_flow._evaluate(grid[rows], True, block[: rows.stop - rows.start], scratch)
-        part /= grid[rows, None, None]
-        d = d_all[rows.start - 1 : rows.stop - 1]
-        d[:] = spectral_norms(part)
-        t_times_d.append(np.max(grid[rows] * d))
+    d_all = np.empty(times.size)
+
+    def diagnose(_, rows, scratch):
+        return _d_values(rows_flow, grid[rows], d_all[rows.start - 1 : rows.stop - 1], scratch)
+
+    t_times_d = _each_run((0, times.size), aug.n, lambda rows: _d_values_scratch_size(rows_flow, rows), diagnose)
 
     ladder = [horizon]
     while ladder[-1] / 2.0 >= 20.0 * dt:

@@ -15,7 +15,7 @@ from dcobserver import (
     uniform_grid,
 )
 from dcobserver.closed_form import certify
-from dcobserver.linalg import spectral_norms
+from dcobserver.linalg import _spectral_norms, spectral_norms
 from helpers import eigenvalues_mp, one_mode_augmented, random_spd
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -63,6 +63,28 @@ def test_spectral_norm_against_gram_eigenvalue_oracle():
         m = rng.normal(size=(int(rng.integers(1, 7)), int(rng.integers(1, 7))))
         oracle = float(np.sqrt(np.max(np.linalg.eigvalsh(m.T @ m))))
         assert norm_of(m) == pytest.approx(oracle, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("cols", [1, 4, 8, 32])
+@pytest.mark.parametrize("rows", [1, 2, 4])
+def test_buffer_spectral_norms_give_the_bits_of_the_allocating_expressions(rows, cols):
+    # the buffer form takes the same operations with out=: its oracles are
+    # eigvalsh of the Gram matrix (one row and more than two) and the closed
+    # form (two rows), on matrices over twelve decades and some all-zero
+    rng = np.random.default_rng(10 * rows + cols)
+    stack = rng.normal(size=(4096, rows, cols)) * 10.0 ** rng.integers(-6, 6, size=(4096, 1, 1))
+    stack[::97] = 0.0
+    if rows == 2:
+        first, second = stack[:, 0], stack[:, 1]
+        a, b, c = (np.einsum("kn,kn->k", x, y) for x, y in ((first, first), (first, second), (second, second)))
+        top = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+    else:
+        top = np.linalg.eigvalsh(stack @ stack.transpose(0, 2, 1))[:, -1]
+    expected = np.sqrt(np.maximum(top, 0.0))
+    out, scratch = np.empty(len(stack)), np.empty(len(stack) * max(3, rows * rows))
+    assert _spectral_norms(stack, out, scratch) is out
+    assert np.array_equal(out, expected)
+    assert np.array_equal(spectral_norms(stack), expected)
 
 
 def test_exponential_norm_bound_holds_on_samples():

@@ -8,6 +8,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from scipy.linalg import expm
 
 from dcobserver import (
+    ConvergenceReport,
     ObserverSpec,
     PropagatorSeries,
     assemble_augmented,
@@ -818,38 +820,98 @@ def test_a_disconnected_segment_adds_nothing_to_a_sweep_pass():
     assert peak <= own + 2**18, (peak, own)
 
 
-def whole_series_chain(aug, grid):
-    """The three whole-series results of ``aug`` on ``grid``, each call leaving no thread behind."""
+def whole_series_chain(aug, horizon, dt):
+    """The four whole-series results of ``aug`` on uniform_grid(horizon, dt), each call leaving no thread behind."""
     threads = threading.active_count()
-    series = propagate(aug.a_a, grid)
+    series = propagate(aug.a_a, uniform_grid(horizon, dt))
     assert threading.active_count() == threads
     averages = time_average(series)
     assert threading.active_count() == threads
     report = invariant_monitor(series, aug.ccr, aug.r_a)
     assert threading.active_count() == threads
-    return series.maps, averages.averages, (report.max_ccr_residual, report.max_energy_residual)
+    convergence = convergence_diagnostics(aug, horizon, dt)
+    assert threading.active_count() == threads
+    return series.maps, averages.averages, (report.max_ccr_residual, report.max_energy_residual), convergence
 
 
-def test_whole_series_runs_give_the_same_bits_on_one_cpu_and_on_two(monkeypatch):
-    # 12,289 points at n = 8: three 4,096-row runs, and in the monitor, which
-    # starts from row 0, a fourth of one row
-    aug = random_augmented(np.random.default_rng(3), 4, 4)
-    grid = uniform_grid(1228.8, 0.1)
-    assert grid.size == 3 * _chunk_rows(8) + 1
+@pytest.mark.parametrize(
+    "rows, system",
+    [
+        (1, one_mode_augmented),
+        (2, lambda: random_augmented(np.random.default_rng(3), 4, 4)),
+        (4, lambda: random_augmented(np.random.default_rng(3), 8, 4)),
+    ],
+    ids=["one_row", "two_rows", "four_rows"],
+)
+def test_whole_series_runs_give_the_same_bits_on_one_cpu_and_on_two(monkeypatch, rows, system):
+    # 12,289 points: three 4,096-row runs, and in the monitor, which starts
+    # from row 0, a fourth of one row.  The diagnosis takes its norms of one
+    # output-difference row from a Gram product, of two in closed form and of
+    # four from eigvalsh; the monitor's first products are one GEMM a piece
+    # at n = 4 and 8 and one product a map at n = 12
+    aug = system()
+    assert aug.plant_output.shape[0] == rows
+    horizon, dt = 1228.8, 0.1
+    assert uniform_grid(horizon, dt).size == 3 * _chunk_rows(aug.n) + 1
     monkeypatch.setattr(simulation, "_blas_threads", lambda: 1)
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: 1)
-    serial = whole_series_chain(aug, grid)
+    serial = whole_series_chain(aug, horizon, dt)
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
     # a short switch interval interleaves the two runs' Python steps often
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = whole_series_chain(aug, grid)
+        threaded = whole_series_chain(aug, horizon, dt)
     finally:
         sys.setswitchinterval(interval)
-    for one, two in zip(serial, threaded):
+    for one, two in zip(serial[:3], threaded[:3]):
         assert np.array_equal(one, two)
     assert threaded[2] == invariant_residuals(threaded[0], aug.ccr, aug.r_a)
+    for field in fields(ConvergenceReport):
+        one, two = getattr(serial[3], field.name), getattr(threaded[3], field.name)
+        assert np.array_equal(one, two), field.name
+
+
+@pytest.mark.parametrize(
+    "system", [one_mode_augmented, lambda: random_augmented(np.random.default_rng(3), 4, 4)], ids=["one_row", "two_rows"]
+)
+def test_a_diagnosis_run_with_scratch_allocates_no_array(system):
+    # the averaged rows, the basis and the norm temporaries go into the
+    # scratch, so a run of convergence_diagnostics's _each_run allocates less
+    # than one copy of its times (only numpy's 64 KiB buffer of a
+    # broadcasting ufunc), and gets spectral_norms's d values
+    aug = system()
+    flow = aug.certificate.flow
+    rows_flow = replace(flow, coef=(aug.plant_output - aug.observer_output) @ flow.coef)
+    t = np.arange(1, 16385) * 0.05
+    d, scratch = np.empty(t.size), np.empty(simulation._d_values_scratch_size(rows_flow, t.size))
+    simulation._d_values(rows_flow, t, d, scratch)
+    tracemalloc.start()
+    try:
+        top = simulation._d_values(rows_flow, t, d, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < t.nbytes, peak
+    assert np.array_equal(d, spectral_norms(rows_flow.integrals(t) / t[:, None, None]))
+    assert top == np.max(t * d)
+
+
+@pytest.mark.parametrize("layout", ["strided", "fortran"])
+def test_invariant_monitor_gives_the_bits_of_contiguous_maps(layout):
+    # each monitor piece is one 2-D operand of the first products, which
+    # reshape copies for maps that are not C-contiguous; 16,385 points, so
+    # the strided series spans three runs
+    aug = random_augmented(np.random.default_rng(5), 4, 4)
+    series = propagate(aug.a_a, uniform_grid(1638.4, 0.1))
+    if layout == "strided":
+        times, maps = series.times[::2], series.maps[::2]
+    else:
+        times, maps = series.times, np.asfortranarray(series.maps)
+    assert not maps.flags.c_contiguous
+    contiguous = PropagatorSeries(times=times, maps=np.ascontiguousarray(maps))
+    expected = invariant_monitor(contiguous, aug.ccr, aug.r_a)
+    assert invariant_monitor(PropagatorSeries(times=times, maps=maps), aug.ccr, aug.r_a) == expected
 
 
 @pytest.mark.parametrize("cpus, blas_threads", [(1, 1), (2, 1), (2, 2)])
@@ -919,7 +981,7 @@ def test_each_run_gives_every_run_in_flight_its_own_scratch_from_the_caller(monk
 def test_whole_series_chain_holds_no_more_after_four_passes_than_after_one():
     # the worker threads allocate no buffers, so no malloc arena of theirs
     # grows from pass to pass: ru_maxrss after four passes of the n = 8,
-    # T = 1e4 chain (the long_horizon benchmark's) stays within 1 MiB of its
+    # T = 1e4 chain (the long_horizon benchmark's, diagnosis included) stays within 1 MiB of its
     # value after one.  Each pass's grid is kept until the next, and between
     # passes the caller multiplies a batch of 2,000 maps, as the benchmark's
     # calibration kernel does; with each run allocating its buffers on the
@@ -933,8 +995,8 @@ def test_whole_series_chain_holds_no_more_after_four_passes_than_after_one():
         """
         import resource
         import numpy as np
-        from dcobserver import (assemble_augmented, invariant_monitor, make_plant, propagate,
-                                synthesize_observer, time_average, uniform_grid)
+        from dcobserver import (assemble_augmented, convergence_diagnostics, invariant_monitor, make_plant,
+                                propagate, synthesize_observer, time_average, uniform_grid)
 
         plant = make_plant([[1, 0], [0, 0], [0, 1], [0, 0]])
         aug = assemble_augmented(plant, synthesize_observer(plant, np.eye(4), [[1, 0, 0, 0], [0, 0, 1, 0]]))
@@ -945,6 +1007,7 @@ def test_whole_series_chain_holds_no_more_after_four_passes_than_after_one():
             series = propagate(aug.a_a, grid)
             averages = time_average(series)
             invariant_monitor(series, aug.ccr, aug.r_a)
+            convergence_diagnostics(aug, 1e4, 0.1)
             del series, averages
             float(np.max(np.abs(batch @ theta @ batch.transpose(0, 2, 1))))
             peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
