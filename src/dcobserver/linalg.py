@@ -1,8 +1,11 @@
 """The spectral norm, the one the convergence diagnostics take for d(T) and its constant.
 
 ``spectral_norms`` returns new arrays; its buffer form ``_spectral_norms``,
-with the same bits, is what a diagnosis run takes on a worker thread, which
-allocates no array of its own but the eigenvalues of more than two rows.
+with the same bits, is what each diagnosis run takes, on the calling thread
+or on simulation._each_run's one helper thread, and allocates no array of its
+own but the eigenvalues of more than two rows.  Its two-row closed form goes
+through np.einsum, which holds the GIL, so two threads take it no faster
+than one.
 
 There is no general eigensolver and no matrix exponential: the spectrum of
 the augmented dynamics and every flow the package propagates are read off

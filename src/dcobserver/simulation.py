@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import threading
 from contextvars import copy_context
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -197,52 +198,69 @@ def _each_run(edges, n: int, scratch_size, fn) -> list:
     ``scratch`` is a float64 array of scratch_size(rows) floats, ``rows``
     being the longest run's, that the run may overwrite and must not keep.
     The calling thread allocates one scratch per run in flight before any
-    run starts, and the scratches are freed when the call returns, so a
-    worker thread allocates no array of its own (the one exception is
+    run starts, and the scratches are freed when the call returns, so the
+    helper thread allocates no array of its own (the one exception is
     eigvalsh's eigenvalues in a diagnosis of more than two output rows, see
     _d_values): glibc keeps a block freed on a thread in that thread's
-    arena, and worker arenas that held each run's buffers grew from call to
-    call.
-    At most WORKERS runs are in flight, on the threads of a pool made for
-    this call and joined before it returns, each in a copy of the caller's
-    context (numpy's errstate holds there too) and with a scratch taken
-    from the WORKERS free ones.  numpy drops the GIL inside a run's
-    products and ufuncs, so two runs use two CPUs as long as their small
-    products take C-contiguous operands (see _residuals).
+    arena, and the arenas of threads that held each run's buffers grew from
+    call to call.
+    At most WORKERS runs are in flight: the calling thread and one helper
+    thread, started for this call in a copy of the caller's context (numpy's
+    errstate holds there too) and joined before it returns, each take the
+    next run from one shared counter and run it in a scratch of its own.
+    numpy drops the GIL inside a run's products and most of its ufuncs, so
+    two runs use two CPUs as long as their small products take C-contiguous
+    operands (see _residuals).  np.einsum, in the closed-form norms of two
+    output rows (linalg._spectral_norms), and np.multiply.outer, in Flow's
+    basis, hold it: two threads of either ran no faster than one.
     ``fn`` writes only its own rows, so no result depends on which run ends
     first.  The runs go in order on the calling thread, with one scratch,
     when there is one run, one usable CPU, or a BLAS that spreads each
     product over several threads, which two runs at once contend with: with
     OpenBLAS at two threads on two CPUs, they were slower than one run at a
-    time.  The first exception in run order reaches the caller unchanged,
-    and the runs not yet started are dropped.
+    time.  The first exception in run order reaches the caller unchanged: a
+    run that raises, or an interrupt on the calling thread, stops both
+    threads from taking another run, and once the helper is joined the
+    error of the lowest run is raised.
     """
     runs = [(lo, rows) for _, lo, rows in _runs(edges, n)]
     size = scratch_size(max(rows.stop - rows.start for _, rows in runs))
     if len(runs) < 2 or _usable_cpus() < 2 or _blas_threads() > 1:
         scratch = np.empty(size)
         return [fn(lo, rows, scratch) for lo, rows in runs]
-    # imported here: they take 7 ms, which a CLI run never needs to pay
-    from concurrent.futures import ThreadPoolExecutor
-    from queue import SimpleQueue
+    results, errors, lock = [None] * len(runs), {}, threading.Lock()
+    taken = 0  # runs taken so far; len(runs) once a run has failed
 
-    free = SimpleQueue()
-    for _ in range(WORKERS):
-        free.put(np.empty(size))
+    def stop():
+        nonlocal taken
+        with lock:
+            taken = len(runs)
 
-    def run(lo, rows):
-        scratch = free.get_nowait()  # never empty: WORKERS threads, WORKERS scratches
-        try:
-            return fn(lo, rows, scratch)
-        finally:
-            free.put(scratch)
+    def take(scratch):
+        nonlocal taken
+        while True:
+            with lock:
+                index, taken = taken, taken + 1
+            if index >= len(runs):
+                return
+            try:
+                results[index] = fn(*runs[index], scratch)
+            except BaseException as error:  # raised on the caller once both threads stop
+                errors[index] = error
+                stop()
+                return
 
-    pool = ThreadPoolExecutor(WORKERS)
+    caller, helper = np.empty(size), np.empty(size)
+    thread = threading.Thread(target=copy_context().run, args=(take, helper))
+    thread.start()
     try:
-        futures = [pool.submit(copy_context().run, run, lo, rows) for lo, rows in runs]
-        return [future.result() for future in futures]
+        take(caller)
     finally:
-        pool.shutdown(cancel_futures=True)
+        stop()
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _sweep(systems: Sequence[AugmentedSystem | None], times: np.ndarray, edges, average_stop: int):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -916,20 +917,25 @@ def test_invariant_monitor_gives_the_bits_of_contiguous_maps(layout):
 
 @pytest.mark.parametrize("cpus, blas_threads", [(1, 1), (2, 1), (2, 2)])
 def test_each_run_keeps_run_order_and_raises_the_first_error_unchanged(monkeypatch, cpus, blas_threads):
-    # threads only with two CPUs and a one-thread BLAS
+    # two threads only with two CPUs and a one-thread BLAS: the caller and
+    # one helper, each of whose first runs waits until the other thread has
+    # a run in flight too, so the caller takes runs itself
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(simulation, "_blas_threads", lambda: blas_threads)
     threaded = (cpus, blas_threads) == (2, 1)
     edges, error = (0, 5 * _chunk_rows(8)), RuntimeError("third run")
     runs = [rows for _, _, rows in simulation._runs(edges, 8)]
-    threads, called_on = threading.active_count(), set()
+    threads, called_on, barrier = threading.active_count(), set(), threading.Barrier(2, timeout=30)
 
     def record(lo, rows, scratch):
+        if threaded and threading.get_ident() not in called_on:
+            barrier.wait()
         called_on.add(threading.get_ident())
         return lo, rows
 
     assert simulation._each_run(edges, 8, lambda rows: rows, record) == [(0, rows) for rows in runs]
-    assert (threading.get_ident() in called_on) != threaded
+    assert threading.get_ident() in called_on
+    assert len(called_on) == (simulation.WORKERS if threaded else 1)
     assert threading.active_count() == threads
 
     def fail_third(lo, rows, scratch):
@@ -941,6 +947,61 @@ def test_each_run_keeps_run_order_and_raises_the_first_error_unchanged(monkeypat
         simulation._each_run(edges, 8, lambda rows: rows, fail_third)
     assert raised.value is error
     assert threading.active_count() == threads
+
+
+def in_join(ident) -> bool:
+    """Whether the thread ``ident`` waits in a Thread.join."""
+    frame = sys._current_frames().get(ident)
+    while frame is not None:
+        if frame.f_code.co_name == "join" and frame.f_code.co_filename == threading.__file__:
+            return True
+        frame = frame.f_back
+    return False
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper", "both"])
+def test_a_failing_run_stops_both_threads_and_reaches_the_caller(monkeypatch, failing):
+    # each thread's first run waits until the other thread's is in flight, so
+    # runs 0 and 1 start together, one on each thread.  The run on a failing
+    # thread raises; the other holds its run until the failure has stopped
+    # the failing thread (the caller waits in join, the helper has ended).
+    # Then no run may start, the error of the lower run reaches the caller as
+    # it was raised and the helper is gone.  A short switch interval
+    # interleaves the two threads often, over many trials.
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulation, "_blas_threads", lambda: 1)
+    edges = (0, 6 * _chunk_rows(8))
+    runs = [rows for _, _, rows in simulation._runs(edges, 8)]
+    errors = [RuntimeError(f"run {index}") for index in range(len(runs))]
+    caller, threads = threading.get_ident(), threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(200):
+            barrier, started, failed, helper = threading.Barrier(2, timeout=30), [], [], []
+
+            def fail(lo, rows, scratch):
+                index, on_caller = runs.index(rows), threading.get_ident() == caller
+                started.append(index)
+                if not on_caller:
+                    helper.append(threading.current_thread())
+                barrier.wait()
+                if failing in ("both", "caller" if on_caller else "helper"):
+                    failed.append(index)
+                    raise errors[index]
+                deadline = time.monotonic() + 30
+                while helper[0].is_alive() if on_caller else not in_join(caller):
+                    assert time.monotonic() < deadline
+                    time.sleep(1e-4)
+                return rows
+
+            with pytest.raises(RuntimeError) as raised:
+                simulation._each_run(edges, 8, lambda rows: rows, fail)
+            assert raised.value is errors[min(failed)]
+            assert sorted(started) == [0, 1]
+            assert threading.active_count() == threads
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_each_run_gives_every_run_in_flight_its_own_scratch_from_the_caller(monkeypatch):
